@@ -10,7 +10,7 @@ returned; brute-force oracles back the test suite.
 
 __version__ = "0.1.0"
 
-from .graph import MultiGraph, build_graph, mask_of, vertices_of, INFINITY
+from .graph import MultiGraph, mask_of, vertices_of, INFINITY
 from .setfuncs import (
     SetFunc, lmn, const, zero, vertex_weights, table_func, with_overrides,
     force_zero_on_ground, scaled, rooted_shift, halved_slack, rho_slack,
@@ -18,7 +18,7 @@ from .setfuncs import (
 )
 from .sparsity import (
     PebbleState, CountMatroid, pebble_basis, is_sparse, rank_and_rigid,
-    is_rigid, rigid_components, minimal_rigid_vertices, exchange,
+    rigid_components, minimal_rigid_vertices, exchange,
     SparseResult, RigidResult,
 )
 from .packing import (
@@ -38,12 +38,12 @@ from .orientation import (
 )
 
 __all__ = [
-    "MultiGraph", "build_graph", "mask_of", "vertices_of", "INFINITY",
+    "MultiGraph", "mask_of", "vertices_of", "INFINITY",
     "SetFunc", "lmn", "const", "zero", "vertex_weights", "table_func",
     "with_overrides", "force_zero_on_ground", "scaled", "rooted_shift",
     "halved_slack", "rho_slack", "property_report", "PropertyReport",
     "PebbleState", "CountMatroid", "pebble_basis", "is_sparse",
-    "rank_and_rigid", "is_rigid", "rigid_components",
+    "rank_and_rigid", "rigid_components",
     "minimal_rigid_vertices", "exchange", "SparseResult", "RigidResult",
     "Packing", "PackPart", "StructureCertificate", "HypothesisReport",
     "PackOutcome", "matroid_union_pack", "structure_partition",

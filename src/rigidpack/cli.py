@@ -565,11 +565,13 @@ def _reverify(sub, graph, params, certs, verdict) -> bool:
     if sub == "rigid":
         func = parse_setfunc(params["func"], graph.n)
         edges = certs.get("edges", [])
+        if set(edges) & set(params.get("forbid", [])):
+            return False
         subg = graph.subgraph(edges)
         if not sparsity.is_sparse(subg, func).ok:
             return False
         target = max(func.rigid_target, 0)
-        return (len(edges) == target) == verdict
+        return (len(set(edges)) == target) == verdict
     if sub == "components":
         func = parse_setfunc(params["func"], graph.n)
         comps = [mask_of(c) for c in certs["components"]]
@@ -599,6 +601,9 @@ def _reverify(sub, graph, params, certs, verdict) -> bool:
             for ids in certs.get(key, []):
                 if not graph.subgraph(ids).is_connected():
                     return False
+        if verdict and params.get("preset") in ("tree-rigid", "tree-rigid-ec"):
+            if not _tree_rigid_holds(graph, params, certs):
+                return False
         struct = certs.get("structure")
         if struct is not None:
             parts = [mask_of(b) for b in struct["partition"]]
@@ -659,6 +664,46 @@ def _reverify(sub, graph, params, certs, verdict) -> bool:
     if sub == "oracle":
         return True
     raise ValueError(f"cannot verify reports for subcommand {sub!r}")
+
+
+def _tree_rigid_holds(graph, params, certs) -> bool:
+    """Re-check a tree-rigid(-ec) preset report: m spanning trees, p tight
+    (k, 2k-1)-sparse spanning parts (each inside its reinforced part, which
+    is (2k-1)-edge-connected, for -ec), pieces that partition the union,
+    and union degrees within bounds recomputed from k, p and m."""
+    k, p, m = int(params["k"]), params["p"], params["m"]
+    reinforced = params["preset"] == "tree-rigid-ec"
+    trees, rigid = certs["trees"], certs["rigid_parts"]
+    if len(trees) != m or len(rigid) != p or \
+            (reinforced and len(certs["reinforced"]) != p):
+        return False
+    for ids in trees:
+        if len(ids) != graph.n - 1 or not graph.subgraph(ids).is_connected():
+            return False
+    ell = lmn(graph.n, k, 2 * k - 1)
+    for ids in rigid:
+        if len(set(ids)) != ell.rigid_target or \
+                not sparsity.is_sparse(graph.subgraph(ids), ell).ok:
+            return False
+    pieces = trees + (certs["reinforced"] if reinforced else rigid)
+    union: set[int] = set()
+    for ids in pieces:
+        if union & set(ids):
+            return False
+        union |= set(ids)
+    if union != set(certs["union"]):
+        return False
+    if reinforced:
+        for r, h in zip(rigid, certs["reinforced"]):
+            if not set(r) <= set(h) or \
+                    graph.subgraph(h).edge_connectivity() < 2 * k - 1:
+                return False
+    extra = 2 * k * p - p + m if reinforced else k * p + m
+    used = graph.subgraph(union).degrees
+    bounds = certs["degree_bounds"]
+    return len(bounds) == graph.n and all(
+        bounds[v] == -(-graph.degree(v) // 2) + extra and used[v] <= bounds[v]
+        for v in range(graph.n))
 
 
 # ----------------------------------------------------------------------

@@ -360,11 +360,6 @@ class MultiGraph:
         return _maxflow(cap, s + n, t)
 
 
-def build_graph(n: int, edges) -> MultiGraph:
-    """Construct a MultiGraph, rejecting loops and out-of-range endpoints."""
-    return MultiGraph(n, edges)
-
-
 def _maxflow(cap: list[list[int]], s: int, t: int) -> int:
     """Edmonds-Karp on a dense capacity matrix (mutates `cap`)."""
     n = len(cap)

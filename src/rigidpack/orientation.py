@@ -83,35 +83,40 @@ class Orientation:
 
     def indeg_table(self) -> list[int]:
         """d^-(S) for every mask S; n capped by the sweep budget."""
-        n = self.host.n
-        if n > ARC_SWEEP_BUDGET:
+        if self.host.n > ARC_SWEEP_BUDGET:
             raise ValueError(f"in-degree table capped at {ARC_SWEEP_BUDGET} vertices")
-        amat = [[0] * n for _ in range(n)]
-        for t, h in self.arcs:
-            amat[t][h] += 1
-        indeg = self.indegrees
-        tab = [0] * (1 << n)
-        for s in range(1, 1 << n):
-            v = (s & -s).bit_length() - 1
-            t_mask = s ^ (1 << v)
-            into_v = indeg[v]
-            out_v_into_t = 0
-            row = amat[v]
-            tm = t_mask
-            while tm:
-                b = tm & -tm
-                w = b.bit_length() - 1
-                into_v -= amat[w][v]
-                out_v_into_t += row[w]
-                tm ^= b
-            tab[s] = tab[t_mask] - out_v_into_t + into_v
-        return tab
+        return _indeg_dp(self)
 
     def restricted(self, edge_ids) -> "Orientation":
         """Orientation of the spanning subgraph on the given edge ids."""
         ids = sorted(set(edge_ids))
         sub = self.host.subgraph(ids)
         return Orientation(sub, tuple(self.heads[e] for e in ids))
+
+
+def _indeg_dp(orient: Orientation) -> list[int]:
+    """d^-(S) for every mask S, built up from S minus its lowest vertex."""
+    n = orient.host.n
+    amat = [[0] * n for _ in range(n)]
+    for t, h in orient.arcs:
+        amat[t][h] += 1
+    indeg = orient.indegrees
+    tab = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        v = (s & -s).bit_length() - 1
+        t_mask = s ^ (1 << v)
+        into_v = indeg[v]
+        out_v_into_t = 0
+        row = amat[v]
+        tm = t_mask
+        while tm:
+            b = tm & -tm
+            w = b.bit_length() - 1
+            into_v -= amat[w][v]
+            out_v_into_t += row[w]
+            tm ^= b
+        tab[s] = tab[t_mask] - out_v_into_t + into_v
+    return tab
 
 
 @dataclass(frozen=True)
@@ -497,9 +502,12 @@ def odd_spanning_forest(graph: MultiGraph, m_param: int) -> OddForestResult:
     targets = tuple(-(-graph.degree(v) // m_param) for v in range(graph.n))
     best: set[int] | None = None
     best_violation = None
-    roots = sorted({min(vertices_of(c)) for c in comps})
     for shift in range(min(graph.n, 4)):
-        forest = _parity_forest(graph, shift)
+        forest = set()
+        for comp in comps:
+            verts = vertices_of(comp)
+            forest |= _parity_tree(graph, range(graph.m),
+                                   verts[shift % len(verts)], [1] * graph.n)[0]
         forest = _reduce_degrees(graph, forest, targets)
         violation = _violation(graph, forest, targets)
         if best is None or violation < best_violation:
@@ -516,43 +524,37 @@ def odd_spanning_forest(graph: MultiGraph, m_param: int) -> OddForestResult:
                            targets=targets)
 
 
-def _parity_forest(graph: MultiGraph, root_shift: int) -> set[int]:
-    """Keep a subset of a spanning tree so every vertex gets odd degree."""
-    n = graph.n
-    inc = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(graph.edges):
+def _parity_tree(graph: MultiGraph, edge_ids, root: int, parity):
+    """Edges of the breadth-first tree from root over edge_ids (adjacency in
+    the order given) that give each reached vertex v a degree of parity
+    parity[v], chosen leaves first. Returns them with the number of
+    vertices reached."""
+    inc = [[] for _ in range(graph.n)]
+    for eid in edge_ids:
+        u, v = graph.edges[eid]
         inc[u].append((eid, v))
         inc[v].append((eid, u))
-    seen = [False] * n
+    parent_edge: dict[int, tuple[int, int]] = {}
+    order = [root]
+    seen = [False] * graph.n
+    seen[root] = True
+    for x in order:
+        for eid, y in inc[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent_edge[y] = (eid, x)
+                order.append(y)
     kept: set[int] = set()
-    deg = [0] * n
-    for comp in graph.components():
-        verts = vertices_of(comp)
-        root = verts[root_shift % len(verts)]
-        # BFS tree
-        parent_edge: dict[int, tuple[int, int]] = {}
-        order = [root]
-        seen[root] = True
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
-            for eid, y in inc[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent_edge[y] = (eid, x)
-                    order.append(y)
-        for v in reversed(order):
-            if v == root:
-                continue
-            eid, par = parent_edge[v]
-            if deg[v] % 2 == 0:
-                kept.add(eid)
-                deg[v] += 1
-                deg[par] += 1
-        if deg[root] % 2 != 1:
-            raise RuntimeError("parity fixing failed at the root; engine bug")
-    return kept
+    deg = [0] * graph.n
+    for v in reversed(order[1:]):
+        eid, par = parent_edge[v]
+        if deg[v] % 2 != parity[v]:
+            kept.add(eid)
+            deg[v] += 1
+            deg[par] += 1
+    if deg[root] % 2 != parity[root]:
+        raise RuntimeError("parity fixing failed at the root; engine bug")
+    return kept, len(order)
 
 
 def _forest_degrees(graph: MultiGraph, forest) -> list[int]:
@@ -570,21 +572,7 @@ def _violation(graph, forest, targets) -> int:
 
 
 def _is_forest(graph: MultiGraph, edge_ids) -> bool:
-    parent = list(range(graph.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in edge_ids:
-        u, v = graph.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return len(edge_ids) == graph.n - len(graph.subgraph(edge_ids).components())
 
 
 def _reduce_degrees(graph: MultiGraph, forest: set[int], targets) -> set[int]:
@@ -619,8 +607,6 @@ def _reduce_degrees(graph: MultiGraph, forest: set[int], targets) -> set[int]:
                     cands = [e for e in by_pair.get(key, ()) if e not in forest]
                     if not cands:
                         continue
-                    if deg[x] + 0 > targets[x] or deg[y] > targets[y]:
-                        pass  # swap leaves x, y degrees unchanged, still fine
                     trial = set(forest)
                     trial.discard(ex)
                     trial.discard(ey)
@@ -751,7 +737,11 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     checks["reinforced_vertex_deleted"] = worst
     if worst < 2 * k:
         raise RuntimeError("vertex-deleted reinforced part below 2k-edge-connected")
-    forest = _matching_parity_forest(graph, tree, gprime)
+    # a subforest of the tree matching gprime's degree parities
+    forest, reached = _parity_tree(graph, tree, 0,
+                                   [d % 2 for d in _forest_degrees(graph, gprime)])
+    if reached != graph.n:
+        raise RuntimeError("tree part does not span the graph")
     h_ids = sorted(gprime | forest)
     hsub = graph.subgraph(h_ids)
     if any(d % 2 for d in hsub.degrees):
@@ -794,50 +784,6 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
                                 "parity_forest": sorted(forest)})
 
 
-def _matching_parity_forest(graph, tree_ids, other_ids) -> frozenset[int]:
-    """Subforest of a spanning tree whose degrees match the other part's
-    parity at every vertex."""
-    other_deg = [0] * graph.n
-    for eid in other_ids:
-        u, v = graph.edges[eid]
-        other_deg[u] += 1
-        other_deg[v] += 1
-    inc = [[] for _ in range(graph.n)]
-    for eid in tree_ids:
-        u, v = graph.edges[eid]
-        inc[u].append((eid, v))
-        inc[v].append((eid, u))
-    root = 0
-    parent_edge: dict[int, tuple[int, int]] = {}
-    order = [root]
-    seen = [False] * graph.n
-    seen[root] = True
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for eid, y in inc[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent_edge[y] = (eid, x)
-                order.append(y)
-    if len(order) != graph.n:
-        raise RuntimeError("tree part does not span the graph")
-    kept: set[int] = set()
-    deg = [0] * graph.n
-    for v in reversed(order):
-        if v == root:
-            continue
-        eid, par = parent_edge[v]
-        if (deg[v] + other_deg[v]) % 2 == 1:
-            kept.add(eid)
-            deg[v] += 1
-            deg[par] += 1
-    if (deg[root] + other_deg[root]) % 2 == 1:
-        raise RuntimeError("parity forest inconsistent at the root")
-    return frozenset(kept)
-
-
 def _robust_euler_search(hsub: MultiGraph, k: int, seed: int,
                          retries: int) -> Orientation | None:
     for attempt in range(max(1, retries)):
@@ -859,49 +805,23 @@ def _find_robust_violation(orient: Orientation, k: int):
 
 
 def _deleted_arc_strong(orient: Orientation, v: int, want_witness: bool = False):
+    """min d^-(A) over proper nonempty A of the digraph minus vertex v, and
+    with want_witness also the first such A (as a host mask) reaching it.
+
+    Not capped by the sweep budget: the robust pipeline runs it on every
+    host the pair sweep admits and on forced hosts beyond."""
     host = orient.host
-    keep = [e for e in range(host.m) if v not in host.edges[e]]
-    arcs = [(orient.tail(e), orient.heads[e]) for e in keep]
-    rest = [w for w in range(host.n) if w != v]
-    pos = {w: i for i, w in enumerate(rest)}
-    n1 = len(rest)
-    amat = [[0] * n1 for _ in range(n1)]
-    for t, h in arcs:
-        amat[pos[t]][pos[h]] += 1
-    indeg = [0] * n1
-    for t, h in arcs:
-        indeg[pos[h]] += 1
-    tab = [0] * (1 << n1)
-    best = None
-    best_mask = None
-    for s in range(1, (1 << n1) - 1):
-        w = (s & -s).bit_length() - 1
-        t_mask = s ^ (1 << w)
-        into_w = indeg[w]
-        out_w = 0
-        row = amat[w]
-        tm = t_mask
-        while tm:
-            b = tm & -tm
-            x = b.bit_length() - 1
-            into_w -= amat[x][w]
-            out_w += row[x]
-            tm ^= b
-        tab[s] = tab[t_mask] - out_w + into_w
-        if best is None or tab[s] < best:
-            best = tab[s]
-            best_mask = s
-    if best is None:  # a single remaining vertex has no proper subset
-        best = INFINITY
-    if want_witness:
-        if best_mask is None:
-            return best, None
-        mask = 0
-        for i, w in enumerate(rest):
-            if (best_mask >> i) & 1:
-                mask |= 1 << w
-        return best, mask
-    return best
+    if host.n <= 2:  # one vertex left has no proper subset
+        return (INFINITY, None) if want_witness else INFINITY
+    heads = tuple(h - 1 if h > v else h for e, h in enumerate(orient.heads)
+                  if v not in host.edges[e])
+    tab = _indeg_dp(Orientation(host.delete_vertex(v), heads))
+    best = min(tab[1:-1])
+    if not want_witness:
+        return best
+    s = tab.index(best, 1)
+    low = s & ((1 << v) - 1)
+    return best, low | ((s ^ low) << 1)
 
 
 def _repair_orientation(hsub: MultiGraph, orient: Orientation,

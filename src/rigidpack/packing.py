@@ -22,7 +22,7 @@ from .graph import MultiGraph, INFINITY, vertices_of
 from .setfuncs import (
     SetFunc, lmn, const, zero, table_func, halved_slack, rho_slack, scaled,
 )
-from .sparsity import CountMatroid, is_sparse, rank_and_rigid
+from .sparsity import CountMatroid, is_sparse, rank_and_rigid, _pebble_run
 from . import oracle
 
 PAIR_SWEEP_BUDGET = 14
@@ -176,7 +176,7 @@ def structure_partition(packing: Packing) -> StructureCertificate:
         partition = (host.full_mask,)
     else:
         closure = _replacement_closure(host, packing, usable_uncovered)
-        partition = _components_of_edges(host, closure)
+        partition = tuple(sorted(host.subgraph(closure).components()))
 
     pc_flags = []
     for block in partition:
@@ -233,27 +233,6 @@ def _replacement_closure(host, packing, seeds) -> set[int]:
                     released.add(y)
                     pending.append(y)
     return released
-
-
-def _components_of_edges(host: MultiGraph, edge_ids) -> tuple[int, ...]:
-    sub = [host.edges[e] for e in edge_ids]
-    parent = list(range(host.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in sub:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    blocks: dict[int, int] = {}
-    for v in range(host.n):
-        blocks.setdefault(find(v), 0)
-        blocks[find(v)] |= 1 << v
-    return tuple(sorted(blocks.values()))
 
 
 def _within_one_block(edge, partition) -> bool:
@@ -372,56 +351,70 @@ def _pair_tables(graph: MultiGraph):
     return graph.induced_table
 
 
-def _boundary_minus(etab, m, full, a, b):
-    # edges with one end in A and the other outside A|B
-    return m - etab[a | b] - etab[full ^ a] + etab[b]
+def _sweep_pairs(graph: MultiGraph, weights, unions, demand, far_value=None,
+                 over: SetFunc | None = None):
+    """First disjoint pair (A, B) whose cut d_{G-B}(A) falls short of its
+    demand, as a witness dict, or None.
+
+    Unions U = A | B run through `unions` in order, and B through the
+    submasks of U in descending order, so A is empty first and B last.
+    demand(U) is (c, x, x_no_a, x_no_b): the pair needs c + x - (sum of
+    weights over B) cut edges, with x_no_a in place of x when A is empty
+    (None skips that pair) and x_no_b when B is empty. far_value(S), when
+    given, is added to the demand of every pair with V - A = S. With
+    `over`, only unions inducing more edges than over's capacity are swept.
+    """
+    etab = _pair_tables(graph)
+    wtab = graph.weight_table(weights)
+    otab = graph.weight_table(over.singletons) if over is not None else None
+    full, m = graph.full_mask, graph.m
+    # the cut is m - e(U) - e(V - A) + e(B), so a pair falls short exactly
+    # when near[B] - far[V - A] < c + x - m + e(U)
+    near = [e + w for e, w in zip(etab, wtab)]
+    far = etab if far_value is None else [e + far_value(s) for s, e in enumerate(etab)]
+
+    def witness(union, b, cx):
+        rest = full ^ union ^ b
+        return {"A": vertices_of(union ^ b), "B": vertices_of(b),
+                "lhs": m - etab[union] - etab[rest] + etab[b],
+                "rhs": cx - wtab[b] + far[rest] - etab[rest]}
+
+    for union in unions:
+        if otab is not None and etab[union] <= otab[union] - over.value(union):
+            continue
+        c, x, x_no_a, x_no_b = demand(union)
+        shift = etab[union] - m
+        if x_no_a is not None and near[union] - far[full] < c + x_no_a + shift:
+            return witness(union, union, c + x_no_a)
+        rest = full ^ union
+        bar = c + x + shift
+        b = (union - 1) & union
+        while b:
+            if near[b] - far[rest | b] < bar:
+                return witness(union, b, c + x)
+            b = (b - 1) & union
+        if near[0] - far[rest] < c + x_no_b + shift:
+            return witness(union, 0, c + x_no_b)
+    return None
 
 
 def check_weakly_connected(graph: MultiGraph, ell_singletons, l_func: SetFunc,
                            tag: str = "weakly-connected") -> HypothesisReport:
     """d_{G-B}(A) >= l(A|B) - sum of ell over B for disjoint A != 0, A|B proper."""
-    etab = _pair_tables(graph)
-    stab = graph.weight_table(ell_singletons)
-    full, m = graph.full_mask, graph.m
-    for union in range(1, full):
-        lval = l_func.value(union)
-        b = union
-        while True:
-            a = union ^ b
-            if a:
-                need = lval - stab[b]
-                if need > 0 and _boundary_minus(etab, m, full, a, b) < need:
-                    return HypothesisReport(tag, False, witness={
-                        "A": vertices_of(a), "B": vertices_of(b),
-                        "lhs": _boundary_minus(etab, m, full, a, b),
-                        "rhs": need})
-            if b == 0:
-                break
-            b = (b - 1) & union
-    return HypothesisReport(tag, True)
+    wit = _sweep_pairs(graph, ell_singletons, range(1, graph.full_mask),
+                       lambda union: (l_func.value(union), 0, None, 0))
+    return HypothesisReport(tag, wit is None, witness=wit or {})
 
 
 def check_rigid_necessary(graph: MultiGraph, ell: SetFunc) -> HypothesisReport:
-    """Necessary cut condition for rigidity, over every disjoint pair."""
-    etab = _pair_tables(graph)
-    stab = graph.weight_table(ell.singletons)
-    full, m = graph.full_mask, graph.m
-    ell_g = ell.value(full)
-    for union in range(0, full + 1):
-        val = ell.value(union)
-        b = union
-        while True:
-            a = union ^ b
-            lhs = _boundary_minus(etab, m, full, a, b)
-            rhs = val - stab[b] + ell.value(full ^ a) - ell_g
-            if lhs < rhs:
-                return HypothesisReport("rigid-necessary", False, witness={
-                    "A": vertices_of(a), "B": vertices_of(b),
-                    "lhs": lhs, "rhs": rhs})
-            if b == 0:
-                break
-            b = (b - 1) & union
-    return HypothesisReport("rigid-necessary", True)
+    """Necessary cut condition for rigidity, over every disjoint pair:
+    d_{G-B}(A) >= ell(A|B) - sum of ell over B + ell(V-A) - ell(V)."""
+    ell_g = ell.value(graph.full_mask)
+    # the empty pair needs ell(0) = 0 cut edges, so the sweep starts at U = 1
+    wit = _sweep_pairs(graph, ell.singletons, range(1, graph.full_mask + 1),
+                       lambda union: (ell.value(union), 0, 0, 0),
+                       lambda rest: ell.value(rest) - ell_g)
+    return HypothesisReport("rigid-necessary", wit is None, witness=wit or {})
 
 
 def check_rigid_cut_consequences(graph: MultiGraph, k: int) -> HypothesisReport:
@@ -453,10 +446,11 @@ def check_rigid_cut_consequences(graph: MultiGraph, k: int) -> HypothesisReport:
 def check_rigid_sufficient(graph: MultiGraph, ell: SetFunc,
                            forbidden=()) -> HypothesisReport:
     """Sufficient cut condition for a spanning rigid subgraph avoiding a
-    forbidden edge set of size at most ell(V)."""
-    etab = _pair_tables(graph)
-    stab = graph.weight_table(ell.singletons)
-    full, m = graph.full_mask, graph.m
+    forbidden edge set of size at most ell(V): minimum degree 2 ell(v), and
+    d_{G-B}(A) >= 2 ell(A|B) - sum of ell over B wherever A|B induces more
+    edges than its capacity."""
+    _pair_tables(graph)  # the sweep budget is checked before anything else
+    full = graph.full_mask
     if len(set(forbidden)) > ell.value(full):
         return HypothesisReport("rigid-sufficient", False, witness={
             "check": "forbidden-size", "size": len(set(forbidden)),
@@ -465,51 +459,30 @@ def check_rigid_sufficient(graph: MultiGraph, ell: SetFunc,
         if graph.degree(v) < 2 * ell.singletons[v]:
             return HypothesisReport("rigid-sufficient", False, witness={
                 "check": "degree", "vertex": v, "degree": graph.degree(v)})
-    for union in range(1, full):
-        if etab[union] <= stab[union] - ell.value(union):
-            continue
-        val = ell.value(union)
-        b = union
-        while True:
-            a = union ^ b
-            need = 2 * val - stab[b]
-            if _boundary_minus(etab, m, full, a, b) < need:
-                return HypothesisReport("rigid-sufficient", False, witness={
-                    "A": vertices_of(a), "B": vertices_of(b),
-                    "lhs": _boundary_minus(etab, m, full, a, b), "rhs": need})
-            if b == 0:
-                break
-            b = (b - 1) & union
-    return HypothesisReport("rigid-sufficient", True)
+    wit = _sweep_pairs(graph, ell.singletons, range(1, full),
+                       lambda union: (2 * ell.value(union), 0, 0, 0), over=ell)
+    return HypothesisReport("rigid-sufficient", wit is None, witness=wit or {})
 
 
 def check_pack_basic(graph: MultiGraph, l: SetFunc, ell: SetFunc,
                      tag: str = "pack-basic") -> HypothesisReport:
-    """Cut condition for packing a partition-connected and a rigid part."""
-    etab = _pair_tables(graph)
-    stab = graph.weight_table(ell.singletons)
-    full, m = graph.full_mask, graph.m
+    """Cut condition for packing a partition-connected and a rigid part:
+    minimum degree 2 ell(v) + 2 l(v), and d_{G-B}(A) >= 2 ell(A|B) - sum of
+    ell over B, plus 2 l(A|B) when A != 0, wherever A|B induces more edges
+    than ell's capacity."""
+    _pair_tables(graph)  # the sweep budget is checked before anything else
     for v in range(graph.n):
         if graph.degree(v) < 2 * ell.singletons[v] + 2 * l.singletons[v]:
             return HypothesisReport(tag, False, witness={
                 "check": "degree", "vertex": v, "degree": graph.degree(v)})
-    for union in range(1, full):
-        if etab[union] <= stab[union] - ell.value(union):
-            continue
-        ell_u = ell.value(union)
-        l_u = l.value(union)
-        b = union
-        while True:
-            a = union ^ b
-            need = 2 * ell_u - stab[b] + (2 * l_u if a else 0)
-            if _boundary_minus(etab, m, full, a, b) < need:
-                return HypothesisReport(tag, False, witness={
-                    "A": vertices_of(a), "B": vertices_of(b),
-                    "lhs": _boundary_minus(etab, m, full, a, b), "rhs": need})
-            if b == 0:
-                break
-            b = (b - 1) & union
-    return HypothesisReport(tag, True)
+
+    def demand(union):
+        l_u = 2 * l.value(union)
+        return 2 * ell.value(union), l_u, 0, l_u
+
+    wit = _sweep_pairs(graph, ell.singletons, range(1, graph.full_mask), demand,
+                       over=ell)
+    return HypothesisReport(tag, wit is None, witness=wit or {})
 
 
 def violation_threshold(graph: MultiGraph, ell: SetFunc):
@@ -528,58 +501,55 @@ def check_pack_refined(graph: MultiGraph, l: SetFunc, ell: SetFunc,
                        phi, forbidden_count: int = 0) -> HypothesisReport:
     """Refined cut condition with the phi/lambda discount and the slack for
     near-full vertex sets. phi is a constant in [0, 1] or a callable on
-    masks returning Fractions."""
-    etab = _pair_tables(graph)
-    stab = graph.weight_table(ell.singletons)
-    full, m, n = graph.full_mask, graph.m, graph.n
-    phi_fn = phi if callable(phi) else (lambda _mask, _p=Fraction(phi): _p)
+    masks returning Fractions.
+
+    Wherever A|B induces more edges than ell's capacity, d_{G-B}(A) + eps
+    >= 2 ell(A|B) - sum of ell over B + extra, where extra is 2 l(A|B) for
+    B = 0, l(A|B) phi / lambda for A = 0 and l(A|B) (2 - phi) otherwise,
+    and eps is epsilon_near_full on sets of n - 1 vertices, else 0."""
+    full, n = graph.full_mask, graph.n
     lam = violation_threshold(graph, ell)
+    phi_fn = phi if callable(phi) else (lambda _mask, _p=Fraction(phi): _p)
     eps_base = 2 * l.value(full) + 2 * ell.value(full) - 2 * forbidden_count
     aux = {"lambda": lam, "epsilon_near_full": eps_base}
     for v in range(graph.n):
         if graph.degree(v) < 2 * ell.singletons[v] + 2 * l.singletons[v]:
             return HypothesisReport("pack-refined", False, witness={
                 "check": "degree", "vertex": v}, aux=aux)
-    for union in range(1, full):
-        if etab[union] <= stab[union] - ell.value(union):
-            continue
-        ell_u = ell.value(union)
-        l_u = l.value(union)
-        eps = eps_base if bin(union).count("1") == n - 1 else 0
+
+    def eps(union_size):
+        return eps_base if union_size == n - 1 else 0
+
+    def demand(union):
+        l_u = Fraction(l.value(union))
         phi_u = Fraction(phi_fn(union))
         if not 0 <= phi_u <= 1:
             raise ValueError("phi must take values in [0, 1]")
-        b = union
-        while True:
-            a = union ^ b
-            base = 2 * ell_u - stab[b]
-            if b == 0:
-                extra = Fraction(2 * l_u)
-            elif a == 0:
-                extra = Fraction(l_u) * phi_u / lam
-            else:
-                extra = Fraction(l_u) * (2 - phi_u)
-            lhs = Fraction(_boundary_minus(etab, m, full, a, b) + eps)
-            if lhs < base + extra:
-                return HypothesisReport("pack-refined", False, witness={
-                    "A": vertices_of(a), "B": vertices_of(b),
-                    "lhs": str(lhs), "rhs": str(base + extra)}, aux=aux)
-            if b == 0:
-                break
-            b = (b - 1) & union
-    return HypothesisReport("pack-refined", True, aux=aux)
+        return (2 * ell.value(union) - eps(bin(union).count("1")),
+                l_u * (2 - phi_u), l_u * phi_u / lam, 2 * l_u)
+
+    wit = _sweep_pairs(graph, ell.singletons, range(1, full), demand, over=ell)
+    if wit is None:
+        return HypothesisReport("pack-refined", True, aux=aux)
+    slack = eps(len(wit["A"]) + len(wit["B"]))
+    wit["lhs"] = str(Fraction(wit["lhs"] + slack))
+    wit["rhs"] = str(wit["rhs"] + slack)
+    return HypothesisReport("pack-refined", False, witness=wit, aux=aux)
 
 
 def check_pack_degree(graph: MultiGraph, l: SetFunc, ell: SetFunc, k,
                       rho) -> HypothesisReport:
-    """Cut and density conditions for the k/rho degree-restricted packing."""
+    """Cut and density conditions for the k/rho degree-restricted packing:
+    every set induces at most rho(S) + k/(k-2) (l(V) + ell(V)) edges, every
+    degree is at least k (ell(v) + l(v)), and d_{G-B}(A) >= k ell(A|B) -
+    k/2 (sum of ell over B), plus k l(A|B) when A != 0, wherever A|B
+    induces more edges than ell's capacity."""
     kf = Fraction(k)
     if kf <= 2:
         raise ValueError("the degree-restricted condition needs k > 2")
     etab = _pair_tables(graph)
-    stab = graph.weight_table(ell.singletons)
     rtab = graph.weight_table([Fraction(r) for r in rho])
-    full, m = graph.full_mask, graph.m
+    full = graph.full_mask
     bound_const = kf / (kf - 2) * (l.value(full) + ell.value(full))
     for mask in range(1, full + 1):
         if Fraction(etab[mask]) > rtab[mask] + bound_const:
@@ -590,24 +560,17 @@ def check_pack_degree(graph: MultiGraph, l: SetFunc, ell: SetFunc, k,
         if Fraction(graph.degree(v)) < kf * (ell.singletons[v] + l.singletons[v]):
             return HypothesisReport("pack-degree", False, witness={
                 "check": "degree", "vertex": v})
-    for union in range(1, full):
-        if etab[union] <= stab[union] - ell.value(union):
-            continue
-        ell_u = ell.value(union)
-        l_u = l.value(union)
-        b = union
-        while True:
-            a = union ^ b
-            need = kf * ell_u - kf * Fraction(stab[b], 2) + (kf * l_u if a else 0)
-            if Fraction(_boundary_minus(etab, m, full, a, b)) < need:
-                return HypothesisReport("pack-degree", False, witness={
-                    "A": vertices_of(a), "B": vertices_of(b),
-                    "lhs": _boundary_minus(etab, m, full, a, b),
-                    "rhs": str(need)})
-            if b == 0:
-                break
-            b = (b - 1) & union
-    return HypothesisReport("pack-degree", True)
+
+    def demand(union):
+        l_u = kf * l.value(union)
+        return kf * ell.value(union), l_u, 0, l_u
+
+    wit = _sweep_pairs(graph, [kf * Fraction(s, 2) for s in ell.singletons],
+                       range(1, full), demand, over=ell)
+    if wit is None:
+        return HypothesisReport("pack-degree", True)
+    wit["rhs"] = str(wit["rhs"])
+    return HypothesisReport("pack-degree", False, witness=wit)
 
 
 # ----------------------------------------------------------------------
@@ -629,10 +592,9 @@ def extract_rigid(graph: MultiGraph, ell: SetFunc, forbidden=()):
     """Maximum sparse edge set avoiding the forbidden edges, with host ids."""
     blocked = set(forbidden)
     matroid = CountMatroid(graph, ell)
-    for eid in range(graph.m):
-        if eid not in blocked:
-            matroid.insert(eid)
-    return frozenset(matroid.edge_ids)
+    state, _ = _pebble_run(matroid.caps, matroid.ell, graph.edges,
+                           [e for e in range(graph.m) if e not in blocked])
+    return frozenset(state.accepted)
 
 
 def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,

@@ -174,10 +174,6 @@ class CountMatroid:
         self.state = PebbleState.fresh(self.caps, self.ell)
         self.edge_ids: set[int] = set()
 
-    def probe(self, eid: int):
-        u, v = self.host.edges[eid]
-        return self.state.probe_pair(u, v)
-
     def probe_pair(self, x: int, y: int):
         return self.state.probe_pair(x, y)
 
@@ -204,12 +200,29 @@ class CountMatroid:
         Raises if any edge is rejected: callers use this as the
         post-exchange verification step.
         """
-        self.state = PebbleState.fresh(self.caps, self.ell)
-        self.edge_ids = set()
-        for eid in sorted(edge_ids):
-            if not self.insert(eid):
-                raise RuntimeError(
-                    f"rebuild rejected edge {eid}: exchange broke sparsity")
+        self.state, rejected = _pebble_run(self.caps, self.ell, self.host.edges,
+                                           sorted(edge_ids), strict=True)
+        if rejected is not None:
+            raise RuntimeError(
+                f"rebuild rejected edge {rejected[0]}: exchange broke sparsity")
+        self.edge_ids = set(self.state.accepted)
+
+
+def _pebble_run(caps, ell: int, edges, ids=None, strict: bool = False):
+    """Offer edges to a fresh pebble state in the order of `ids` (default:
+    every edge, ascending); the accepted ids are `state.accepted`.
+
+    Returns (state, rejected). With strict=True the run stops at the first
+    rejected edge and rejected is (edge id, blocking mask); otherwise it
+    is None.
+    """
+    state = PebbleState.fresh(caps, ell)
+    for eid in range(len(edges)) if ids is None else ids:
+        u, v = edges[eid]
+        blocked = state.insert(eid, u, v)
+        if blocked is not None and strict:
+            return state, (eid, blocked)
+    return state, None
 
 
 # ----------------------------------------------------------------------
@@ -229,21 +242,13 @@ class RigidResult:
     rigid: bool
     basis: tuple[int, ...]
 
-    @property
-    def tight_edges(self) -> tuple[int, ...]:
-        return self.basis
-
 
 def pebble_basis(graph: MultiGraph, k: int, ell: int):
     """Greedy basis of the uniform (k, ell) count matroid, ids ascending."""
     if not 0 <= ell <= 2 * k - 1 and not (k == 0 and ell == 0):
         raise ValueError(f"(k, ell) = ({k}, {ell}) outside the matroidal pebble range")
-    state = PebbleState.fresh((k,) * graph.n, ell)
-    basis = []
-    for eid, (u, v) in enumerate(graph.edges):
-        if state.insert(eid, u, v) is None:
-            basis.append(eid)
-    return tuple(basis), state
+    state, _ = _pebble_run((k,) * graph.n, ell, graph.edges)
+    return tuple(state.accepted), state
 
 
 def is_sparse(graph: MultiGraph, func: SetFunc) -> SparseResult:
@@ -255,12 +260,9 @@ def is_sparse(graph: MultiGraph, func: SetFunc) -> SparseResult:
     """
     params = pebble_params(func)
     if params is not None:
-        caps, ell = params
-        state = PebbleState.fresh(caps, ell)
-        for eid, (u, v) in enumerate(graph.edges):
-            blocked = state.insert(eid, u, v)
-            if blocked is not None:
-                return SparseResult(False, blocked)
+        _, rejected = _pebble_run(*params, graph.edges, strict=True)
+        if rejected is not None:
+            return SparseResult(False, rejected[1])
         return SparseResult(True)
     proper = proper_pebble_params(func)
     if proper is not None:
@@ -270,13 +272,12 @@ def is_sparse(graph: MultiGraph, func: SetFunc) -> SparseResult:
         if graph.n <= 2:
             return SparseResult(True)
         for w in range(graph.n):
-            sub = graph.subgraph(
-                [i for i, (u, v) in enumerate(graph.edges) if w not in (u, v)])
-            state = PebbleState.fresh(caps, ell)
-            for eid, (u, v) in enumerate(sub.edges):
-                blocked = state.insert(eid, u, v)
-                if blocked is not None:
-                    return SparseResult(False, blocked)
+            _, rejected = _pebble_run(
+                caps, ell, graph.edges,
+                [i for i, (u, v) in enumerate(graph.edges) if w not in (u, v)],
+                strict=True)
+            if rejected is not None:
+                return SparseResult(False, rejected[1])
         return SparseResult(True)
     if graph.n > 16:
         raise ValueError(
@@ -290,22 +291,13 @@ def rank_and_rigid(graph: MultiGraph, func: SetFunc) -> RigidResult:
     target = max(func.rigid_target, 0)
     params = pebble_params(func)
     if params is not None:
-        caps, ell = params
-        state = PebbleState.fresh(caps, ell)
-        basis = []
-        for eid, (u, v) in enumerate(graph.edges):
-            if state.insert(eid, u, v) is None:
-                basis.append(eid)
+        state, _ = _pebble_run(*params, graph.edges)
+        basis = state.accepted
         rank = len(basis)
-        return RigidResult(rank=rank, target=target,
-                           rigid=rank == target, basis=tuple(basis))
-    rank, basis = oracle.bf_rank(graph, func)
+    else:
+        rank, basis = oracle.bf_rank(graph, func)
     return RigidResult(rank=rank, target=target,
                        rigid=rank == target, basis=tuple(basis))
-
-
-def is_rigid(graph: MultiGraph, func: SetFunc) -> bool:
-    return rank_and_rigid(graph, func).rigid
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 
 from rigidpack.cli import main, canonical_dumps, load_graph, parse_setfunc
 from rigidpack.graph import MultiGraph
+from rigidpack.setfuncs import lmn
+from rigidpack.sparsity import is_sparse
 
 
 def write_graph(tmp_path, name, n, edges):
@@ -22,6 +24,12 @@ def k4(tmp_path):
 @pytest.fixture
 def c4(tmp_path):
     return write_graph(tmp_path, "c4", 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.fixture
+def k9(tmp_path):
+    return write_graph(tmp_path, "k9", 9,
+                       [(u, v) for u in range(9) for v in range(u + 1, 9)])
 
 
 def run(capsys, *argv):
@@ -101,9 +109,18 @@ def test_canonical_round_trip(tmp_path, capsys):
                             "edges": [[u, v] for u, v in graph.edges]}) == out
 
 
-def test_verify_reproduces_reports(tmp_path, capsys, k4, c4):
+TREE_RIGID = ["--k-int", "2", "--p", "1", "--m", "1"]
+
+
+def test_verify_reproduces_reports(tmp_path, capsys, k4, c4, k9):
     cases = [
         ("rigid", ["rigid", "--graph", k4, "--func", "lmn:2,3"]),
+        ("rigid-forbid", ["rigid", "--graph", k9, "--func", "lmn:2,3",
+                          "--forbid", "0", "1", "2"]),
+        ("tree-rigid", ["pack", "--graph", k9, "--preset", "tree-rigid",
+                        *TREE_RIGID]),
+        ("tree-rigid-ec", ["pack", "--graph", k9, "--preset", "tree-rigid-ec",
+                           *TREE_RIGID]),
         ("sparse", ["sparse", "--graph", k4, "--func", "lmn:2,3"]),
         ("pack", ["pack", "--graph", k4, "--funcs", "lmn:1,1", "lmn:1,1"]),
         ("orient", ["orient", "--graph", c4, "--mode", "eulerian"]),
@@ -124,6 +141,59 @@ def test_verify_detects_tampering(tmp_path, capsys, k4):
                     "rigid", "--graph", k4, "--func", "lmn:2,3")
     report = json.loads(out)
     report["certificates"]["edges"] = [0, 1, 2, 3]  # too small for the claim
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    vcode, vout = run(capsys, "verify", "--report", str(path))
+    assert vcode == 1 and "MISMATCH" in vout
+
+
+def _swap_in_forbidden_edge(report):
+    # forbidden edge 0 replaces a basis edge and the set stays sparse
+    edges = report["certificates"]["edges"]
+    graph = MultiGraph(9, [tuple(e) for e in report["graph"]["edges"]])
+    for e in edges:
+        swapped = sorted(set(edges) - {e} | {0})
+        if is_sparse(graph.subgraph(swapped), lmn(9, 2, 3)).ok:
+            report["certificates"]["edges"] = swapped
+            return
+    raise AssertionError("no sparse swap with forbidden edge 0")
+
+
+def _repeat_an_edge(report):
+    # a repeated id makes up the count of a basis one edge short
+    edges = report["certificates"]["edges"]
+    report["certificates"]["edges"] = edges[:-1] + edges[-2:-1]
+
+
+def _tree_as_rigid_part(report):
+    certs = report["certificates"]
+    certs["rigid_parts"] = [certs["trees"][0]]
+    certs["degree_bounds"] = [1] * 9
+
+
+def _all_edges_as_union(report):
+    report["certificates"]["union"] = list(range(36))
+
+
+def _loosened_bounds(report):
+    certs = report["certificates"]
+    certs["degree_bounds"] = [b + 1 for b in certs["degree_bounds"]]
+
+
+@pytest.mark.parametrize("argv, tamper", [
+    (["rigid", "--func", "lmn:2,3", "--forbid", "0", "1", "2"],
+     _swap_in_forbidden_edge),
+    (["rigid", "--func", "lmn:2,3"], _repeat_an_edge),
+    (["pack", "--preset", "tree-rigid", *TREE_RIGID], _tree_as_rigid_part),
+    (["pack", "--preset", "tree-rigid", *TREE_RIGID], _all_edges_as_union),
+    (["pack", "--preset", "tree-rigid-ec", *TREE_RIGID], _loosened_bounds),
+])
+def test_verify_rejects_tampered_certificates(tmp_path, capsys, k9, argv, tamper):
+    code, out = run(capsys, "--format", "structured", argv[0], "--graph", k9,
+                    *argv[1:])
+    assert code == 0
+    report = json.loads(out)
+    tamper(report)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(report))
     vcode, vout = run(capsys, "verify", "--report", str(path))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpack.graph import MultiGraph, build_graph, mask_of, INFINITY
+from rigidpack.graph import MultiGraph, mask_of, INFINITY
 from rigidpack import generators, oracle
 
 
@@ -13,24 +13,24 @@ def c4():
 
 
 def test_build_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    g = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.m == 3 and g.n == 3
 
 
 def test_build_doubled_edge():
-    g = build_graph(2, [(0, 1), (0, 1)])
+    g = MultiGraph(2, [(0, 1), (0, 1)])
     assert g.m == 2
     assert g.mult[0][1] == 2
 
 
 def test_build_rejects_loop():
     with pytest.raises(ValueError, match="loop"):
-        build_graph(3, [(0, 0)])
+        MultiGraph(3, [(0, 0)])
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        build_graph(2, [(0, 5)])
+        MultiGraph(2, [(0, 5)])
 
 
 def test_counting_queries():
@@ -81,7 +81,7 @@ def test_local_edge_connectivity():
 
 
 def test_contract_examples():
-    tri = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    tri = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
     small, mapping = tri.contract(mask_of([0, 1]))
     assert small.n == 2 and small.m == 2
     assert small.mult[0][1] == 2
@@ -113,7 +113,7 @@ def test_bipartition():
     a, b = sides
     for u, v in g.edges:
         assert ((a >> u) & 1) != ((a >> v) & 1)
-    assert build_graph(3, [(0, 1), (1, 2), (2, 0)]).bipartition() is None
+    assert MultiGraph(3, [(0, 1), (1, 2), (2, 0)]).bipartition() is None
 
 
 def test_cut_identity_exhaustive():

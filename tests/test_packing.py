@@ -5,7 +5,9 @@ import pytest
 
 from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, mask_of, vertices_of
-from rigidpack.setfuncs import lmn, const, zero
+from rigidpack.setfuncs import (
+    lmn, const, zero, vertex_weights, table_func, with_overrides,
+)
 from rigidpack.packing import (
     matroid_union_pack, structure_partition, decompose_p_rigid,
     check_weakly_connected, check_rigid_necessary, check_rigid_sufficient,
@@ -157,6 +159,191 @@ def test_rigid_necessary_check():
     rep = check_rigid_necessary(c4(), lmn(4, 2, 3))
     assert not rep.ok
     assert not oracle.bf_rigid(c4(), lmn(4, 2, 3))[0]
+
+
+# ----------------------------------------------------------------------
+# the six pair checks against their formulas, pair by pair
+
+
+def _pairs(n):
+    """(union, A, B): unions ascending, B over the union's submasks descending."""
+    for union in range(1 << n):
+        b = union
+        while True:
+            yield union, union ^ b, b
+            if b == 0:
+                break
+            b = (b - 1) & union
+
+
+def _over_capacity(g, ell, mask):
+    return g.induced(mask) > ell.cap(mask)
+
+
+def _pair_witness(g, a, b, rhs):
+    return {"A": vertices_of(a), "B": vertices_of(b),
+            "lhs": g.boundary_minus(a, b), "rhs": rhs}
+
+
+def _sum_over(weights, mask):
+    return sum(weights[v] for v in vertices_of(mask))
+
+
+def ref_weakly_connected(g, ell_vec, l):
+    for union, a, b in _pairs(g.n):
+        if 0 < union < g.full_mask and a:
+            rhs = l.value(union) - _sum_over(ell_vec, b)
+            if g.boundary_minus(a, b) < rhs:
+                return False, _pair_witness(g, a, b, rhs)
+    return True, {}
+
+
+def ref_rigid_necessary(g, ell):
+    full = g.full_mask
+    for union, a, b in _pairs(g.n):
+        rhs = (ell.value(union) - _sum_over(ell.singletons, b)
+               + ell.value(full ^ a) - ell.value(full))
+        if g.boundary_minus(a, b) < rhs:
+            return False, _pair_witness(g, a, b, rhs)
+    return True, {}
+
+
+def ref_rigid_sufficient(g, ell, forbidden):
+    if len(forbidden) > ell.value(g.full_mask):
+        return False, {"check": "forbidden-size", "size": len(forbidden),
+                       "limit": ell.value(g.full_mask)}
+    for v in range(g.n):
+        if g.degree(v) < 2 * ell.singletons[v]:
+            return False, {"check": "degree", "vertex": v, "degree": g.degree(v)}
+    for union, a, b in _pairs(g.n):
+        if 0 < union < g.full_mask and _over_capacity(g, ell, union):
+            rhs = 2 * ell.value(union) - _sum_over(ell.singletons, b)
+            if g.boundary_minus(a, b) < rhs:
+                return False, _pair_witness(g, a, b, rhs)
+    return True, {}
+
+
+def ref_pack_basic(g, l, ell):
+    for v in range(g.n):
+        if g.degree(v) < 2 * ell.singletons[v] + 2 * l.singletons[v]:
+            return False, {"check": "degree", "vertex": v, "degree": g.degree(v)}
+    for union, a, b in _pairs(g.n):
+        if 0 < union < g.full_mask and _over_capacity(g, ell, union):
+            rhs = (2 * ell.value(union) - _sum_over(ell.singletons, b)
+                   + (2 * l.value(union) if a else 0))
+            if g.boundary_minus(a, b) < rhs:
+                return False, _pair_witness(g, a, b, rhs)
+    return True, {}
+
+
+def ref_pack_refined(g, l, ell, phi, forbidden_count):
+    full = g.full_mask
+    violating = [bin(s).count("1") for s in range(1, full + 1)
+                 if _over_capacity(g, ell, s)]
+    lam = min(violating, default=None)
+    eps_full = 2 * l.value(full) + 2 * ell.value(full) - 2 * forbidden_count
+    for v in range(g.n):
+        if g.degree(v) < 2 * ell.singletons[v] + 2 * l.singletons[v]:
+            return False, {"check": "degree", "vertex": v}
+    for union, a, b in _pairs(g.n):
+        if 0 < union < full and _over_capacity(g, ell, union):
+            l_u = l.value(union)
+            if b == 0:
+                extra = 2 * l_u
+            elif a == 0:
+                extra = l_u * phi / lam
+            else:
+                extra = l_u * (2 - phi)
+            eps = eps_full if bin(union).count("1") == g.n - 1 else 0
+            lhs = g.boundary_minus(a, b) + eps
+            rhs = 2 * ell.value(union) - _sum_over(ell.singletons, b) + extra
+            if lhs < rhs:
+                return False, {"A": vertices_of(a), "B": vertices_of(b),
+                               "lhs": str(Fraction(lhs)), "rhs": str(Fraction(rhs))}
+    return True, {}
+
+
+def ref_pack_degree(g, l, ell, k, rho):
+    full = g.full_mask
+    bound = k / (k - 2) * (l.value(full) + ell.value(full))
+    for s in range(1, full + 1):
+        if g.induced(s) > _sum_over(rho, s) + bound:
+            return False, {"check": "density", "S": vertices_of(s),
+                           "edges": g.induced(s)}
+    for v in range(g.n):
+        if g.degree(v) < k * (ell.singletons[v] + l.singletons[v]):
+            return False, {"check": "degree", "vertex": v}
+    for union, a, b in _pairs(g.n):
+        if 0 < union < full and _over_capacity(g, ell, union):
+            rhs = (k * ell.value(union) - k * Fraction(_sum_over(ell.singletons, b), 2)
+                   + (k * l.value(union) if a else 0))
+            if g.boundary_minus(a, b) < rhs:
+                wit = _pair_witness(g, a, b, rhs)
+                wit["rhs"] = str(rhs)
+                return False, wit
+    return True, {}
+
+
+def _random_func(rng, n):
+    kind = rng.choice(["lmn", "const", "weights", "table", "mod"])
+    if kind == "lmn":
+        return lmn(n, rng.randrange(0, 3), rng.randrange(0, 4))
+    if kind == "const":
+        return const(n, rng.randrange(0, 4))
+    if kind == "weights":
+        return vertex_weights([rng.randrange(0, 3) for _ in range(n)])
+    if kind == "table":
+        return table_func(n, {s: rng.randrange(0, 4) for s in range(1, 1 << n)})
+    return with_overrides(lmn(n, rng.randrange(1, 3), rng.randrange(0, 4)),
+                          {(1 << n) - 1: rng.randrange(0, 3)})
+
+
+def _random_multigraph(rng):
+    n = rng.randrange(2, 7)
+    edges = []
+    for _ in range(rng.randrange(0, 6 * n)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return MultiGraph(n, edges)
+
+
+def _pair_check_inputs():
+    """(g, l, ell, ell_vec, forbidden, phi, k, rho) for the pair checks."""
+    rng = random.Random(2024)
+    for _ in range(150):
+        g = _random_multigraph(rng)
+        n = g.n
+        l, ell = _random_func(rng, n), _random_func(rng, n)
+        ell_vec = [rng.randrange(0, 3) for _ in range(n)]
+        forbidden = set(rng.sample(range(g.m), min(g.m, rng.randrange(0, 3))))
+        phi = Fraction(rng.randrange(0, 5), 4)
+        k = rng.choice([Fraction(5, 2), Fraction(3), Fraction(7, 2)])
+        rho = [rng.randrange(0, g.degree(v) + 1) for v in range(n)]
+        yield g, l, ell, ell_vec, forbidden, phi, k, rho
+    # random inputs rarely make pack-refined fail at B = 0, the one pair
+    # whose demand 2 l(A|B) differs from the other pairs'; this one does,
+    # on a set of n - 1 vertices, so the near-full slack shows too
+    yield (MultiGraph(3, [(2, 1)]), lmn(3, 0, 3), lmn(3, 0, 2), [0] * 3, {0},
+           Fraction(1), Fraction(3), [0] * 3)
+
+
+def test_pair_checks_match_their_formulas():
+    verdicts = set()
+    for g, l, ell, ell_vec, forbidden, phi, k, rho in _pair_check_inputs():
+        pairs = [
+            (check_weakly_connected(g, ell_vec, l), ref_weakly_connected(g, ell_vec, l)),
+            (check_rigid_necessary(g, ell), ref_rigid_necessary(g, ell)),
+            (check_rigid_sufficient(g, ell, forbidden),
+             ref_rigid_sufficient(g, ell, forbidden)),
+            (check_pack_basic(g, l, ell), ref_pack_basic(g, l, ell)),
+            (check_pack_refined(g, l, ell, phi, len(forbidden)),
+             ref_pack_refined(g, l, ell, phi, len(forbidden))),
+            (check_pack_degree(g, l, ell, k, rho), ref_pack_degree(g, l, ell, k, rho)),
+        ]
+        for rep, (ok, witness) in pairs:
+            assert (rep.ok, rep.witness) == (ok, witness), rep.tag
+            verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_rigid_cut_consequences():
