@@ -589,14 +589,17 @@ def _reverify(sub, graph, params, certs, verdict) -> bool:
             seen: set[int] = set()
             for part in pk["parts"]:
                 func = parse_setfunc(part["func"], graph.n)
-                ids = part["edges"]
-                if seen & set(ids):
+                ids = set(part["edges"])
+                if len(ids) != len(part["edges"]) or seen & ids:
                     return False
-                seen |= set(ids)
+                seen |= ids
                 if not sparsity.is_sparse(graph.subgraph(ids), func).ok:
                     return False
-                if part["full"] != (len(ids) == part["target"]):
+                if part["target"] != max(func.rigid_target, 0) or \
+                        part["full"] != (len(ids) == part["target"]):
                     return False
+            if verdict != all(part["full"] for part in pk["parts"]):
+                return False
         for key in ("trees", "rigid_parts"):
             for ids in certs.get(key, []):
                 if not graph.subgraph(ids).is_connected():

@@ -9,6 +9,10 @@ and the displaced edge continues the search. Shortest replacement chains
 are applied simultaneously and every touched part is rebuilt and
 re-verified. A failed search certifies the edge lies in the span of the
 union, so one ascending pass over the edges reaches a maximum packing.
+It certifies more: every edge it visited is spanned, in every part, by
+that part's edges among the visited ones, so no later augmenting path
+passes through them. Those edges are dead for the rest of the pass and
+no later search explores them again (Cunningham 1986).
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=(), allowed=None) -> P
     usable = [e for e in range(host.m) if e not in blocked
               and (allowed is None or e in allowed)]
     owner: dict[int, int] = {}
+    dead: set[int] = set()
     for eid in usable:
-        _augment(host, matroids, owner, eid)
+        _augment(host, matroids, owner, eid, dead)
     part_ids: list[set[int]] = [set() for _ in funcs]
     for eid, i in owner.items():
         part_ids[i].add(eid)
@@ -99,8 +104,23 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=(), allowed=None) -> P
     return packing
 
 
-def _augment(host: MultiGraph, matroids, owner: dict[int, int], eid: int) -> bool:
-    """Breadth-first replacement search; applies the chain on success."""
+def _augment(host: MultiGraph, matroids, owner: dict[int, int], eid: int,
+             dead: set[int]) -> bool:
+    """Breadth-first replacement search; applies the chain on success.
+
+    Edges in `dead` are never enqueued, and a failed search adds its
+    visited set to `dead`. This prunes nothing a search could use. After
+    a failed search, S = dead is closed: for every x in S and every part
+    i not owning x, the probe of x in part i failed and x's circuit in
+    I_i lies in S, so I_i & S spans S in M_i. Hence no edge of S enters
+    any part directly, and every circuit of an edge of S stays inside S:
+    a later search could enter S but never leave it, so its augmenting
+    path avoids S. Chains then never touch S, which keeps every I_i & S,
+    and with it the closure, fixed from then on. Since a dead edge only
+    discovers dead edges, skipping them leaves the discovery order,
+    parents and applied chains of every later search, and so the whole
+    packing, unchanged.
+    """
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}
     queue = deque([eid])
@@ -115,10 +135,11 @@ def _augment(host: MultiGraph, matroids, owner: dict[int, int], eid: int) -> boo
                 _apply_chain(matroids, owner, parent, x, i)
                 return True
             for y in mat.circuit_edges(res):
-                if y not in visited:
+                if y not in visited and y not in dead:
                     visited.add(y)
                     parent[y] = (x, i)
                     queue.append(y)
+    dead |= visited
     return False
 
 

@@ -123,6 +123,8 @@ def test_verify_reproduces_reports(tmp_path, capsys, k4, c4, k9):
                            *TREE_RIGID]),
         ("sparse", ["sparse", "--graph", k4, "--func", "lmn:2,3"]),
         ("pack", ["pack", "--graph", k4, "--funcs", "lmn:1,1", "lmn:1,1"]),
+        ("pack-halved", ["pack", "--graph", k9, "--l", "lmn:1,1",
+                         "--ell", "lmn:2,3", "--mode", "halved"]),
         ("orient", ["orient", "--graph", c4, "--mode", "eulerian"]),
         ("orient-rigid", ["orient", "--graph", c4, "--mode", "rigid",
                           "--func", "mod:lmn:1,1:V=0"]),
@@ -193,6 +195,39 @@ def test_verify_rejects_tampered_certificates(tmp_path, capsys, k9, argv, tamper
                     *argv[1:])
     assert code == 0
     report = json.loads(out)
+    tamper(report)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    vcode, vout = run(capsys, "verify", "--report", str(path))
+    assert vcode == 1 and "MISMATCH" in vout
+
+
+def _claim_full_verdict(report):
+    report["verdict"] = True
+
+
+def _pad_deficient_part(report):
+    # the second tree holds one edge of three; repeating it fills the count
+    part = report["certificates"]["packing"]["parts"][1]
+    part["edges"] = part["edges"] * 3
+    part["full"] = True
+
+
+def _lower_deficient_target(report):
+    part = report["certificates"]["packing"]["parts"][1]
+    part["target"] = len(part["edges"])
+    part["full"] = True
+
+
+@pytest.mark.parametrize("tamper", [
+    _claim_full_verdict, _pad_deficient_part, _lower_deficient_target,
+])
+def test_verify_rejects_tampered_pack_reports(tmp_path, capsys, c4, tamper):
+    code, out = run(capsys, "--format", "structured",
+                    "pack", "--graph", c4, "--funcs", "lmn:1,1", "lmn:1,1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["certificates"]["packing"]["parts"][1]["edges"] == [3]
     tamper(report)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(report))

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from rigidpack.packing import (
     check_rigid_cut_consequences, check_pack_basic, check_pack_refined,
     check_pack_degree, violation_threshold, pack_partition_rigid,
     preset_tree_rigid, preset_tree_rigid_ec, preset_bipartite_degree,
-    extract_rigid,
+    extract_rigid, _apply_chain,
 )
+from rigidpack.sparsity import CountMatroid, PebbleState
 
 
 def c4():
@@ -76,6 +78,103 @@ def test_tree_packing_matches_partition_condition():
             g.partition_cross(parts) >= m * (len(parts) - 1)
             for parts in oracle.set_partitions(n))
         assert full == cond
+
+
+def _unpruned_union_pack(host, funcs, forbidden=(), allowed=None):
+    """Reference matroid union: every search explores everything it reaches.
+
+    Returns (part edge sets, uncovered)."""
+    matroids = [CountMatroid(host, f) for f in funcs]
+    owner = {}
+
+    def augment(eid):
+        parent = {}
+        visited = {eid}
+        queue = deque([eid])
+        while queue:
+            x = queue.popleft()
+            u, v = host.edges[x]
+            for i, mat in enumerate(matroids):
+                if owner.get(x) == i:
+                    continue
+                res = mat.state.probe_pair(u, v)
+                if res is None:
+                    _apply_chain(matroids, owner, parent, x, i)
+                    return
+                for y in mat.circuit_edges(res):
+                    if y not in visited:
+                        visited.add(y)
+                        parent[y] = (x, i)
+                        queue.append(y)
+
+    for eid in range(host.m):
+        if eid not in forbidden and (allowed is None or eid in allowed):
+            augment(eid)
+    parts = [frozenset(e for e, o in owner.items() if o == i)
+             for i in range(len(funcs))]
+    return parts, frozenset(range(host.m)) - set(owner)
+
+
+def _counting_probes(monkeypatch):
+    calls = [0]
+    probe = PebbleState.probe_pair
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return probe(self, x, y)
+
+    monkeypatch.setattr(PebbleState, "probe_pair", counted)
+    return calls
+
+
+def test_union_pruning_matches_unpruned_search(monkeypatch):
+    # dropping the edges of failed searches changes no part and no
+    # uncovered edge; on small hosts the packing also meets Edmonds' bound.
+    # Pruning needs dense hosts: two failed searches must share edges.
+    calls = _counting_probes(monkeypatch)
+    rng = random.Random(31)
+    pool = [(1, 1), (2, 3), (2, 2), (1, 0), (3, 5)]
+    bounded = pruned = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            n, m = rng.randrange(2, 7), rng.randrange(0, 11)
+        else:
+            n = rng.randrange(7, 9)
+            m = rng.randrange(4 * n, 9 * n)
+        g = oracle.random_multigraph(n, m, rng)
+        funcs = [lmn(n, *rng.choice(pool)) for _ in range(rng.randrange(1, 4))]
+        forbidden = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
+        allowed = (None if rng.random() < 0.5
+                   else set(rng.sample(range(m), rng.randrange(0, m + 1))))
+        start = calls[0]
+        pk = matroid_union_pack(g, funcs, forbidden, allowed)
+        middle = calls[0]
+        parts, uncovered = _unpruned_union_pack(g, funcs, forbidden, allowed)
+        pruned += middle - start < calls[0] - middle
+        assert [p.edges for p in pk.parts] == parts
+        assert pk.uncovered == uncovered
+        if n <= 6:
+            usable = [e for e in range(m) if e not in forbidden
+                      and (allowed is None or e in allowed)]
+            assert pk.covered() == oracle.union_rank_bound(g.subgraph(usable),
+                                                          funcs)
+            bounded += 1
+    assert bounded >= 120 and pruned >= 60
+
+
+@pytest.mark.parametrize("n, funcs", [
+    (40, [(2, 3)] * 2),
+    (40, [(1, 1)] * 4),
+    (80, [(2, 3)] * 2),
+])
+def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
+    # without pruning, every failed search re-probes all the edges earlier
+    # failed searches reached: 5,331 / 15,575 / 17,971 probes here
+    calls = _counting_probes(monkeypatch)
+    host = generators.circulant(n, [1, 2, 3, 5, 8])
+    pk = matroid_union_pack(host, [lmn(n, k, l) for k, l in funcs])
+    assert pk.uncovered
+    assert calls[0] <= 2 * host.m * len(funcs)
 
 
 def test_structure_certificate_full_packing():
