@@ -285,16 +285,23 @@ class MultiGraph:
             return INFINITY
         if not self.is_connected():
             return 0
-        mult = [list(row) for row in self.mult]
+        arcs = self._edge_arcs()
         best = INFINITY
         for t in range(1, self.n):
-            best = min(best, _maxflow([row[:] for row in mult], 0, t))
+            best = min(best, _maxflow(self.n, arcs, 0, t, best))
         return best
 
     def local_edge_connectivity(self, s: int, t: int) -> int:
+        if not (0 <= s < self.n and 0 <= t < self.n):
+            raise ValueError(f"vertex out of range: ({s}, {t})")
         if s == t:
             raise ValueError("local edge connectivity needs distinct endpoints")
-        return _maxflow([list(row) for row in self.mult], s, t)
+        return _maxflow(self.n, self._edge_arcs(), s, t)
+
+    def _edge_arcs(self) -> list[tuple[int, int, int]]:
+        # each vertex pair once per direction, with its multiplicity
+        return [(u, v, c) for u, row in enumerate(self.mult)
+                for v, c in enumerate(row) if c]
 
     def essential_edge_connectivity(self):
         """min d(A) over cuts whose both sides induce at least one edge.
@@ -315,81 +322,98 @@ class MultiGraph:
         return best
 
     def _essential_by_flows(self):
-        # min cut separating some edge pair on opposite sides; each pair is
-        # handled by contracting the two edges into the flow terminals
+        # min cut separating some edge pair on opposite sides; each pair's
+        # ends are tied to a super-source and a super-sink (index n, n + 1)
+        # by arcs no cut of the graph's edges can undercut
+        n, m = self.n, self.m
+        arcs = self._edge_arcs()
         best = INFINITY
-        m = self.m
         for i in range(m):
             for j in range(i + 1, m):
                 a, b = self.edges[i]
                 c, d = self.edges[j]
                 if {a, b} & {c, d}:
                     continue
-                g1, mp = self.contract((1 << a) | (1 << b))
-                s1 = g1.n - 1
-                g2, mp2 = g1.contract((1 << mp[c]) | (1 << mp[d]))
-                val = g2.local_edge_connectivity(mp2[s1], g2.n - 1)
-                best = min(best, val)
+                ties = [(n, a, m + 1), (n, b, m + 1),
+                        (c, n + 1, m + 1), (d, n + 1, m + 1)]
+                best = min(best, _maxflow(n + 2, arcs + ties, n, n + 1, best))
         return best
 
     def vertex_connectivity(self) -> int:
-        """Vertex connectivity via unit vertex-capacity flows (n-1 if complete)."""
+        """Vertex connectivity via unit vertex-capacity flows (n-1 if complete).
+
+        Even's bound (1975) limits the sources: let S be a minimum separator
+        and i* the first index outside S. The i* vertices before it all lie
+        in S, so i* <= kappa, and every vertex of another component of G - S
+        has a larger index than i*. The pair (i*, j) for such a j is
+        therefore swept before the loop over sources i < best can stop, and
+        its flow is kappa.
+
+        Even & Tarjan's split network: x_in = x, x_out = x + n, a unit arc
+        x_in -> x_out and a unit arc u_out -> v_in per adjacency. A flow
+        from s_out to t_in never uses the terminals' own unit arcs, so one
+        arc list serves every pair.
+        """
         n = self.n
         if n <= 1:
             return 0
         mult = self.mult
-        nonadj = [(u, v) for u in range(n) for v in range(u + 1, n) if mult[u][v] == 0]
-        if not nonadj:
-            return n - 1
+        arcs = [(x, x + n, 1) for x in range(n)]
+        arcs += [(u + n, v, 1) for u, v, _ in self._edge_arcs()]
         best = n - 1
-        for u, v in nonadj:
-            best = min(best, self._vertex_flow(u, v))
+        i = 0
+        while i < best:
+            for j in range(i + 1, n):
+                if mult[i][j] == 0:
+                    best = min(best, _maxflow(2 * n, arcs, i + n, j, best))
+            i += 1
         return best
 
-    def _vertex_flow(self, s: int, t: int) -> int:
-        # split vertices: x_in = x, x_out = x + n
-        n = self.n
-        big = self.m + n
-        size = 2 * n
-        cap = [[0] * size for _ in range(size)]
-        for x in range(n):
-            cap[x][x + n] = big if x in (s, t) else 1
-        for u, v in self.edges:
-            cap[u + n][v] = big
-            cap[v + n][u] = big
-        return _maxflow(cap, s + n, t)
 
+def _maxflow(size: int, arcs, s: int, t: int, limit=INFINITY) -> int:
+    """Max s-t flow value by shortest augmenting paths on adjacency lists.
 
-def _maxflow(cap: list[list[int]], s: int, t: int) -> int:
-    """Edmonds-Karp on a dense capacity matrix (mutates `cap`)."""
-    n = len(cap)
+    `arcs` holds (tail, head, capacity) triples on vertices 0..size-1. In
+    the residual graph arc 2i runs along triple i and arc 2i ^ 1 is its
+    reverse. The search stops once the flow reaches `limit`: a value of at
+    least `limit` says only that the maximum is not below it, which is all
+    a caller taking a minimum with running best `limit` needs.
+    """
+    head = []
+    cap = []
+    out = [[] for _ in range(size)]
+    for u, v, c in arcs:
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
     flow = 0
-    while True:
-        parent = [-1] * n
-        parent[s] = s
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if u == t:
+    while flow < limit:
+        via = [-1] * size  # arc id that first reached each vertex
+        via[s] = -2
+        queue = [s]
+        for u in queue:
+            for a in out[u]:
+                if cap[a] and via[head[a]] == -1:
+                    via[head[a]] = a
+                    queue.append(head[a])
+            if via[t] != -1:
                 break
-            row = cap[u]
-            for v in range(n):
-                if parent[v] < 0 and row[v] > 0:
-                    parent[v] = u
-                    q.append(v)
-        if parent[t] < 0:
-            return flow
-        bottleneck = None
+        if via[t] == -1:
+            break
+        bottleneck = INFINITY
         v = t
         while v != s:
-            u = parent[v]
-            b = cap[u][v]
-            bottleneck = b if bottleneck is None else min(bottleneck, b)
-            v = u
+            a = via[v]
+            bottleneck = min(bottleneck, cap[a])
+            v = head[a ^ 1]
         v = t
         while v != s:
-            u = parent[v]
-            cap[u][v] -= bottleneck
-            cap[v][u] += bottleneck
-            v = u
+            a = via[v]
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+            v = head[a ^ 1]
         flow += bottleneck
+    return flow

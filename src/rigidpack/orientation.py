@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import MultiGraph, INFINITY, vertices_of
+from .graph import MultiGraph, INFINITY, vertices_of, _maxflow
 from .setfuncs import SetFunc, lmn, vertex_weights
 from .sparsity import is_sparse, rank_and_rigid
 from . import packing as packmod
@@ -151,18 +151,12 @@ def arc_strong_value(orient: Orientation) -> int | float:
 
 
 def _arc_strong_by_flows(orient: Orientation) -> int:
-    host = orient.host
-    n = host.n
-    cap = [[0] * n for _ in range(n)]
-    for t, h in orient.arcs:
-        cap[t][h] += 1
-    from .graph import _maxflow
-    best = None
+    n = orient.host.n
+    arcs = [(t, h, 1) for t, h in orient.arcs]
+    best = INFINITY
     for v in range(1, n):
-        a = _maxflow([row[:] for row in cap], 0, v)
-        b = _maxflow([row[:] for row in cap], v, 0)
-        m = min(a, b)
-        best = m if best is None else min(best, m)
+        best = min(best, _maxflow(n, arcs, 0, v, best))
+        best = min(best, _maxflow(n, arcs, v, 0, best))
     return best
 
 

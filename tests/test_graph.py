@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack.graph import MultiGraph, mask_of, INFINITY
-from rigidpack import generators, oracle
+from rigidpack import generators, graph, oracle
 
 
 def c4():
@@ -78,6 +78,10 @@ def test_local_edge_connectivity():
     assert g.local_edge_connectivity(0, 2) == 2
     with pytest.raises(ValueError):
         g.local_edge_connectivity(1, 1)
+    path = MultiGraph(3, [(0, 1), (1, 2)])
+    for s, t in [(-1, 0), (0, 3)]:
+        with pytest.raises(ValueError):
+            path.local_edge_connectivity(s, t)
 
 
 def test_contract_examples():
@@ -104,6 +108,59 @@ def test_vertex_connectivity():
     assert generators.complete(5).vertex_connectivity() == 4
     assert generators.complete_bipartite(3, 3).vertex_connectivity() == 3
     assert MultiGraph(3, [(0, 1), (1, 2)]).vertex_connectivity() == 1
+
+
+def _bf_vertex_connectivity(g):
+    # smallest S whose removal leaves >= 2 vertices in >= 2 components
+    full = g.full_mask
+    sizes = sorted(range(full + 1), key=lambda s: bin(s).count("1"))
+    for s in sizes:
+        rest = full ^ s
+        if bin(rest).count("1") >= 2 and not g.induced_subgraph(rest)[0].is_connected():
+            return bin(s).count("1")
+    return g.n - 1
+
+
+def _flow_test_graphs():
+    rng = random.Random(404)
+    graphs = [generators.complete(n) for n in range(1, 9)]
+    graphs += [generators.complete_bipartite(a, b) for a in (1, 2, 3) for b in (3, 4)]
+    while len(graphs) < 320:
+        n = rng.randrange(2, 9)
+        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        graphs.append(g)
+        if rng.random() < 0.2:  # doubled edges stress multiplicities
+            graphs.append(MultiGraph(n, g.edges + g.edges))
+    return graphs
+
+
+def test_flow_paths_match_sweeps():
+    graphs = _flow_test_graphs()
+    assert sum(not g.is_connected() for g in graphs) >= 50
+    assert sum(len(set(g.edges)) < g.m for g in graphs) >= 50
+    for g in graphs:
+        assert g.vertex_connectivity() == _bf_vertex_connectivity(g)
+        if g.n >= 2:
+            cut = min(g.boundary(a) for a in range(1, g.full_mask))
+            assert g.edge_connectivity() == cut
+        assert g._essential_by_flows() == g.essential_edge_connectivity()
+
+
+def test_vertex_connectivity_flow_count(monkeypatch):
+    # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n flows
+    calls = []
+    flow = graph._maxflow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(graph, "_maxflow", counted)
+    assert generators.circulant(36, [1, 2, 3]).vertex_connectivity() == 6
+    assert len(calls) <= 7 * 36
+    calls.clear()
+    assert generators.circulant(80, [1, 2, 3]).vertex_connectivity() == 6
+    assert len(calls) <= 560
 
 
 def test_bipartition():

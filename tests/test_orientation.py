@@ -11,7 +11,7 @@ from rigidpack.orientation import (
     Orientation, hakimi_orient, verify_arc, arc_strong_value, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, odd_spanning_forest, rigid_factor,
-    robust_arc_strong, _deleted_arc_strong,
+    robust_arc_strong, _deleted_arc_strong, _arc_strong_by_flows,
 )
 
 
@@ -89,6 +89,16 @@ def test_eulerian_cuts_are_balanced():
         din = orient.indeg_table()
         for mask in range(1, g.full_mask + 1):
             assert din[mask] == g.boundary(mask) // 2
+
+
+def test_arc_strong_flows_match_indegree_table():
+    rng = random.Random(808)
+    for _ in range(320):
+        n = rng.randrange(2, 9)
+        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        orient = Orientation(g, tuple(rng.choice(e) for e in g.edges))
+        din = orient.indeg_table()
+        assert _arc_strong_by_flows(orient) == min(din[mask] for mask in range(1, g.full_mask))
 
 
 def test_smooth_orientation():
