@@ -657,9 +657,9 @@ def _reverify(sub, graph, params, certs, verdict) -> bool:
             k = params["k"]
             if not orient.is_smooth():
                 return False
-            if orientation.arc_strong_value(orient) < 2 * k + 1:
+            if orientation.arc_strong_value(orient, 2 * k + 1) < 2 * k + 1:
                 return False
-            return all(orientation._deleted_arc_strong(orient, v) >= k
+            return all(orientation._deleted_arc_strong(orient, v, k) >= k
                        for v in range(graph.n))
         return False
     if sub == "hypothesis":

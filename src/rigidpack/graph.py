@@ -285,10 +285,10 @@ class MultiGraph:
             return INFINITY
         if not self.is_connected():
             return 0
-        arcs = self._edge_arcs()
+        net = _flow_network(self.n, self._edge_arcs())
         best = INFINITY
         for t in range(1, self.n):
-            best = min(best, _maxflow(self.n, arcs, 0, t, best))
+            best = min(best, _maxflow(net, 0, t, best))
         return best
 
     def local_edge_connectivity(self, s: int, t: int) -> int:
@@ -296,7 +296,7 @@ class MultiGraph:
             raise ValueError(f"vertex out of range: ({s}, {t})")
         if s == t:
             raise ValueError("local edge connectivity needs distinct endpoints")
-        return _maxflow(self.n, self._edge_arcs(), s, t)
+        return _maxflow(_flow_network(self.n, self._edge_arcs()), s, t)
 
     def _edge_arcs(self) -> list[tuple[int, int, int]]:
         # each vertex pair once per direction, with its multiplicity
@@ -324,9 +324,14 @@ class MultiGraph:
     def _essential_by_flows(self):
         # min cut separating some edge pair on opposite sides; each pair's
         # ends are tied to a super-source and a super-sink (index n, n + 1)
-        # by arcs no cut of the graph's edges can undercut
+        # by arcs no cut of the graph's edges can undercut. The network
+        # holds the ties n -> x and x -> n + 1 of every vertex x at
+        # capacity 0, and each pair raises its own four.
         n, m = self.n, self.m
         arcs = self._edge_arcs()
+        ties = [(n, x, 0) for x in range(n)] + [(x, n + 1, 0) for x in range(n)]
+        head, cap, out = _flow_network(n + 2, arcs + ties)
+        first_tie = 2 * len(arcs)
         best = INFINITY
         for i in range(m):
             for j in range(i + 1, m):
@@ -334,9 +339,10 @@ class MultiGraph:
                 c, d = self.edges[j]
                 if {a, b} & {c, d}:
                     continue
-                ties = [(n, a, m + 1), (n, b, m + 1),
-                        (c, n + 1, m + 1), (d, n + 1, m + 1)]
-                best = min(best, _maxflow(n + 2, arcs + ties, n, n + 1, best))
+                tied = cap[:]
+                for x in (a, b, c + n, d + n):
+                    tied[first_tie + 2 * x] = m + 1
+                best = min(best, _maxflow((head, tied, out), n, n + 1, best))
         return best
 
     def vertex_connectivity(self) -> int:
@@ -360,25 +366,22 @@ class MultiGraph:
         mult = self.mult
         arcs = [(x, x + n, 1) for x in range(n)]
         arcs += [(u + n, v, 1) for u, v, _ in self._edge_arcs()]
+        net = _flow_network(2 * n, arcs)
         best = n - 1
         i = 0
         while i < best:
             for j in range(i + 1, n):
                 if mult[i][j] == 0:
-                    best = min(best, _maxflow(2 * n, arcs, i + n, j, best))
+                    best = min(best, _maxflow(net, i + n, j, best))
             i += 1
         return best
 
 
-def _maxflow(size: int, arcs, s: int, t: int, limit=INFINITY) -> int:
-    """Max s-t flow value by shortest augmenting paths on adjacency lists.
-
-    `arcs` holds (tail, head, capacity) triples on vertices 0..size-1. In
-    the residual graph arc 2i runs along triple i and arc 2i ^ 1 is its
-    reverse. The search stops once the flow reaches `limit`: a value of at
-    least `limit` says only that the maximum is not below it, which is all
-    a caller taking a minimum with running best `limit` needs.
-    """
+def _flow_network(size: int, arcs):
+    """Residual network of (tail, head, capacity) triples on vertices
+    0..size-1, as (head, capacity, out-arc lists). Arc 2i runs along triple
+    i and arc 2i ^ 1 is its reverse. Build it once per arc list: `_maxflow`
+    works on a copy of the capacities, so every s-t pair can share it."""
     head = []
     cap = []
     out = [[] for _ in range(size)]
@@ -389,6 +392,19 @@ def _maxflow(size: int, arcs, s: int, t: int, limit=INFINITY) -> int:
         out[v].append(len(head))
         head.append(u)
         cap.append(0)
+    return head, cap, out
+
+
+def _maxflow(net, s: int, t: int, limit=INFINITY) -> int:
+    """Max s-t flow value by shortest augmenting paths on a `_flow_network`.
+
+    The search stops once the flow reaches `limit`: a value of at least
+    `limit` says only that the maximum is not below it, which is all a
+    caller taking a minimum with running best `limit` needs.
+    """
+    head, cap, out = net
+    cap = cap[:]
+    size = len(out)
     flow = 0
     while flow < limit:
         via = [-1] * size  # arc id that first reached each vertex

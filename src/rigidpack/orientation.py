@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import MultiGraph, INFINITY, vertices_of, _maxflow
+from .graph import MultiGraph, INFINITY, vertices_of, _flow_network, _maxflow
 from .setfuncs import SetFunc, lmn, vertex_weights
 from .sparsity import is_sparse, rank_and_rigid
 from . import packing as packmod
@@ -82,41 +82,37 @@ class Orientation:
         return self.indegrees == self.outdegrees
 
     def indeg_table(self) -> list[int]:
-        """d^-(S) for every mask S; n capped by the sweep budget."""
-        if self.host.n > ARC_SWEEP_BUDGET:
+        """d^-(S) for every mask S, built up from S minus its lowest vertex;
+        n capped by the sweep budget."""
+        n = self.host.n
+        if n > ARC_SWEEP_BUDGET:
             raise ValueError(f"in-degree table capped at {ARC_SWEEP_BUDGET} vertices")
-        return _indeg_dp(self)
+        amat = [[0] * n for _ in range(n)]
+        for t, h in self.arcs:
+            amat[t][h] += 1
+        indeg = self.indegrees
+        tab = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            v = (s & -s).bit_length() - 1
+            t_mask = s ^ (1 << v)
+            into_v = indeg[v]
+            out_v_into_t = 0
+            row = amat[v]
+            tm = t_mask
+            while tm:
+                b = tm & -tm
+                w = b.bit_length() - 1
+                into_v -= amat[w][v]
+                out_v_into_t += row[w]
+                tm ^= b
+            tab[s] = tab[t_mask] - out_v_into_t + into_v
+        return tab
 
     def restricted(self, edge_ids) -> "Orientation":
         """Orientation of the spanning subgraph on the given edge ids."""
         ids = sorted(set(edge_ids))
         sub = self.host.subgraph(ids)
         return Orientation(sub, tuple(self.heads[e] for e in ids))
-
-
-def _indeg_dp(orient: Orientation) -> list[int]:
-    """d^-(S) for every mask S, built up from S minus its lowest vertex."""
-    n = orient.host.n
-    amat = [[0] * n for _ in range(n)]
-    for t, h in orient.arcs:
-        amat[t][h] += 1
-    indeg = orient.indegrees
-    tab = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        v = (s & -s).bit_length() - 1
-        t_mask = s ^ (1 << v)
-        into_v = indeg[v]
-        out_v_into_t = 0
-        row = amat[v]
-        tm = t_mask
-        while tm:
-            b = tm & -tm
-            w = b.bit_length() - 1
-            into_v -= amat[w][v]
-            out_v_into_t += row[w]
-            tm ^= b
-        tab[s] = tab[t_mask] - out_v_into_t + into_v
-    return tab
 
 
 @dataclass(frozen=True)
@@ -139,24 +135,22 @@ def verify_arc(orient: Orientation, func: SetFunc, roots=None) -> ArcResult:
     return ArcResult(True)
 
 
-def arc_strong_value(orient: Orientation) -> int | float:
-    """min d^-(A) over proper nonempty A (INFINITY on a single vertex)."""
-    host = orient.host
-    if host.n <= 1:
-        return INFINITY
-    if host.n <= ARC_SWEEP_BUDGET:
-        din = orient.indeg_table()
-        return min(din[mask] for mask in range(1, host.full_mask))
-    return _arc_strong_by_flows(orient)
+def arc_strong_value(orient: Orientation, limit=INFINITY) -> int | float:
+    """min d^-(A) over proper nonempty A (INFINITY on a single vertex), or
+    `limit` if that is lower.
 
-
-def _arc_strong_by_flows(orient: Orientation) -> int:
+    An A without vertex 0 holds some v and takes at least the 0 -> v flow;
+    an A with vertex 0 misses some v and takes at least the v -> 0 flow.
+    A minimum cut of either flow is such an A, so the value is the least
+    of these 2(n-1) flows (Even & Tarjan 1975). Each flow stops at the
+    running minimum.
+    """
     n = orient.host.n
-    arcs = [(t, h, 1) for t, h in orient.arcs]
-    best = INFINITY
+    net = _flow_network(n, [(t, h, 1) for t, h in orient.arcs])
+    best = limit
     for v in range(1, n):
-        best = min(best, _maxflow(n, arcs, 0, v, best))
-        best = min(best, _maxflow(n, arcs, v, 0, best))
+        best = min(best, _maxflow(net, 0, v, best))
+        best = min(best, _maxflow(net, v, 0, best))
     return best
 
 
@@ -766,8 +760,7 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
         raise RuntimeError(f"orientation is only {strong}-arc-strong")
     worst_v = INFINITY
     for v in range(graph.n):
-        val = _deleted_arc_strong(orient, v)
-        worst_v = min(worst_v, val)
+        worst_v = _deleted_arc_strong(orient, v, worst_v)
     checks["vertex_deleted_arc_strong"] = worst_v
     if worst_v < k:
         raise RuntimeError("a vertex-deleted digraph fell below k-arc-strong")
@@ -790,29 +783,30 @@ def _robust_euler_search(hsub: MultiGraph, k: int, seed: int,
 
 
 def _find_robust_violation(orient: Orientation, k: int):
-    host = orient.host
-    for v in range(host.n):
-        val, mask = _deleted_arc_strong(orient, v, want_witness=True)
-        if val < k:
-            return v, mask
+    for v in range(orient.host.n):
+        if _deleted_arc_strong(orient, v, k) < k:
+            return v, _deleted_arc_strong(orient, v, want_witness=True)[1]
     return None
 
 
-def _deleted_arc_strong(orient: Orientation, v: int, want_witness: bool = False):
-    """min d^-(A) over proper nonempty A of the digraph minus vertex v, and
-    with want_witness also the first such A (as a host mask) reaching it.
+def _deleted_arc_strong(orient: Orientation, v: int, limit=INFINITY,
+                        want_witness: bool = False):
+    """min d^-(A) over proper nonempty A of the digraph minus vertex v, or
+    `limit` if that is lower, by the flows of `arc_strong_value`.
 
-    Not capped by the sweep budget: the robust pipeline runs it on every
-    host the pair sweep admits and on forced hosts beyond."""
+    With want_witness it returns the exact minimum and the numerically
+    first A (as a host mask) reaching it instead, read from the in-degree
+    table of the digraph minus v, so it is capped by the sweep budget."""
     host = orient.host
     if host.n <= 2:  # one vertex left has no proper subset
-        return (INFINITY, None) if want_witness else INFINITY
+        return (INFINITY, None) if want_witness else limit
     heads = tuple(h - 1 if h > v else h for e, h in enumerate(orient.heads)
                   if v not in host.edges[e])
-    tab = _indeg_dp(Orientation(host.delete_vertex(v), heads))
-    best = min(tab[1:-1])
+    rest = Orientation(host.delete_vertex(v), heads)
     if not want_witness:
-        return best
+        return arc_strong_value(rest, limit)
+    tab = rest.indeg_table()
+    best = min(tab[1:-1])
     s = tab.index(best, 1)
     low = s & ((1 << v) - 1)
     return best, low | ((s ^ low) << 1)

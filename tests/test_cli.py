@@ -4,6 +4,7 @@ import pytest
 
 from rigidpack.cli import main, canonical_dumps, load_graph, parse_setfunc
 from rigidpack.graph import MultiGraph
+from rigidpack.orientation import Orientation
 from rigidpack.setfuncs import lmn
 from rigidpack.sparsity import is_sparse
 
@@ -233,6 +234,34 @@ def test_verify_rejects_tampered_pack_reports(tmp_path, capsys, c4, tamper):
     path.write_text(json.dumps(report))
     vcode, vout = run(capsys, "verify", "--report", str(path))
     assert vcode == 1 and "MISMATCH" in vout
+
+
+def _complete(tmp_path, n):
+    return write_graph(tmp_path, f"k{n}", n,
+                       [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+@pytest.mark.parametrize("n, force", [(13, []), (21, ["--force"])])
+def test_robust_report_without_subset_tables(tmp_path, capsys, monkeypatch,
+                                             n, force):
+    # the robust construction and its re-check run on flows alone
+    tables = []
+    build = Orientation.indeg_table
+
+    def counted(self):
+        tables.append(self.host.n)
+        return build(self)
+
+    monkeypatch.setattr(Orientation, "indeg_table", counted)
+    code, out = run(capsys, "--format", "structured", *force, "orient",
+                    "--graph", _complete(tmp_path, n), "--mode", "robust",
+                    "--k", "1")
+    assert code == 0, out
+    path = tmp_path / "robust.json"
+    path.write_text(out)
+    vcode, vout = run(capsys, "verify", "--report", str(path))
+    assert vcode == 0 and "REPRODUCED" in vout
+    assert tables == []
 
 
 def test_hypothesis_subcommand(capsys, k4):

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack import generators, oracle
-from rigidpack.graph import MultiGraph, mask_of
+from rigidpack.graph import MultiGraph, INFINITY, mask_of
 from rigidpack.setfuncs import lmn, const, zero, force_zero_on_ground, table_func
 from rigidpack.orientation import (
     Orientation, hakimi_orient, verify_arc, arc_strong_value, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, odd_spanning_forest, rigid_factor,
-    robust_arc_strong, _deleted_arc_strong, _arc_strong_by_flows,
+    robust_arc_strong, _deleted_arc_strong, _find_robust_violation,
+    _repair_orientation, _reverse_cycle_through,
 )
 
 
@@ -98,7 +99,10 @@ def test_arc_strong_flows_match_indegree_table():
         g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
         orient = Orientation(g, tuple(rng.choice(e) for e in g.edges))
         din = orient.indeg_table()
-        assert _arc_strong_by_flows(orient) == min(din[mask] for mask in range(1, g.full_mask))
+        value = min(din[mask] for mask in range(1, g.full_mask))
+        assert arc_strong_value(orient) == value
+        for limit in range(4):
+            assert arc_strong_value(orient, limit) == min(value, limit)
 
 
 def test_smooth_orientation():
@@ -284,3 +288,115 @@ def test_deleted_arc_strong_matches_definition():
                         and not (mask >> orient.tail(e)) & 1)
             best = indeg if best is None else min(best, indeg)
         assert _deleted_arc_strong(orient, v) == best
+
+
+def _random_orientation(rng, n):
+    g = (MultiGraph(1, []) if n == 1 else
+         oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng))
+    return Orientation(g, tuple(rng.choice(e) for e in g.edges))
+
+
+def _first_min_deleted(orient, v):
+    """Minimum of d^-(A) over proper nonempty A of the digraph minus v and
+    the numerically first host mask A reaching it, arc by arc."""
+    host = orient.host
+    arcs = [(t, h) for t, h in orient.arcs if v not in (t, h)]
+    rest = host.full_mask ^ (1 << v)
+    best = (INFINITY, None)
+    for mask in range(1, rest):
+        if mask & ~rest:
+            continue
+        d = sum(1 for t, h in arcs if (mask >> h) & 1 and not (mask >> t) & 1)
+        if d < best[0]:
+            best = (d, mask)
+    return best
+
+
+def test_deleted_arc_strong_flows_match_table():
+    rng = random.Random(909)
+    orients = [_random_orientation(rng, rng.randrange(1, 9)) for _ in range(320)]
+    assert sum(o.host.n <= 2 for o in orients) >= 30
+    assert sum(not o.host.is_connected() for o in orients) >= 50
+    assert sum(len(set(o.host.edges)) < o.host.m for o in orients) >= 50
+    for orient in orients:
+        for v in range(orient.host.n):
+            value, mask = _first_min_deleted(orient, v)
+            assert _deleted_arc_strong(orient, v) == value
+            for limit in range(4):
+                assert _deleted_arc_strong(orient, v, limit) == min(value, limit)
+            assert _deleted_arc_strong(orient, v, want_witness=True) == (value, mask)
+
+
+def _table_violation(orient, k):
+    """First vertex whose deletion leaves the digraph below k-arc-strong,
+    with the numerically first deficient host mask, all from in-degree
+    tables: the reference for the flow search."""
+    host = orient.host
+    if host.n <= 2:
+        return None
+    for v in range(host.n):
+        heads = tuple(h - 1 if h > v else h for e, h in enumerate(orient.heads)
+                      if v not in host.edges[e])
+        tab = Orientation(host.delete_vertex(v), heads).indeg_table()
+        best = min(tab[1:-1])
+        if best < k:
+            s = tab.index(best, 1)
+            low = s & ((1 << v) - 1)
+            return v, low | ((s ^ low) << 1)
+    return None
+
+
+def _table_repair(hsub, orient, k, passes=8):
+    """`_repair_orientation` with its violations from `_table_violation`."""
+    heads = list(orient.heads)
+    for _ in range(passes):
+        cur = Orientation(hsub, tuple(heads))
+        bad = _table_violation(cur, k)
+        if bad is None:
+            return cur
+        if not _reverse_cycle_through(hsub, heads, *bad):
+            return None
+    cur = Orientation(hsub, tuple(heads))
+    return cur if _table_violation(cur, k) is None else None
+
+
+def test_repair_matches_table_search():
+    # tour orientations of 2-connected, 4-edge-connected Eulerian
+    # multigraphs: about two in five leave some vertex-deleted digraph
+    # not strongly connected, and the repair fixes a share of those
+    rng = random.Random(4242)
+    found = repaired = 0
+    tried = 0
+    while tried < 160:
+        n = rng.randrange(4, 10)
+        g = oracle.random_multigraph(n, rng.randrange(2 * n, 4 * n), rng)
+        odd = [v for v in range(n) if g.degree(v) % 2]
+        g = MultiGraph(n, g.edges + tuple(zip(odd[::2], odd[1::2])))
+        if g.vertex_connectivity() < 2 or g.edge_connectivity() < 4:
+            continue
+        for _ in range(4):
+            tried += 1
+            orient = euler_orient(g, random.Random(tried))
+            bad = _find_robust_violation(orient, 1)
+            assert bad == _table_violation(orient, 1)
+            if bad is None:
+                continue
+            found += 1
+            fixed = _repair_orientation(g, orient, 1)
+            ref = _table_repair(g, orient, 1)
+            assert (fixed and fixed.heads) == (ref and ref.heads)
+            if fixed is not None:
+                repaired += 1
+                assert fixed.is_balanced()
+                assert all(_deleted_arc_strong(fixed, v) >= 1 for v in range(n))
+    assert found >= 20 and repaired >= 10
+
+
+def test_robust_witness_past_the_sweep_budget_is_refused():
+    # a violation on a host of 22 vertices needs a table of 21
+    g = generators.circulant(22, [1])
+    g = MultiGraph(22, g.edges + g.edges)
+    orient = euler_orient(g)
+    assert _deleted_arc_strong(orient, 0, 1) == 0
+    with pytest.raises(ValueError, match="capped"):
+        _find_robust_violation(orient, 1)
