@@ -307,42 +307,44 @@ class MultiGraph:
         """min d(A) over cuts whose both sides induce at least one edge.
 
         Returns INFINITY when no such cut exists (stars, tiny graphs).
-        """
-        if self.n > MAX_TABLE_N:
-            return self._essential_by_flows()
-        etab = self.induced_table
-        dtab = self.weight_table(self.degrees)
-        full = self.full_mask
-        best = INFINITY
-        for a in range(1, full):
-            if etab[a] >= 1 and etab[full ^ a] >= 1:
-                d = dtab[a] - 2 * etab[a]
-                if d < best:
-                    best = d
-        return best
 
-    def _essential_by_flows(self):
-        # min cut separating some edge pair on opposite sides; each pair's
-        # ends are tied to a super-source and a super-sink (index n, n + 1)
-        # by arcs no cut of the graph's edges can undercut. The network
-        # holds the ties n -> x and x -> n + 1 of every vertex x at
-        # capacity 0, and each pair raises its own four.
+        Fix an edge ab minimising deg(a) deg(b). Every cut taken below
+        separates two edges, so it is essential, and an optimal essential
+        cut (A, B) is one of them:
+
+        * if it keeps a and b on one side, the other side induces an edge cd
+          disjoint from ab, and the cut is a min cut from {a, b} to {c, d};
+        * if a is in A and b in B, a has a neighbour x in A: otherwise moving
+          a to B lowers the cut by deg(a) >= 1 and A - a keeps its edge.
+          Likewise b has a neighbour y in B, and the cut is a min cut from
+          {a, x} to {b, y}.
+
+        That is at most m + deg(a) deg(b) flows, with no subset table.
+        """
+        edges = {(min(e), max(e)) for e in self.edges}
+        if not edges:
+            return INFINITY
+        deg = self.degrees
+        a, b = min(edges, key=lambda e: (deg[e[0]] * deg[e[1]], e))
+        terminals = [(a, b, c, d) for c, d in sorted(edges) if not {a, b} & {c, d}]
+        adj = self.adjacency
+        terminals += [(a, x, b, y) for x in sorted(set(adj[a]) - {b})
+                      for y in sorted(set(adj[b]) - {a}) if x != y]
+        # each flow ties its two sources to a super-source n and its two
+        # sinks to a super-sink n + 1 by arcs no cut of the graph's edges can
+        # undercut. The network holds the ties n -> x and x -> n + 1 of every
+        # vertex x at capacity 0, and each flow raises its own four.
         n, m = self.n, self.m
         arcs = self._edge_arcs()
         ties = [(n, x, 0) for x in range(n)] + [(x, n + 1, 0) for x in range(n)]
         head, cap, out = _flow_network(n + 2, arcs + ties)
         first_tie = 2 * len(arcs)
         best = INFINITY
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b = self.edges[i]
-                c, d = self.edges[j]
-                if {a, b} & {c, d}:
-                    continue
-                tied = cap[:]
-                for x in (a, b, c + n, d + n):
-                    tied[first_tie + 2 * x] = m + 1
-                best = min(best, _maxflow((head, tied, out), n, n + 1, best))
+        for s1, s2, t1, t2 in terminals:
+            tied = cap[:]
+            for x in (s1, s2, t1 + n, t2 + n):
+                tied[first_tie + 2 * x] = m + 1
+            best = min(best, _maxflow((head, tied, out), n, n + 1, best))
         return best
 
     def vertex_connectivity(self) -> int:

@@ -58,22 +58,6 @@ class Orientation:
             d[self.tail(e)] += 1
         return tuple(d)
 
-    def indeg_set(self, mask: int) -> int:
-        """Arcs entering the vertex set."""
-        c = 0
-        for t, h in self.arcs:
-            if (mask >> h) & 1 and not (mask >> t) & 1:
-                c += 1
-        return c
-
-    def outdeg_set(self, mask: int) -> int:
-        """Arcs leaving the vertex set."""
-        c = 0
-        for t, h in self.arcs:
-            if (mask >> t) & 1 and not (mask >> h) & 1:
-                c += 1
-        return c
-
     def is_smooth(self) -> bool:
         return all(abs(i - o) <= 1
                    for i, o in zip(self.indegrees, self.outdegrees))

@@ -714,6 +714,15 @@ def _quoted_degree_bounds(graph, l, ell, mode, k, rho):
 
 
 def _verify_pack_parts(graph, packing, l_index, ell_index) -> None:
+    """Both parts are full and the ell-part is rigid.
+
+    The l-part needs no further check to be partition-connected.
+    `matroid_union_pack` has run `Packing.verify`, an exact sparsity test
+    e(X) <= cap(X) = sum_{v in X} l(v) - l(X) for every vertex set X. On X = V
+    that gives cap(V) >= 0, so the full part has |E| = cap(V) edges. For a
+    partition P of V, with e(P) the edges joining different parts:
+    e(P) = |E| - sum_A e(A) >= cap(V) - sum_A cap(A) = sum_A l(A) - l(V).
+    """
     lp = packing.parts[l_index]
     ep = packing.parts[ell_index]
     if not lp.full or not ep.full:
@@ -722,13 +731,6 @@ def _verify_pack_parts(graph, packing, l_index, ell_index) -> None:
     rr = rank_and_rigid(sub, ep.func)
     if not rr.rigid:
         raise RuntimeError("rigid part failed the rigidity re-check")
-    # the full l-part is a tight sparse spanning subgraph, hence
-    # partition-connected for the packed function classes; cross-check small
-    if graph.n <= oracle.DEFAULT_BUDGET.partition_n:
-        subl = graph.subgraph(lp.edges)
-        ok, _ = oracle.bf_partition_connected(subl, lp.func)
-        if not ok:
-            raise RuntimeError("partition-connected part failed the oracle re-check")
 
 
 def _deficiency_certificate(graph, l, ell, forbidden, packing,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack.graph import MultiGraph, mask_of, INFINITY
-from rigidpack import generators, graph, oracle
+from rigidpack import generators, graph, oracle, packing
 
 
 def c4():
@@ -71,6 +71,8 @@ def test_essential_edge_connectivity():
     star = MultiGraph(4, [(0, 1), (0, 2), (0, 3)])
     assert star.essential_edge_connectivity() == INFINITY
     assert generators.complete(4).essential_edge_connectivity() == 4
+    triangle = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert triangle.essential_edge_connectivity() == INFINITY
 
 
 def test_local_edge_connectivity():
@@ -143,7 +145,11 @@ def test_flow_paths_match_sweeps():
         if g.n >= 2:
             cut = min(g.boundary(a) for a in range(1, g.full_mask))
             assert g.edge_connectivity() == cut
-        assert g._essential_by_flows() == g.essential_edge_connectivity()
+        full = g.full_mask
+        essential = min((g.boundary(a) for a in range(1, full)
+                         if g.induced(a) >= 1 and g.induced(full ^ a) >= 1),
+                        default=INFINITY)
+        assert g.essential_edge_connectivity() == essential
 
 
 def test_vertex_connectivity_flow_count(monkeypatch):
@@ -161,6 +167,24 @@ def test_vertex_connectivity_flow_count(monkeypatch):
     calls.clear()
     assert generators.circulant(80, [1, 2, 3]).vertex_connectivity() == 6
     assert len(calls) <= 560
+
+
+def test_essential_edge_connectivity_flow_count(monkeypatch):
+    # at most m flows for the edges disjoint from ab and deg(a) deg(b) for
+    # the pairs of neighbours; forced tree-rigid on K20 checks a 20-vertex
+    # rigid part
+    calls = []
+    flow = graph._maxflow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(graph, "_maxflow", counted)
+    assert generators.complete(23).essential_edge_connectivity() == 42
+    assert len(calls) <= 253 + 22 * 22
+    res = packing.preset_tree_rigid(generators.complete(20), 2, 1, 1, force=True)
+    assert res.ok and res.checks["rigid_0_cuts"] is True
 
 
 def test_bipartition():

@@ -7,7 +7,7 @@ import pytest
 from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, mask_of, vertices_of
 from rigidpack.setfuncs import (
-    lmn, const, zero, vertex_weights, table_func, with_overrides,
+    lmn, const, zero, vertex_weights, table_func, with_overrides, halved_slack,
 )
 from rigidpack.packing import (
     matroid_union_pack, structure_partition, decompose_p_rigid,
@@ -528,6 +528,33 @@ def test_pack_partition_rigid_halved_k9():
     for v in range(9):
         assert h.degree(v) <= 7
     assert out.degree_bounds == (7,) * 9
+
+
+def test_full_sparse_parts_are_partition_connected():
+    # the self-check of pack_partition_rigid trusts sparsity plus
+    # tightness for partition-connectivity; the partition oracle checks it
+    rng = random.Random(606)
+    checked = 0
+    for _ in range(24):
+        n = rng.randrange(4, 10)
+        g = oracle.random_multigraph(n, rng.randrange(3 * n, 5 * n + 1), rng)
+        ell = lmn(n, 2, 3)
+        weights = vertex_weights([rng.randrange(3) for _ in range(n)])
+        for l in (lmn(n, 1, 1), lmn(n, 2, 1), const(n, 1), weights):
+            layouts = [[l, ell]]
+            try:
+                layouts.append([halved_slack(g, l, ell), l, ell])
+            except ValueError:
+                pass  # degrees too low for the degree-eating part
+            for funcs in layouts:
+                packing = matroid_union_pack(g, funcs)
+                if not all(part.full for part in packing.parts):
+                    continue
+                lp = packing.parts[-2]
+                ok, _ = oracle.bf_partition_connected(g.subgraph(lp.edges), lp.func)
+                assert ok
+                checked += 1
+    assert checked >= 50
 
 
 def test_pack_partition_rigid_zero_first_part():
