@@ -8,6 +8,7 @@ deficient (with certificate), 2 = usage or hypothesis error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -110,10 +111,6 @@ def parse_int_list(text: str, count: int, what: str) -> list[int]:
 # reports
 
 
-def _mask_list(mask: int) -> list[int]:
-    return vertices_of(mask)
-
-
 def emit(report: dict, fmt: str) -> None:
     if fmt == "structured":
         print(canonical_dumps(report), end="")
@@ -157,7 +154,7 @@ def cmd_sparse(args) -> int:
     graph, meta = load_graph(args.graph)
     func = parse_setfunc(args.func, graph.n)
     res = sparsity.is_sparse(graph, func)
-    cert = {} if res.ok else {"violation": _mask_list(res.violation)}
+    cert = {} if res.ok else {"violation": vertices_of(res.violation)}
     report = make_report(args, "sparse", graph, meta, {"func": args.func},
                          res.ok, cert, started)
     emit(report, args.format)
@@ -193,7 +190,7 @@ def cmd_components(args) -> int:
     graph, meta = load_graph(args.graph)
     func = parse_setfunc(args.func, graph.n)
     comps = sparsity.rigid_components(graph, func)
-    cert = {"components": [_mask_list(c) for c in comps]}
+    cert = {"components": [vertices_of(c) for c in comps]}
     report = make_report(args, "components", graph, meta,
                          {"func": args.func}, True, cert, started)
     emit(report, args.format)
@@ -212,11 +209,15 @@ def _packing_cert(packing_obj) -> dict:
 
 def _structure_cert(cert) -> dict:
     return {
-        "partition": [_mask_list(b) for b in cert.partition],
+        "partition": [vertices_of(b) for b in cert.partition],
         "pc_verified": list(cert.pc_verified),
         "crossing_uncovered": list(cert.crossing_uncovered),
-        "rigid_cover": {str(e): _mask_list(q) for e, q in cert.rigid_cover.items()},
+        "rigid_cover": {str(e): vertices_of(q) for e, q in cert.rigid_cover.items()},
     }
+
+
+def _hypothesis_cert(hyp) -> dict:
+    return {} if hyp is None else {"hypothesis": {"ok": hyp.ok, "witness": hyp.witness}}
 
 
 def cmd_pack(args) -> int:
@@ -235,10 +236,7 @@ def cmd_pack(args) -> int:
         outcome = packing.pack_partition_rigid(
             graph, l, ell, forbidden, degree_mode=args.mode,
             force=args.force, k=k, rho=rho)
-        cert: dict = {}
-        if outcome.hypothesis is not None:
-            cert["hypothesis"] = {"ok": outcome.hypothesis.ok,
-                                  "witness": outcome.hypothesis.witness}
+        cert = _hypothesis_cert(outcome.hypothesis)
         if outcome.packing.parts:
             cert["packing"] = _packing_cert(outcome.packing)
         if outcome.union_edges is not None:
@@ -246,10 +244,12 @@ def cmd_pack(args) -> int:
             cert["degree_bounds"] = list(outcome.degree_bounds or [])
         if outcome.certificate is not None:
             cert["structure"] = _structure_cert(outcome.certificate)
-        report = make_report(args, "pack", graph, meta,
-                             {"l": args.l, "ell": args.ell, "mode": args.mode,
-                              "forbid": sorted(forbidden)},
-                             outcome.ok, cert, started)
+        params = {"l": args.l, "ell": args.ell, "mode": args.mode,
+                  "forbid": sorted(forbidden)}
+        if args.mode == "rho":
+            params.update(k=args.k, rho=rho)
+        report = make_report(args, "pack", graph, meta, params, outcome.ok,
+                             cert, started)
         emit(report, args.format)
         if outcome.hypothesis is not None and not outcome.hypothesis.ok \
                 and not outcome.packing.parts:
@@ -272,34 +272,25 @@ def cmd_pack(args) -> int:
 
 def _run_preset(args, graph, meta, started) -> int:
     name = args.preset
-    if name == "tree-rigid":
-        res = packing.preset_tree_rigid(graph, args.k_int, args.p, args.m,
-                                        force=args.force)
-    elif name == "tree-rigid-ec":
-        res = packing.preset_tree_rigid_ec(graph, args.k_int, args.p, args.m,
-                                           force=args.force)
-    elif name == "bipartite-degree":
+    if name == "bipartite-degree":
         if args.side is None:
             raise ValueError("bipartite-degree needs --side")
-        side = mask_of(args.side)
         res = packing.preset_bipartite_degree(graph, Fraction(args.k or "1"),
-                                              side, force=args.force)
+                                              mask_of(args.side), force=args.force)
     else:
-        raise ValueError(f"unknown preset {name!r}")
-    cert: dict = {"checks": {k: (v if v is not INFINITY else "inf")
-                             for k, v in res.checks.items()}}
-    if res.hypothesis is not None:
-        cert["hypothesis"] = {"ok": res.hypothesis.ok,
-                              "witness": res.hypothesis.witness}
-    cert["union"] = sorted(res.union_edges)
-    cert["degree_bounds"] = list(res.degree_bounds)
-    cert["trees"] = [sorted(t) for t in res.trees]
-    cert["rigid_parts"] = [sorted(r) for r in res.rigid_parts]
-    cert["reinforced"] = [sorted(r) for r in res.reinforced]
-    report = make_report(args, "pack", graph, meta,
-                         {"preset": name, "k": str(args.k_int or args.k),
-                          "p": args.p, "m": args.m},
-                         res.ok, cert, started)
+        fn = packing.preset_tree_rigid_ec if name == "tree-rigid-ec" else \
+            packing.preset_tree_rigid
+        res = fn(graph, args.k_int, args.p, args.m, force=args.force)
+    cert = {"checks": _checks_record(res.checks), **_hypothesis_cert(res.hypothesis)}
+    cert.update(union=sorted(res.union_edges), degree_bounds=list(res.degree_bounds),
+                trees=[sorted(t) for t in res.trees],
+                rigid_parts=[sorted(r) for r in res.rigid_parts],
+                reinforced=[sorted(r) for r in res.reinforced])
+    params = {"preset": name, "k": str(args.k_int or args.k),
+              "p": args.p, "m": args.m}
+    if name == "bipartite-degree":
+        params["side"] = args.side
+    report = make_report(args, "pack", graph, meta, params, res.ok, cert, started)
     emit(report, args.format)
     if not res.ok and res.hypothesis is not None and not res.hypothesis.ok:
         return 2
@@ -310,20 +301,17 @@ def cmd_decompose(args) -> int:
     started = time.time()
     graph, meta = load_graph(args.graph)
     func = parse_setfunc(args.func, graph.n)
+    params = {"func": args.func, "parts": args.parts}
     try:
         dec = packing.decompose_p_rigid(graph, func, args.parts)
     except ValueError as exc:
-        report = make_report(args, "decompose", graph, meta,
-                             {"func": args.func, "parts": args.parts},
-                             False, {"error": str(exc)}, started)
-        emit(report, args.format)
+        emit(make_report(args, "decompose", graph, meta, params, False,
+                         {"error": str(exc)}, started), args.format)
         return 2
     cert = {"parts": [sorted(p) for p in dec.parts],
             "leftover": sorted(dec.leftover)}
-    report = make_report(args, "decompose", graph, meta,
-                         {"func": args.func, "parts": args.parts},
-                         True, cert, started)
-    emit(report, args.format)
+    emit(make_report(args, "decompose", graph, meta, params, True, cert, started),
+         args.format)
     return 0
 
 
@@ -343,7 +331,7 @@ def cmd_orient(args) -> int:
         params["targets"] = targets
         res = orientation.hakimi_orient(graph, targets)
         cert = _orient_cert(res.orientation) if res.ok else \
-            {"violation": _mask_list(res.violation)}
+            {"violation": vertices_of(res.violation)}
         ok = res.ok
     elif mode in ("eulerian", "smooth"):
         fn = orientation.euler_orient if mode == "eulerian" else orientation.smooth_orient
@@ -357,51 +345,36 @@ def cmd_orient(args) -> int:
         ok = res.ok
         cert = _orient_cert(res.orientation) if res.ok else \
             {"reason": res.reason,
-             "witness": _mask_list(res.witness) if isinstance(res.witness, int)
+             "witness": vertices_of(res.witness) if isinstance(res.witness, int)
              and res.reason == "not-sparse" else res.witness}
     elif mode == "packed":
-        l = parse_setfunc(args.l, graph.n)
-        ell = parse_setfunc(args.ell, graph.n)
         r1 = parse_int_list(args.r1, graph.n, "--r1")
         r2 = parse_int_list(args.r2, graph.n, "--r2")
         params.update({"l": args.l, "ell": args.ell, "r1": r1, "r2": r2})
-        res = orientation.packed_orientation(graph, l, ell, r1, r2,
-                                             force=args.force)
-        ok = res.ok
-        if ok:
-            cert = _orient_cert(res.orientation)
-            cert["h1"] = sorted(res.h1)
-            cert["h2"] = sorted(res.h2)
-        else:
-            hyp_failed = res.hypothesis is not None and not res.hypothesis.ok
-            cert = {"hypothesis": res.hypothesis.witness if res.hypothesis else None,
-                    "detail": res.detail}
-            emit(make_report(args, "orient", graph, meta, params, ok, cert,
-                             started), args.format)
-            return 2 if hyp_failed else 1
+        res = orientation.packed_orientation(
+            graph, parse_setfunc(args.l, graph.n), parse_setfunc(args.ell, graph.n),
+            r1, r2, force=args.force)
+        extra = {"h1": sorted(res.h1), "h2": sorted(res.h2)}
     elif mode == "robust":
-        k = args.k or 1
-        params["k"] = k
-        res = orientation.robust_arc_strong(graph, k, seed=args.seed,
+        params["k"] = args.k or 1
+        res = orientation.robust_arc_strong(graph, params["k"], seed=args.seed,
                                             retries=args.retries,
                                             force=args.force)
-        ok = res.ok
-        if ok:
-            cert = _orient_cert(res.orientation)
-            cert["checks"] = {key: (v if v is not INFINITY else "inf")
-                              for key, v in res.checks.items()}
-        else:
-            hyp_failed = res.hypothesis is not None and not res.hypothesis.ok
-            cert = {"hypothesis": res.hypothesis.witness if res.hypothesis else None,
-                    "detail": res.detail}
-            emit(make_report(args, "orient", graph, meta, params, ok, cert,
-                             started), args.format)
-            return 2 if hyp_failed else 1
+        extra = {"checks": _checks_record(res.checks)}
     else:
         raise ValueError(f"unknown orientation mode {mode!r}")
+    hyp_failed = False
+    if mode in ("packed", "robust"):
+        ok = res.ok
+        if ok:
+            cert = {**_orient_cert(res.orientation), **extra}
+        else:
+            cert = {"hypothesis": res.hypothesis.witness if res.hypothesis else None,
+                    "detail": res.detail}
+            hyp_failed = res.hypothesis is not None and not res.hypothesis.ok
     report = make_report(args, "orient", graph, meta, params, ok, cert, started)
     emit(report, args.format)
-    return 0 if ok else 1
+    return 2 if hyp_failed else (0 if ok else 1)
 
 
 def cmd_hypothesis(args) -> int:
@@ -468,7 +441,7 @@ def cmd_oracle(args) -> int:
     what = args.what
     if what == "sparse":
         ok, wit = oracle.bf_sparse(graph, func, budget)
-        cert = {"witness": _mask_list(wit) if wit is not None else None}
+        cert = {"witness": vertices_of(wit) if wit is not None else None}
     elif what == "rank":
         rank, basis = oracle.bf_rank(graph, func, budget)
         ok, cert = True, {"rank": rank, "basis": sorted(basis)}
@@ -477,10 +450,10 @@ def cmd_oracle(args) -> int:
         cert = {"rank": rank, "target": target}
     elif what == "partition-connected":
         ok, wit = oracle.bf_partition_connected(graph, func, budget)
-        cert = {"witness": [_mask_list(p) for p in wit] if wit else None}
+        cert = {"witness": [vertices_of(p) for p in wit] if wit else None}
     elif what == "edge-connected":
         ok, wit = oracle.bf_edge_connected(graph, func, budget)
-        cert = {"witness": _mask_list(wit) if wit is not None else None}
+        cert = {"witness": vertices_of(wit) if wit is not None else None}
     elif what == "matroid-axioms":
         ok, detail = oracle.bf_matroid_axioms(graph, func, budget)
         cert = {"detail": list(detail) if detail else None}
@@ -489,11 +462,11 @@ def cmd_oracle(args) -> int:
         roots = parse_int_list(args.roots, graph.n, "--roots") \
             if args.roots else None
         ok, wit = oracle.bf_arc_connected(graph, heads, func, roots, budget)
-        cert = {"witness": _mask_list(wit) if wit is not None else None}
+        cert = {"witness": vertices_of(wit) if wit is not None else None}
     elif what == "weakly-connected":
         ell_vec = parse_int_list(args.ell_vec, graph.n, "--ell-vec")
         ok, wit = oracle.bf_weakly_connected(graph, ell_vec, func, budget)
-        cert = {"witness": [_mask_list(m) for m in wit] if wit else None}
+        cert = {"witness": [vertices_of(m) for m in wit] if wit else None}
     else:
         raise ValueError(f"unknown oracle check {what!r}")
     report = make_report(args, "oracle", graph, meta,
@@ -543,176 +516,155 @@ def cmd_verify(args) -> int:
         report = json.load(fh)
     graph, _ = graph_from_record(report["graph"], where=args.report)
     sub = report["subcommand"]
-    params = report.get("params", {})
-    certs = report.get("certificates", {})
     verdict = report["verdict"]
-    ok = _reverify(sub, graph, params, certs, verdict)
+    failed = _reverify(sub, graph, report.get("params", {}),
+                       report.get("certificates", {}), verdict)
+    result = f"MISMATCH (failed: {'; '.join(failed)})" if failed else "REPRODUCED"
     print(f"verify {args.report}: subcommand={sub} recorded verdict={verdict} "
-          f"-> {'REPRODUCED' if ok else 'MISMATCH'}")
-    return 0 if ok else 1
+          f"-> {result}")
+    return 1 if failed else 0
 
 
-def _reverify(sub, graph, params, certs, verdict) -> bool:
+def _checks_record(checks: dict) -> dict:
+    return {k: (v if v is not INFINITY else "inf") for k, v in checks.items()}
+
+
+def _checks_differ(recorded: dict, computed: dict) -> list[str]:
+    return [f"checks.{key} recomputes to {val}"
+            for key, val in _checks_record(computed).items()
+            if recorded.get(key) != val]
+
+
+def _reverify(sub, graph, params, certs, verdict) -> list[str]:
+    """Names of the report's claims that fail when re-checked. The six
+    certified result types go through the library's claim checkers, the
+    ones the engine runs on its own results; hypothesis and oracle
+    reports are not re-run yet."""
+    if sub in ("hypothesis", "oracle"):
+        return []
+    func = parse_setfunc(params["func"], graph.n) if params.get("func") else None
     if sub == "sparse":
-        func = parse_setfunc(params["func"], graph.n)
         res = sparsity.is_sparse(graph, func)
         if res.ok != verdict:
-            return False
-        if not verdict:
-            mask = mask_of(certs["violation"])
-            return graph.induced(mask) > func.cap(mask)
-        return True
+            return ["verdict"]
+        mask = 0 if verdict else mask_of(certs["violation"])
+        return ["violation"] if mask and graph.induced(mask) <= func.cap(mask) else []
     if sub == "rigid":
-        func = parse_setfunc(params["func"], graph.n)
-        edges = certs.get("edges", [])
-        if set(edges) & set(params.get("forbid", [])):
-            return False
-        subg = graph.subgraph(edges)
-        if not sparsity.is_sparse(subg, func).ok:
-            return False
-        target = max(func.rigid_target, 0)
-        return (len(set(edges)) == target) == verdict
+        return _rigid_claims(graph, func, params["forbid"], certs, verdict)
     if sub == "components":
-        func = parse_setfunc(params["func"], graph.n)
         comps = [mask_of(c) for c in certs["components"]]
-        for c in comps:
-            if bin(c).count("1") >= 2 and graph.induced(c) != func.cap(c):
-                return False
-        for i, a in enumerate(comps):
-            for b in comps[i + 1:]:
-                if bin(a & b).count("1") > 1:
-                    return False
-        return True
+        failed = [f"component {vertices_of(c)} is not tight" for c in comps
+                  if bin(c).count("1") >= 2 and graph.induced(c) != func.cap(c)]
+        if any(bin(a & b).count("1") > 1 for i, a in enumerate(comps) for b in comps[i + 1:]):
+            failed.append("two components share two vertices")
+        return failed
     if sub == "pack":
-        pk = certs.get("packing")
-        if pk is not None:
-            seen: set[int] = set()
-            for part in pk["parts"]:
-                func = parse_setfunc(part["func"], graph.n)
-                ids = set(part["edges"])
-                if len(ids) != len(part["edges"]) or seen & ids:
-                    return False
-                seen |= ids
-                if not sparsity.is_sparse(graph.subgraph(ids), func).ok:
-                    return False
-                if part["target"] != max(func.rigid_target, 0) or \
-                        part["full"] != (len(ids) == part["target"]):
-                    return False
-            if verdict != all(part["full"] for part in pk["parts"]):
-                return False
-        for key in ("trees", "rigid_parts"):
-            for ids in certs.get(key, []):
-                if not graph.subgraph(ids).is_connected():
-                    return False
-        if verdict and params.get("preset") in ("tree-rigid", "tree-rigid-ec"):
-            if not _tree_rigid_holds(graph, params, certs):
-                return False
-        struct = certs.get("structure")
-        if struct is not None:
-            parts = [mask_of(b) for b in struct["partition"]]
-            covered = 0
-            for b in parts:
-                if b & covered:
-                    return False
-                covered |= b
-            if covered != graph.full_mask:
-                return False
-        return True
+        return _pack_claims(graph, params, certs, verdict)
     if sub == "decompose":
-        func = parse_setfunc(params["func"], graph.n)
-        target = max(func.rigid_target, 0)
-        seen: set[int] = set()
-        for ids in certs["parts"]:
-            if set(ids) & seen:
-                return False
-            seen |= set(ids)
-            subg = graph.subgraph(ids)
-            if len(ids) != target or not sparsity.is_sparse(subg, func).ok:
-                return False
-        return verdict
+        if "error" in certs:
+            return ["verdict"] if verdict else []
+        failed = packing.decomposition_claims(graph, func, params["parts"],
+                                              certs["parts"], certs["leftover"])
+        return failed + ([] if verdict else ["verdict"])
     if sub == "orient":
-        if not verdict or "arcs" not in certs:
-            return not verdict
-        heads = tuple(h for _, h in certs["arcs"])
-        orient = orientation.Orientation(graph, heads)
-        mode = params["mode"]
-        if mode == "hakimi":
-            return list(orient.indegrees) == list(params["targets"])
-        if mode == "eulerian":
-            return orient.is_balanced()
-        if mode == "smooth":
-            return orient.is_smooth()
-        if mode == "rigid":
-            func = parse_setfunc(params["func"], graph.n)
-            return orientation.orientation_to_rigid(orient, func).ok
-        if mode == "packed":
-            l = parse_setfunc(params["l"], graph.n)
-            ell = parse_setfunc(params["ell"], graph.n)
-            r1, r2 = params["r1"], params["r2"]
-            d1 = orient.restricted(certs["h1"])
-            d2 = orient.restricted(certs["h2"])
-            return (orientation.verify_arc(d1, l, r1).ok
-                    and orientation.verify_arc(d2, ell, r2).ok)
-        if mode == "robust":
-            k = params["k"]
-            if not orient.is_smooth():
-                return False
-            if orientation.arc_strong_value(orient, 2 * k + 1) < 2 * k + 1:
-                return False
-            return all(orientation._deleted_arc_strong(orient, v, k) >= k
-                       for v in range(graph.n))
-        return False
-    if sub == "hypothesis":
-        return True  # hypothesis reports re-run through the hypothesis command
-    if sub == "oracle":
-        return True
+        return _orient_claims(graph, func, params, certs, verdict)
     raise ValueError(f"cannot verify reports for subcommand {sub!r}")
 
 
-def _tree_rigid_holds(graph, params, certs) -> bool:
-    """Re-check a tree-rigid(-ec) preset report: m spanning trees, p tight
-    (k, 2k-1)-sparse spanning parts (each inside its reinforced part, which
-    is (2k-1)-edge-connected, for -ec), pieces that partition the union,
-    and union degrees within bounds recomputed from k, p and m."""
-    k, p, m = int(params["k"]), params["p"], params["m"]
-    reinforced = params["preset"] == "tree-rigid-ec"
-    trees, rigid = certs["trees"], certs["rigid_parts"]
-    if len(trees) != m or len(rigid) != p or \
-            (reinforced and len(certs["reinforced"]) != p):
-        return False
-    for ids in trees:
-        if len(ids) != graph.n - 1 or not graph.subgraph(ids).is_connected():
-            return False
-    ell = lmn(graph.n, k, 2 * k - 1)
-    for ids in rigid:
-        if len(set(ids)) != ell.rigid_target or \
-                not sparsity.is_sparse(graph.subgraph(ids), ell).ok:
-            return False
-    pieces = trees + (certs["reinforced"] if reinforced else rigid)
-    union: set[int] = set()
-    for ids in pieces:
-        if union & set(ids):
-            return False
-        union |= set(ids)
-    if union != set(certs["union"]):
-        return False
-    if reinforced:
-        for r, h in zip(rigid, certs["reinforced"]):
-            if not set(r) <= set(h) or \
-                    graph.subgraph(h).edge_connectivity() < 2 * k - 1:
-                return False
-    extra = 2 * k * p - p + m if reinforced else k * p + m
-    used = graph.subgraph(union).degrees
-    bounds = certs["degree_bounds"]
-    return len(bounds) == graph.n and all(
-        bounds[v] == -(-graph.degree(v) // 2) + extra and used[v] <= bounds[v]
-        for v in range(graph.n))
+def _rigid_claims(graph, func, forbid, certs, verdict) -> list[str]:
+    """The edges are a sparse set avoiding the forbidden edges, of the
+    size of a maximum one, and the verdict says whether it is spanning."""
+    rank = len(packing.extract_rigid(graph, func, forbid)) if forbid else \
+        sparsity.rank_and_rigid(graph, func).rank
+    target = max(func.rigid_target, 0)
+    edges = certs["edges"]
+    failed = []
+    if set(edges) & set(forbid):
+        failed.append("edges hold a forbidden edge")
+    if not sparsity.is_sparse(graph.subgraph(edges), func).ok:
+        failed.append("edges are not sparse")
+    if len(set(edges)) != len(edges) or len(edges) != rank:
+        failed.append(f"edges are not a maximum sparse set of {rank}")
+    if certs.get("rank", rank) != rank or certs["target"] != target:
+        failed.append("rank or target differs from the recomputed one")
+    if verdict != (rank == target):
+        failed.append("verdict")
+    return failed
+
+
+def _pack_claims(graph, params, certs, verdict) -> list[str]:
+    preset = params.get("preset")
+    if preset is not None:
+        rigid = certs["rigid_parts"]
+        if not (verdict or rigid or certs["trees"]):
+            return []  # no construction; its hypothesis witness is not re-run
+        if preset == "bipartite-degree":
+            # a report made without --k records k as "None"; the preset used 1
+            k = Fraction(params["k"] if params["k"] != "None" else 1)
+            failed, checks = packing.bipartite_claims(
+                graph, k, mask_of(params["side"]), rigid,
+                certs["union"], certs["degree_bounds"])
+        else:
+            failed, checks = packing.tree_rigid_claims(
+                graph, int(params["k"]), params["p"], params["m"],
+                certs["trees"], rigid,
+                certs["reinforced"] if preset == "tree-rigid-ec" else None,
+                certs["union"], certs["degree_bounds"])
+        return failed + _checks_differ(certs["checks"], checks) + \
+            ([] if verdict else ["verdict"])
+    pk = certs.get("packing")
+    failed = ["verdict"] if pk is None and verdict else []
+    if pk is not None:
+        parts = [(parse_setfunc(p["func"], graph.n), p["edges"], p["target"],
+                  p["full"]) for p in pk["parts"]]
+        failed += packing.packing_claims(graph, parts, pk["uncovered"],
+                                         params["forbid"], verdict)
+        if sorted(pk["forbidden"]) != sorted(params["forbid"]):
+            failed.append("forbidden edges differ from the requested ones")
+    if "union" in certs:
+        failed += packing.union_degree_claims(
+            graph, parse_setfunc(params["l"], graph.n),
+            parse_setfunc(params["ell"], graph.n), params["mode"],
+            params.get("k"), params.get("rho"), [p["edges"] for p in pk["parts"]],
+            certs["union"], certs["degree_bounds"])
+    blocks = certs.get("structure", {}).get("partition")
+    if blocks is not None and sorted(v for b in blocks for v in b) != list(range(graph.n)):
+        failed.append("structure blocks do not partition the vertices")
+    return failed
+
+
+def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
+    mode = params["mode"]
+    if "arcs" not in certs:
+        return ["verdict"] if verdict else []
+    orient = orientation.Orientation(graph, tuple(h for _, h in certs["arcs"]))
+    failed = [] if verdict else ["verdict"]
+    failed += [f"{key} disagree with the arcs"
+               for key, val in _orient_cert(orient).items() if certs[key] != val]
+    if mode == "hakimi" and list(orient.indegrees) != params["targets"]:
+        failed.append("in-degrees are not the targets")
+    if mode == "eulerian" and not orient.is_balanced():
+        failed.append("orientation is not balanced")
+    if mode == "smooth" and not orient.is_smooth():
+        failed.append("orientation is not smooth")
+    if mode == "rigid" and not orientation.orientation_to_rigid(orient, func).ok:
+        failed.append("orientation does not certify minimal rigidity")
+    if mode == "packed":
+        failed += orientation.packed_claims(
+            orient, parse_setfunc(params["l"], graph.n),
+            parse_setfunc(params["ell"], graph.n), params["r1"], params["r2"],
+            certs["h1"], certs["h2"])
+    if mode == "robust":
+        claims, checks = orientation.robust_claims(orient, params["k"])
+        failed += claims + _checks_differ(certs["checks"], checks)
+    return failed
 
 
 # ----------------------------------------------------------------------
 # argument parsing
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     # global flags work both before and after the subcommand; the
     # subparser copies use SUPPRESS so they never clobber parsed values
@@ -727,33 +679,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rigidpack",
         description="certified sparsity / rigidity / packing / orientation toolkit")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int,
-                        default=int(os.environ.get(BUDGET_ENV, "12")))
+    parser.add_argument("--budget", type=int, default=None)  # see main()
     parser.add_argument("--force", action="store_true", default=False,
                         help="run constructions even when the hypothesis check fails")
     parser.add_argument("--format", choices=("human", "structured"),
                         default="human")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(func_entry=fn)
-        return p
-
-    p = add("sparse", cmd_sparse)
+    p = sub.add_parser("sparse", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--func", required=True)
 
-    p = add("rigid", cmd_rigid)
+    p = sub.add_parser("rigid", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--func", required=True)
     p.add_argument("--forbid", type=int, nargs="*")
 
-    p = add("components", cmd_components)
+    p = sub.add_parser("components", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--func", required=True)
 
-    p = add("pack", cmd_pack)
+    p = sub.add_parser("pack", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--funcs", nargs="*")
     p.add_argument("--l")
@@ -769,12 +715,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset",
                    choices=("tree-rigid", "tree-rigid-ec", "bipartite-degree"))
 
-    p = add("decompose", cmd_decompose)
+    p = sub.add_parser("decompose", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--func", required=True)
     p.add_argument("--parts", type=int, required=True)
 
-    p = add("orient", cmd_orient)
+    p = sub.add_parser("orient", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", required=True,
                    choices=("hakimi", "eulerian", "smooth", "rigid",
@@ -788,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--retries", type=int, default=64)
 
-    p = add("hypothesis", cmd_hypothesis)
+    p = sub.add_parser("hypothesis", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--check", required=True,
                    choices=("rigid-necessary", "rigid-sufficient", "rigid-cuts",
@@ -803,10 +749,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho")
     p.add_argument("--forbid", type=int, nargs="*")
 
-    p = add("verify", cmd_verify)
+    p = sub.add_parser("verify", parents=[common])
     p.add_argument("--report", required=True)
 
-    p = add("oracle", cmd_oracle)
+    p = sub.add_parser("oracle", parents=[common])
     p.add_argument("--graph")
     p.add_argument("--func")
     p.add_argument("--what", required=True,
@@ -820,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--census-filter", choices=("all", "connected"),
                    default="all")
 
-    p = add("gen", cmd_gen)
+    p = sub.add_parser("gen", parents=[common])
     p.add_argument("--family", required=True,
                    choices=("complete", "complete-bipartite", "circulant",
                             "random-simple", "random-regular", "doubled"))
@@ -837,10 +783,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.budget is None:
+        args.budget = int(os.environ.get(BUDGET_ENV, "12"))
     try:
-        return args.func_entry(args)
+        # looked up per call, so the cached parser holds no command function
+        return globals()["cmd_" + args.subcommand](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

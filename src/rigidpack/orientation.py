@@ -426,24 +426,32 @@ def packed_orientation(graph: MultiGraph, l: SetFunc, ell: SetFunc,
         for local, eid in enumerate(rest):
             heads[eid] = sm.heads[local]
     orient = Orientation(graph, tuple(heads))
-    d1 = orient.restricted(h1)
-    d2 = orient.restricted(h2)
-    for v in range(graph.n):
-        if d1.indegrees[v] != targets1[v] or d2.indegrees[v] != targets2[v]:
-            raise RuntimeError("in-degree identity failed on a packed part")
-    if not verify_arc(d1, l, r1).ok:
-        raise RuntimeError("first part failed rooted arc verification")
-    if not verify_arc(d2, ell, r2).ok:
-        raise RuntimeError("second part failed rooted arc verification")
-    for v in range(graph.n):
-        bound = -(-graph.degree(v) // 2)
-        if lowered_vertex == v:
-            bound = graph.degree(v) // 2
-        if orient.outdegrees[v] > bound:
-            raise RuntimeError(f"out-degree bound violated at vertex {v}")
+    packmod._fail_on(packed_claims(orient, l, ell, r1, r2, h1, h2, lowered_vertex))
     return PackedOrientResult(True, orientation=orient,
                               h1=frozenset(h1), h2=frozenset(h2),
                               hypothesis=hyp)
+
+
+def packed_claims(orient: Orientation, l: SetFunc, ell: SetFunc, r1, r2, h1, h2,
+                  lowered_vertex: int | None = None) -> list[str]:
+    """Claims of a packed orientation: h1 and h2 share no edge, h1 has
+    in-degrees l(v) - r1(v) and is r1-rooted arc-connected for l, h2
+    likewise for ell and r2, and every out-degree is at most ceil(d(v)/2),
+    or floor(d(v)/2) at the lowered vertex."""
+    graph = orient.host
+    failed = ["h1 and h2 share an edge"] if set(h1) & set(h2) else []
+    for name, ids, func, roots in (("h1", h1, l, r1), ("h2", h2, ell, r2)):
+        part = orient.restricted(ids)
+        if any(part.indegrees[v] != func.singletons[v] - roots[v]
+               for v in range(graph.n)):
+            failed.append(f"{name} in-degrees are not its function minus its roots")
+        if not verify_arc(part, func, roots).ok:
+            failed.append(f"{name} is not rooted arc-connected")
+    over = [v for v, d in enumerate(graph.degrees) if orient.outdegrees[v] >
+            (d // 2 if v == lowered_vertex else -(-d // 2))]
+    if over:
+        failed.append(f"out-degree bound violated at vertex {over[0]}")
+    return failed
 
 
 # ----------------------------------------------------------------------
@@ -697,18 +705,12 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     companion, tree = pieces
     rigid = frozenset(outcome.detail["ell_part"])
     gprime = rigid | companion
-    checks: dict = {}
-    gsub = graph.subgraph(gprime)
-    lam = gsub.edge_connectivity()
-    checks["reinforced_edge_connectivity"] = lam
-    if lam < 4 * k + 1:
-        raise RuntimeError(f"reinforced part is only {lam}-edge-connected")
-    worst = INFINITY
-    for v in range(graph.n):
-        worst = min(worst, gsub.delete_vertex(v).edge_connectivity())
-    checks["reinforced_vertex_deleted"] = worst
-    if worst < 2 * k:
-        raise RuntimeError("vertex-deleted reinforced part below 2k-edge-connected")
+    lam, worst = packmod._cut_profile(graph.subgraph(gprime))
+    checks: dict = {"reinforced_edge_connectivity": lam,
+                    "reinforced_vertex_deleted": worst}
+    if lam < 4 * k + 1 or worst < 2 * k:
+        raise RuntimeError(f"reinforced part is {lam}-edge-connected, "
+                           f"{worst} after deleting a vertex")
     # a subforest of the tree matching gprime's degree parities
     forest, reached = _parity_tree(graph, tree, 0,
                                    [d % 2 for d in _forest_degrees(graph, gprime)])
@@ -736,23 +738,33 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
         for local, eid in enumerate(rest):
             heads[eid] = sm.heads[local]
     orient = Orientation(graph, tuple(heads))
-    if not orient.is_smooth():
-        raise RuntimeError("combined orientation is not smooth")
-    strong = arc_strong_value(orient)
-    checks["arc_strong"] = strong
-    if strong < kk:
-        raise RuntimeError(f"orientation is only {strong}-arc-strong")
-    worst_v = INFINITY
-    for v in range(graph.n):
-        worst_v = _deleted_arc_strong(orient, v, worst_v)
-    checks["vertex_deleted_arc_strong"] = worst_v
-    if worst_v < k:
-        raise RuntimeError("a vertex-deleted digraph fell below k-arc-strong")
+    failed, final = robust_claims(orient, k)
+    checks.update(final)
+    packmod._fail_on(failed)
     return RobustResult(True, orientation=orient, hypothesis=hyp, checks=checks,
                         detail={"rigid_part": sorted(rigid),
                                 "companion": sorted(companion),
                                 "tree": sorted(tree),
                                 "parity_forest": sorted(forest)})
+
+
+def robust_claims(orient: Orientation, k: int):
+    """Claims of a robust orientation: smooth, (2k+1)-arc-strong and
+    k-arc-strong after deleting any vertex. Both strengths are computed
+    exactly into the returned checks. The engine's other checks concern
+    the reinforced part and the Eulerian union, edge sets a report does
+    not carry, so only the engine makes them. Returns the failed claims
+    and the checks."""
+    failed = [] if orient.is_smooth() else ["orientation is not smooth"]
+    strong = arc_strong_value(orient)
+    worst = INFINITY
+    for v in range(orient.host.n):
+        worst = _deleted_arc_strong(orient, v, worst)
+    if strong < 2 * k + 1:
+        failed.append(f"orientation is only {strong}-arc-strong")
+    if worst < k:
+        failed.append(f"a vertex-deleted digraph is only {worst}-arc-strong")
+    return failed, {"arc_strong": strong, "vertex_deleted_arc_strong": worst}
 
 
 def _robust_euler_search(hsub: MultiGraph, k: int, seed: int,

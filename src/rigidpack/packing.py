@@ -1,6 +1,6 @@
 """Matroid-union packing of spanning sparse subgraphs, structure partitions
 for maximal packings, hypothesis checkers, and the degree-bounded packing
-pipelines built on them.
+pipelines built on them, with the claim checkers `rigidpack verify` shares.
 
 The packing search augments one uncovered edge at a time by breadth-first
 exploration over single-edge replacements: an edge either enters a part
@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import MultiGraph, INFINITY, vertices_of
+from .graph import MultiGraph, vertices_of
 from .setfuncs import (
     SetFunc, lmn, const, zero, table_func, halved_slack, rho_slack, scaled,
 )
@@ -58,18 +58,10 @@ class Packing:
         return sum(len(p.edges) for p in self.parts)
 
     def verify(self) -> None:
-        """Re-check disjointness, coverage and per-part sparsity."""
-        seen: set[int] = set()
-        for part in self.parts:
-            if part.edges & seen:
-                raise RuntimeError("packing parts overlap")
-            seen |= part.edges
-            sub = self.host.subgraph(part.edges)
-            res = is_sparse(sub, part.func)
-            if not res.ok:
-                raise RuntimeError("packing part is not sparse")
-        if seen | self.uncovered != set(range(self.host.m)) or seen & self.uncovered:
-            raise RuntimeError("parts and uncovered do not partition the edges")
+        """Raise naming the failed claims of `packing_claims`."""
+        _fail_on(packing_claims(
+            self.host, [(p.func, p.edges, p.target, p.full) for p in self.parts],
+            self.uncovered, self.forbidden))
 
 
 # ----------------------------------------------------------------------
@@ -337,19 +329,9 @@ def decompose_p_rigid(graph: MultiGraph, ell: SetFunc, p: int) -> RigidDecomposi
         raise ValueError(
             f"graph is not {p}-fold rigid: rank {rr.rank} < target {rr.target}")
     packing = matroid_union_pack(graph, [ell] * p)
-    per_target = max(ell.rigid_target, 0)
-    for part in packing.parts:
-        if len(part.edges) != per_target:
-            raise RuntimeError("union packing of a p-fold rigid graph "
-                               "left a part deficient")
-    for part in packing.parts:
-        sub = graph.subgraph(part.edges)
-        res = rank_and_rigid(sub, ell)
-        if not res.rigid:
-            raise RuntimeError("decomposition part failed the rigidity re-check")
-    return RigidDecomposition(
-        parts=tuple(p.edges for p in packing.parts),
-        leftover=packing.uncovered)
+    parts = tuple(part.edges for part in packing.parts)
+    _fail_on(decomposition_claims(graph, ell, p, parts, packing.uncovered))
+    return RigidDecomposition(parts=parts, leftover=packing.uncovered)
 
 
 # ----------------------------------------------------------------------
@@ -663,37 +645,29 @@ def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
         extra = [0] * graph.n
         if graph.degree(boosted_vertex) % 2 == 1:
             extra[boosted_vertex] = 1
-    if degree_mode == "none":
-        funcs = [l, ell]
-        l_index, ell_index = 0, 1
-    elif degree_mode == "halved":
-        funcs = [halved_slack(graph, l, ell, extra), l, ell]
-        l_index, ell_index = 1, 2
-    else:
-        funcs = [rho_slack(graph, l, ell, k, rho), l, ell]
-        l_index, ell_index = 1, 2
+    funcs = [l, ell]  # the l- and ell-parts come last in every mode
+    if degree_mode == "halved":
+        funcs.insert(0, halved_slack(graph, l, ell, extra))
+    elif degree_mode == "rho":
+        funcs.insert(0, rho_slack(graph, l, ell, k, rho))
 
     packing = matroid_union_pack(graph, funcs, forbidden)
-    full = all(p.full for p in packing.parts)
-    detail: dict = {"l_part": sorted(packing.parts[l_index].edges),
-                    "ell_part": sorted(packing.parts[ell_index].edges)}
-    if not full:
-        cert = _deficiency_certificate(graph, l, ell, forbidden, packing,
-                                       l_index, ell_index)
+    l_part, ell_part = (p.edges for p in packing.parts[-2:])
+    detail: dict = {"l_part": sorted(l_part), "ell_part": sorted(ell_part)}
+    if not all(p.full for p in packing.parts):
+        two = packing if len(packing.parts) == 2 else \
+            matroid_union_pack(graph, [l, ell], forbidden)
         return PackOutcome(ok=False, packing=packing, hypothesis=hyp,
-                           certificate=cert, detail=detail)
+                           certificate=structure_partition(two), detail=detail)
 
-    union = packing.parts[l_index].edges | packing.parts[ell_index].edges
-    bounds = None
-    if degree_mode != "none":
-        bounds = _quoted_degree_bounds(graph, l, ell, degree_mode, k, rho)
-        hsub = graph.subgraph(union)
-        for v in range(graph.n):
-            if hsub.degree(v) > bounds[v]:
-                raise RuntimeError(
-                    f"degree bound violated at vertex {v}: "
-                    f"{hsub.degree(v)} > {bounds[v]}")
-    _verify_pack_parts(graph, packing, l_index, ell_index)
+    # Packing.verify has proved every part sparse, so the full l-part is
+    # partition-connected and the full ell-part rigid (see
+    # `packing_claims`); the union and its degrees are what is left
+    union = l_part | ell_part
+    bounds = None if degree_mode == "none" else \
+        _quoted_degree_bounds(graph, l, ell, degree_mode, k, rho)
+    _fail_on(union_degree_claims(graph, l, ell, degree_mode, k, rho,
+                                 [l_part, ell_part], union, bounds))
     return PackOutcome(ok=True, packing=packing, hypothesis=hyp,
                        union_edges=frozenset(union), degree_bounds=bounds,
                        detail=detail)
@@ -711,34 +685,6 @@ def _quoted_degree_bounds(graph, l, ell, mode, k, rho):
                           + math.ceil(Fraction(rho[v]))
                           + l.singletons[v] + ell.singletons[v])
     return tuple(bounds)
-
-
-def _verify_pack_parts(graph, packing, l_index, ell_index) -> None:
-    """Both parts are full and the ell-part is rigid.
-
-    The l-part needs no further check to be partition-connected.
-    `matroid_union_pack` has run `Packing.verify`, an exact sparsity test
-    e(X) <= cap(X) = sum_{v in X} l(v) - l(X) for every vertex set X. On X = V
-    that gives cap(V) >= 0, so the full part has |E| = cap(V) edges. For a
-    partition P of V, with e(P) the edges joining different parts:
-    e(P) = |E| - sum_A e(A) >= cap(V) - sum_A cap(A) = sum_A l(A) - l(V).
-    """
-    lp = packing.parts[l_index]
-    ep = packing.parts[ell_index]
-    if not lp.full or not ep.full:
-        raise RuntimeError("parts expected full")
-    sub = graph.subgraph(ep.edges)
-    rr = rank_and_rigid(sub, ep.func)
-    if not rr.rigid:
-        raise RuntimeError("rigid part failed the rigidity re-check")
-
-
-def _deficiency_certificate(graph, l, ell, forbidden, packing,
-                            l_index, ell_index):
-    if len(packing.parts) == 2:
-        return structure_partition(packing)
-    two = matroid_union_pack(graph, [l, ell], forbidden)
-    return structure_partition(two)
 
 
 # ----------------------------------------------------------------------
@@ -761,27 +707,7 @@ def preset_tree_rigid(graph: MultiGraph, k: int, p: int, m: int,
                       force: bool = False) -> PresetResult:
     """m spanning trees plus p spanning k-rigid subgraphs, with the union
     degree capped at ceil(d(v)/2) + kp + m."""
-    if k < 2:
-        raise ValueError("rigid presets need k >= 2")
-    hyp = check_uniform_weakly_connected(graph, k, 4 * k * p - 2 * p + 2 * m, force)
-    if hyp is not None and not hyp.ok:
-        return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
-                            degree_bounds=())
-    l = lmn(graph.n, m, m)
-    ell = lmn(graph.n, p * k, p * (2 * k - 1))
-    outcome = pack_partition_rigid(graph, l, ell, degree_mode="halved",
-                                   force=True)
-    if not outcome.ok:
-        return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
-                            degree_bounds=(), checks={"packing": "deficient"})
-    trees = _split_all(graph, outcome.detail["l_part"], [lmn(graph.n, 1, 1)] * m)
-    rigid = _split_all(graph, outcome.detail["ell_part"],
-                       [lmn(graph.n, k, 2 * k - 1)] * p)
-    checks = _verify_trees_and_rigid(graph, trees, rigid, k)
-    return PresetResult(ok=True, hypothesis=hyp,
-                        union_edges=outcome.union_edges,
-                        degree_bounds=outcome.degree_bounds,
-                        trees=trees, rigid_parts=rigid, checks=checks)
+    return _tree_rigid_preset(graph, k, p, m, force, reinforce=False)
 
 
 def preset_tree_rigid_ec(graph: MultiGraph, k: int, p: int, m: int,
@@ -789,40 +715,36 @@ def preset_tree_rigid_ec(graph: MultiGraph, k: int, p: int, m: int,
     """Like preset_tree_rigid but each rigid part is reinforced by a
     partition-connected companion so the pair is (2k-1)-edge-connected;
     union degree capped at ceil(d(v)/2) + 2kp - p + m."""
+    return _tree_rigid_preset(graph, k, p, m, force, reinforce=True)
+
+
+def _tree_rigid_preset(graph, k, p, m, force, reinforce) -> PresetResult:
     if k < 2:
         raise ValueError("rigid presets need k >= 2")
     hyp = check_uniform_weakly_connected(graph, k, 4 * k * p - 2 * p + 2 * m, force)
     if hyp is not None and not hyp.ok:
         return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
                             degree_bounds=())
-    l = lmn(graph.n, k * p - p + m, m)
+    # the l-part holds the trees, after a (k-1, 0) companion per rigid
+    # part when reinforcing
+    companions = [lmn(graph.n, k - 1, 0)] * p if reinforce else []
+    l = lmn(graph.n, (k * p - p if reinforce else 0) + m, m)
     ell = lmn(graph.n, p * k, p * (2 * k - 1))
     outcome = pack_partition_rigid(graph, l, ell, degree_mode="halved",
                                    force=True)
     if not outcome.ok:
         return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
                             degree_bounds=(), checks={"packing": "deficient"})
-    companions_funcs = [lmn(graph.n, k - 1, 0)] * p + [lmn(graph.n, 1, 1)] * m
-    pieces = _split_all(graph, outcome.detail["l_part"], companions_funcs)
-    companions, trees = pieces[:p], pieces[p:]
+    pieces = _split_all(graph, outcome.detail["l_part"],
+                        companions + [lmn(graph.n, 1, 1)] * m)
+    trees = pieces[len(companions):]
     rigid = _split_all(graph, outcome.detail["ell_part"],
                        [lmn(graph.n, k, 2 * k - 1)] * p)
-    reinforced = tuple(r | c for r, c in zip(rigid, companions))
-    checks = _verify_trees_and_rigid(graph, trees, rigid, k)
-    for i, h in enumerate(reinforced):
-        sub = graph.subgraph(h)
-        lam = sub.edge_connectivity()
-        checks[f"reinforced_{i}_edge_connectivity"] = lam
-        if lam < 2 * k - 1:
-            raise RuntimeError(
-                f"reinforced part {i} is only {lam}-edge-connected")
-        worst = INFINITY
-        for v in range(graph.n):
-            worst = min(worst, sub.delete_vertex(v).edge_connectivity())
-        checks[f"reinforced_{i}_vertex_deleted"] = worst
-        if worst < k - 1:
-            raise RuntimeError(
-                f"reinforced part {i} loses too much connectivity at a vertex")
+    reinforced = tuple(r | c for r, c in zip(rigid, pieces[:len(companions)]))
+    failed, checks = tree_rigid_claims(
+        graph, k, p, m, trees, rigid, reinforced if reinforce else None,
+        outcome.union_edges, outcome.degree_bounds)
+    _fail_on(failed)
     return PresetResult(ok=True, hypothesis=hyp,
                         union_edges=outcome.union_edges,
                         degree_bounds=outcome.degree_bounds,
@@ -851,9 +773,8 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
             return PresetResult(ok=False, hypothesis=hyp,
                                 union_edges=frozenset(), degree_bounds=())
     ell = lmn(graph.n, 2, 3)
-    rho = [0 if (side_mask >> v) & 1 else graph.degree(v)
-           for v in range(graph.n)]
     if kf > 2:
+        rho = [0 if (side_mask >> v) & 1 else d for v, d in enumerate(graph.degrees)]
         outcome = pack_partition_rigid(graph, zero(graph.n), ell,
                                        degree_mode="rho", force=True,
                                        k=k, rho=rho)
@@ -863,23 +784,17 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
                                 checks={"packing": "deficient"})
         h_edges = outcome.packing.parts[2].edges
     else:
-        # the quoted bound exceeds every degree for k <= 2, so a plain
-        # maximum rigid extraction suffices and is still post-verified
+        # a plain maximum rigid extraction; the claims check its degrees
         h_edges = extract_rigid(graph, ell)
-        rr = rank_and_rigid(graph.subgraph(h_edges), ell)
-        if not rr.rigid:
+        if len(h_edges) != max(ell.rigid_target, 0):
             return PresetResult(ok=False, hypothesis=hyp,
                                 union_edges=frozenset(), degree_bounds=(),
                                 checks={"packing": "rank-deficient"})
-    sub = graph.subgraph(h_edges)
     bounds = tuple(math.ceil(Fraction(graph.degree(v)) / kf) + 2
                    for v in range(graph.n))
-    for v in vertices_of(side_mask):
-        if sub.degree(v) > bounds[v]:
-            raise RuntimeError(f"degree bound violated on the side at {v}")
-    checks = {"two_connected": _is_two_connected(sub)}
-    if not checks["two_connected"]:
-        raise RuntimeError("rigid subgraph failed the 2-connectivity re-check")
+    failed, checks = bipartite_claims(graph, k, side_mask, [h_edges], h_edges,
+                                      bounds)
+    _fail_on(failed)
     return PresetResult(ok=True, hypothesis=hyp, union_edges=frozenset(h_edges),
                         degree_bounds=bounds, rigid_parts=(frozenset(h_edges),),
                         checks=checks)
@@ -908,31 +823,153 @@ def _split_all(graph: MultiGraph, edge_ids, funcs) -> tuple[frozenset[int], ...]
     """Decompose an edge set exactly into full parts for the given functions."""
     ids = set(edge_ids)
     packing = matroid_union_pack(graph, funcs, allowed=ids)
-    covered = set()
-    for part in packing.parts:
-        if not part.full:
-            raise RuntimeError("split left a part deficient")
-        covered |= part.edges
-    if covered != ids:
-        raise RuntimeError("split did not cover the edge set exactly")
+    # the parts lie inside ids, so covering as many edges covers them all
+    if not all(p.full for p in packing.parts) or packing.covered() != len(ids):
+        raise RuntimeError("split did not cut the edge set into full parts")
     return tuple(p.edges for p in packing.parts)
 
 
-def _verify_trees_and_rigid(graph, trees, rigid_parts, k) -> dict:
-    checks: dict = {}
-    for i, t in enumerate(trees):
-        sub = graph.subgraph(t)
-        if len(t) != graph.n - 1 or not sub.is_connected():
-            raise RuntimeError(f"tree part {i} is not a spanning tree")
-    checks["trees"] = len(trees)
+# ----------------------------------------------------------------------
+# certificate claims: one checker per result type, run by the engine on
+# every result it returns and by `rigidpack verify` on every report. Each
+# takes the plain result and returns the names of the claims that fail.
+
+
+def _fail_on(failed) -> None:
+    """The engine's self-check: raise naming every failed claim."""
+    if failed:
+        raise RuntimeError("; ".join(failed))
+
+
+def packing_claims(host: MultiGraph, parts, uncovered, forbidden=(),
+                   verdict=None) -> list[str]:
+    """Claims of a packing with (func, edge ids, target, full) parts: no
+    edge id repeats; each part is sparse, with target max(rigid target, 0)
+    and full exactly at target edges; no part holds a forbidden edge; the
+    parts and uncovered partition E; a given verdict is "every part full".
+    A full sparse part is rigid, and partition-connected: for a partition
+    P of V, e(P) = |E| - sum_A e(A) >= cap(V) - sum_A cap(A) = sum_A l(A) - l(V).
+    """
+    failed = []
+    ids = [e for _, edges, _, _ in parts for e in edges]
+    if len(set(ids)) != len(ids):
+        failed.append("an edge id repeats across the parts")
+    for i, (func, edges, target, full) in enumerate(parts):
+        if not is_sparse(host.subgraph(edges), func).ok:
+            failed.append(f"part {i} is not sparse")
+        if target != max(func.rigid_target, 0) or full != (len(edges) == target):
+            failed.append(f"part {i} target or full flag is wrong")
+    if set(ids) & set(forbidden):
+        failed.append("a part holds a forbidden edge")
+    if sorted(ids + list(uncovered)) != list(range(host.m)):
+        failed.append("parts and uncovered do not partition the edges")
+    if verdict is not None and verdict != all(full for *_, full in parts):
+        failed.append("verdict is not 'every part full'")
+    return failed
+
+
+def _degree_claims(graph, edges, quoted, bounds, rule, side=None) -> list[str]:
+    """The recorded bounds are the quoted ones, and the degrees of the
+    edges stay within them on the side (everywhere without one)."""
+    failed = [] if list(bounds or ()) == list(quoted) else \
+        [f"degree bounds are not {rule}"]
+    used = graph.subgraph(edges).degrees
+    where = "at vertex" if side is None else "on the side at"
+    over = [v for v in (range(len(quoted)) if side is None else vertices_of(side))
+            if used[v] > quoted[v]]
+    return failed + [f"degree bound violated {where} {v}" for v in over[:1]]
+
+
+def union_degree_claims(graph: MultiGraph, l: SetFunc, ell: SetFunc, mode: str,
+                        k, rho, parts, union, bounds) -> list[str]:
+    """Claims of a full `pack_partition_rigid` packing, its l- and ell-parts
+    last: the union is their union and, in a degree mode, the bounds are
+    the quoted ones and the union's degrees stay within them."""
+    failed = []
+    if sorted(union) != sorted(set(parts[-2]) | set(parts[-1])):
+        failed.append("union is not the l-part plus the ell-part")
+    quoted = () if mode == "none" else \
+        _quoted_degree_bounds(graph, l, ell, mode, k, rho)
+    return failed + _degree_claims(graph, union, quoted, bounds, f"the {mode} mode's")
+
+
+def decomposition_claims(graph: MultiGraph, ell: SetFunc, p: int, parts,
+                         leftover) -> list[str]:
+    """Claims of a p-rigid decomposition: exactly p pairwise disjoint
+    parts, each tight and ell-sparse, and the leftover the rest."""
+    target = max(ell.rigid_target, 0)
+    failed = [] if len(parts) == p else [f"{len(parts)} parts, not {p}"]
+    return failed + packing_claims(
+        graph, [(ell, ids, target, True) for ids in parts], leftover)
+
+
+def tree_rigid_claims(graph: MultiGraph, k: int, p: int, m: int, trees,
+                      rigid_parts, reinforced, union, bounds):
+    """Claims of a tree-rigid preset, or tree-rigid-ec when `reinforced` is
+    given: m spanning trees and p tight (k, 2k-1)-sparse parts; these (with
+    the reinforced parts in place of the rigid ones for -ec) partition the
+    union; its degrees are within ceil(d(v)/2) + kp + m (2kp - p + m for
+    -ec); each rigid part lies inside its reinforced part; and the checks
+    hold: cut consequences on each rigid part, each reinforced part
+    (2k-1)-edge-connected, and (k-1)-edge-connected after deleting any
+    vertex. Returns the failed claims and the checks."""
+    failed = []
+    pieces = list(trees) + list(rigid_parts if reinforced is None else reinforced)
+    if len(trees) != m or len(rigid_parts) != p or len(pieces) != m + p:
+        failed.append(f"not {m} trees and {p} rigid (and reinforced) parts")
+    for i, ids in enumerate(trees):
+        if len(ids) != graph.n - 1 or not graph.subgraph(ids).is_connected():
+            failed.append(f"tree {i} is not a spanning tree")
+    checks: dict = {"trees": len(trees)}
     ell = lmn(graph.n, k, 2 * k - 1)
-    for i, r in enumerate(rigid_parts):
-        sub = graph.subgraph(r)
-        rr = rank_and_rigid(sub, ell)
-        if not rr.rigid:
-            raise RuntimeError(f"rigid part {i} failed the rigidity re-check")
-        rep = check_rigid_cut_consequences(sub, k)
-        checks[f"rigid_{i}_cuts"] = rep.ok
-        if not rep.ok:
-            raise RuntimeError(f"rigid part {i} failed cut consequences: {rep.witness}")
-    return checks
+    for i, ids in enumerate(rigid_parts):
+        sub = graph.subgraph(ids)
+        if len(set(ids)) != ell.rigid_target or not is_sparse(sub, ell).ok:
+            failed.append(f"rigid part {i} is not tight and ({k}, {2 * k - 1})-sparse")
+        checks[f"rigid_{i}_cuts"] = check_rigid_cut_consequences(sub, k).ok
+        if not checks[f"rigid_{i}_cuts"]:
+            failed.append(f"rigid part {i} fails the cut consequences")
+    every = sorted(e for ids in pieces for e in ids)
+    if every != sorted(union) or len(set(every)) != len(every):
+        failed.append("trees and parts do not partition the union")
+    extra = k * p + m if reinforced is None else 2 * k * p - p + m
+    failed += _degree_claims(graph, union, [-(-d // 2) + extra for d in graph.degrees],
+                             bounds, f"ceil(d(v)/2) + {extra}")
+    for i, (r, h) in enumerate(zip(rigid_parts, reinforced or ())):
+        if not set(r) <= set(h):
+            failed.append(f"rigid part {i} lies outside its reinforced part")
+        lam, worst = _cut_profile(graph.subgraph(h))
+        checks[f"reinforced_{i}_edge_connectivity"] = lam
+        checks[f"reinforced_{i}_vertex_deleted"] = worst
+        if lam < 2 * k - 1 or worst < k - 1:
+            failed.append(f"reinforced part {i} is {lam}-edge-connected, "
+                          f"{worst} after deleting a vertex")
+    return failed, checks
+
+
+def _cut_profile(sub: MultiGraph):
+    """Edge connectivity, and the least one after deleting a vertex."""
+    return sub.edge_connectivity(), min(
+        sub.delete_vertex(v).edge_connectivity() for v in range(sub.n))
+
+
+def bipartite_claims(graph: MultiGraph, k, side_mask: int, rigid_parts, union,
+                     bounds):
+    """Claims of a bipartite-degree preset: one tight (2,3)-sparse part
+    equal to the union, side degrees within ceil(d(v)/k) + 2, and the part
+    2-connected. Returns the failed claims and the checks."""
+    failed = [] if len(rigid_parts) == 1 else ["not exactly one rigid part"]
+    part = rigid_parts[0] if rigid_parts else ()
+    ell = lmn(graph.n, 2, 3)
+    sub = graph.subgraph(part)
+    if len(set(part)) != ell.rigid_target or not is_sparse(sub, ell).ok:
+        failed.append("rigid part is not tight and (2, 3)-sparse")
+    if sorted(union) != sorted(part):
+        failed.append("union is not the rigid part")
+    quoted = [math.ceil(Fraction(d) / Fraction(k)) + 2 for d in graph.degrees]
+    failed += _degree_claims(graph, part, quoted, bounds, "ceil(d(v)/k) + 2",
+                             side_mask)
+    checks = {"two_connected": _is_two_connected(sub)}
+    if not checks["two_connected"]:
+        failed.append("rigid part is not 2-connected")
+    return failed, checks

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
 
 from rigidpack.cli import main, canonical_dumps, load_graph, parse_setfunc
+from rigidpack.generators import complete, complete_bipartite
 from rigidpack.graph import MultiGraph
 from rigidpack.orientation import Orientation
 from rigidpack.setfuncs import lmn
@@ -111,6 +114,12 @@ def test_canonical_round_trip(tmp_path, capsys):
 
 
 TREE_RIGID = ["--k-int", "2", "--p", "1", "--m", "1"]
+BIPARTITE = ["--preset", "bipartite-degree", "--k", "1",
+             "--side", "0", "1", "2", "3", "4", "5"]
+PACK_RHO = ["--force", "--l", "lmn:1,1", "--ell", "lmn:2,3", "--mode", "rho",
+            "--k", "3", "--rho", ",".join(["9"] * 10)]
+PACKED = ["--mode", "packed", "--l", "lmn:1,1", "--ell", "lmn:2,3",
+          "--r1", "0,0,0,0,0,0,0,0,1", "--r2", "0,0,0,0,0,0,1,1,1"]
 
 
 def test_verify_reproduces_reports(tmp_path, capsys, k4, c4, k9):
@@ -129,6 +138,18 @@ def test_verify_reproduces_reports(tmp_path, capsys, k4, c4, k9):
         ("orient", ["orient", "--graph", c4, "--mode", "eulerian"]),
         ("orient-rigid", ["orient", "--graph", c4, "--mode", "rigid",
                           "--func", "mod:lmn:1,1:V=0"]),
+    ]
+    k6, k10, k66 = (write_graph(tmp_path, name, GRAPHS[name].n, GRAPHS[name].edges)
+                    for name in ("k6", "k10", "k66"))
+    cases += [
+        ("decompose", ["decompose", "--graph", k6, "--func", "lmn:1,1",
+                       "--parts", "2"]),
+        ("bipartite-degree", ["pack", "--graph", k66, *BIPARTITE]),
+        ("pack-rho", ["pack", "--graph", k10, *PACK_RHO]),
+        ("orient-packed", ["orient", "--graph", k9, *PACKED]),
+        ("orient-hakimi", ["orient", "--graph", k4, "--mode", "hakimi",
+                           "--targets", "1,1,2,2"]),
+        ("orient-smooth", ["orient", "--graph", k9, "--mode", "smooth"]),
     ]
     for name, argv in cases:
         code, out = run(capsys, "--format", "structured", *argv)
@@ -234,6 +255,261 @@ def test_verify_rejects_tampered_pack_reports(tmp_path, capsys, c4, tamper):
     path.write_text(json.dumps(report))
     vcode, vout = run(capsys, "verify", "--report", str(path))
     assert vcode == 1 and "MISMATCH" in vout
+
+
+# one report per certified result type, made once per module; a tamper
+# case edits one certificate field and names the claim verify must fail
+REPORTS = {
+    "rigid": ("k4", ["rigid", "--func", "lmn:2,3"]),
+    "pack-forbid": ("k9", ["pack", "--funcs", "lmn:1,1", "--forbid", "0"]),
+    "pack-deficient": ("c4", ["pack", "--funcs", "lmn:1,1", "lmn:1,1"]),
+    "pack-halved": ("k9", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
+                           "--mode", "halved"]),
+    "pack-rho": ("k10", ["pack", *PACK_RHO]),
+    "decompose": ("k6", ["decompose", "--func", "lmn:1,1", "--parts", "2"]),
+    "tree-rigid": ("k9", ["pack", "--preset", "tree-rigid", *TREE_RIGID]),
+    "tree-rigid-ec": ("k9", ["pack", "--preset", "tree-rigid-ec", *TREE_RIGID]),
+    "bipartite-degree": ("k66", ["pack", *BIPARTITE]),
+    "packed": ("k9", ["orient", *PACKED]),
+    "robust": ("k13", ["orient", "--mode", "robust", "--k", "1"]),
+    "hakimi": ("k4", ["orient", "--mode", "hakimi", "--targets", "1,1,2,2"]),
+    "smooth": ("k9", ["orient", "--mode", "smooth"]),
+}
+GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
+          "k10": complete(10), "k13": complete(13),
+          "k66": complete_bipartite(6, 6),
+          "c4": MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])}
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reports")
+    made: dict = {}
+
+    def get(name):
+        if name not in made:
+            graph_name, argv = REPORTS[name]
+            g = GRAPHS[graph_name]
+            path = write_graph(root, graph_name, g.n, g.edges)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["--format", "structured", argv[0], "--graph", path,
+                      *argv[1:]])
+            made[name] = out.getvalue()
+        return json.loads(made[name])
+
+    return get
+
+
+def _reverse_arcs(report, ids):
+    """Reverse the given arcs and keep the degree fields consistent."""
+    certs = report["certificates"]
+    for e in ids:
+        certs["arcs"][e].reverse()
+    n = report["graph"]["n"]
+    certs["indegrees"] = [sum(h == v for _, h in certs["arcs"]) for v in range(n)]
+    certs["outdegrees"] = [sum(t == v for t, _ in certs["arcs"]) for v in range(n)]
+
+
+def _drop_basis_edge_deny_rigidity(r):
+    r["certificates"]["edges"].pop()
+    r["verdict"] = False
+
+
+def _raise_rank(r):
+    r["certificates"]["rank"] += 1
+
+
+def _forbidden_edge_in_part(r):
+    # forbidden edge 0 replaces a tree edge and the part stays a tree
+    pk = r["certificates"]["packing"]
+    graph = MultiGraph(9, [tuple(e) for e in r["graph"]["edges"]])
+    tree = pk["parts"][0]["edges"]
+    for e in tree:
+        swapped = sorted(set(tree) - {e} | {0})
+        if graph.subgraph(swapped).is_connected():
+            pk["parts"][0]["edges"] = swapped
+            pk["uncovered"] = sorted(set(pk["uncovered"]) - {0} | {e})
+            return
+    raise AssertionError("no tree swap with forbidden edge 0")
+
+
+def _empty_uncovered(r):
+    r["certificates"]["packing"]["uncovered"] = []
+
+
+def _empty_forbidden(r):
+    r["certificates"]["packing"]["forbidden"] = []
+
+
+def _close_a_cycle(r):
+    parts = r["certificates"]["packing"]["parts"]
+    parts[0]["edges"] += parts[1]["edges"]
+    parts[1]["edges"] = []
+
+
+def _drop_block_vertex(r):
+    r["certificates"]["structure"]["partition"][0].pop()
+
+
+def _add_edge_to_union(r):
+    certs = r["certificates"]
+    certs["union"] = sorted(certs["union"] + certs["packing"]["uncovered"][:1])
+
+
+def _move_a_root(r):
+    r["params"]["rho"][0] = 0
+
+
+def _empty_decomposition(r):
+    r["certificates"]["parts"] = []
+
+
+def _drop_leftover_edge(r):
+    r["certificates"]["leftover"].pop()
+
+
+def _drop_tree_edge(r):
+    r["certificates"]["trees"][0].pop()
+
+
+def _drop_companion_edge(r):
+    certs = r["certificates"]
+    companion = set(certs["reinforced"][0]) - set(certs["rigid_parts"][0])
+    certs["reinforced"][0].remove(min(companion))
+
+
+def _checks_value(key, value):
+    def tamper(r):
+        r["certificates"]["checks"][key] = value
+    tamper.__name__ = f"_{key}_to_{value}"
+    return tamper
+
+
+def _deny_construction(r):
+    r["verdict"] = False
+
+
+def _all_edges_as_rigid_part(r):
+    certs = r["certificates"]
+    certs["rigid_parts"] = [list(range(36))]
+    certs["union"] = list(range(36))
+
+
+def _drop_union_edge(r):
+    r["certificates"]["union"].pop()
+
+
+def _tighter_k_and_bounds(r):
+    # k = 3 quotes bounds of 4 on K6,6, below the part's degree at vertex 0
+    r["params"]["k"] = "3"
+    r["certificates"]["degree_bounds"] = [4] * 12
+
+
+def _zero_outdegrees(r):
+    r["certificates"]["outdegrees"] = [0] * r["graph"]["n"]
+
+
+def _zero_indegrees(r):
+    r["certificates"]["indegrees"] = [0] * r["graph"]["n"]
+
+
+def _h1_edge_into_h2(r):
+    certs = r["certificates"]
+    certs["h2"] = sorted(certs["h2"] + certs["h1"][:1])
+
+
+def _reverse_other_arcs(r):
+    certs = r["certificates"]
+    rest = set(range(len(certs["arcs"]))) - set(certs["h1"]) - set(certs["h2"])
+    _reverse_arcs(r, sorted(rest))
+
+
+def _move_first_root(r):
+    r["params"]["r1"] = [1] + [0] * 8
+
+
+def _reverse_h1_arc(r):
+    _reverse_arcs(r, r["certificates"]["h1"][:1])
+
+
+def _unbalance_vertex_0(r):
+    out = [e for e, (t, _) in enumerate(r["certificates"]["arcs"]) if t == 0]
+    _reverse_arcs(r, out[:2])
+
+
+@pytest.mark.parametrize("name, tamper, claim", [
+    ("rigid", _drop_basis_edge_deny_rigidity, "maximum sparse set"),
+    ("rigid", _raise_rank, "rank or target"),
+    ("pack-forbid", _forbidden_edge_in_part, "forbidden edge"),
+    ("pack-forbid", _empty_uncovered, "partition the edges"),
+    ("pack-forbid", _empty_forbidden, "forbidden edges differ"),
+    ("pack-deficient", _close_a_cycle, "part 0 is not sparse"),
+    ("pack-deficient", _drop_block_vertex, "structure blocks"),
+    ("pack-halved", _add_edge_to_union, "union is not the l-part"),
+    ("pack-halved", _loosened_bounds, "degree bounds"),
+    ("pack-rho", _move_a_root, "degree bounds"),
+    ("decompose", _empty_decomposition, "0 parts, not 2"),
+    ("decompose", _drop_leftover_edge, "partition the edges"),
+    ("tree-rigid", _checks_value("trees", 99), "checks.trees"),
+    ("tree-rigid", _checks_value("rigid_0_cuts", False), "checks.rigid_0_cuts"),
+    ("tree-rigid", _deny_construction, "verdict"),
+    ("tree-rigid", _drop_tree_edge, "tree 0 is not a spanning tree"),
+    ("tree-rigid-ec", _drop_companion_edge, "do not partition the union"),
+    ("tree-rigid-ec", _checks_value("reinforced_0_edge_connectivity", 99),
+     "checks.reinforced_0_edge_connectivity"),
+    ("tree-rigid-ec", _checks_value("reinforced_0_vertex_deleted", 99),
+     "checks.reinforced_0_vertex_deleted"),
+    ("bipartite-degree", _all_edges_as_rigid_part, "not tight"),
+    ("bipartite-degree", _drop_union_edge, "union is not the rigid part"),
+    ("bipartite-degree", _loosened_bounds, "degree bounds"),
+    ("bipartite-degree", _tighter_k_and_bounds, "on the side at 0"),
+    ("bipartite-degree", _checks_value("two_connected", False),
+     "checks.two_connected"),
+    ("packed", _zero_outdegrees, "outdegrees disagree"),
+    ("packed", _h1_edge_into_h2, "h1 and h2 share an edge"),
+    ("packed", _reverse_other_arcs, "out-degree bound violated"),
+    ("packed", _reverse_h1_arc, "h1 in-degrees"),
+    ("packed", _move_first_root, "h1 in-degrees"),
+    ("robust", _checks_value("arc_strong", 99), "checks.arc_strong"),
+    ("robust", _checks_value("vertex_deleted_arc_strong", 99),
+     "checks.vertex_deleted_arc_strong"),
+    ("robust", _zero_indegrees, "indegrees disagree"),
+    ("robust", _unbalance_vertex_0, "not smooth"),
+    ("hakimi", _zero_indegrees, "indegrees disagree"),
+    ("smooth", _zero_outdegrees, "outdegrees disagree"),
+])
+def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
+                                       tamper, claim):
+    report = reports(name)
+    tamper(report)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    vcode, vout = run(capsys, "verify", "--report", str(path))
+    assert vcode == 1, vout
+    failed = vout.split("-> MISMATCH (failed: ", 1)[1]
+    assert claim in failed, vout
+
+
+def test_mismatch_line_format(tmp_path, capsys, reports):
+    report = reports("decompose")
+    _empty_decomposition(report)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    _, vout = run(capsys, "verify", "--report", str(path))
+    assert vout == (f"verify {path}: subcommand=decompose recorded verdict=True "
+                    "-> MISMATCH (failed: 0 parts, not 2; "
+                    "parts and uncovered do not partition the edges)\n")
+
+
+def test_budget_environment_read_on_every_call(tmp_path, capsys, monkeypatch, k4):
+    # the parser is built once per process, the budget default per call
+    argv = ["oracle", "--graph", k4, "--what", "sparse", "--func", "lmn:2,3"]
+    monkeypatch.setenv("RIGIDPACK_BUDGET", "3")
+    assert main(argv) == 2
+    assert "budget" in capsys.readouterr().err
+    monkeypatch.setenv("RIGIDPACK_BUDGET", "4")
+    assert main(argv) == 1
 
 
 def _complete(tmp_path, n):
