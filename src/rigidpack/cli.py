@@ -210,9 +210,7 @@ def _packing_cert(packing_obj) -> dict:
 def _structure_cert(cert) -> dict:
     return {
         "partition": [vertices_of(b) for b in cert.partition],
-        "pc_verified": list(cert.pc_verified),
-        "crossing_uncovered": list(cert.crossing_uncovered),
-        "rigid_cover": {str(e): vertices_of(q) for e, q in cert.rigid_cover.items()},
+        "closure": sorted(cert.closure),
     }
 
 
@@ -261,7 +259,7 @@ def cmd_pack(args) -> int:
     pk = packing.matroid_union_pack(graph, funcs, forbidden)
     ok = all(p.full for p in pk.parts)
     cert = {"packing": _packing_cert(pk)}
-    if not ok and len(funcs) in (1, 2):
+    if not ok:
         cert["structure"] = _structure_cert(packing.structure_partition(pk))
     report = make_report(args, "pack", graph, meta,
                          {"funcs": args.funcs, "forbid": sorted(forbidden)},
@@ -286,7 +284,8 @@ def _run_preset(args, graph, meta, started) -> int:
                 trees=[sorted(t) for t in res.trees],
                 rigid_parts=[sorted(r) for r in res.rigid_parts],
                 reinforced=[sorted(r) for r in res.reinforced])
-    params = {"preset": name, "k": str(args.k_int or args.k),
+    k = Fraction(args.k or "1") if name == "bipartite-degree" else args.k_int
+    params = {"preset": name, "k": str(k),
               "p": args.p, "m": args.m}
     if name == "bipartite-degree":
         params["side"] = args.side
@@ -599,10 +598,8 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
         if not (verdict or rigid or certs["trees"]):
             return []  # no construction; its hypothesis witness is not re-run
         if preset == "bipartite-degree":
-            # a report made without --k records k as "None"; the preset used 1
-            k = Fraction(params["k"] if params["k"] != "None" else 1)
             failed, checks = packing.bipartite_claims(
-                graph, k, mask_of(params["side"]), rigid,
+                graph, Fraction(params["k"]), mask_of(params["side"]), rigid,
                 certs["union"], certs["degree_bounds"])
         else:
             failed, checks = packing.tree_rigid_claims(
@@ -621,21 +618,29 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
                                          params["forbid"], verdict)
         if sorted(pk["forbidden"]) != sorted(params["forbid"]):
             failed.append("forbidden edges differ from the requested ones")
+        structure = certs.get("structure")
+        if structure is not None:
+            failed += packing.structure_claims(
+                graph, parts, pk["uncovered"], params["forbid"],
+                structure["closure"], [mask_of(b) for b in structure["partition"]])
+        elif not verdict:
+            failed.append("deficient packing has no structure certificate")
     if "union" in certs:
         failed += packing.union_degree_claims(
             graph, parse_setfunc(params["l"], graph.n),
             parse_setfunc(params["ell"], graph.n), params["mode"],
             params.get("k"), params.get("rho"), [p["edges"] for p in pk["parts"]],
             certs["union"], certs["degree_bounds"])
-    blocks = certs.get("structure", {}).get("partition")
-    if blocks is not None and sorted(v for b in blocks for v in b) != list(range(graph.n)):
-        failed.append("structure blocks do not partition the vertices")
     return failed
 
 
 def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
     mode = params["mode"]
     if "arcs" not in certs:
+        if mode == "hakimi" and not verdict:
+            over = certs["violation"]
+            if graph.induced(mask_of(over)) <= sum(params["targets"][v] for v in over):
+                return ["violation set induces no more edges than its targets sum to"]
         return ["verdict"] if verdict else []
     orient = orientation.Orientation(graph, tuple(h for _, h in certs["arcs"]))
     failed = [] if verdict else ["verdict"]

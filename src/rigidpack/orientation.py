@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import MultiGraph, INFINITY, vertices_of, _flow_network, _maxflow
-from .setfuncs import SetFunc, lmn, vertex_weights
+from .setfuncs import SetFunc, lmn, halved_slack
 from .sparsity import is_sparse, rank_and_rigid
 from . import packing as packmod
 
@@ -394,16 +394,11 @@ def packed_orientation(graph: MultiGraph, l: SetFunc, ell: SetFunc,
             return PackedOrientResult(False, hypothesis=hyp)
     # the degree eater absorbs everything above floor(d/2) minus the rooted
     # in-degree targets, so the three in-degree sums reach floor(d/2)
-    weights = []
-    for v in range(graph.n):
-        w = (graph.degree(v) // 2 - l.singletons[v] - ell.singletons[v]
-             + r1[v] + r2[v])
-        if lowered_vertex == v and graph.degree(v) % 2 == 1:
-            w += 1
-        if w < 0:
-            raise ValueError(f"degree hypothesis fails at vertex {v}")
-        weights.append(w)
-    funcs = [vertex_weights(weights), l, ell]
+    extra = [a + b for a, b in zip(r1, r2)]
+    if lowered_vertex is not None and graph.degree(lowered_vertex) % 2 == 1:
+        extra[lowered_vertex] += 1
+    eater = halved_slack(graph, l, ell, extra)
+    funcs = [eater, l, ell]
     pack = packmod.matroid_union_pack(graph, funcs)
     if not all(p.full for p in pack.parts):
         return PackedOrientResult(False, hypothesis=hyp,
@@ -412,7 +407,7 @@ def packed_orientation(graph: MultiGraph, l: SetFunc, ell: SetFunc,
     heads: list[int | None] = [None] * graph.m
     targets1 = [l.singletons[v] - r1[v] for v in range(graph.n)]
     targets2 = [ell.singletons[v] - r2[v] for v in range(graph.n)]
-    for ids, tgt in ((h0, weights), (h1, targets1), (h2, targets2)):
+    for ids, tgt in ((h0, eater.weights), (h1, targets1), (h2, targets2)):
         sub_ids = sorted(ids)
         sub = graph.subgraph(sub_ids)
         hk = hakimi_orient(sub, tgt)

@@ -1,5 +1,5 @@
-"""Matroid-union packing of spanning sparse subgraphs, structure partitions
-for maximal packings, hypothesis checkers, and the degree-bounded packing
+"""Matroid-union packing of spanning sparse subgraphs, rank certificates
+for deficient packings, hypothesis checkers, and the degree-bounded packing
 pipelines built on them, with the claim checkers `rigidpack verify` shares.
 
 The packing search augments one uncovered edge at a time by breadth-first
@@ -24,10 +24,9 @@ from fractions import Fraction
 
 from .graph import MultiGraph, vertices_of
 from .setfuncs import (
-    SetFunc, lmn, const, zero, table_func, halved_slack, rho_slack, scaled,
+    SetFunc, lmn, const, zero, halved_slack, rho_slack, scaled, pebble_params,
 )
 from .sparsity import CountMatroid, is_sparse, rank_and_rigid, _pebble_run
-from . import oracle
 
 PAIR_SWEEP_BUDGET = 14
 
@@ -153,73 +152,39 @@ def _apply_chain(matroids, owner, parent, last: int, free_part: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# structure certificates for two-part packings
+# structure certificates for deficient packings
 
 
 @dataclass(frozen=True)
 class StructureCertificate:
     partition: tuple[int, ...]
-    pc_verified: tuple[bool, ...]        # property 1, per part of the partition
-    crossing_uncovered: tuple[int, ...]  # property 2: must be empty
-    rigid_cover: dict = field(compare=False, default_factory=dict)  # eid -> mask
-
-    @property
-    def ok(self) -> bool:
-        return all(self.pc_verified) and not self.crossing_uncovered
+    closure: frozenset[int]
 
 
 def structure_partition(packing: Packing) -> StructureCertificate:
-    """Certifying partition for a maximum packing of an l-sparse and an
-    ell-sparse spanning subgraph.
+    """Rank certificate for a maximum packing: an edge set F with covered =
+    |E' - F| + sum_i |I_i & F| over the non-forbidden edges E' and the
+    parts I_i, which no packing can beat (Edmonds' matroid partition
+    theorem), and the blocks of V that F spans.
 
-    The partition is read off the closure of the uncovered edges under
-    single-edge replacements (each uncovered edge releases every edge of
-    the minimal tight set spanning its ends, in either part). All three
-    certifying properties are re-verified before returning; a verification
-    failure is an engine bug and raises.
+    F is the closure of the usable uncovered edges under single-edge
+    replacements (each released edge releases every edge of the minimal
+    tight set spanning its ends, in every part). The claims of
+    `structure_claims` are re-checked before returning; a failure is an
+    engine bug and raises.
     """
-    if len(packing.parts) not in (1, 2):
-        raise ValueError("structure certificates apply to one- or two-part packings")
     host = packing.host
-    part_l = packing.parts[0]
-    part_ell = packing.parts[1] if len(packing.parts) == 2 else None
     usable_uncovered = packing.uncovered - packing.forbidden
-
+    parts = [(p.func, p.edges, p.target, p.full) for p in packing.parts]
     if not usable_uncovered and all(p.full for p in packing.parts):
+        closure: set[int] = set()
         partition = (host.full_mask,)
     else:
         closure = _replacement_closure(host, packing, usable_uncovered)
         partition = tuple(sorted(host.subgraph(closure).components()))
-
-    pc_flags = []
-    for block in partition:
-        pc_flags.append(_verify_partition_connected(host, part_l, block))
-    crossing = tuple(
-        e for e in usable_uncovered
-        if not _within_one_block(host.edges[e], partition))
-    cover: dict[int, int] = {}
-    if part_ell is not None:
-        matroid_ell = CountMatroid(host, part_ell.func)
-        matroid_ell.rebuild(part_ell.edges)
-        for e in sorted(part_l.edges | usable_uncovered):
-            u, v = host.edges[e]
-            if not _within_one_block(host.edges[e], partition):
-                continue
-            block = _block_of(partition, u)
-            q = matroid_ell.state.probe_pair(u, v)
-            if q is None or q & ~block:
-                raise RuntimeError(
-                    f"structure certificate: edge {e} has no rigid cover inside its block")
-            cover[e] = q
-    cert = StructureCertificate(
-        partition=partition,
-        pc_verified=tuple(pc_flags),
-        crossing_uncovered=crossing,
-        rigid_cover=cover,
-    )
-    if not cert.ok:
-        raise RuntimeError("structure certificate failed verification")
-    return cert
+    _fail_on(structure_claims(host, parts, packing.uncovered, packing.forbidden,
+                              closure, partition))
+    return StructureCertificate(partition=partition, closure=frozenset(closure))
 
 
 def _replacement_closure(host, packing, seeds) -> set[int]:
@@ -246,56 +211,6 @@ def _replacement_closure(host, packing, seeds) -> set[int]:
                     released.add(y)
                     pending.append(y)
     return released
-
-
-def _within_one_block(edge, partition) -> bool:
-    u, v = edge
-    pair = (1 << u) | (1 << v)
-    return any(pair & ~b == 0 for b in partition)
-
-
-def _block_of(partition, v: int) -> int:
-    for b in partition:
-        if (b >> v) & 1:
-            return b
-    raise RuntimeError("partition does not cover the vertex")
-
-
-def _verify_partition_connected(host, part: PackPart, block: int) -> bool:
-    """Property 1: the first part induced on a block is partition-connected.
-
-    The induced subgraph of a sparse graph is sparse, so for the function
-    classes the engine packs this is equivalent to tightness of the induced
-    edge count; small blocks fall back to the exhaustive partition sweep.
-    """
-    inside = sum(1 for e in part.edges
-                 if _edge_inside(host.edges[e], block))
-    cap = part.func.cap(block)
-    if inside == cap:
-        return True
-    if bin(block).count("1") <= oracle.DEFAULT_BUDGET.partition_n:
-        sub_ids = [e for e in part.edges if _edge_inside(host.edges[e], block)]
-        sub, verts = host.subgraph(sub_ids).induced_subgraph(block)
-        restricted = _restrict_func(part.func, verts)
-        ok, _ = oracle.bf_partition_connected(sub, restricted)
-        return ok
-    return False
-
-
-def _edge_inside(edge, mask: int) -> bool:
-    u, v = edge
-    return bool((mask >> u) & 1 and (mask >> v) & 1)
-
-
-def _restrict_func(f: SetFunc, verts: list[int]) -> SetFunc:
-    values = {}
-    for sub in range(1, 1 << len(verts)):
-        mask = 0
-        for i, v in enumerate(verts):
-            if (sub >> i) & 1:
-                mask |= 1 << v
-        values[sub] = f.value(mask)
-    return table_func(len(verts), values)
 
 
 # ----------------------------------------------------------------------
@@ -602,8 +517,7 @@ def extract_rigid(graph: MultiGraph, ell: SetFunc, forbidden=()):
 
 def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
                          forbidden=(), degree_mode: str = "none",
-                         force: bool = False, k=None, rho=None,
-                         boosted_vertex: int | None = None) -> PackOutcome:
+                         force: bool = False, k=None, rho=None) -> PackOutcome:
     """Pack a spanning partition-connected part and a spanning rigid part.
 
     degree_mode:
@@ -640,14 +554,9 @@ def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
                                            frozenset(forbidden)),
                            hypothesis=hyp)
 
-    extra = None
-    if boosted_vertex is not None:
-        extra = [0] * graph.n
-        if graph.degree(boosted_vertex) % 2 == 1:
-            extra[boosted_vertex] = 1
     funcs = [l, ell]  # the l- and ell-parts come last in every mode
     if degree_mode == "halved":
-        funcs.insert(0, halved_slack(graph, l, ell, extra))
+        funcs.insert(0, halved_slack(graph, l, ell))
     elif degree_mode == "rho":
         funcs.insert(0, rho_slack(graph, l, ell, k, rho))
 
@@ -655,10 +564,8 @@ def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
     l_part, ell_part = (p.edges for p in packing.parts[-2:])
     detail: dict = {"l_part": sorted(l_part), "ell_part": sorted(ell_part)}
     if not all(p.full for p in packing.parts):
-        two = packing if len(packing.parts) == 2 else \
-            matroid_union_pack(graph, [l, ell], forbidden)
         return PackOutcome(ok=False, packing=packing, hypothesis=hyp,
-                           certificate=structure_partition(two), detail=detail)
+                           certificate=structure_partition(packing), detail=detail)
 
     # Packing.verify has proved every part sparse, so the full l-part is
     # partition-connected and the full ell-part rigid (see
@@ -865,6 +772,43 @@ def packing_claims(host: MultiGraph, parts, uncovered, forbidden=(),
         failed.append("parts and uncovered do not partition the edges")
     if verdict is not None and verdict != all(full for *_, full in parts):
         failed.append("verdict is not 'every part full'")
+    return failed
+
+
+def structure_claims(host: MultiGraph, parts, uncovered, forbidden, closure,
+                     partition) -> list[str]:
+    """Claims of a structure certificate for a packing with (func, edge ids,
+    target, full) parts that meets `packing_claims`: the closure F holds
+    every usable uncovered edge and no forbidden edge; each part's edges in
+    F span F in its count matroid, which one pebble run offering I_i & F
+    first and F - I_i after shows by accepting exactly I_i & F; and the
+    blocks are the components of (V, F), or V itself when nothing usable
+    is uncovered and every part is full. Every edge outside F is then
+    covered, so covered = |E' - F| + sum_i r_i(F), the matroid-union bound
+    at F: no packing covers more.
+    """
+    failed = []
+    closure, forbidden = set(closure), set(forbidden)
+    if set(uncovered) - forbidden - closure:
+        failed.append("closure misses a usable uncovered edge")
+    if closure & forbidden or not closure <= set(range(host.m)):
+        failed.append("closure holds a forbidden or unknown edge")
+        closure &= set(range(host.m))
+    for i, (func, edges, _, _) in enumerate(parts):
+        params = pebble_params(func)
+        if params is None:
+            failed.append(f"part {i} is outside the pebble range")
+            continue
+        inside = sorted(closure.intersection(edges))
+        state, _ = _pebble_run(*params, host.edges,
+                               inside + sorted(closure.difference(edges)))
+        if state.accepted != inside:
+            failed.append(f"part {i} does not span the closure")
+    whole = not set(uncovered) - forbidden and all(full for *_, full in parts)
+    blocks = sorted(partition)
+    if blocks != sorted(host.subgraph(closure).components()) and \
+            not (whole and blocks == [host.full_mask]):
+        failed.append("structure blocks are not the components of the closure")
     return failed
 
 

@@ -282,7 +282,7 @@ def is_sparse(graph: MultiGraph, func: SetFunc) -> SparseResult:
     if graph.n > 16:
         raise ValueError(
             "sparsity for this set function needs the exhaustive path, capped at 16 vertices")
-    ok, witness = oracle.bf_sparse(graph, func)
+    ok, witness = oracle.bf_sparse(graph, func, oracle.OracleBudget(subset_n=16))
     return SparseResult(ok, witness)
 
 
@@ -406,12 +406,12 @@ def _minimal_rigid_oracle(graph: MultiGraph, func: SetFunc, x: int, y: int):
 
 
 def exchange(graph: MultiGraph, func: SetFunc, x: int, y: int,
-             remove_eid: int, *, self_check: bool = True) -> MultiGraph:
+             remove_eid: int) -> MultiGraph:
     """Replace one edge of the minimal rigid set spanning x, y by a new xy edge.
 
-    The result is re-verified sparse. For subadditive functions the minimal
-    rigid set is additionally checked to have no internal cut avoiding
-    {x, y} (every proper subset containing both ends has an outgoing edge).
+    The minimal rigid set is checked to have no internal cut avoiding
+    {x, y}: every component of the subgraph it induces holds x or y. The
+    result is re-verified sparse.
     """
     q = minimal_rigid_vertices(graph, func, x, y)
     if q is None:
@@ -419,8 +419,7 @@ def exchange(graph: MultiGraph, func: SetFunc, x: int, y: int,
     u, v = graph.edges[remove_eid]
     if not ((q >> u) & 1 and (q >> v) & 1):
         raise ValueError("edge to remove must lie inside the minimal rigid set")
-    if self_check and bin(q).count("1") <= 12:
-        _check_internal_connectivity(graph, q, x, y)
+    _check_internal_connectivity(graph, q, x, y)
     edges = [e for i, e in enumerate(graph.edges) if i != remove_eid]
     edges.append((x, y))
     result = MultiGraph(graph.n, edges)
@@ -431,22 +430,11 @@ def exchange(graph: MultiGraph, func: SetFunc, x: int, y: int,
 
 
 def _check_internal_connectivity(graph: MultiGraph, q: int, x: int, y: int) -> None:
-    """Every proper subset of the rigid set containing x and y has an edge out."""
+    """Every component of the subgraph induced on the rigid set holds x or y,
+    so every proper subset of it containing x and y has an edge out."""
+    inner = graph.subgraph(i for i, (u, v) in enumerate(graph.edges)
+                           if (q >> u) & 1 and (q >> v) & 1)
     pair = (1 << x) | (1 << y)
-    inner = [i for i, (u, v) in enumerate(graph.edges)
-             if (q >> u) & 1 and (q >> v) & 1]
-    sub_edges = [graph.edges[i] for i in inner]
-    verts = vertices_of(q)
-    rest = q & ~pair
-    sub = rest
-    while True:
-        a = pair | sub
-        if a != q:
-            deg = sum(1 for (u, v) in sub_edges
-                      if ((a >> u) & 1) != ((a >> v) & 1))
-            if deg < 1:
-                raise RuntimeError(
-                    f"rigid set {verts} has an isolated core around ({x},{y})")
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
+    if any(c & q and not c & pair for c in inner.components()):
+        raise RuntimeError(
+            f"rigid set {vertices_of(q)} has an isolated core around ({x},{y})")

@@ -324,7 +324,7 @@ def test_criterion_10_exchange_property():
         if not inner:
             continue
         eid = inner[rng.randrange(len(inner))]
-        swapped = exchange(fsub, f, x, y, eid, self_check=False)
+        swapped = exchange(fsub, f, x, y, eid)
         assert oracle.bf_sparse(swapped, f, budget)[0]
         done += 1
     elapsed = time.time() - started

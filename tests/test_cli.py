@@ -171,6 +171,47 @@ def test_verify_detects_tampering(tmp_path, capsys, k4):
     assert vcode == 1 and "MISMATCH" in vout
 
 
+def _two_k7_and_a_bridge():
+    k7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    return MultiGraph(14, k7 + [(u + 7, v + 7) for u, v in k7] + [(0, 7)])
+
+
+@pytest.mark.parametrize("graph, argv", [
+    # the partition certificate of earlier versions failed here: the one
+    # block, all of V, carries two of the part's four edges
+    (MultiGraph(3, [(2, 0), (2, 0), (2, 1), (1, 2)]), ["pack", "--funcs", "lmn:3,5"]),
+    # one bridge leaves the second tree short; the degree eater is a third part
+    (_two_k7_and_a_bridge(), ["--force", "pack", "--l", "lmn:1,1", "--ell", "lmn:1,1",
+                              "--mode", "halved"]),
+])
+def test_deficient_packs_carry_a_rank_certificate(tmp_path, capsys, graph, argv):
+    path = write_graph(tmp_path, "host", graph.n, graph.edges)
+    code, out = run(capsys, "--format", "structured", *argv, "--graph", path)
+    assert code == 1
+    structure = json.loads(out)["certificates"]["structure"]
+    assert structure["closure"]
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    vcode, vout = run(capsys, "verify", "--report", str(report))
+    assert vcode == 0 and "REPRODUCED" in vout, vout
+
+
+@pytest.mark.parametrize("k_argv", [["--k-int", "3"], []])
+def test_bipartite_report_records_the_k_it_ran_with(tmp_path, capsys, k_argv):
+    # the preset reads --k only, and runs with k = 1 without it
+    g = complete_bipartite(6, 6)
+    path = write_graph(tmp_path, "k66", g.n, g.edges)
+    code, out = run(capsys, "--format", "structured", "pack",
+                    "--graph", path, "--preset", "bipartite-degree", *k_argv,
+                    "--side", "0", "1", "2", "3", "4", "5")
+    assert code == 0
+    assert json.loads(out)["params"]["k"] == "1"
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    vcode, vout = run(capsys, "verify", "--report", str(report))
+    assert vcode == 0 and "REPRODUCED" in vout, vout
+
+
 def _swap_in_forbidden_edge(report):
     # forbidden edge 0 replaces a basis edge and the set stays sparse
     edges = report["certificates"]["edges"]
@@ -263,6 +304,7 @@ REPORTS = {
     "rigid": ("k4", ["rigid", "--func", "lmn:2,3"]),
     "pack-forbid": ("k9", ["pack", "--funcs", "lmn:1,1", "--forbid", "0"]),
     "pack-deficient": ("c4", ["pack", "--funcs", "lmn:1,1", "lmn:1,1"]),
+    "pack-closure": ("double-path", ["pack", "--funcs", "lmn:3,5", "--forbid", "0"]),
     "pack-halved": ("k9", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
                            "--mode", "halved"]),
     "pack-rho": ("k10", ["pack", *PACK_RHO]),
@@ -273,12 +315,15 @@ REPORTS = {
     "packed": ("k9", ["orient", *PACKED]),
     "robust": ("k13", ["orient", "--mode", "robust", "--k", "1"]),
     "hakimi": ("k4", ["orient", "--mode", "hakimi", "--targets", "1,1,2,2"]),
+    "hakimi-infeasible": ("k4", ["orient", "--mode", "hakimi",
+                                 "--targets", "0,0,0,6"]),
     "smooth": ("k9", ["orient", "--mode", "smooth"]),
 }
 GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
           "k10": complete(10), "k13": complete(13),
           "k66": complete_bipartite(6, 6),
-          "c4": MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])}
+          "c4": MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+          "double-path": MultiGraph(3, [(2, 0), (2, 0), (2, 1), (1, 2)])}
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +395,27 @@ def _close_a_cycle(r):
 
 def _drop_block_vertex(r):
     r["certificates"]["structure"]["partition"][0].pop()
+
+
+def _drop_uncovered_from_closure(r):
+    # edge 3 is the one usable uncovered edge; edge 0 is forbidden
+    r["certificates"]["structure"]["closure"].remove(3)
+
+
+def _forbidden_edge_into_closure(r):
+    r["certificates"]["structure"]["closure"].append(0)
+
+
+def _part_outside_the_pebble_range(r):
+    r["certificates"]["packing"]["parts"][0]["func"] = "lmn:1,5"
+
+
+def _delete_structure(r):
+    del r["certificates"]["structure"]
+
+
+def _violation_of_vertex_3(r):
+    r["certificates"]["violation"] = [3]
 
 
 def _add_edge_to_union(r):
@@ -446,6 +512,11 @@ def _unbalance_vertex_0(r):
     ("pack-forbid", _empty_forbidden, "forbidden edges differ"),
     ("pack-deficient", _close_a_cycle, "part 0 is not sparse"),
     ("pack-deficient", _drop_block_vertex, "structure blocks"),
+    ("pack-deficient", _delete_structure, "no structure certificate"),
+    ("pack-deficient", _part_outside_the_pebble_range,
+     "part 0 is outside the pebble range"),
+    ("pack-closure", _drop_uncovered_from_closure, "misses a usable uncovered edge"),
+    ("pack-closure", _forbidden_edge_into_closure, "forbidden or unknown edge"),
     ("pack-halved", _add_edge_to_union, "union is not the l-part"),
     ("pack-halved", _loosened_bounds, "degree bounds"),
     ("pack-rho", _move_a_root, "degree bounds"),
@@ -477,6 +548,7 @@ def _unbalance_vertex_0(r):
     ("robust", _zero_indegrees, "indegrees disagree"),
     ("robust", _unbalance_vertex_0, "not smooth"),
     ("hakimi", _zero_indegrees, "indegrees disagree"),
+    ("hakimi-infeasible", _violation_of_vertex_3, "violation set"),
     ("smooth", _zero_outdegrees, "outdegrees disagree"),
 ])
 def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,

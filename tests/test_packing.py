@@ -10,7 +10,7 @@ from rigidpack.setfuncs import (
     lmn, const, zero, vertex_weights, table_func, with_overrides, halved_slack,
 )
 from rigidpack.packing import (
-    matroid_union_pack, structure_partition, decompose_p_rigid,
+    matroid_union_pack, structure_partition, structure_claims, decompose_p_rigid,
     check_weakly_connected, check_rigid_necessary, check_rigid_sufficient,
     check_rigid_cut_consequences, check_pack_basic, check_pack_refined,
     check_pack_degree, violation_threshold, pack_partition_rigid,
@@ -177,17 +177,23 @@ def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
     assert calls[0] <= 2 * host.m * len(funcs)
 
 
+def _structure_claims(pk, cert):
+    return structure_claims(pk.host, [(p.func, p.edges, p.target, p.full)
+                                      for p in pk.parts],
+                            pk.uncovered, pk.forbidden, cert.closure, cert.partition)
+
+
 def test_structure_certificate_full_packing():
     pk = matroid_union_pack(generators.complete(4), [lmn(4, 1, 1)] * 2)
     cert = structure_partition(pk)
     assert cert.partition == (0b1111,)
-    assert cert.ok
+    assert _structure_claims(pk, cert) == []
 
 
 def test_structure_certificate_deficient_packing():
     pk = matroid_union_pack(c4(), [lmn(4, 1, 1)] * 2)
     cert = structure_partition(pk)
-    assert cert.ok
+    assert _structure_claims(pk, cert) == []
     covered = 0
     for block in cert.partition:
         assert block & covered == 0
@@ -200,7 +206,64 @@ def test_structure_certificate_disconnected_host():
     pk = matroid_union_pack(two_tri, [lmn(6, 1, 1)])
     cert = structure_partition(pk)
     assert sorted(vertices_of(b) for b in cert.partition) == [[0, 1, 2], [3, 4, 5]]
-    assert not cert.crossing_uncovered
+    assert _structure_claims(pk, cert) == []
+
+
+def _random_pebble_func(n, rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return lmn(n, *rng.choice([(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 5)]))
+    if kind == 1:
+        return const(n, rng.randrange(1, 3))
+    return vertex_weights([rng.randrange(3) for _ in range(n)])
+
+
+def test_rank_certificate_on_every_deficient_packing():
+    # every deficient packing gets a certificate whose claims hold, and
+    # its covered count is the exhaustive matroid-union rank wherever
+    # that sweep is affordable
+    rng = random.Random(7)
+    deficient = bounded = 0
+    for _ in range(1000):
+        n, m = rng.randrange(2, 7), rng.randrange(1, 11)
+        g = oracle.random_multigraph(n, m, rng)
+        funcs = [_random_pebble_func(n, rng) for _ in range(rng.randrange(1, 4))]
+        forbidden = set(rng.sample(range(m), rng.randrange(1, m + 1))) \
+            if rng.random() < 0.3 else set()
+        pk = matroid_union_pack(g, funcs, forbidden)
+        if all(p.full for p in pk.parts):
+            continue
+        deficient += 1
+        cert = structure_partition(pk)
+        assert _structure_claims(pk, cert) == []
+        usable = [e for e in range(m) if e not in forbidden]
+        if len(usable) <= 7:
+            assert pk.covered() == oracle.union_rank_bound(g.subgraph(usable), funcs)
+            bounded += 1
+    assert deficient >= 750 and bounded >= 600
+
+
+def test_structure_claims_name_a_broken_certificate():
+    # the multigraph 0=2=1 doubled, one (3, 5)-sparse part: two edges
+    # covered of a target of four, every edge in the closure
+    g = MultiGraph(3, [(2, 0), (2, 0), (2, 1), (1, 2)])
+    pk = matroid_union_pack(g, [lmn(3, 3, 5)])
+    cert = structure_partition(pk)
+    assert sorted(cert.closure) == [0, 1, 2, 3] and cert.partition == (0b111,)
+    parts = [(p.func, p.edges, p.target, p.full) for p in pk.parts]
+
+    def claims(closure, partition=cert.partition, forbidden=()):
+        return structure_claims(g, parts, pk.uncovered, forbidden, closure, partition)
+
+    assert claims(cert.closure) == []
+    assert claims({0, 2}) == ["closure misses a usable uncovered edge"]
+    assert claims(cert.closure, forbidden={1}) == [
+        "closure holds a forbidden or unknown edge"]
+    assert claims(cert.closure | {7}) == ["closure holds a forbidden or unknown edge"]
+    assert claims(cert.closure, (0b011, 0b100)) == [
+        "structure blocks are not the components of the closure"]
+    # the part holds edges 0 and 2, so it spans nothing of the closure {1, 3}
+    assert claims({1, 3}) == ["part 0 does not span the closure"]
 
 
 def test_decompose_examples():
@@ -568,7 +631,8 @@ def test_pack_partition_rigid_zero_first_part():
 def test_pack_partition_rigid_deficiency_certificate():
     out = pack_partition_rigid(c4(), lmn(4, 1, 1), lmn(4, 2, 3), force=True)
     assert not out.ok
-    assert out.certificate is not None and out.certificate.ok
+    assert out.certificate is not None
+    assert _structure_claims(out.packing, out.certificate) == []
 
 
 def test_pack_partition_rigid_hypothesis_gate():

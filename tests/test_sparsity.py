@@ -7,7 +7,7 @@ from rigidpack.graph import MultiGraph, mask_of, vertices_of
 from rigidpack.setfuncs import lmn, force_zero_on_ground, table_func
 from rigidpack.sparsity import (
     pebble_basis, is_sparse, rank_and_rigid, rigid_components,
-    minimal_rigid_vertices, exchange,
+    minimal_rigid_vertices, exchange, _check_internal_connectivity,
 )
 
 PARAMS = [(1, 1), (2, 2), (2, 3), (3, 5)]
@@ -159,6 +159,13 @@ def test_exchange_requires_edge_inside_rigid_set():
         exchange(two_tri, f, 0, 1, 4)
 
 
+def test_internal_connectivity_check():
+    tri_isolated = MultiGraph(4, [(0, 1), (1, 2), (2, 0)])
+    _check_internal_connectivity(tri_isolated, 0b0111, 0, 1)
+    with pytest.raises(RuntimeError, match="isolated core"):
+        _check_internal_connectivity(tri_isolated, 0b1111, 0, 1)
+
+
 def test_modified_full_set_sparsity():
     mod = force_zero_on_ground(lmn(4, 1, 1))
     c4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -174,6 +181,17 @@ def test_table_function_sparsity_path():
                          0b011: 1, 0b101: 1, 0b110: 1, 0b111: 0})
     assert is_sparse(triangle(), tab).ok
     assert rank_and_rigid(triangle(), tab).rigid
+
+
+def test_table_function_sparsity_past_the_default_oracle_budget():
+    # the exhaustive path covers every table function up to 16 vertices
+    f = lmn(8, 2, 3)
+    tab = table_func(8, {m: f.value(m) for m in range(1, 256)})
+    k8 = generators.complete(8)
+    tight = k8.subgraph(pebble_basis(k8, 2, 3)[0])
+    for g in (k8, tight):
+        assert is_sparse(g, tab).ok == is_sparse(g, f).ok
+    assert not is_sparse(k8, tab).ok and is_sparse(tight, tab).ok
 
 
 def test_pebble_accounting_invariant():
