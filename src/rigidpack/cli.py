@@ -276,6 +276,8 @@ def _run_preset(args, graph, meta, started) -> int:
         res = packing.preset_bipartite_degree(graph, Fraction(args.k or "1"),
                                               mask_of(args.side), force=args.force)
     else:
+        if args.k_int is None:
+            raise ValueError(f"{name} needs --k-int")
         fn = packing.preset_tree_rigid_ec if name == "tree-rigid-ec" else \
             packing.preset_tree_rigid
         res = fn(graph, args.k_int, args.p, args.m, force=args.force)

@@ -637,7 +637,7 @@ def rigid_factor(graph: MultiGraph, k: int, r: int,
     if not outcome.ok:
         detail["packing"] = "deficient"
         return FactorResult(False, frozenset(), frozenset(), detail)
-    tree_part = sorted(outcome.detail["l_part"])
+    tree_part = sorted(outcome.packing.parts[-2].edges)
     sub = graph.subgraph(tree_part)
     forest_local = odd_spanning_forest(sub, m_param)
     forest = frozenset(tree_part[i] for i in forest_local.edges)
@@ -695,10 +695,9 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     if not outcome.ok:
         return RobustResult(False, hypothesis=hyp,
                             detail={"packing": "deficient"})
-    pieces = packmod._split_all(graph, outcome.detail["l_part"],
-                                [lmn(graph.n, kk - 1, 0), lmn(graph.n, 1, 1)])
-    companion, tree = pieces
-    rigid = frozenset(outcome.detail["ell_part"])
+    l_part, rigid = (p.edges for p in outcome.packing.parts[-2:])
+    companion, tree = packmod._split_all(
+        graph, l_part, [lmn(graph.n, kk - 1, 0), lmn(graph.n, 1, 1)])
     gprime = rigid | companion
     lam, worst = packmod._cut_profile(graph.subgraph(gprime))
     checks: dict = {"reinforced_edge_connectivity": lam,

@@ -52,6 +52,7 @@ class Packing:
     parts: tuple[PackPart, ...]
     uncovered: frozenset[int]
     forbidden: frozenset[int]
+    closure: frozenset[int] = frozenset()
 
     def covered(self) -> int:
         return sum(len(p.edges) for p in self.parts)
@@ -67,21 +68,21 @@ class Packing:
 # matroid union
 
 
-def matroid_union_pack(host: MultiGraph, funcs, forbidden=(), allowed=None) -> Packing:
+def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     """Maximum packing of edge-disjoint sparse subgraphs avoiding forbidden edges.
 
     Edges are attempted in ascending id order; a valid (possibly deficient)
-    packing is always returned.
+    packing is always returned. Its closure is the set of edges the failed
+    searches reached, the rank certificate `structure_partition` reports.
     """
     funcs = list(funcs)
     matroids = [CountMatroid(host, f) for f in funcs]
     blocked = set(forbidden)
-    usable = [e for e in range(host.m) if e not in blocked
-              and (allowed is None or e in allowed)]
     owner: dict[int, int] = {}
     dead: set[int] = set()
-    for eid in usable:
-        _augment(host, matroids, owner, eid, dead)
+    for eid in range(host.m):
+        if eid not in blocked:
+            _augment(host, matroids, owner, eid, dead)
     part_ids: list[set[int]] = [set() for _ in funcs]
     for eid, i in owner.items():
         part_ids[i].add(eid)
@@ -90,7 +91,7 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=(), allowed=None) -> P
         for f, ids in zip(funcs, part_ids))
     uncovered = frozenset(range(host.m)) - set(owner)
     packing = Packing(host=host, parts=parts, uncovered=uncovered,
-                      forbidden=frozenset(blocked))
+                      forbidden=frozenset(blocked), closure=frozenset(dead))
     packing.verify()
     return packing
 
@@ -110,7 +111,11 @@ def _augment(host: MultiGraph, matroids, owner: dict[int, int], eid: int,
     and with it the closure, fixed from then on. Since a dead edge only
     discovers dead edges, skipping them leaves the discovery order,
     parents and applied chains of every later search, and so the whole
-    packing, unchanged.
+    packing, unchanged. Every edge of S was reached from a usable
+    uncovered edge along such circuits, which stay fixed, so at the end of
+    the pass S is the least set that holds the usable uncovered edges and
+    is closed in this sense: the rank certificate F that
+    `matroid_union_pack` returns as the packing's closure.
     """
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}
@@ -167,50 +172,25 @@ def structure_partition(packing: Packing) -> StructureCertificate:
     parts I_i, which no packing can beat (Edmonds' matroid partition
     theorem), and the blocks of V that F spans.
 
-    F is the closure of the usable uncovered edges under single-edge
-    replacements (each released edge releases every edge of the minimal
-    tight set spanning its ends, in every part). The claims of
-    `structure_claims` are re-checked before returning; a failure is an
-    engine bug and raises.
+    F is `packing.closure`, the edges the failed augmenting searches of
+    `matroid_union_pack` reached: the least set holding the usable
+    uncovered edges and closed under replacements in the parts that do not
+    own an edge (see `_augment`). Closing it under replacements in an
+    edge's own part too would add nothing: an owned edge entered F inside
+    a tight set T of its owner, and the minimal tight set spanning its
+    ends lies inside T, whose edges in that part are already in F. The
+    claims of `structure_claims` are re-checked before returning; a
+    failure is an engine bug and raises.
     """
     host = packing.host
-    usable_uncovered = packing.uncovered - packing.forbidden
     parts = [(p.func, p.edges, p.target, p.full) for p in packing.parts]
-    if not usable_uncovered and all(p.full for p in packing.parts):
-        closure: set[int] = set()
+    if not packing.uncovered - packing.forbidden and all(p.full for p in packing.parts):
         partition = (host.full_mask,)
     else:
-        closure = _replacement_closure(host, packing, usable_uncovered)
-        partition = tuple(sorted(host.subgraph(closure).components()))
+        partition = tuple(sorted(host.subgraph(packing.closure).components()))
     _fail_on(structure_claims(host, parts, packing.uncovered, packing.forbidden,
-                              closure, partition))
-    return StructureCertificate(partition=partition, closure=frozenset(closure))
-
-
-def _replacement_closure(host, packing, seeds) -> set[int]:
-    matroids = []
-    for part in packing.parts:
-        m = CountMatroid(host, part.func)
-        m.rebuild(part.edges)
-        matroids.append(m)
-    released: set[int] = set(seeds)
-    pending = deque(sorted(released))
-    probed: set[tuple[int, int]] = set()
-    while pending:
-        e = pending.popleft()
-        u, v = host.edges[e]
-        for i, mat in enumerate(matroids):
-            if (e, i) in probed:
-                continue
-            probed.add((e, i))
-            q = mat.state.probe_pair(u, v)
-            if q is None:
-                continue
-            for y in mat.circuit_edges(q):
-                if y not in released:
-                    released.add(y)
-                    pending.append(y)
-    return released
+                              packing.closure, partition))
+    return StructureCertificate(partition=partition, closure=packing.closure)
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +483,6 @@ class PackOutcome:
     union_edges: frozenset[int] | None = None
     degree_bounds: tuple[int, ...] | None = None
     certificate: StructureCertificate | None = None
-    detail: dict = field(compare=False, default_factory=dict)
 
 
 def extract_rigid(graph: MultiGraph, ell: SetFunc, forbidden=()):
@@ -561,23 +540,21 @@ def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
         funcs.insert(0, rho_slack(graph, l, ell, k, rho))
 
     packing = matroid_union_pack(graph, funcs, forbidden)
-    l_part, ell_part = (p.edges for p in packing.parts[-2:])
-    detail: dict = {"l_part": sorted(l_part), "ell_part": sorted(ell_part)}
     if not all(p.full for p in packing.parts):
         return PackOutcome(ok=False, packing=packing, hypothesis=hyp,
-                           certificate=structure_partition(packing), detail=detail)
+                           certificate=structure_partition(packing))
 
     # Packing.verify has proved every part sparse, so the full l-part is
     # partition-connected and the full ell-part rigid (see
     # `packing_claims`); the union and its degrees are what is left
+    l_part, ell_part = (p.edges for p in packing.parts[-2:])
     union = l_part | ell_part
     bounds = None if degree_mode == "none" else \
         _quoted_degree_bounds(graph, l, ell, degree_mode, k, rho)
     _fail_on(union_degree_claims(graph, l, ell, degree_mode, k, rho,
                                  [l_part, ell_part], union, bounds))
     return PackOutcome(ok=True, packing=packing, hypothesis=hyp,
-                       union_edges=frozenset(union), degree_bounds=bounds,
-                       detail=detail)
+                       union_edges=frozenset(union), degree_bounds=bounds)
 
 
 def _quoted_degree_bounds(graph, l, ell, mode, k, rho):
@@ -642,11 +619,10 @@ def _tree_rigid_preset(graph, k, p, m, force, reinforce) -> PresetResult:
     if not outcome.ok:
         return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
                             degree_bounds=(), checks={"packing": "deficient"})
-    pieces = _split_all(graph, outcome.detail["l_part"],
-                        companions + [lmn(graph.n, 1, 1)] * m)
+    l_part, ell_part = (p.edges for p in outcome.packing.parts[-2:])
+    pieces = _split_all(graph, l_part, companions + [lmn(graph.n, 1, 1)] * m)
     trees = pieces[len(companions):]
-    rigid = _split_all(graph, outcome.detail["ell_part"],
-                       [lmn(graph.n, k, 2 * k - 1)] * p)
+    rigid = _split_all(graph, ell_part, [lmn(graph.n, k, 2 * k - 1)] * p)
     reinforced = tuple(r | c for r, c in zip(rigid, pieces[:len(companions)]))
     failed, checks = tree_rigid_claims(
         graph, k, p, m, trees, rigid, reinforced if reinforce else None,
@@ -729,7 +705,7 @@ def check_uniform_weakly_connected(graph, k: int, conn: int,
 def _split_all(graph: MultiGraph, edge_ids, funcs) -> tuple[frozenset[int], ...]:
     """Decompose an edge set exactly into full parts for the given functions."""
     ids = set(edge_ids)
-    packing = matroid_union_pack(graph, funcs, allowed=ids)
+    packing = matroid_union_pack(graph, funcs, set(range(graph.m)) - ids)
     # the parts lie inside ids, so covering as many edges covers them all
     if not all(p.full for p in packing.parts) or packing.covered() != len(ids):
         raise RuntimeError("split did not cut the edge set into full parts")

@@ -161,7 +161,8 @@ class PebbleState:
 
 
 class CountMatroid:
-    """Incremental independence oracle for one count matroid over a host graph."""
+    """Independence oracle for one count matroid over a host graph: a
+    pebble state rebuilt from an edge set and probed through `state`."""
 
     def __init__(self, host: MultiGraph, func: SetFunc):
         params = pebble_params(func)
@@ -172,23 +173,12 @@ class CountMatroid:
         self.func = func
         self.caps, self.ell = params
         self.state = PebbleState.fresh(self.caps, self.ell)
-        self.edge_ids: set[int] = set()
-
-    def probe_pair(self, x: int, y: int):
-        return self.state.probe_pair(x, y)
-
-    def insert(self, eid: int) -> bool:
-        u, v = self.host.edges[eid]
-        if self.state.insert(eid, u, v) is None:
-            self.edge_ids.add(eid)
-            return True
-        return False
 
     def circuit_edges(self, tight_mask: int) -> list[int]:
         """Edges of the current set induced inside a tight vertex set."""
         edges = self.host.edges
         out = []
-        for eid in self.edge_ids:
+        for eid in self.state.accepted:
             u, v = edges[eid]
             if (tight_mask >> u) & 1 and (tight_mask >> v) & 1:
                 out.append(eid)
@@ -205,7 +195,6 @@ class CountMatroid:
         if rejected is not None:
             raise RuntimeError(
                 f"rebuild rejected edge {rejected[0]}: exchange broke sparsity")
-        self.edge_ids = set(self.state.accepted)
 
 
 def _pebble_run(caps, ell: int, edges, ids=None, strict: bool = False):
@@ -317,6 +306,21 @@ def _require_rigid_set_structure(func: SetFunc) -> None:
             f"weakly subadditive function; counterexamples {rep.counterexamples}")
 
 
+def _sparse_state(graph: MultiGraph, func: SetFunc, message: str):
+    """Pebble state holding every edge of a sparse graph, or None for a
+    function outside the pebble range; raises ValueError(message) when
+    the graph is not sparse."""
+    params = pebble_params(func)
+    if params is None:
+        if not is_sparse(graph, func).ok:
+            raise ValueError(message)
+        return None
+    state, rejected = _pebble_run(*params, graph.edges, strict=True)
+    if rejected is not None:
+        raise ValueError(message)
+    return state
+
+
 def rigid_components(graph: MultiGraph, func: SetFunc) -> list[int]:
     """Maximal vertex sets inducing rigid subgraphs of a sparse graph.
 
@@ -324,19 +328,14 @@ def rigid_components(graph: MultiGraph, func: SetFunc) -> list[int]:
     components, so the result always covers the vertex set. Components of
     size >= 2 pairwise share at most one vertex and are edge-disjoint.
     """
-    check = is_sparse(graph, func)
-    if not check.ok:
-        raise ValueError("rigid_components requires a sparse input graph")
-    params = pebble_params(func)
-    if params is None:
+    state = _sparse_state(graph, func, "rigid_components requires a sparse input graph")
+    if state is None:
         _require_rigid_set_structure(func)
         return _rigid_components_oracle(graph, func)
-    matroid = CountMatroid(graph, func)
-    matroid.rebuild(range(graph.m))
     masks = set()
     for x in range(graph.n):
         for y in range(x + 1, graph.n):
-            res = matroid.state.max_tight_pair(x, y)
+            res = state.max_tight_pair(x, y)
             if res is not None:
                 masks.add(res)
     maximal = [s for s in sorted(masks)
@@ -380,16 +379,11 @@ def minimal_rigid_vertices(graph: MultiGraph, func: SetFunc,
     """
     if x == y:
         raise ValueError("need two distinct vertices")
-    check = is_sparse(graph, func)
-    if not check.ok:
-        raise ValueError("minimal_rigid_vertices requires a sparse graph")
-    params = pebble_params(func)
-    if params is None:
+    state = _sparse_state(graph, func, "minimal_rigid_vertices requires a sparse graph")
+    if state is None:
         _require_rigid_set_structure(func)
         return _minimal_rigid_oracle(graph, func, x, y)
-    matroid = CountMatroid(graph, func)
-    matroid.rebuild(range(graph.m))
-    return matroid.probe_pair(x, y)
+    return state.probe_pair(x, y)
 
 
 def _minimal_rigid_oracle(graph: MultiGraph, func: SetFunc, x: int, y: int):

@@ -212,6 +212,14 @@ def test_bipartite_report_records_the_k_it_ran_with(tmp_path, capsys, k_argv):
     assert vcode == 0 and "REPRODUCED" in vout, vout
 
 
+@pytest.mark.parametrize("preset", ["tree-rigid", "tree-rigid-ec"])
+def test_tree_rigid_preset_without_k_int_is_a_usage_error(capsys, k9, preset):
+    code = main(["pack", "--graph", k9, "--preset", preset])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {preset} needs --k-int\n"
+
+
 def _swap_in_forbidden_edge(report):
     # forbidden edge 0 replaces a basis edge and the set stays sparse
     edges = report["certificates"]["edges"]

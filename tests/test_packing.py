@@ -80,7 +80,7 @@ def test_tree_packing_matches_partition_condition():
         assert full == cond
 
 
-def _unpruned_union_pack(host, funcs, forbidden=(), allowed=None):
+def _unpruned_union_pack(host, funcs, forbidden=()):
     """Reference matroid union: every search explores everything it reaches.
 
     Returns (part edge sets, uncovered)."""
@@ -108,7 +108,7 @@ def _unpruned_union_pack(host, funcs, forbidden=(), allowed=None):
                         queue.append(y)
 
     for eid in range(host.m):
-        if eid not in forbidden and (allowed is None or eid in allowed):
+        if eid not in forbidden:
             augment(eid)
     parts = [frozenset(e for e, o in owner.items() if o == i)
              for i in range(len(funcs))]
@@ -144,18 +144,18 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
         g = oracle.random_multigraph(n, m, rng)
         funcs = [lmn(n, *rng.choice(pool)) for _ in range(rng.randrange(1, 4))]
         forbidden = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
-        allowed = (None if rng.random() < 0.5
-                   else set(rng.sample(range(m), rng.randrange(0, m + 1))))
+        if rng.random() >= 0.5:
+            # a drawn set of allowed edges forbids every other edge
+            forbidden |= set(range(m)) - set(rng.sample(range(m), rng.randrange(0, m + 1)))
         start = calls[0]
-        pk = matroid_union_pack(g, funcs, forbidden, allowed)
+        pk = matroid_union_pack(g, funcs, forbidden)
         middle = calls[0]
-        parts, uncovered = _unpruned_union_pack(g, funcs, forbidden, allowed)
+        parts, uncovered = _unpruned_union_pack(g, funcs, forbidden)
         pruned += middle - start < calls[0] - middle
         assert [p.edges for p in pk.parts] == parts
         assert pk.uncovered == uncovered
         if n <= 6:
-            usable = [e for e in range(m) if e not in forbidden
-                      and (allowed is None or e in allowed)]
+            usable = [e for e in range(m) if e not in forbidden]
             assert pk.covered() == oracle.union_rank_bound(g.subgraph(usable),
                                                           funcs)
             bounded += 1
@@ -218,6 +218,32 @@ def _random_pebble_func(n, rng):
     return vertex_weights([rng.randrange(3) for _ in range(n)])
 
 
+def _reference_closure(pk):
+    """The replacement closure searched afresh from rebuilt parts: the
+    usable uncovered edges, closed under the replacements of every part,
+    its own part included."""
+    host = pk.host
+    matroids = []
+    for part in pk.parts:
+        mat = CountMatroid(host, part.func)
+        mat.rebuild(part.edges)
+        matroids.append(mat)
+    released = set(pk.uncovered - pk.forbidden)
+    pending = deque(sorted(released))
+    while pending:
+        e = pending.popleft()
+        u, v = host.edges[e]
+        for mat in matroids:
+            q = mat.state.probe_pair(u, v)
+            if q is None:
+                continue
+            for y in mat.circuit_edges(q):
+                if y not in released:
+                    released.add(y)
+                    pending.append(y)
+    return released
+
+
 def test_rank_certificate_on_every_deficient_packing():
     # every deficient packing gets a certificate whose claims hold, and
     # its covered count is the exhaustive matroid-union rank wherever
@@ -236,11 +262,27 @@ def test_rank_certificate_on_every_deficient_packing():
         deficient += 1
         cert = structure_partition(pk)
         assert _structure_claims(pk, cert) == []
+        assert cert.closure == _reference_closure(pk)
         usable = [e for e in range(m) if e not in forbidden]
         if len(usable) <= 7:
             assert pk.covered() == oracle.union_rank_bound(g.subgraph(usable), funcs)
             bounded += 1
     assert deficient >= 750 and bounded >= 600
+
+
+def test_structure_partition_searches_nothing_again(monkeypatch):
+    # K12 joined by two edges to the circulant ring C16(1, 3): the
+    # certificate is the union pass's own closure, so no part is probed
+    core, ring = 12, 16
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    edges += [(core + i, core + (i + off) % ring) for off in (1, 3) for i in range(ring)]
+    host = MultiGraph(core + ring, edges + [(0, core), (1, core + ring // 2)])
+    pk = matroid_union_pack(host, [lmn(host.n, 1, 1), lmn(host.n, 2, 3)])
+    assert not all(p.full for p in pk.parts)
+    calls = _counting_probes(monkeypatch)
+    cert = structure_partition(pk)
+    assert calls[0] == 0
+    assert cert.closure == pk.closure and _structure_claims(pk, cert) == []
 
 
 def test_structure_claims_name_a_broken_certificate():

@@ -151,6 +151,15 @@ def test_minimal_rigid_and_exchange_examples():
         exchange(two_edges, lmn(4, 2, 3), 0, 2, 0)
 
 
+def test_rigid_set_subroutines_reject_a_non_sparse_graph():
+    g = MultiGraph(4, [*generators.complete(4).edges, (0, 1)])
+    f = lmn(4, 2, 3)
+    with pytest.raises(ValueError, match="rigid_components requires a sparse"):
+        rigid_components(g, f)
+    with pytest.raises(ValueError, match="minimal_rigid_vertices requires a sparse"):
+        minimal_rigid_vertices(g, f, 0, 1)
+
+
 def test_exchange_requires_edge_inside_rigid_set():
     two_tri = MultiGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     f = lmn(5, 2, 3)
