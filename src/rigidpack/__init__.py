@@ -17,7 +17,7 @@ from .setfuncs import (
     property_report, PropertyReport,
 )
 from .sparsity import (
-    PebbleState, CountMatroid, pebble_basis, is_sparse, rank_and_rigid,
+    PebbleState, pebble_basis, is_sparse, rank_and_rigid,
     rigid_components, minimal_rigid_vertices, exchange,
     SparseResult, RigidResult,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "SetFunc", "lmn", "const", "zero", "vertex_weights", "table_func",
     "with_overrides", "force_zero_on_ground", "scaled", "rooted_shift",
     "halved_slack", "rho_slack", "property_report", "PropertyReport",
-    "PebbleState", "CountMatroid", "pebble_basis", "is_sparse",
+    "PebbleState", "pebble_basis", "is_sparse",
     "rank_and_rigid", "rigid_components",
     "minimal_rigid_vertices", "exchange", "SparseResult", "RigidResult",
     "Packing", "PackPart", "StructureCertificate", "HypothesisReport",

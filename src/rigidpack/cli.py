@@ -100,6 +100,18 @@ def parse_setfunc(token: str, ground: int) -> SetFunc:
     raise ValueError(f"unknown set function token {token!r}")
 
 
+MODE_FLAGS = {"orient": "mode", "hypothesis": "check", "oracle": "what", "gen": "family"}
+
+
+def _need(args, flag: str):
+    """A flag's value; a usage error naming it and the mode when it is missing."""
+    value = getattr(args, flag.lstrip("-").replace("-", "_"))
+    if value is None:
+        mode = MODE_FLAGS[args.subcommand]
+        raise ValueError(f"--{mode} {getattr(args, mode)} needs {flag}")
+    return value
+
+
 def parse_int_list(text: str, count: int, what: str) -> list[int]:
     vals = [int(x) for x in text.split(",")]
     if len(vals) != count:
@@ -328,7 +340,7 @@ def cmd_orient(args) -> int:
     mode = args.mode
     params: dict = {"mode": mode}
     if mode == "hakimi":
-        targets = parse_int_list(args.targets, graph.n, "--targets")
+        targets = parse_int_list(_need(args, "--targets"), graph.n, "--targets")
         params["targets"] = targets
         res = orientation.hakimi_orient(graph, targets)
         cert = _orient_cert(res.orientation) if res.ok else \
@@ -340,7 +352,7 @@ def cmd_orient(args) -> int:
         cert = _orient_cert(orient)
         ok = True
     elif mode == "rigid":
-        func = parse_setfunc(args.func, graph.n)
+        func = parse_setfunc(_need(args, "--func"), graph.n)
         params["func"] = args.func
         res = orientation.rigid_to_orientation(graph, func)
         ok = res.ok
@@ -349,15 +361,15 @@ def cmd_orient(args) -> int:
              "witness": vertices_of(res.witness) if isinstance(res.witness, int)
              and res.reason == "not-sparse" else res.witness}
     elif mode == "packed":
-        r1 = parse_int_list(args.r1, graph.n, "--r1")
-        r2 = parse_int_list(args.r2, graph.n, "--r2")
+        r1 = parse_int_list(_need(args, "--r1"), graph.n, "--r1")
+        r2 = parse_int_list(_need(args, "--r2"), graph.n, "--r2")
         params.update({"l": args.l, "ell": args.ell, "r1": r1, "r2": r2})
         res = orientation.packed_orientation(
-            graph, parse_setfunc(args.l, graph.n), parse_setfunc(args.ell, graph.n),
-            r1, r2, force=args.force)
+            graph, parse_setfunc(_need(args, "--l"), graph.n),
+            parse_setfunc(_need(args, "--ell"), graph.n), r1, r2, force=args.force)
         extra = {"h1": sorted(res.h1), "h2": sorted(res.h2)}
     elif mode == "robust":
-        params["k"] = args.k or 1
+        params["k"] = 1 if args.k is None else args.k
         res = orientation.robust_arc_strong(graph, params["k"], seed=args.seed,
                                             retries=args.retries,
                                             force=args.force)
@@ -383,34 +395,34 @@ def cmd_hypothesis(args) -> int:
     graph, meta = load_graph(args.graph)
     check = args.check
     params: dict = {"check": check}
+
+    def func(flag):
+        return parse_setfunc(_need(args, flag), graph.n)
+
     if check == "rigid-necessary":
-        rep = packing.check_rigid_necessary(graph, parse_setfunc(args.ell, graph.n))
+        rep = packing.check_rigid_necessary(graph, func("--ell"))
     elif check == "rigid-sufficient":
-        rep = packing.check_rigid_sufficient(graph, parse_setfunc(args.ell, graph.n),
+        rep = packing.check_rigid_sufficient(graph, func("--ell"),
                                              set(args.forbid or []))
     elif check == "rigid-cuts":
-        rep = packing.check_rigid_cut_consequences(graph, args.k_int)
+        rep = packing.check_rigid_cut_consequences(graph, _need(args, "--k-int"))
         params["k"] = args.k_int
     elif check == "pack-basic":
-        rep = packing.check_pack_basic(graph, parse_setfunc(args.l, graph.n),
-                                       parse_setfunc(args.ell, graph.n))
+        rep = packing.check_pack_basic(graph, func("--l"), func("--ell"))
     elif check == "pack-refined":
         rep = packing.check_pack_refined(
-            graph, parse_setfunc(args.l, graph.n),
-            parse_setfunc(args.ell, graph.n),
+            graph, func("--l"), func("--ell"),
             Fraction(args.phi), len(set(args.forbid or [])))
         params["phi"] = args.phi
     elif check == "pack-degree":
         rep = packing.check_pack_degree(
-            graph, parse_setfunc(args.l, graph.n),
-            parse_setfunc(args.ell, graph.n), Fraction(args.k),
-            parse_int_list(args.rho, graph.n, "--rho"))
+            graph, func("--l"), func("--ell"), Fraction(_need(args, "--k")),
+            parse_int_list(_need(args, "--rho"), graph.n, "--rho"))
         params["k"] = args.k
     elif check == "weakly-connected":
         ell_vec = parse_int_list(args.ell_vec, graph.n, "--ell-vec") \
-            if args.ell_vec else [args.k_int or 1] * graph.n
-        rep = packing.check_weakly_connected(graph, ell_vec,
-                                             parse_setfunc(args.l, graph.n))
+            if args.ell_vec else [1 if args.k_int is None else args.k_int] * graph.n
+        rep = packing.check_weakly_connected(graph, ell_vec, func("--l"))
     else:
         raise ValueError(f"unknown hypothesis check {check!r}")
     cert = {"witness": rep.witness,
@@ -437,9 +449,9 @@ def cmd_oracle(args) -> int:
                              True, cert, started)
         emit(report, args.format)
         return 0
-    graph, meta = load_graph(args.graph)
-    func = parse_setfunc(args.func, graph.n) if args.func else None
     what = args.what
+    graph, meta = load_graph(_need(args, "--graph"))
+    func = parse_setfunc(_need(args, "--func"), graph.n)
     if what == "sparse":
         ok, wit = oracle.bf_sparse(graph, func, budget)
         cert = {"witness": vertices_of(wit) if wit is not None else None}
@@ -459,13 +471,13 @@ def cmd_oracle(args) -> int:
         ok, detail = oracle.bf_matroid_axioms(graph, func, budget)
         cert = {"detail": list(detail) if detail else None}
     elif what == "arc-connected":
-        heads = parse_int_list(args.heads, graph.m, "--heads")
+        heads = parse_int_list(_need(args, "--heads"), graph.m, "--heads")
         roots = parse_int_list(args.roots, graph.n, "--roots") \
             if args.roots else None
         ok, wit = oracle.bf_arc_connected(graph, heads, func, roots, budget)
         cert = {"witness": vertices_of(wit) if wit is not None else None}
     elif what == "weakly-connected":
-        ell_vec = parse_int_list(args.ell_vec, graph.n, "--ell-vec")
+        ell_vec = parse_int_list(_need(args, "--ell-vec"), graph.n, "--ell-vec")
         ok, wit = oracle.bf_weakly_connected(graph, ell_vec, func, budget)
         cert = {"witness": [vertices_of(m) for m in wit] if wit else None}
     else:
@@ -479,22 +491,22 @@ def cmd_oracle(args) -> int:
 def cmd_gen(args) -> int:
     fam = args.family
     if fam == "complete":
-        graph = generators.complete(args.n)
+        graph = generators.complete(_need(args, "--n"))
         name = f"K{args.n}"
     elif fam == "complete-bipartite":
-        graph = generators.complete_bipartite(args.a, args.b)
+        graph = generators.complete_bipartite(_need(args, "--a"), _need(args, "--b"))
         name = f"K{args.a}_{args.b}"
     elif fam == "circulant":
-        graph = generators.circulant(args.n, args.offsets)
+        graph = generators.circulant(_need(args, "--n"), _need(args, "--offsets"))
         name = f"C{args.n}({','.join(map(str, args.offsets))})"
     elif fam == "random-simple":
-        graph = generators.random_simple(args.n, args.m, args.seed)
+        graph = generators.random_simple(_need(args, "--n"), _need(args, "--m"), args.seed)
         name = f"G{args.n}_{args.m}_s{args.seed}"
     elif fam == "random-regular":
-        graph = generators.random_regular(args.n, args.r, args.seed)
+        graph = generators.random_regular(_need(args, "--n"), _need(args, "--r"), args.seed)
         name = f"R{args.n}_{args.r}_s{args.seed}"
     elif fam == "doubled":
-        base, meta = load_graph(args.base)
+        base, meta = load_graph(_need(args, "--base"))
         graph = generators.doubled(base, args.mult)
         name = f"{meta['name']}x{args.mult}"
     else:

@@ -6,13 +6,14 @@ The packing search augments one uncovered edge at a time by breadth-first
 exploration over single-edge replacements: an edge either enters a part
 directly or displaces an edge of the minimal tight set spanning its ends,
 and the displaced edge continues the search. Shortest replacement chains
-are applied simultaneously and every touched part is rebuilt and
-re-verified. A failed search certifies the edge lies in the span of the
-union, so one ascending pass over the edges reaches a maximum packing.
-It certifies more: every edge it visited is spanned, in every part, by
-that part's edges among the visited ones, so no later augmenting path
-passes through them. Those edges are dead for the rest of the pass and
-no later search explores them again (Cunningham 1986).
+are applied simultaneously: each part's pebble state drops its displaced
+edges and then takes its new ones, and a rejected insert raises. A failed
+search certifies the edge lies in the span of the union, so one ascending
+pass over the edges reaches a maximum packing. It certifies more: every
+edge it visited is spanned, in every part, by that part's edges among the
+visited ones, so no later augmenting path passes through them. Those
+edges are dead for the rest of the pass and no later search explores them
+again (Cunningham 1986).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graph import MultiGraph, vertices_of
 from .setfuncs import (
     SetFunc, lmn, const, zero, halved_slack, rho_slack, scaled, pebble_params,
 )
-from .sparsity import CountMatroid, is_sparse, rank_and_rigid, _pebble_run
+from .sparsity import PebbleState, is_sparse, rank_and_rigid, _pebble_run
 
 PAIR_SWEEP_BUDGET = 14
 
@@ -76,19 +77,16 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     searches reached, the rank certificate `structure_partition` reports.
     """
     funcs = list(funcs)
-    matroids = [CountMatroid(host, f) for f in funcs]
+    states = [PebbleState.fresh(*_require_pebble_params(f)) for f in funcs]
     blocked = set(forbidden)
     owner: dict[int, int] = {}
     dead: set[int] = set()
     for eid in range(host.m):
         if eid not in blocked:
-            _augment(host, matroids, owner, eid, dead)
-    part_ids: list[set[int]] = [set() for _ in funcs]
-    for eid, i in owner.items():
-        part_ids[i].add(eid)
-    parts = tuple(
-        PackPart(func=f, edges=frozenset(ids), target=max(f.rigid_target, 0))
-        for f, ids in zip(funcs, part_ids))
+            _augment(host, states, owner, eid, dead)
+    parts = tuple(PackPart(func=f, edges=frozenset(state.accepted),
+                           target=max(f.rigid_target, 0))
+                  for f, state in zip(funcs, states))
     uncovered = frozenset(range(host.m)) - set(owner)
     packing = Packing(host=host, parts=parts, uncovered=uncovered,
                       forbidden=frozenset(blocked), closure=frozenset(dead))
@@ -96,7 +94,27 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     return packing
 
 
-def _augment(host: MultiGraph, matroids, owner: dict[int, int], eid: int,
+def _require_pebble_params(func: SetFunc):
+    """(caps, ell) of a pebble-playable function; ValueError for any other."""
+    params = pebble_params(func)
+    if params is None:
+        raise ValueError(
+            f"set function {func.describe()} is outside the pebble range")
+    return params
+
+
+def _circuit_edges(host: MultiGraph, state: PebbleState, tight_mask: int) -> list[int]:
+    """Accepted edges of a pebble state inside a tight vertex set, ascending."""
+    edges = host.edges
+    out = []
+    for eid in state.accepted:
+        u, v = edges[eid]
+        if (tight_mask >> u) & 1 and (tight_mask >> v) & 1:
+            out.append(eid)
+    return sorted(out)
+
+
+def _augment(host: MultiGraph, states, owner: dict[int, int], eid: int,
              dead: set[int]) -> bool:
     """Breadth-first replacement search; applies the chain on success.
 
@@ -123,14 +141,14 @@ def _augment(host: MultiGraph, matroids, owner: dict[int, int], eid: int,
     while queue:
         x = queue.popleft()
         u, v = host.edges[x]
-        for i, mat in enumerate(matroids):
+        for i, state in enumerate(states):
             if owner.get(x) == i:
                 continue
-            res = mat.state.probe_pair(u, v)
+            res = state.probe_pair(u, v)
             if res is None:
-                _apply_chain(matroids, owner, parent, x, i)
+                _apply_chain(host, states, owner, parent, x, i)
                 return True
-            for y in mat.circuit_edges(res):
+            for y in _circuit_edges(host, state, res):
                 if y not in visited and y not in dead:
                     visited.add(y)
                     parent[y] = (x, i)
@@ -139,21 +157,28 @@ def _augment(host: MultiGraph, matroids, owner: dict[int, int], eid: int,
     return False
 
 
-def _apply_chain(matroids, owner, parent, last: int, free_part: int) -> None:
-    chain = [last]
-    while parent.get(chain[-1]) is not None:
-        chain.append(parent[chain[-1]][0])
-    target = free_part
-    for edge in chain:
+def _apply_chain(host: MultiGraph, states, owner, parent, last: int,
+                 free_part: int) -> None:
+    """Move each edge of the chain ending at `last` into the part it was
+    found in (`last` into `free_part`). A shortest chain leaves every part
+    independent (Cunningham 1986), so after the deletions no insert may
+    fail; a rejected one is an engine bug and raises."""
+    moves = []
+    edge, target = last, free_part
+    while True:
         prev = owner.get(edge)
+        moves.append((edge, prev, target))
         owner[edge] = target
-        target = prev
         if prev is None:
             break
-    touched = {free_part} | {parent[e][1] for e in chain[:-1] if e in parent}
-    for i in touched:
-        ids = [e for e, o in owner.items() if o == i]
-        matroids[i].rebuild(ids)
+        edge, target = parent[edge][0], prev
+    for edge, prev, _ in moves:
+        if prev is not None:
+            states[prev].delete(edge, *host.edges[edge])
+    for edge, _, target in moves:
+        if states[target].insert(edge, *host.edges[edge]) is not None:
+            raise RuntimeError(
+                f"part {target} rejected edge {edge}: exchange broke sparsity")
 
 
 # ----------------------------------------------------------------------
@@ -488,8 +513,7 @@ class PackOutcome:
 def extract_rigid(graph: MultiGraph, ell: SetFunc, forbidden=()):
     """Maximum sparse edge set avoiding the forbidden edges, with host ids."""
     blocked = set(forbidden)
-    matroid = CountMatroid(graph, ell)
-    state, _ = _pebble_run(matroid.caps, matroid.ell, graph.edges,
+    state, _ = _pebble_run(*_require_pebble_params(ell), graph.edges,
                            [e for e in range(graph.m) if e not in blocked])
     return frozenset(state.accepted)
 
@@ -639,12 +663,14 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
                             force: bool = False) -> PresetResult:
     """Spanning 2-fold rigid subgraph with degree at most ceil(d(v)/k) + 2
     on one side of a bipartition of a 6k-connected bipartite graph."""
+    kf = Fraction(k)
+    if kf <= 0:
+        raise ValueError(f"k must be positive, got {k}")
     if graph.bipartition() is None:
         raise ValueError("graph is not bipartite")
     for u, v in graph.edges:
         if (side_mask >> u) & 1 and (side_mask >> v) & 1:
             raise ValueError("side mask is not an independent set")
-    kf = Fraction(k)
     hyp = None
     if not force:
         kappa = graph.vertex_connectivity()

@@ -25,6 +25,22 @@ from . import oracle
 
 @dataclass
 class PebbleState:
+    """A live pebble game: accepted edges as arcs, free pebbles per vertex.
+
+    Only `insert`, `delete` and `gather` change it, and each keeps
+    pebbles[v] + len(out[v]) == caps[v]. No answer depends on the arcs'
+    directions, so nothing is ever restored or rebuilt:
+    - Acceptance is exactly independence.
+    - A failed gather leaves R, the set reachable from {x, y}, out-closed
+      and with pebbles only on x and y. Sparsity then forces pebbles(R) =
+      caps(R) - e(R) = ell, so R is tight.
+    - Any tight T that holds x and y has at least those ell pebbles, so no
+      arc leaves T and T contains R: R is the unique minimal tight set.
+    - Nor does T hold any other pebble, so no vertex of T reaches a spare
+      pebble. The vertices that reach none form an out-closed set with
+      ell pebbles: the unique maximal tight set, `max_tight_pair`'s answer.
+    """
+
     caps: tuple[int, ...]
     ell: int
     pebbles: list[int]
@@ -36,16 +52,6 @@ class PebbleState:
         caps = tuple(caps)
         return cls(caps=caps, ell=ell, pebbles=list(caps),
                    out=[[] for _ in caps])
-
-    def snapshot(self):
-        return (self.pebbles[:], [lst[:] for lst in self.out],
-                self.accepted[:])
-
-    def restore(self, snap) -> None:
-        pebbles, out, accepted = snap
-        self.pebbles = pebbles[:]
-        self.out = [lst[:] for lst in out]
-        self.accepted = accepted[:]
 
     def check_invariant(self) -> None:
         total = sum(self.pebbles) + len(self.accepted)
@@ -69,13 +75,13 @@ class PebbleState:
         peb = self.pebbles
         out = self.out
         while peb[x] + peb[y] < need:
-            # DFS from both endpoints, lowest vertex first, for a free pebble
+            # DFS from both endpoints for a free pebble
             parent = {x: -1, y: -1}
             stack = [y, x]  # x explored first
             found = -1
             while stack:
                 u = stack.pop()
-                for w in sorted(set(out[u])):
+                for w in out[u]:
                     if w in parent:
                         continue
                     parent[w] = u
@@ -85,21 +91,16 @@ class PebbleState:
                         break
                     stack.append(w)
             if found < 0:
-                mask = 0
-                for v in parent:
-                    mask |= 1 << v
-                return mask
+                return sum(1 << v for v in parent)
             # reverse the path from the root to the pebble
-            path = [found]
-            while parent[path[-1]] != -1:
-                path.append(parent[path[-1]])
-            root = path[-1]
-            for i in range(len(path) - 1):
-                lo, hi = path[i], path[i + 1]
-                out[hi].remove(lo)
-                out[lo].append(hi)
             peb[found] -= 1
-            peb[root] += 1
+            w = found
+            while parent[w] != -1:
+                u = parent[w]
+                out[u].remove(w)
+                out[w].append(u)
+                w = u
+            peb[w] += 1
         return None
 
     def insert(self, eid: int, x: int, y: int):
@@ -114,87 +115,42 @@ class PebbleState:
         self.accepted.append(eid)
         return None
 
+    def delete(self, eid: int, x: int, y: int) -> None:
+        """Drop accepted edge eid with ends x, y: remove one arc between
+        them, in either direction, and return its pebble to its tail."""
+        self.accepted.remove(eid)
+        tail, head = (x, y) if y in self.out[x] else (y, x)
+        self.out[tail].remove(head)
+        self.pebbles[tail] += 1
+
     def probe_pair(self, x: int, y: int):
-        """Non-mutating gather attempt: None if ell+1 pebbles are collectable,
-        else the minimal tight set containing x and y."""
-        snap = self.snapshot()
-        res = self.gather(x, y)
-        self.restore(snap)
-        return res
+        """Gather without accepting: None if ell+1 pebbles are collectable,
+        else the minimal tight set containing x and y. The accepted edges
+        stay as they are; only pebbles move."""
+        return self.gather(x, y)
 
     def max_tight_pair(self, x: int, y: int):
         """Maximal tight set containing x and y, or None if no tight set does.
 
-        After a maximal gather onto {x, y}, a tight superset is out-closed
+        After a failed gather onto {x, y}, a tight superset is out-closed
         and carries no pebbles elsewhere, so the maximal one is the
         complement of the vertices that can still reach a spare pebble.
         """
-        snap = self.snapshot()
-        res = self.gather(x, y)
-        if res is None:
-            self.restore(snap)
+        if self.gather(x, y) is None:
             return None
         n = len(self.caps)
-        pebbled = [w for w in range(n)
-                   if w not in (x, y) and self.pebbles[w] > 0]
         rev = [[] for _ in range(n)]
         for a in range(n):
             for b in self.out[a]:
                 rev[b].append(a)
-        bad = [False] * n
-        stack = []
-        for w in pebbled:
-            bad[w] = True
-            stack.append(w)
+        stack = [w for w in range(n) if w not in (x, y) and self.pebbles[w] > 0]
+        bad = set(stack)
         while stack:
-            w = stack.pop()
-            for p in rev[w]:
-                if not bad[p]:
-                    bad[p] = True
+            for p in rev[stack.pop()]:
+                if p not in bad:
+                    bad.add(p)
                     stack.append(p)
-        self.restore(snap)
-        mask = 0
-        for w in range(n):
-            if not bad[w]:
-                mask |= 1 << w
-        return mask
-
-
-class CountMatroid:
-    """Independence oracle for one count matroid over a host graph: a
-    pebble state rebuilt from an edge set and probed through `state`."""
-
-    def __init__(self, host: MultiGraph, func: SetFunc):
-        params = pebble_params(func)
-        if params is None:
-            raise ValueError(
-                f"set function {func.describe()} is outside the pebble range")
-        self.host = host
-        self.func = func
-        self.caps, self.ell = params
-        self.state = PebbleState.fresh(self.caps, self.ell)
-
-    def circuit_edges(self, tight_mask: int) -> list[int]:
-        """Edges of the current set induced inside a tight vertex set."""
-        edges = self.host.edges
-        out = []
-        for eid in self.state.accepted:
-            u, v = edges[eid]
-            if (tight_mask >> u) & 1 and (tight_mask >> v) & 1:
-                out.append(eid)
-        return sorted(out)
-
-    def rebuild(self, edge_ids) -> None:
-        """Reset and re-insert the given edges in ascending id order.
-
-        Raises if any edge is rejected: callers use this as the
-        post-exchange verification step.
-        """
-        self.state, rejected = _pebble_run(self.caps, self.ell, self.host.edges,
-                                           sorted(edge_ids), strict=True)
-        if rejected is not None:
-            raise RuntimeError(
-                f"rebuild rejected edge {rejected[0]}: exchange broke sparsity")
+        return sum(1 << w for w in range(n) if w not in bad)
 
 
 def _pebble_run(caps, ell: int, edges, ids=None, strict: bool = False):

@@ -14,7 +14,7 @@ from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, mask_of, vertices_of
 from rigidpack.setfuncs import lmn, const, zero, force_zero_on_ground
 from rigidpack.sparsity import (
-    is_sparse, rank_and_rigid, minimal_rigid_vertices, exchange, CountMatroid,
+    is_sparse, rank_and_rigid, minimal_rigid_vertices, exchange,
 )
 from rigidpack.packing import (
     matroid_union_pack, decompose_p_rigid, check_rigid_cut_consequences,

@@ -220,6 +220,56 @@ def test_tree_rigid_preset_without_k_int_is_a_usage_error(capsys, k9, preset):
     assert err == f"error: {preset} needs --k-int\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--what", "sparse", "--func", "lmn:2,3"], "--graph"),
+    (["oracle", "--what", "sparse", "--graph", "K4"], "--func"),
+    (["oracle", "--what", "weakly-connected", "--graph", "K4", "--func", "lmn:1,1"],
+     "--ell-vec"),
+    (["hypothesis", "--check", "rigid-necessary", "--graph", "K4"], "--ell"),
+    (["hypothesis", "--check", "weakly-connected", "--graph", "K4"], "--l"),
+    (["hypothesis", "--check", "pack-degree", "--graph", "K4", "--l", "lmn:1,1",
+      "--ell", "lmn:2,3", "--rho", "0,0,0,0"], "--k"),
+    (["hypothesis", "--check", "pack-degree", "--graph", "K4", "--l", "lmn:1,1",
+      "--ell", "lmn:2,3", "--k", "1"], "--rho"),
+    (["hypothesis", "--check", "rigid-cuts", "--graph", "K4"], "--k-int"),
+    (["orient", "--mode", "hakimi", "--graph", "K4"], "--targets"),
+    (["orient", "--mode", "rigid", "--graph", "K4"], "--func"),
+    (["gen", "--family", "complete"], "--n"),
+])
+def test_missing_mode_flag_is_a_usage_error(capsys, k4, argv, flag):
+    code = main([k4 if a == "K4" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.rstrip().endswith(f"needs {flag}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_bipartite_preset_rejects_a_non_positive_k(tmp_path, capsys, k):
+    g = complete_bipartite(6, 6)
+    path = write_graph(tmp_path, "k66", g.n, g.edges)
+    code = main(["pack", "--graph", path, "--preset", "bipartite-degree",
+                 "--k", k, "--side", "0", "1", "2", "3", "4", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: k must be positive, got {k}\n"
+
+
+def test_robust_orientation_runs_the_k_it_is_given(capsys, k4):
+    code = main(["orient", "--graph", k4, "--mode", "robust", "--k", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: robustness level must be at least 1\n"
+
+
+def test_weak_connectivity_runs_the_k_int_it_is_given(capsys, c4):
+    # on C4 a zero ell fails where ell = 1 passes
+    runs = [run(capsys, "--format", "structured", "hypothesis", "--graph", c4,
+                "--check", "weakly-connected", "--l", "lmn:1,1", *extra)
+            for extra in (["--k-int", "0"], ["--ell-vec", "0,0,0,0"])]
+    assert [code for code, _ in runs] == [1, 1]
+    assert json.loads(runs[0][1])["certificates"] == json.loads(runs[1][1])["certificates"]
+
+
 def _swap_in_forbidden_edge(report):
     # forbidden edge 0 replaces a basis edge and the set stays sparse
     edges = report["certificates"]["edges"]

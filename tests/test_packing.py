@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from rigidpack import generators, oracle
+from rigidpack import generators, oracle, packing, sparsity
 from rigidpack.graph import MultiGraph, mask_of, vertices_of
 from rigidpack.setfuncs import (
     lmn, const, zero, vertex_weights, table_func, with_overrides, halved_slack,
+    pebble_params,
 )
 from rigidpack.packing import (
     matroid_union_pack, structure_partition, structure_claims, decompose_p_rigid,
@@ -15,9 +16,9 @@ from rigidpack.packing import (
     check_rigid_cut_consequences, check_pack_basic, check_pack_refined,
     check_pack_degree, violation_threshold, pack_partition_rigid,
     preset_tree_rigid, preset_tree_rigid_ec, preset_bipartite_degree,
-    extract_rigid, _apply_chain,
+    extract_rigid, _apply_chain, _circuit_edges,
 )
-from rigidpack.sparsity import CountMatroid, PebbleState
+from rigidpack.sparsity import PebbleState, _pebble_run
 
 
 def c4():
@@ -84,7 +85,7 @@ def _unpruned_union_pack(host, funcs, forbidden=()):
     """Reference matroid union: every search explores everything it reaches.
 
     Returns (part edge sets, uncovered)."""
-    matroids = [CountMatroid(host, f) for f in funcs]
+    states = [PebbleState.fresh(*pebble_params(f)) for f in funcs]
     owner = {}
 
     def augment(eid):
@@ -94,14 +95,14 @@ def _unpruned_union_pack(host, funcs, forbidden=()):
         while queue:
             x = queue.popleft()
             u, v = host.edges[x]
-            for i, mat in enumerate(matroids):
+            for i, state in enumerate(states):
                 if owner.get(x) == i:
                     continue
-                res = mat.state.probe_pair(u, v)
+                res = state.probe_pair(u, v)
                 if res is None:
-                    _apply_chain(matroids, owner, parent, x, i)
+                    _apply_chain(host, states, owner, parent, x, i)
                     return
-                for y in mat.circuit_edges(res):
+                for y in _circuit_edges(host, state, res):
                     if y not in visited:
                         visited.add(y)
                         parent[y] = (x, i)
@@ -177,6 +178,25 @@ def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
     assert calls[0] <= 2 * host.m * len(funcs)
 
 
+def test_union_pass_runs_no_fresh_pebble_game(monkeypatch):
+    # parts change in place; the only fresh pebble runs are the final
+    # Packing.verify's sparsity check of each part
+    calls = [0]
+    run = sparsity._pebble_run
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sparsity, "_pebble_run", counted)
+    monkeypatch.setattr(packing, "_pebble_run", counted)
+    pk = matroid_union_pack(generators.circulant(40, [1, 2, 3, 5, 8]),
+                            [lmn(40, 2, 3)] * 2)
+    in_pass, calls[0] = calls[0], 0
+    pk.verify()
+    assert in_pass == calls[0] == 2
+
+
 def _structure_claims(pk, cert):
     return structure_claims(pk.host, [(p.func, p.edges, p.target, p.full)
                                       for p in pk.parts],
@@ -219,25 +239,26 @@ def _random_pebble_func(n, rng):
 
 
 def _reference_closure(pk):
-    """The replacement closure searched afresh from rebuilt parts: the
-    usable uncovered edges, closed under the replacements of every part,
-    its own part included."""
+    """The replacement closure searched afresh from a fresh pebble run
+    per part: the usable uncovered edges, closed under the replacements of
+    every part, its own part included."""
     host = pk.host
-    matroids = []
+    states = []
     for part in pk.parts:
-        mat = CountMatroid(host, part.func)
-        mat.rebuild(part.edges)
-        matroids.append(mat)
+        state, rejected = _pebble_run(*pebble_params(part.func), host.edges,
+                                      sorted(part.edges), strict=True)
+        assert rejected is None
+        states.append(state)
     released = set(pk.uncovered - pk.forbidden)
     pending = deque(sorted(released))
     while pending:
         e = pending.popleft()
         u, v = host.edges[e]
-        for mat in matroids:
-            q = mat.state.probe_pair(u, v)
+        for state in states:
+            q = state.probe_pair(u, v)
             if q is None:
                 continue
-            for y in mat.circuit_edges(q):
+            for y in _circuit_edges(host, state, q):
                 if y not in released:
                     released.add(y)
                     pending.append(y)

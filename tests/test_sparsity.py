@@ -4,10 +4,12 @@ import pytest
 
 from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, mask_of, vertices_of
-from rigidpack.setfuncs import lmn, force_zero_on_ground, table_func
+from rigidpack.setfuncs import (
+    lmn, const, vertex_weights, force_zero_on_ground, table_func, pebble_params,
+)
 from rigidpack.sparsity import (
-    pebble_basis, is_sparse, rank_and_rigid, rigid_components,
-    minimal_rigid_vertices, exchange, _check_internal_connectivity,
+    PebbleState, pebble_basis, is_sparse, rank_and_rigid, rigid_components,
+    minimal_rigid_vertices, exchange, _check_internal_connectivity, _pebble_run,
 )
 
 PARAMS = [(1, 1), (2, 2), (2, 3), (3, 5)]
@@ -210,3 +212,53 @@ def test_pebble_accounting_invariant():
         k, l = PARAMS[rng.randrange(4)]
         _, state = pebble_basis(g, k, l)
         state.check_invariant()
+
+
+def _random_pebble_params(n, rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        f = lmn(n, *rng.choice([(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 5)]))
+    elif kind == 1:
+        f = const(n, rng.randrange(1, 4))
+    else:
+        f = vertex_weights([rng.randrange(3) for _ in range(n)])
+    return pebble_params(f)
+
+
+def test_live_state_answers_as_a_fresh_run():
+    # one state changed in place by inserts, deletes and probes accepts
+    # exactly the independent edges and reports the same minimal and
+    # maximal tight sets for every pair as a fresh run over its edges
+    rng = random.Random(23)
+    steps = 0
+    for _ in range(80):
+        n = rng.randrange(2, 9)
+        caps, ell = _random_pebble_params(n, rng)
+        g = oracle.random_multigraph(n, rng.randrange(1, 3 * n), rng)
+        state = PebbleState.fresh(caps, ell)
+        for _ in range(rng.randrange(5, 30)):
+            step = rng.random()
+            if step < 0.3 and state.accepted:
+                eid = rng.choice(state.accepted)
+                state.delete(eid, *g.edges[eid])
+            elif step < 0.8:
+                eid = rng.randrange(g.m)
+                if eid in state.accepted:
+                    continue
+                _, rejected = _pebble_run(caps, ell, g.edges,
+                                          sorted(state.accepted) + [eid], strict=True)
+                accepted = state.insert(eid, *g.edges[eid]) is None
+                assert accepted == (rejected is None)
+            else:
+                state.probe_pair(*rng.sample(range(n), 2))
+            state.check_invariant()
+            fresh, rejected = _pebble_run(caps, ell, g.edges, sorted(state.accepted),
+                                          strict=True)
+            assert rejected is None
+            for x in range(n):
+                for y in range(x + 1, n):
+                    assert state.probe_pair(x, y) == fresh.probe_pair(x, y)
+                    assert state.max_tight_pair(x, y) == fresh.max_tight_pair(x, y)
+            state.check_invariant()
+            steps += 1
+    assert steps > 1000
