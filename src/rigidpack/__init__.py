@@ -31,10 +31,9 @@ from .packing import (
     check_pack_refined, check_pack_degree, violation_threshold,
 )
 from .orientation import (
-    Orientation, ArcResult, HakimiResult, hakimi_orient, verify_arc,
-    arc_strong_value, euler_orient, smooth_orient, rigid_to_orientation,
-    orientation_to_rigid, packed_orientation, odd_spanning_forest,
-    rigid_factor, robust_arc_strong,
+    Orientation, HakimiResult, hakimi_orient, arc_strong_value, euler_orient,
+    smooth_orient, rigid_to_orientation, orientation_to_rigid,
+    packed_orientation, odd_spanning_forest, rigid_factor, robust_arc_strong,
 )
 
 __all__ = [
@@ -53,9 +52,9 @@ __all__ = [
     "check_rigid_necessary", "check_rigid_sufficient",
     "check_rigid_cut_consequences", "check_pack_basic", "check_pack_refined",
     "check_pack_degree", "violation_threshold",
-    "Orientation", "ArcResult", "HakimiResult", "hakimi_orient",
-    "verify_arc", "arc_strong_value", "euler_orient", "smooth_orient",
-    "rigid_to_orientation", "orientation_to_rigid", "packed_orientation",
-    "odd_spanning_forest", "rigid_factor", "robust_arc_strong",
+    "Orientation", "HakimiResult", "hakimi_orient", "arc_strong_value",
+    "euler_orient", "smooth_orient", "rigid_to_orientation",
+    "orientation_to_rigid", "packed_orientation", "odd_spanning_forest",
+    "rigid_factor", "robust_arc_strong",
     "__version__",
 ]

@@ -5,6 +5,13 @@ infeasibility), Eulerian and smooth orientations, the equivalence between
 minimal rigidity and in-degree-exact arc-connected orientations, packed
 orientations with rooted arc-connectivity, odd-degree spanning forests,
 near-regular rigid factors, and the vertex-robust arc-strong pipeline.
+
+Rooted arc-connectivity is decided by sparsity. Every orientation has
+d^-(A) = sum_{v in A} d^-(v) - i(A). When d^-(v) = f(v) - r(v) at every
+v, the roots cancel, and d^-(A) >= f(A) - r(A) holds exactly when
+i(A) <= sum_{v in A} f(v) - f(A) = cap(A) (Hakimi 1965; Frank 1980). So on
+an in-degree-exact orientation `is_sparse` decides it, and a set that
+violates one inequality violates the other.
 """
 
 from __future__ import annotations
@@ -97,26 +104,6 @@ class Orientation:
         ids = sorted(set(edge_ids))
         sub = self.host.subgraph(ids)
         return Orientation(sub, tuple(self.heads[e] for e in ids))
-
-
-@dataclass(frozen=True)
-class ArcResult:
-    ok: bool
-    violation: int | None = None  # mask with too few entering arcs
-
-
-def verify_arc(orient: Orientation, func: SetFunc, roots=None) -> ArcResult:
-    """d^-(A) >= f(A) - sum of roots over A, for every nonempty vertex set."""
-    host = orient.host
-    if host.n > ARC_SWEEP_BUDGET:
-        raise ValueError(f"arc verification sweep capped at {ARC_SWEEP_BUDGET} vertices")
-    r = list(roots) if roots is not None else [0] * host.n
-    rtab = host.weight_table(r)
-    din = orient.indeg_table()
-    for mask in range(1, host.full_mask + 1):
-        if din[mask] < func.value(mask) - rtab[mask]:
-            return ArcResult(False, mask)
-    return ArcResult(True)
 
 
 def arc_strong_value(orient: Orientation, limit=INFINITY) -> int | float:
@@ -307,7 +294,9 @@ def rigid_to_orientation(graph: MultiGraph, ell: SetFunc) -> RigidOrientResult:
     """Certify minimal rigidity and produce the in-degree-exact orientation.
 
     Needs ell zero on the full vertex set and nonnegative. The orientation
-    has d^-(v) = ell(v) everywhere and is verified arc-connected for ell.
+    has d^-(v) = ell(v) everywhere, so by the in-degree identity (see the
+    module docstring) the sparsity shown first makes it arc-connected for
+    ell.
     """
     full = graph.full_mask
     if ell.value(full) != 0:
@@ -324,14 +313,16 @@ def rigid_to_orientation(graph: MultiGraph, ell: SetFunc) -> RigidOrientResult:
     if not hk.ok:
         return RigidOrientResult(False, reason="orientation-infeasible",
                                  witness=hk.violation)
-    arc = verify_arc(hk.orientation, ell)
-    if not arc.ok:
-        raise RuntimeError("arc verification failed on a minimally rigid input")
     return RigidOrientResult(True, orientation=hk.orientation)
 
 
 def orientation_to_rigid(orient: Orientation, ell: SetFunc) -> RigidOrientResult:
-    """Certify minimal rigidity from an in-degree-exact arc-connected orientation."""
+    """Certify minimal rigidity from an in-degree-exact arc-connected orientation.
+
+    Once d^-(v) = ell(v) everywhere, the in-degree identity (see the module
+    docstring) makes arc-connectivity for ell the same as sparsity, so one
+    `is_sparse` call decides it, and its violating set is the witness.
+    """
     graph = orient.host
     full = graph.full_mask
     if ell.value(full) != 0:
@@ -339,13 +330,10 @@ def orientation_to_rigid(orient: Orientation, ell: SetFunc) -> RigidOrientResult
     for v in range(graph.n):
         if orient.indegrees[v] != ell.singletons[v]:
             return RigidOrientResult(False, reason="indegree", witness=v)
-    arc = verify_arc(orient, ell)
-    if not arc.ok:
-        return RigidOrientResult(False, reason="not-arc-connected",
-                                 witness=arc.violation)
     sp = is_sparse(graph, ell)
     if not sp.ok:
-        raise RuntimeError("in-degree identity contradicts sparsity; engine bug")
+        return RigidOrientResult(False, reason="not-arc-connected",
+                                 witness=sp.violation)
     return RigidOrientResult(True, orientation=orient)
 
 
@@ -432,7 +420,11 @@ def packed_claims(orient: Orientation, l: SetFunc, ell: SetFunc, r1, r2, h1, h2,
     """Claims of a packed orientation: h1 and h2 share no edge, h1 has
     in-degrees l(v) - r1(v) and is r1-rooted arc-connected for l, h2
     likewise for ell and r2, and every out-degree is at most ceil(d(v)/2),
-    or floor(d(v)/2) at the lowered vertex."""
+    or floor(d(v)/2) at the lowered vertex.
+
+    With exact in-degrees a part is rooted arc-connected exactly when its
+    edges are sparse (see the module docstring), so that claim is decided
+    only once the part's in-degree claim holds."""
     graph = orient.host
     failed = ["h1 and h2 share an edge"] if set(h1) & set(h2) else []
     for name, ids, func, roots in (("h1", h1, l, r1), ("h2", h2, ell, r2)):
@@ -440,7 +432,7 @@ def packed_claims(orient: Orientation, l: SetFunc, ell: SetFunc, r1, r2, h1, h2,
         if any(part.indegrees[v] != func.singletons[v] - roots[v]
                for v in range(graph.n)):
             failed.append(f"{name} in-degrees are not its function minus its roots")
-        if not verify_arc(part, func, roots).ok:
+        elif not is_sparse(part.host, func).ok:
             failed.append(f"{name} is not rooted arc-connected")
     over = [v for v, d in enumerate(graph.degrees) if orient.outdegrees[v] >
             (d // 2 if v == lowered_vertex else -(-d // 2))]

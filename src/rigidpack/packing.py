@@ -344,6 +344,8 @@ def check_rigid_cut_consequences(graph: MultiGraph, k: int) -> HypothesisReport:
     """Cut conditions every k-rigid graph of order >= 3 must satisfy:
     k-edge-connected, essentially (2k-1)-edge-connected, and
     (k-1)-edge-connected after deleting any one vertex."""
+    if k < 1:
+        raise ValueError("rigidity level must be at least 1")
     if graph.n < 3:
         raise ValueError("cut consequences apply to graphs of order at least 3")
     aux = {}

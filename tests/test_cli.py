@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rigidpack.cli import main, canonical_dumps, load_graph, parse_setfunc
-from rigidpack.generators import complete, complete_bipartite
+from rigidpack.generators import circulant, complete, complete_bipartite
 from rigidpack.graph import MultiGraph
 from rigidpack.orientation import Orientation
 from rigidpack.setfuncs import lmn
@@ -376,12 +376,16 @@ REPORTS = {
     "hakimi-infeasible": ("k4", ["orient", "--mode", "hakimi",
                                  "--targets", "0,0,0,6"]),
     "smooth": ("k9", ["orient", "--mode", "smooth"]),
+    "components": ("bowtie-pendant", ["components", "--func", "lmn:2,3"]),
 }
 GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
           "k10": complete(10), "k13": complete(13),
           "k66": complete_bipartite(6, 6),
           "c4": MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
-          "double-path": MultiGraph(3, [(2, 0), (2, 0), (2, 1), (1, 2)])}
+          "double-path": MultiGraph(3, [(2, 0), (2, 0), (2, 1), (1, 2)]),
+          # two triangles sharing vertex 2, and a pendant edge at vertex 4
+          "bowtie-pendant": MultiGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3),
+                                           (3, 4), (2, 4), (4, 5)])}
 
 
 @pytest.fixture(scope="module")
@@ -557,6 +561,32 @@ def _reverse_h1_arc(r):
     _reverse_arcs(r, r["certificates"]["h1"][:1])
 
 
+def _swap_unpacked_edge_into_h1(r):
+    # an h1 edge leaves h1 and an unpacked edge with the same head joins it:
+    # h1 keeps its in-degrees but is no longer a spanning tree
+    certs = r["certificates"]
+    graph = MultiGraph(9, [tuple(e) for e in r["graph"]["edges"]])
+    arcs, h1 = certs["arcs"], certs["h1"]
+    rest = sorted(set(range(len(arcs))) - set(h1) - set(certs["h2"]))
+    for e in h1:
+        for f in rest:
+            swapped = sorted(set(h1) - {e} | {f})
+            if arcs[f][1] == arcs[e][1] and \
+                    not graph.subgraph(swapped).is_connected():
+                certs["h1"] = swapped
+                return
+    raise AssertionError("no unpacked edge closes a cycle in h1")
+
+
+def _empty_components(r):
+    r["certificates"]["components"] = []
+
+
+def _drop_triangles(r):
+    certs = r["certificates"]
+    certs["components"] = [c for c in certs["components"] if len(c) != 3]
+
+
 def _unbalance_vertex_0(r):
     out = [e for e, (t, _) in enumerate(r["certificates"]["arcs"]) if t == 0]
     _reverse_arcs(r, out[:2])
@@ -600,6 +630,9 @@ def _unbalance_vertex_0(r):
     ("packed", _reverse_other_arcs, "out-degree bound violated"),
     ("packed", _reverse_h1_arc, "h1 in-degrees"),
     ("packed", _move_first_root, "h1 in-degrees"),
+    ("packed", _swap_unpacked_edge_into_h1, "h1 is not rooted arc-connected"),
+    ("components", _empty_components, "not the recomputed rigid components"),
+    ("components", _drop_triangles, "not the recomputed rigid components"),
     ("robust", _checks_value("arc_strong", 99), "checks.arc_strong"),
     ("robust", _checks_value("vertex_deleted_arc_strong", 99),
      "checks.vertex_deleted_arc_strong"),
@@ -647,10 +680,9 @@ def _complete(tmp_path, n):
                        [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-@pytest.mark.parametrize("n, force", [(13, []), (21, ["--force"])])
-def test_robust_report_without_subset_tables(tmp_path, capsys, monkeypatch,
-                                             n, force):
-    # the robust construction and its re-check run on flows alone
+@pytest.fixture
+def subset_tables(monkeypatch):
+    """Orders of the hosts whose in-degree subset tables a test builds."""
     tables = []
     build = Orientation.indeg_table
 
@@ -659,6 +691,13 @@ def test_robust_report_without_subset_tables(tmp_path, capsys, monkeypatch,
         return build(self)
 
     monkeypatch.setattr(Orientation, "indeg_table", counted)
+    return tables
+
+
+@pytest.mark.parametrize("n, force", [(13, []), (21, ["--force"])])
+def test_robust_report_without_subset_tables(tmp_path, capsys, subset_tables,
+                                             n, force):
+    # the robust construction and its re-check run on flows alone
     code, out = run(capsys, "--format", "structured", *force, "orient",
                     "--graph", _complete(tmp_path, n), "--mode", "robust",
                     "--k", "1")
@@ -667,7 +706,37 @@ def test_robust_report_without_subset_tables(tmp_path, capsys, monkeypatch,
     path.write_text(out)
     vcode, vout = run(capsys, "verify", "--report", str(path))
     assert vcode == 0 and "REPRODUCED" in vout
-    assert tables == []
+    assert subset_tables == []
+
+
+def test_orientations_decide_arc_connectivity_without_subset_tables(
+        tmp_path, capsys, subset_tables):
+    # rooted arc-connectivity of in-degree-exact parts is decided by
+    # sparsity, so packed and rigid reports build and verify past 20 vertices
+    circ = circulant(60, [1, 2])
+    cases = [
+        ["--force", "orient", "--graph", _complete(tmp_path, 40), "--mode",
+         "packed", "--l", "lmn:1,1", "--ell", "lmn:2,3",
+         "--r1", ",".join(["1"] + ["0"] * 39),
+         "--r2", ",".join(["2", "1"] + ["0"] * 38)],
+        ["orient", "--graph", write_graph(tmp_path, "circ60", 60, circ.edges),
+         "--mode", "rigid", "--func", "mod:lmn:2,1:V=0"],
+    ]
+    for argv in cases:
+        code, out = run(capsys, "--format", "structured", *argv)
+        assert code == 0, out
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        vcode, vout = run(capsys, "verify", "--report", str(path))
+        assert vcode == 0 and "REPRODUCED" in vout
+    assert subset_tables == []
+
+
+def test_rigid_cuts_below_level_one_is_a_usage_error(capsys, c4):
+    code = main(["hypothesis", "--graph", c4, "--check", "rigid-cuts",
+                 "--k-int", "-3"])
+    assert code == 2
+    assert "error: rigidity level must be at least 1" in capsys.readouterr().err
 
 
 def test_hypothesis_subcommand(capsys, k4):

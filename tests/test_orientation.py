@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 
 from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, INFINITY, mask_of
-from rigidpack.setfuncs import lmn, const, zero, force_zero_on_ground, table_func
+from rigidpack.setfuncs import (
+    lmn, const, zero, force_zero_on_ground, table_func, vertex_weights,
+    with_overrides, rooted_shift,
+)
+from rigidpack.sparsity import is_sparse
 from rigidpack.orientation import (
-    Orientation, hakimi_orient, verify_arc, arc_strong_value, euler_orient,
+    Orientation, hakimi_orient, arc_strong_value, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, odd_spanning_forest, rigid_factor,
     robust_arc_strong, _deleted_arc_strong, _find_robust_violation,
@@ -129,26 +133,97 @@ def test_smooth_orientation_property(edges):
 
 
 def test_verify_arc_examples():
+    # the arc-connectivity decision on small in-degree-exact orientations
     tab = table_func(3, {0b001: 1, 0b010: 1, 0b100: 1,
                          0b011: 1, 0b101: 1, 0b110: 1, 0b111: 0})
     cycle = Orientation(triangle(), (1, 2, 0))
-    assert verify_arc(cycle, tab).ok
+    assert orientation_to_rigid(cycle, tab).ok
+    assert oracle.bf_arc_connected(cycle.host, cycle.heads, tab)[0]
     path = Orientation(MultiGraph(3, [(0, 1), (1, 2)]), (1, 2))
-    res = verify_arc(path, tab)
-    assert not res.ok and res.violation == 0b001
-    assert verify_arc(cycle, tab, roots=[1, 0, 0]).ok
+    res = orientation_to_rigid(path, tab)
+    assert not res.ok and res.reason == "indegree" and res.witness == 0
+    assert oracle.bf_arc_connected(path.host, path.heads, tab) == (False, 0b001)
+    # rooted at vertex 0 the path is in-degree exact, sparse and arc-connected
+    assert is_sparse(path.host, tab).ok
+    assert oracle.bf_arc_connected(path.host, path.heads, tab, [1, 0, 0])[0]
+    assert oracle.bf_arc_connected(cycle.host, cycle.heads, tab, [1, 0, 0])[0]
 
 
 def test_verify_arc_matches_oracle():
+    # orientation_to_rigid accepts exactly the in-degree-exact orientations
+    # that the subset sweep finds arc-connected
     rng = random.Random(35)
-    for _ in range(25):
-        g = oracle.random_multigraph(4, rng.randrange(1, 8), rng)
-        heads = tuple(g.edges[e][rng.randrange(2)] for e in range(g.m))
-        orient = Orientation(g, heads)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
         f = force_zero_on_ground(lmn(4, rng.randrange(0, 2), rng.randrange(0, 2)))
-        fast = verify_arc(orient, f).ok
-        slow = oracle.bf_arc_connected(g, heads, f)[0]
-        assert fast == slow
+        g = oracle.random_multigraph(4, rng.choice([rng.randrange(1, 8), 4]), rng)
+        heads = tuple(g.edges[e][rng.randrange(2)] for e in range(g.m))
+        if sum(f.singletons) == g.m and rng.random() < 0.8:
+            hk = hakimi_orient(g, f.singletons)
+            if hk.ok:
+                heads = hk.orientation.heads
+        orient = Orientation(g, heads)
+        exact = list(orient.indegrees) == list(f.singletons)
+        fast = orientation_to_rigid(orient, f)
+        assert fast.ok == (exact and oracle.bf_arc_connected(g, heads, f)[0])
+        if exact:
+            seen[fast.ok] += 1
+            if not fast.ok:
+                assert fast.reason == "not-arc-connected"
+                assert not oracle.bf_arc_connected(g, heads, f)[0]
+    assert min(seen.values()) > 0, seen
+
+
+def _random_setfunc(n, rng):
+    """A set function of a random kind, small enough for the oracles."""
+    kind = rng.choice(["lmn", "const", "weights", "table", "mod", "shift"])
+    if kind == "lmn":
+        a = rng.randrange(0, 4)
+        return lmn(n, a, rng.randrange(0, 2 * a + 1))
+    if kind == "const":
+        return const(n, rng.randrange(0, 3))
+    if kind == "weights":
+        return vertex_weights(rng.randrange(0, 3) for _ in range(n))
+    if kind == "table":
+        return table_func(n, {m: rng.randrange(0, 3) if m & (m - 1) == 0
+                              else rng.randrange(-1, 4) for m in range(1, 1 << n)})
+    a = rng.randrange(1, 4)
+    base = lmn(n, a, rng.randrange(0, 2 * a))
+    if kind == "mod":
+        mask = (1 << n) - 1 if rng.random() < 0.5 else rng.randrange(1, 1 << n)
+        return with_overrides(base, {mask: rng.randrange(0, 2 * a)})
+    return rooted_shift(base, [rng.randrange(0, a + 1) for _ in range(n)])
+
+
+def test_sparsity_decides_rooted_arc_connectivity():
+    # on an orientation with d^-(v) = f(v) - r(v), d^-(A) >= f(A) - r(A)
+    # for every A exactly when the edges are f-sparse
+    rng = random.Random(1103)
+    verdicts = {True: 0, False: 0}
+    kinds = set()
+    for _ in range(900):
+        n = rng.randrange(2, 8)
+        f = _random_setfunc(n, rng)
+        if any(x < 0 for x in f.singletons):
+            continue
+        roots = [rng.randrange(0, x + 1) for x in f.singletons]
+        targets = [x - r for x, r in zip(f.singletons, roots)]
+        g = oracle.random_multigraph(n, sum(targets), rng)
+        hk = hakimi_orient(g, targets)
+        if not hk.ok:
+            continue
+        heads = hk.orientation.heads
+        sp = is_sparse(g, f)
+        assert sp.ok == oracle.bf_arc_connected(g, heads, f, roots)[0]
+        if not sp.ok:
+            entering = sum(1 for t, h in hk.orientation.arcs
+                           if (sp.violation >> h) & 1 and not (sp.violation >> t) & 1)
+            assert entering < f.value(sp.violation) - sum(
+                roots[v] for v in range(n) if (sp.violation >> v) & 1)
+        verdicts[sp.ok] += 1
+        kinds.add(f.kind)
+    assert min(verdicts.values()) > 50, verdicts
+    assert kinds == {"lmn", "const", "weights", "table", "mod", "shift"}
 
 
 def test_rigid_orientation_equivalence_examples():
@@ -185,6 +260,17 @@ def test_orientation_to_rigid_detects_bad_indegree():
     assert not res.ok and res.reason == "indegree"
 
 
+def test_orientation_to_rigid_names_a_set_with_too_few_entering_arcs():
+    # two directed 2-cycles: every in-degree is 1, but no arc enters either
+    digons = Orientation(MultiGraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)]),
+                         (1, 0, 3, 2))
+    res = orientation_to_rigid(digons, unit_cycle_func(4))
+    assert not res.ok and res.reason == "not-arc-connected"
+    assert res.witness in (0b0011, 0b1100)
+    assert not oracle.bf_arc_connected(digons.host, digons.heads,
+                                       unit_cycle_func(4))[0]
+
+
 def test_packed_orientation_k9():
     k9 = generators.complete(9)
     r1 = [1] + [0] * 8
@@ -195,9 +281,9 @@ def test_packed_orientation_k9():
     assert max(orient.outdegrees) <= 4
     d1 = orient.restricted(res.h1)
     assert list(d1.indegrees) == [0] + [1] * 8
-    assert verify_arc(d1, lmn(9, 1, 1), r1).ok
+    assert oracle.bf_arc_connected(d1.host, d1.heads, lmn(9, 1, 1), r1)[0]
     d2 = orient.restricted(res.h2)
-    assert verify_arc(d2, lmn(9, 2, 3), r2).ok
+    assert oracle.bf_arc_connected(d2.host, d2.heads, lmn(9, 2, 3), r2)[0]
 
 
 def test_packed_orientation_zero_first_function():
