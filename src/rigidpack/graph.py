@@ -193,29 +193,6 @@ class MultiGraph:
         ids = sorted(set(edge_ids))
         return MultiGraph(self.n, [self.edges[i] for i in ids])
 
-    def contract(self, mask: int) -> tuple["MultiGraph", list[int]]:
-        """Collapse the vertices of `mask` into a single vertex.
-
-        Edges inside the set are deleted, parallel edges are kept. Returns
-        the contracted graph and the old-to-new vertex map; the merged
-        vertex takes the last index.
-        """
-        if mask == 0:
-            raise ValueError("cannot contract an empty vertex set")
-        keep = [v for v in range(self.n) if not (mask >> v) & 1]
-        mapping = [0] * self.n
-        for i, v in enumerate(keep):
-            mapping[v] = i
-        merged = len(keep)
-        for v in vertices_of(mask):
-            mapping[v] = merged
-        new_edges = []
-        for u, v in self.edges:
-            mu, mv = mapping[u], mapping[v]
-            if mu != mv:
-                new_edges.append((mu, mv))
-        return MultiGraph(merged + 1, new_edges), mapping
-
     def induced_subgraph(self, mask: int) -> tuple["MultiGraph", list[int]]:
         """Induced subgraph on a vertex set, relabelled; returns the vertex list."""
         verts = vertices_of(mask)
@@ -288,7 +265,7 @@ class MultiGraph:
         net = _flow_network(self.n, self._edge_arcs())
         best = INFINITY
         for t in range(1, self.n):
-            best = min(best, _maxflow(net, 0, t, best))
+            best = min(best, _maxflow(net, 0, t, best)[0])
         return best
 
     def local_edge_connectivity(self, s: int, t: int) -> int:
@@ -296,7 +273,7 @@ class MultiGraph:
             raise ValueError(f"vertex out of range: ({s}, {t})")
         if s == t:
             raise ValueError("local edge connectivity needs distinct endpoints")
-        return _maxflow(_flow_network(self.n, self._edge_arcs()), s, t)
+        return _maxflow(_flow_network(self.n, self._edge_arcs()), s, t)[0]
 
     def _edge_arcs(self) -> list[tuple[int, int, int]]:
         # each vertex pair once per direction, with its multiplicity
@@ -344,7 +321,7 @@ class MultiGraph:
             tied = cap[:]
             for x in (s1, s2, t1 + n, t2 + n):
                 tied[first_tie + 2 * x] = m + 1
-            best = min(best, _maxflow((head, tied, out), n, n + 1, best))
+            best = min(best, _maxflow((head, tied, out), n, n + 1, best)[0])
         return best
 
     def vertex_connectivity(self) -> int:
@@ -374,7 +351,7 @@ class MultiGraph:
         while i < best:
             for j in range(i + 1, n):
                 if mult[i][j] == 0:
-                    best = min(best, _maxflow(net, i + n, j, best))
+                    best = min(best, _maxflow(net, i + n, j, best)[0])
             i += 1
         return best
 
@@ -397,12 +374,16 @@ def _flow_network(size: int, arcs):
     return head, cap, out
 
 
-def _maxflow(net, s: int, t: int, limit=INFINITY) -> int:
-    """Max s-t flow value by shortest augmenting paths on a `_flow_network`.
+def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:
+    """Max s-t flow value by shortest augmenting paths on a `_flow_network`,
+    with the mask of the vertices its last search reached.
 
     The search stops once the flow reaches `limit`: a value of at least
     `limit` says only that the maximum is not below it, which is all a
-    caller taking a minimum with running best `limit` needs.
+    caller taking a minimum with running best `limit` needs, and the mask
+    is None. Below `limit` the last search found no augmenting path, so
+    the vertices it reached are the least source side of a minimum cut
+    (Ford & Fulkerson 1956): the arcs leaving them carry the whole flow.
     """
     head, cap, out = net
     cap = cap[:]
@@ -420,7 +401,7 @@ def _maxflow(net, s: int, t: int, limit=INFINITY) -> int:
             if via[t] != -1:
                 break
         if via[t] == -1:
-            break
+            return flow, mask_of(queue)
         bottleneck = INFINITY
         v = t
         while v != s:
@@ -434,4 +415,4 @@ def _maxflow(net, s: int, t: int, limit=INFINITY) -> int:
             cap[a ^ 1] += bottleneck
             v = head[a ^ 1]
         flow += bottleneck
-    return flow
+    return flow, None

@@ -17,6 +17,7 @@ violates one inequality violates the other.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,8 +26,6 @@ from .graph import MultiGraph, INFINITY, vertices_of, _flow_network, _maxflow
 from .setfuncs import SetFunc, lmn, halved_slack
 from .sparsity import is_sparse, rank_and_rigid
 from . import packing as packmod
-
-ARC_SWEEP_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -72,33 +71,6 @@ class Orientation:
     def is_balanced(self) -> bool:
         return self.indegrees == self.outdegrees
 
-    def indeg_table(self) -> list[int]:
-        """d^-(S) for every mask S, built up from S minus its lowest vertex;
-        n capped by the sweep budget."""
-        n = self.host.n
-        if n > ARC_SWEEP_BUDGET:
-            raise ValueError(f"in-degree table capped at {ARC_SWEEP_BUDGET} vertices")
-        amat = [[0] * n for _ in range(n)]
-        for t, h in self.arcs:
-            amat[t][h] += 1
-        indeg = self.indegrees
-        tab = [0] * (1 << n)
-        for s in range(1, 1 << n):
-            v = (s & -s).bit_length() - 1
-            t_mask = s ^ (1 << v)
-            into_v = indeg[v]
-            out_v_into_t = 0
-            row = amat[v]
-            tm = t_mask
-            while tm:
-                b = tm & -tm
-                w = b.bit_length() - 1
-                into_v -= amat[w][v]
-                out_v_into_t += row[w]
-                tm ^= b
-            tab[s] = tab[t_mask] - out_v_into_t + into_v
-        return tab
-
     def restricted(self, edge_ids) -> "Orientation":
         """Orientation of the spanning subgraph on the given edge ids."""
         ids = sorted(set(edge_ids))
@@ -108,21 +80,38 @@ class Orientation:
 
 def arc_strong_value(orient: Orientation, limit=INFINITY) -> int | float:
     """min d^-(A) over proper nonempty A (INFINITY on a single vertex), or
-    `limit` if that is lower.
+    `limit` if that is lower: the value of `_arc_cut`, whose witness is a
+    minimum cut of one of its flows."""
+    return _arc_cut(orient, limit)[0]
 
-    An A without vertex 0 holds some v and takes at least the 0 -> v flow;
-    an A with vertex 0 misses some v and takes at least the v -> 0 flow.
-    A minimum cut of either flow is such an A, so the value is the least
-    of these 2(n-1) flows (Even & Tarjan 1975). Each flow stops at the
-    running minimum.
+
+def _arc_cut(orient: Orientation, limit=INFINITY, without: int | None = None):
+    """min d^-(A) over proper nonempty vertex sets A of the digraph minus
+    the vertex `without` (the whole digraph if None), or `limit` if that is
+    lower, with a set A reaching it as a host mask (None if no A is below
+    `limit`).
+
+    Let r be the lowest remaining vertex. An A without r holds some v and
+    takes at least the r -> v flow; an A with r misses some v and takes at
+    least the v -> r flow. The sink side of a minimum cut of either flow is
+    such an A with d^-(A) equal to the flow, so the value is the least of
+    these flows (Even & Tarjan 1975). Each flow stops at the running
+    minimum, so the sink side of the last flow that lowers it is a minimum
+    A: that is the witness.
     """
-    n = orient.host.n
-    net = _flow_network(n, [(t, h, 1) for t, h in orient.arcs])
-    best = limit
-    for v in range(1, n):
-        best = min(best, _maxflow(net, 0, v, best))
-        best = min(best, _maxflow(net, v, 0, best))
-    return best
+    host = orient.host
+    rest = host.full_mask & ~(0 if without is None else 1 << without)
+    net = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs
+                                 if without not in (t, h)])
+    low = rest & -rest
+    root = low.bit_length() - 1
+    best, witness = limit, None
+    for v in vertices_of(rest ^ low):
+        for s, t in ((root, v), (v, root)):
+            flow, side = _maxflow(net, s, t, best)
+            if side is not None:
+                best, witness = flow, rest & ~side
+    return best, witness
 
 
 # ----------------------------------------------------------------------
@@ -156,16 +145,11 @@ def hakimi_orient(graph: MultiGraph, targets) -> HakimiResult:
         head = u if (du, -u) > (dv, -v) else v
         heads.append(head)
         indeg[head] += 1
-    # repair: reverse a path from a deficient vertex into each excess vertex
-    in_edges = [[] for _ in range(graph.n)]  # recomputed lazily below
-
-    def rebuild_in():
-        for lst in in_edges:
-            lst.clear()
-        for eid, h in enumerate(heads):
-            in_edges[h].append(eid)
-
-    rebuild_in()
+    # repair: reverse a path from a deficient vertex into each excess vertex;
+    # in-edge lists stay in ascending id order, which fixes the BFS order
+    in_edges = [[] for _ in range(graph.n)]
+    for eid, h in enumerate(heads):
+        in_edges[h].append(eid)
     while True:
         over = next((v for v in range(graph.n) if indeg[v] > t[v]), None)
         if over is None:
@@ -199,10 +183,11 @@ def hakimi_orient(graph: MultiGraph, targets) -> HakimiResult:
             old_head = heads[eid]
             new_head = u if old_head == v else v
             heads[eid] = new_head
+            in_edges[old_head].remove(eid)
+            insort(in_edges[new_head], eid)
             x = old_head
         indeg[over] -= 1
         indeg[found] += 1
-        rebuild_in()
     return HakimiResult(True, orientation=Orientation(graph, tuple(heads)))
 
 
@@ -745,7 +730,7 @@ def robust_claims(orient: Orientation, k: int):
     strong = arc_strong_value(orient)
     worst = INFINITY
     for v in range(orient.host.n):
-        worst = _deleted_arc_strong(orient, v, worst)
+        worst = _arc_cut(orient, worst, v)[0]
     if strong < 2 * k + 1:
         failed.append(f"orientation is only {strong}-arc-strong")
     if worst < k:
@@ -765,33 +750,16 @@ def _robust_euler_search(hsub: MultiGraph, k: int, seed: int,
 
 
 def _find_robust_violation(orient: Orientation, k: int):
+    """The first vertex v whose deletion leaves the digraph below
+    k-arc-strong, with a set of the digraph minus v that has the fewest
+    entering arcs, as a host mask: the sink side of a minimum cut of
+    `_arc_cut`'s flows. None if every vertex-deleted digraph is
+    k-arc-strong."""
     for v in range(orient.host.n):
-        if _deleted_arc_strong(orient, v, k) < k:
-            return v, _deleted_arc_strong(orient, v, want_witness=True)[1]
+        value, witness = _arc_cut(orient, k, v)
+        if value < k:
+            return v, witness
     return None
-
-
-def _deleted_arc_strong(orient: Orientation, v: int, limit=INFINITY,
-                        want_witness: bool = False):
-    """min d^-(A) over proper nonempty A of the digraph minus vertex v, or
-    `limit` if that is lower, by the flows of `arc_strong_value`.
-
-    With want_witness it returns the exact minimum and the numerically
-    first A (as a host mask) reaching it instead, read from the in-degree
-    table of the digraph minus v, so it is capped by the sweep budget."""
-    host = orient.host
-    if host.n <= 2:  # one vertex left has no proper subset
-        return (INFINITY, None) if want_witness else limit
-    heads = tuple(h - 1 if h > v else h for e, h in enumerate(orient.heads)
-                  if v not in host.edges[e])
-    rest = Orientation(host.delete_vertex(v), heads)
-    if not want_witness:
-        return arc_strong_value(rest, limit)
-    tab = rest.indeg_table()
-    best = min(tab[1:-1])
-    s = tab.index(best, 1)
-    low = s & ((1 << v) - 1)
-    return best, low | ((s ^ low) << 1)
 
 
 def _repair_orientation(hsub: MultiGraph, orient: Orientation,

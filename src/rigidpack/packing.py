@@ -684,16 +684,22 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
             return PresetResult(ok=False, hypothesis=hyp,
                                 union_edges=frozenset(), degree_bounds=())
     ell = lmn(graph.n, 2, 3)
-    if kf > 2:
-        rho = [0 if (side_mask >> v) & 1 else d for v, d in enumerate(graph.degrees)]
-        outcome = pack_partition_rigid(graph, zero(graph.n), ell,
-                                       degree_mode="rho", force=True,
-                                       k=k, rho=rho)
+    if kf > 1:
+        if kf > 2:
+            rho = [0 if (side_mask >> v) & 1 else d
+                   for v, d in enumerate(graph.degrees)]
+            outcome = pack_partition_rigid(graph, zero(graph.n), ell,
+                                           degree_mode="rho", force=True,
+                                           k=k, rho=rho)
+        else:
+            # the halved cap ceil(d(v)/2) + 2 is within ceil(d(v)/k) + 2
+            outcome = pack_partition_rigid(graph, zero(graph.n), ell,
+                                           degree_mode="halved", force=True)
         if not outcome.ok:
             return PresetResult(ok=False, hypothesis=hyp,
                                 union_edges=frozenset(), degree_bounds=(),
                                 checks={"packing": "deficient"})
-        h_edges = outcome.packing.parts[2].edges
+        h_edges = outcome.packing.parts[-1].edges
     else:
         # a plain maximum rigid extraction; the claims check its degrees
         h_edges = extract_rigid(graph, ell)

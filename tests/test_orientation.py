@@ -15,8 +15,7 @@ from rigidpack.orientation import (
     Orientation, hakimi_orient, arc_strong_value, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, odd_spanning_forest, rigid_factor,
-    robust_arc_strong, _deleted_arc_strong, _find_robust_violation,
-    _repair_orientation, _reverse_cycle_through,
+    robust_arc_strong, _arc_cut, _find_robust_violation, _repair_orientation,
 )
 
 
@@ -79,6 +78,11 @@ def test_euler_orientation_examples():
         euler_orient(generators.complete(4))
 
 
+def _entering(arcs, mask):
+    """d^-(mask), arc by arc."""
+    return sum(1 for t, h in arcs if (mask >> h) & 1 and not (mask >> t) & 1)
+
+
 def test_eulerian_cuts_are_balanced():
     rng = random.Random(33)
     graphs = [c4(), generators.circulant(8, [1, 2]),
@@ -91,9 +95,8 @@ def test_eulerian_cuts_are_balanced():
         if any(d % 2 for d in g.degrees):
             continue
         orient = euler_orient(g)
-        din = orient.indeg_table()
         for mask in range(1, g.full_mask + 1):
-            assert din[mask] == g.boundary(mask) // 2
+            assert _entering(orient.arcs, mask) == g.boundary(mask) // 2
 
 
 def test_arc_strong_flows_match_indegree_table():
@@ -102,8 +105,7 @@ def test_arc_strong_flows_match_indegree_table():
         n = rng.randrange(2, 9)
         g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
         orient = Orientation(g, tuple(rng.choice(e) for e in g.edges))
-        din = orient.indeg_table()
-        value = min(din[mask] for mask in range(1, g.full_mask))
+        value = min(_entering(orient.arcs, mask) for mask in range(1, g.full_mask))
         assert arc_strong_value(orient) == value
         for limit in range(4):
             assert arc_strong_value(orient, limit) == min(value, limit)
@@ -373,7 +375,7 @@ def test_deleted_arc_strong_matches_definition():
                         if (mask >> orient.heads[e]) & 1
                         and not (mask >> orient.tail(e)) & 1)
             best = indeg if best is None else min(best, indeg)
-        assert _deleted_arc_strong(orient, v) == best
+        assert _arc_cut(orient, without=v)[0] == best
 
 
 def _random_orientation(rng, n):
@@ -382,20 +384,13 @@ def _random_orientation(rng, n):
     return Orientation(g, tuple(rng.choice(e) for e in g.edges))
 
 
-def _first_min_deleted(orient, v):
-    """Minimum of d^-(A) over proper nonempty A of the digraph minus v and
-    the numerically first host mask A reaching it, arc by arc."""
-    host = orient.host
+def _min_deleted(orient, v):
+    """Minimum of d^-(A) over proper nonempty A of the digraph minus v,
+    arc by arc."""
     arcs = [(t, h) for t, h in orient.arcs if v not in (t, h)]
-    rest = host.full_mask ^ (1 << v)
-    best = (INFINITY, None)
-    for mask in range(1, rest):
-        if mask & ~rest:
-            continue
-        d = sum(1 for t, h in arcs if (mask >> h) & 1 and not (mask >> t) & 1)
-        if d < best[0]:
-            best = (d, mask)
-    return best
+    rest = orient.host.full_mask ^ (1 << v)
+    return min((_entering(arcs, mask) for mask in range(1, rest)
+                if not mask & ~rest), default=INFINITY)
 
 
 def test_deleted_arc_strong_flows_match_table():
@@ -406,44 +401,25 @@ def test_deleted_arc_strong_flows_match_table():
     assert sum(len(set(o.host.edges)) < o.host.m for o in orients) >= 50
     for orient in orients:
         for v in range(orient.host.n):
-            value, mask = _first_min_deleted(orient, v)
-            assert _deleted_arc_strong(orient, v) == value
-            for limit in range(4):
-                assert _deleted_arc_strong(orient, v, limit) == min(value, limit)
-            assert _deleted_arc_strong(orient, v, want_witness=True) == (value, mask)
+            value = _min_deleted(orient, v)
+            rest = orient.host.full_mask ^ (1 << v)
+            arcs = [(t, h) for t, h in orient.arcs if v not in (t, h)]
+            for limit in [*range(4), INFINITY]:
+                got, witness = _arc_cut(orient, limit, v)
+                assert got == min(value, limit)
+                if value >= limit:
+                    assert witness is None
+                    continue
+                # a minimum cut side: nonempty, proper, without v
+                assert witness and not witness & ~rest and witness != rest
+                assert _entering(arcs, witness) == value
 
 
 def _table_violation(orient, k):
     """First vertex whose deletion leaves the digraph below k-arc-strong,
-    with the numerically first deficient host mask, all from in-degree
-    tables: the reference for the flow search."""
-    host = orient.host
-    if host.n <= 2:
-        return None
-    for v in range(host.n):
-        heads = tuple(h - 1 if h > v else h for e, h in enumerate(orient.heads)
-                      if v not in host.edges[e])
-        tab = Orientation(host.delete_vertex(v), heads).indeg_table()
-        best = min(tab[1:-1])
-        if best < k:
-            s = tab.index(best, 1)
-            low = s & ((1 << v) - 1)
-            return v, low | ((s ^ low) << 1)
-    return None
-
-
-def _table_repair(hsub, orient, k, passes=8):
-    """`_repair_orientation` with its violations from `_table_violation`."""
-    heads = list(orient.heads)
-    for _ in range(passes):
-        cur = Orientation(hsub, tuple(heads))
-        bad = _table_violation(cur, k)
-        if bad is None:
-            return cur
-        if not _reverse_cycle_through(hsub, heads, *bad):
-            return None
-    cur = Orientation(hsub, tuple(heads))
-    return cur if _table_violation(cur, k) is None else None
+    arc by arc: the reference for the flow search."""
+    return next((v for v in range(orient.host.n)
+                 if _min_deleted(orient, v) < k), None)
 
 
 def test_repair_matches_table_search():
@@ -464,25 +440,29 @@ def test_repair_matches_table_search():
             tried += 1
             orient = euler_orient(g, random.Random(tried))
             bad = _find_robust_violation(orient, 1)
-            assert bad == _table_violation(orient, 1)
+            assert (bad and bad[0]) == _table_violation(orient, 1)
             if bad is None:
                 continue
             found += 1
             fixed = _repair_orientation(g, orient, 1)
-            ref = _table_repair(g, orient, 1)
-            assert (fixed and fixed.heads) == (ref and ref.heads)
             if fixed is not None:
                 repaired += 1
                 assert fixed.is_balanced()
-                assert all(_deleted_arc_strong(fixed, v) >= 1 for v in range(n))
+                assert _table_violation(fixed, 1) is None
     assert found >= 20 and repaired >= 10
 
 
-def test_robust_witness_past_the_sweep_budget_is_refused():
-    # a violation on a host of 22 vertices needs a table of 21
+def test_robust_repair_past_twenty_vertices():
+    # a violation on a host of 22 vertices, where a subset table of the
+    # vertex-deleted digraph would need 2^21 entries
     g = generators.circulant(22, [1])
     g = MultiGraph(22, g.edges + g.edges)
     orient = euler_orient(g)
-    assert _deleted_arc_strong(orient, 0, 1) == 0
-    with pytest.raises(ValueError, match="capped"):
-        _find_robust_violation(orient, 1)
+    v, witness = _find_robust_violation(orient, 1)
+    rest = g.full_mask ^ (1 << v)
+    arcs = [(t, h) for t, h in orient.arcs if v not in (t, h)]
+    assert witness and not witness & ~rest and witness != rest
+    assert _entering(arcs, witness) == 0
+    fixed = _repair_orientation(g, orient, 1)
+    assert fixed is not None and fixed.is_balanced()
+    assert all(_arc_cut(fixed, without=u)[0] >= 1 for u in range(22))

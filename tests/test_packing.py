@@ -637,6 +637,28 @@ def test_rho_mode_bound_on_bipartite_host():
     assert rank_and_rigid(h, lmn(24, 2, 3)).rigid
 
 
+def test_bipartite_preset_between_one_and_two():
+    # 1 < k <= 2 packs under the halved cap; K8,8 is only 8-connected
+    rng = random.Random(517)
+    for a, k in [(9, Fraction(3, 2)), (10, Fraction(3, 2)), (11, Fraction(3, 2)),
+                 (12, Fraction(3, 2)), (12, 2), (8, Fraction(3, 2))]:
+        host = generators.complete_bipartite(a, a)
+        perm = list(range(2 * a))
+        rng.shuffle(perm)
+        relabelled = MultiGraph(2 * a, sorted(
+            tuple(sorted((perm[u], perm[v]))) for u, v in host.edges))
+        for g, side in [(host, mask_of(range(a))),
+                        (relabelled, mask_of(perm[:a]))]:
+            res = preset_bipartite_degree(g, k, side)
+            assert res.ok == (a > 8), (a, k)
+            if not res.ok:
+                assert res.hypothesis.witness == {"vertex_connectivity": 8}
+                continue
+            failed, checks = packing.bipartite_claims(
+                g, k, side, res.rigid_parts, res.union_edges, res.degree_bounds)
+            assert failed == [] and checks["two_connected"]
+
+
 def test_pack_degree_check_fractions():
     k13 = generators.complete(13)
     rep = check_pack_degree(k13, zero(13), lmn(13, 2, 3), Fraction(3), [0] * 13)
