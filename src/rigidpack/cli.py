@@ -607,19 +607,25 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
     preset = params.get("preset")
     if preset is not None:
         rigid = certs["rigid_parts"]
+        hyp = certs.get("hypothesis")
+        failed = [] if hyp is None or preset == "bipartite-degree" else \
+            packing.uniform_hypothesis_claims(
+                graph, *packing.tree_rigid_demand(
+                    int(params["k"]), params["p"], params["m"]),
+                hyp["ok"], hyp["witness"])
         if not (verdict or rigid or certs["trees"]):
-            return []  # no construction; its hypothesis witness is not re-run
+            return failed  # no construction to check
         if preset == "bipartite-degree":
-            failed, checks = packing.bipartite_claims(
+            claims, checks = packing.bipartite_claims(
                 graph, Fraction(params["k"]), mask_of(params["side"]), rigid,
                 certs["union"], certs["degree_bounds"])
         else:
-            failed, checks = packing.tree_rigid_claims(
+            claims, checks = packing.tree_rigid_claims(
                 graph, int(params["k"]), params["p"], params["m"],
                 certs["trees"], rigid,
                 certs["reinforced"] if preset == "tree-rigid-ec" else None,
                 certs["union"], certs["degree_bounds"])
-        return failed + _checks_differ(certs["checks"], checks) + \
+        return failed + claims + _checks_differ(certs["checks"], checks) + \
             ([] if verdict else ["verdict"])
     pk = certs.get("packing")
     failed = ["verdict"] if pk is None and verdict else []
@@ -653,7 +659,14 @@ def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
             over = certs["violation"]
             if graph.induced(mask_of(over)) <= sum(params["targets"][v] for v in over):
                 return ["violation set induces no more edges than its targets sum to"]
-        return ["verdict"] if verdict else []
+        failed = ["verdict"] if verdict else []
+        witness = certs.get("hypothesis")
+        if mode == "robust" and witness is not None:
+            # a failed robust report records the witness alone, {} if it held
+            failed += packing.uniform_hypothesis_claims(
+                graph, *orientation.robust_demand(params["k"]), not witness,
+                witness)
+        return failed
     orient = orientation.Orientation(graph, tuple(h for _, h in certs["arcs"]))
     failed = [] if verdict else ["verdict"]
     failed += [f"{key} disagree with the arcs"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .graph import MultiGraph
 
@@ -38,14 +39,17 @@ def random_simple(n: int, m: int, seed: int) -> MultiGraph:
 
 
 def random_regular(n: int, r: int, seed: int, *, simple: bool = True) -> MultiGraph:
-    """r-regular graph by the pairing model, retried until loopless (and simple)."""
+    """r-regular graph by the pairing model, retried until loopless (and
+    simple); when every retry fails, the last pairing is repaired by
+    `_switch_out_bad_pairs`."""
     if (n * r) % 2 != 0:
         raise ValueError(f"no {r}-regular graph exists on {n} vertices (odd total degree)")
     if simple and r >= n:
         raise ValueError(f"a simple {r}-regular graph needs more than {n} vertices")
     rng = random.Random(seed)
+    ordered = [v for v in range(n) for _ in range(r)]
     for _ in range(10000):
-        stubs = [v for v in range(n) for _ in range(r)]
+        stubs = ordered[:]
         rng.shuffle(stubs)
         edges = []
         ok = True
@@ -55,7 +59,7 @@ def random_regular(n: int, r: int, seed: int, *, simple: bool = True) -> MultiGr
             if u == v:
                 ok = False
                 break
-            key = (min(u, v), max(u, v))
+            key = _pair(u, v)
             if simple and key in seen:
                 ok = False
                 break
@@ -63,7 +67,54 @@ def random_regular(n: int, r: int, seed: int, *, simple: bool = True) -> MultiGr
             edges.append(key)
         if ok:
             return MultiGraph(n, sorted(edges))
-    raise RuntimeError(f"pairing model failed to produce a graph for n={n}, r={r}")
+    pairs = [_pair(u, v) for u, v in zip(stubs[::2], stubs[1::2])]
+    return MultiGraph(n, sorted(_switch_out_bad_pairs(pairs, simple, rng)))
+
+
+def _switch_out_bad_pairs(edges, simple: bool, rng: random.Random):
+    """The pairs with every loop (and, if simple, every repeat) switched out.
+
+    A bad pair {u, v} and another pair {x, y} become {u, x} and {v, y}, or
+    {u, y} and {v, x}, when neither new pair is a loop or, if simple, a pair
+    left in the pairing. Degrees stay, the bad pair's loop or repeat goes,
+    and no pair gains a copy, so a pair once good stays good and one pass
+    in index order repairs them all (McKay & Wormald 1990). Partners are
+    tried in a seeded random order; a bad pair with no partner raises. The
+    repaired graph is r-regular but not uniformly distributed.
+    """
+    edges = list(edges)
+    count = Counter(edges)
+
+    def usable(new, old):
+        # `old` leaves the pairing as `new` enters it
+        if any(a == b for a, b in new):
+            return False
+        return not simple or (
+            new[0] != new[1] and all(count[p] == old.count(p) for p in new))
+
+    for i, (u, v) in enumerate(edges):
+        if u != v and not (simple and count[u, v] > 1):
+            continue
+        order = list(range(len(edges)))
+        rng.shuffle(order)
+        for j in order:
+            x, y = edges[j]
+            old = [(u, v), (x, y)]
+            new = next((new for new in ((_pair(u, x), _pair(v, y)),
+                                        (_pair(u, y), _pair(v, x)))
+                        if j != i and usable(new, old)), None)
+            if new is not None:
+                break
+        else:
+            raise RuntimeError(f"no switching removes the bad pair {(u, v)}")
+        count.subtract(old)
+        count.update(new)
+        edges[i], edges[j] = new
+    return edges
+
+
+def _pair(u: int, v: int) -> tuple[int, int]:
+    return min(u, v), max(u, v)
 
 
 def doubled(base: MultiGraph, multiplicity: int) -> MultiGraph:

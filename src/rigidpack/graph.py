@@ -257,16 +257,33 @@ class MultiGraph:
         return len(self.components()) == 1
 
     def edge_connectivity(self):
-        """Global min cut by repeated s-t max-flow from a fixed source."""
-        if self.n == 1:
-            return INFINITY
+        """Global min cut (INFINITY on a single vertex): `min_cut`'s value."""
         if not self.is_connected():
             return 0
-        net = _flow_network(self.n, self._edge_arcs())
-        best = INFINITY
-        for t in range(1, self.n):
-            best = min(best, _maxflow(net, 0, t, best)[0])
-        return best
+        return self.min_cut()[0]
+
+    def min_cut(self, limit=INFINITY, without: int = 0):
+        """min d(A) over proper nonempty vertex sets A of the graph minus
+        the vertex set `without`, or `limit` if that is lower, with a set A
+        reaching it as a mask (None if no A is below `limit`).
+
+        Let r be the lowest remaining vertex. Every such A separates r from
+        some vertex t, so the value is the least r-t flow. Each flow stops
+        at the running minimum, so the source side of the last flow that
+        lowers it is a minimum A (`_maxflow`): that is the witness.
+        """
+        rest = self.full_mask & ~without
+        low = rest & -rest
+        root = low.bit_length() - 1
+        net = _flow_network(self.n, [(u, v, c) for u, v, c in self._edge_arcs()
+                                     if not (without >> u) & 1
+                                     and not (without >> v) & 1])
+        best, side = limit, None
+        for t in vertices_of(rest ^ low):
+            flow, reached = _maxflow(net, root, t, best)
+            if reached is not None:
+                best, side = flow, reached
+        return best, side
 
     def local_edge_connectivity(self, s: int, t: int) -> int:
         if not (0 <= s < self.n and 0 <= t < self.n):

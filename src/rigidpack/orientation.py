@@ -644,6 +644,12 @@ class RobustResult:
     detail: dict = field(compare=False, default_factory=dict)
 
 
+def robust_demand(k: int) -> tuple[int, int]:
+    """(2k + 1, 8k + 4): the slack per removed vertex and the demand of the
+    weak-connectivity hypothesis of `robust_arc_strong`."""
+    return 2 * k + 1, 8 * k + 4
+
+
 def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
                       retries: int = 64, force: bool = False) -> RobustResult:
     """Smooth (2k+1)-arc-strong orientation staying k-arc-strong after
@@ -662,8 +668,8 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     kk = 2 * k + 1
     hyp = None
     if not force:
-        hyp = packmod.check_uniform_weakly_connected(graph, kk, 8 * k + 4)
-        if hyp is not None and not hyp.ok:
+        hyp = packmod.check_uniform_weakly_connected(graph, *robust_demand(k))
+        if not hyp.ok:
             return RobustResult(False, hypothesis=hyp)
     l = lmn(graph.n, kk, 1)
     ell = lmn(graph.n, kk, 2 * kk - 1)

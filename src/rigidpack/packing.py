@@ -18,14 +18,15 @@ again (Cunningham 1986).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import MultiGraph, vertices_of
+from .graph import MultiGraph, mask_of, vertices_of
 from .setfuncs import (
-    SetFunc, lmn, const, zero, halved_slack, rho_slack, scaled, pebble_params,
+    SetFunc, lmn, zero, halved_slack, rho_slack, scaled, pebble_params,
 )
 from .sparsity import PebbleState, is_sparse, rank_and_rigid, _pebble_run
 
@@ -628,10 +629,16 @@ def preset_tree_rigid_ec(graph: MultiGraph, k: int, p: int, m: int,
     return _tree_rigid_preset(graph, k, p, m, force, reinforce=True)
 
 
+def tree_rigid_demand(k: int, p: int, m: int) -> tuple[int, int]:
+    """(k, conn) of the tree-rigid presets' hypothesis: G is weakly
+    (4kp - 2p + 2m)-connected with slack k per removed vertex."""
+    return k, 4 * k * p - 2 * p + 2 * m
+
+
 def _tree_rigid_preset(graph, k, p, m, force, reinforce) -> PresetResult:
     if k < 2:
         raise ValueError("rigid presets need k >= 2")
-    hyp = check_uniform_weakly_connected(graph, k, 4 * k * p - 2 * p + 2 * m, force)
+    hyp = check_uniform_weakly_connected(graph, *tree_rigid_demand(k, p, m), force)
     if hyp is not None and not hyp.ok:
         return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
                             degree_bounds=())
@@ -725,15 +732,62 @@ def _is_two_connected(graph: MultiGraph) -> bool:
 
 def check_uniform_weakly_connected(graph, k: int, conn: int,
                                    force: bool = False):
-    """Simple-graph guard plus the weak-connectivity sweep with constant
-    slack k per removed vertex against a constant connectivity demand."""
+    """Simple-graph guard plus weak connectivity with constant slack k per
+    removed vertex against a constant demand: d_{G-B}(A) >= conn - k|B| for
+    disjoint A, B with A nonempty and A | B proper, which is
+    check_weakly_connected(graph, [k] * n, const(n, conn)) decided without
+    its 3^n sweep.
+
+    For a fixed B the least cut over A is the edge connectivity of G - B,
+    so the condition is lambda(G - B) >= conn - k|B| for every B leaving at
+    least two vertices. Deleting a vertex lowers the vertex connectivity
+    kappa by at most one (with K_n counted (n-1)-connected, as
+    `vertex_connectivity` does), and lambda >= kappa (Whitney 1932), so
+    lambda(G - B) >= kappa - |B|. A size |B| therefore passes whole when
+    kappa - |B| >= conn - k|B| or conn - k|B| <= 0, and for k >= 1 only
+    sizes below conn / k are left. Each remaining B gets one `min_cut` of
+    G - B with conn - k|B| as its cut-off. B runs by size, then in
+    lexicographic order, and the witness is the first failing B with the
+    source side of its minimum cut as A.
+    """
     if force:
         return None
     simple = all(m <= 1 for row in graph.mult for m in row)
     if not simple:
         return HypothesisReport("weakly-connected", False,
                                 witness={"check": "simple"})
-    return check_weakly_connected(graph, [k] * graph.n, const(graph.n, conn))
+    kappa = graph.vertex_connectivity()
+    for size in range(graph.n - 1):
+        rhs = conn - k * size
+        if rhs <= 0 or kappa - size >= rhs:
+            continue
+        for b in itertools.combinations(range(graph.n), size):
+            lhs, a = graph.min_cut(rhs, without=mask_of(b))
+            if a is not None:
+                return HypothesisReport("weakly-connected", False, witness={
+                    "A": vertices_of(a), "B": list(b), "lhs": lhs, "rhs": rhs})
+    return HypothesisReport("weakly-connected", True)
+
+
+def uniform_hypothesis_claims(graph, k: int, conn: int, ok: bool,
+                              witness: dict) -> list[str]:
+    """Names of the failed claims of a recorded uniform weak-connectivity
+    verdict: it must be the re-run check's, and a failing witness must meet
+    its own inequality d_{G-B}(A) = lhs < rhs = conn - k|B|, with A
+    nonempty and A | B proper."""
+    rerun = check_uniform_weakly_connected(graph, k, conn)
+    failed = [] if rerun.ok == ok else ["hypothesis verdict"]
+    if ok or witness == rerun.witness == {"check": "simple"}:
+        return failed
+    a, b = mask_of(witness.get("A", ())), mask_of(witness.get("B", ()))
+    # a | b below the full mask is a proper subset of the vertices
+    if not a or a & b or (a | b) >= graph.full_mask or \
+            graph.boundary_minus(a, b) != witness.get("lhs") or \
+            witness.get("rhs") != conn - k * b.bit_count() or \
+            not witness["lhs"] < witness["rhs"]:
+        failed.append("hypothesis witness does not meet "
+                      "d_{G-B}(A) = lhs < rhs = conn - k|B|")
+    return failed
 
 
 def _split_all(graph: MultiGraph, edge_ids, funcs) -> tuple[frozenset[int], ...]:

@@ -389,6 +389,9 @@ REPORTS = {
                                  "--targets", "0,0,0,6"]),
     "smooth": ("k9", ["orient", "--mode", "smooth"]),
     "components": ("bowtie-pendant", ["components", "--func", "lmn:2,3"]),
+    "tree-rigid-hypothesis": ("two-k9", ["pack", "--preset", "tree-rigid",
+                                         *TREE_RIGID]),
+    "robust-hypothesis": ("two-k9", ["orient", "--mode", "robust", "--k", "1"]),
 }
 GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
           "k10": complete(10), "k13": complete(13),
@@ -397,7 +400,12 @@ GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
           "double-path": MultiGraph(3, [(2, 0), (2, 0), (2, 1), (1, 2)]),
           # two triangles sharing vertex 2, and a pendant edge at vertex 4
           "bowtie-pendant": MultiGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3),
-                                           (3, 4), (2, 4), (4, 5)])}
+                                           (3, 4), (2, 4), (4, 5)]),
+          # two K9s joined by a matching of seven edges: 7-edge-connected,
+          # below both presets' demands, with the first K9 as the witness A
+          "two-k9": MultiGraph(18, [(u + o, v + o) for o in (0, 9)
+                                    for u in range(9) for v in range(u + 1, 9)]
+                               + [(v, v + 9) for v in range(7)])}
 
 
 @pytest.fixture(scope="module")
@@ -599,6 +607,25 @@ def _drop_triangles(r):
     certs["components"] = [c for c in certs["components"] if len(c) != 3]
 
 
+def _flip_hypothesis_ok(r):
+    r["certificates"]["hypothesis"]["ok"] = True
+
+
+def _witness(r):
+    hyp = r["certificates"]["hypothesis"]
+    return hyp["witness"] if "ok" in hyp else hyp
+
+
+def _lower_witness_lhs(r):
+    _witness(r)["lhs"] -= 1
+
+
+def _move_witness_vertex_to_b(r):
+    # the cut from A to the rest is unchanged, but B now costs slack
+    w = _witness(r)
+    w["B"].append(w["A"].pop())
+
+
 def _unbalance_vertex_0(r):
     out = [e for e, (t, _) in enumerate(r["certificates"]["arcs"]) if t == 0]
     _reverse_arcs(r, out[:2])
@@ -650,6 +677,11 @@ def _unbalance_vertex_0(r):
      "checks.vertex_deleted_arc_strong"),
     ("robust", _zero_indegrees, "indegrees disagree"),
     ("robust", _unbalance_vertex_0, "not smooth"),
+    ("tree-rigid-hypothesis", _flip_hypothesis_ok, "hypothesis verdict"),
+    ("tree-rigid-hypothesis", _lower_witness_lhs, "hypothesis witness"),
+    ("tree-rigid-hypothesis", _move_witness_vertex_to_b, "hypothesis witness"),
+    ("robust-hypothesis", _lower_witness_lhs, "hypothesis witness"),
+    ("robust-hypothesis", _move_witness_vertex_to_b, "hypothesis witness"),
     ("hakimi", _zero_indegrees, "indegrees disagree"),
     ("hakimi-infeasible", _violation_of_vertex_3, "violation set"),
     ("smooth", _zero_outdegrees, "outdegrees disagree"),
@@ -664,6 +696,16 @@ def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
     assert vcode == 1, vout
     failed = vout.split("-> MISMATCH (failed: ", 1)[1]
     assert claim in failed, vout
+
+
+@pytest.mark.parametrize("name", ["tree-rigid-hypothesis", "robust-hypothesis"])
+def test_verify_reruns_a_failed_hypothesis(tmp_path, capsys, reports, name):
+    report = reports(name)
+    assert not report["verdict"] and _witness(report)["A"] == list(range(9))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    vcode, vout = run(capsys, "verify", "--report", str(path))
+    assert vcode == 0 and "REPRODUCED" in vout, vout
 
 
 def test_mismatch_line_format(tmp_path, capsys, reports):
@@ -692,9 +734,10 @@ def _complete(tmp_path, n):
                        [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-@pytest.mark.parametrize("n, force", [(13, []), (21, ["--force"])])
+@pytest.mark.parametrize("n, force", [(13, []), (21, ["--force"]), (21, [])])
 def test_robust_report_without_subset_tables(tmp_path, capsys, n, force):
-    # the robust construction and its re-check run on flows alone
+    # the robust construction, its hypothesis and its re-check run on flows
+    # alone; unforced K21 once raised "pair sweep budget exceeded"
     code, out = run(capsys, "--format", "structured", *force, "orient",
                     "--graph", _complete(tmp_path, n), "--mode", "robust",
                     "--k", "1")

@@ -359,6 +359,14 @@ def test_robust_hypothesis_failure():
     assert res.hypothesis is not None and not res.hypothesis.ok
 
 
+@pytest.mark.parametrize("host", [generators.complete(30),
+                                  generators.circulant(30, range(1, 7))])
+def test_unforced_robust_orientation_past_fourteen_vertices(host):
+    # the hypothesis is decided by connectivity, with no 3^n pair sweep
+    res = robust_arc_strong(host, 1)
+    assert res.ok and res.hypothesis.ok
+
+
 def test_deleted_arc_strong_matches_definition():
     g = generators.complete(5)
     orient = smooth_orient(g)

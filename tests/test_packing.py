@@ -378,6 +378,57 @@ def test_weakly_connected_matches_oracle():
         assert fast == slow
 
 
+def _glued_cliques(t, u, s, extra, rng):
+    """K_t on 0..t-1 and K_u on t-s..t+u-s-1 sharing s vertices, with up to
+    `extra` random edges between their private parts: vertex connectivity
+    about s, edge connectivity near min(t, u) - 1."""
+    n = t + u - s
+    edges = {(a, b) for group in (range(t), range(t - s, n))
+             for a in group for b in group if a < b}
+    cross = [(a, b) for a in range(t - s) for b in range(t, n)]
+    edges |= set(rng.sample(cross, min(extra, len(cross))))
+    return MultiGraph(n, sorted(edges))
+
+
+def test_uniform_weak_connectivity_matches_the_sweep(monkeypatch):
+    rng = random.Random(13)
+    hosts = [generators.random_simple(n, rng.randrange(n * (n - 1) // 2 + 1),
+                                      rng.randrange(10 ** 6))
+             for n in range(2, 11) for _ in range(6)]
+    hosts += [_glued_cliques(t, u, s, rng.randrange(3), rng)
+              for t, u in [(4, 4), (5, 4), (5, 5), (6, 5), (6, 6), (7, 6),
+                           (7, 7), (8, 6), (8, 7)]
+              for s in (1, 2, 3, 4) if s < u and t + u - s <= 12]
+    # kappa 6 and 7 below the demand 8 of (k, conn) = (2, 8), yet passing
+    hosts += [_glued_cliques(9, 9, 6, 0, rng), _glued_cliques(9, 9, 7, 0, rng)]
+    cases = [(g, k, conn) for g in hosts
+             for k, conn in [(2, 8), (3, 12), (5, 20), (2, 4), (3, 5)]]
+    sweeps = [check_weakly_connected(g, [k] * g.n, const(g.n, conn))
+              for g, k, conn in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the uniform check ran the pair sweep")
+
+    monkeypatch.setattr(packing, "_pair_tables", refuse)
+    monkeypatch.setattr(packing, "_sweep_pairs", refuse)
+    enumerated = past_empty_b = 0
+    for (g, k, conn), sweep in zip(cases, sweeps):
+        rep = packing.check_uniform_weakly_connected(g, k, conn)
+        assert rep.ok == sweep.ok, (g.edges, k, conn)
+        if rep.ok:
+            enumerated += g.vertex_connectivity() < conn
+            continue
+        w = rep.witness
+        a, b = mask_of(w["A"]), mask_of(w["B"])
+        assert a and not a & b and (a | b) != g.full_mask
+        assert g.boundary_minus(a, b) == w["lhs"] < w["rhs"] == conn - k * len(w["B"])
+        past_empty_b += b != 0
+    # passing hosts below the vertex-connectivity bound take the B search,
+    # and glued cliques with one shared vertex fail past the empty B
+    assert enumerated >= 15 and past_empty_b >= 4
+
+
+
 def test_rigid_necessary_check():
     # a rigid graph passes; C4 under the rigidity counts fails
     assert check_rigid_necessary(generators.complete(4), lmn(4, 2, 3)).ok
@@ -747,6 +798,14 @@ def test_preset_tree_rigid_rejects_small_k():
 def test_preset_tree_rigid_hypothesis_failure():
     res = preset_tree_rigid(c4(), 2, 1, 1)
     assert not res.ok and not res.hypothesis.ok
+
+
+@pytest.mark.parametrize("host", [generators.complete(30),
+                                  generators.circulant(30, range(1, 7))])
+def test_unforced_tree_rigid_past_fourteen_vertices(host):
+    # the hypothesis is decided by connectivity, with no 3^n pair sweep
+    res = preset_tree_rigid(host, 2, 1, 1)
+    assert res.ok and res.hypothesis.ok
 
 
 def test_preset_bipartite_requires_bipartite():
