@@ -608,8 +608,15 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
     if preset is not None:
         rigid = certs["rigid_parts"]
         hyp = certs.get("hypothesis")
-        failed = [] if hyp is None or preset == "bipartite-degree" else \
-            packing.uniform_hypothesis_claims(
+        if hyp is None:
+            failed = []
+        elif preset == "bipartite-degree":
+            rerun = packing.check_bipartite_connectivity(graph, Fraction(params["k"]))
+            failed = ([] if hyp["ok"] == rerun.ok else ["hypothesis verdict"]) + \
+                ([] if hyp["witness"] == rerun.witness else
+                 ["hypothesis witness is not the recomputed vertex connectivity"])
+        else:
+            failed = packing.uniform_hypothesis_claims(
                 graph, *packing.tree_rigid_demand(
                     int(params["k"]), params["p"], params["m"]),
                 hyp["ok"], hyp["witness"])

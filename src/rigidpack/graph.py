@@ -391,6 +391,56 @@ def _flow_network(size: int, arcs):
     return head, cap, out
 
 
+def _vertex_deleted_cuts(n: int, arcs, both_ways: bool):
+    """The least cut of the network on vertices 0..n-1 with (tail, head,
+    capacity) `arcs`, and the least cut of the network minus v over every
+    vertex v: INFINITY where under two vertices are left. A cut is the
+    capacity of the arcs entering a proper nonempty vertex set A. With
+    root r the lowest vertex, A either holds some t but not r, or holds r
+    and misses some t, so the least cut is the least of the flows r -> t,
+    and t -> r when `both_ways` (a symmetric network, such as
+    `_edge_arcs`, needs only r -> t: its flows are the same both ways).
+
+    Each root flow runs once on the whole network, uncapped, with value F
+    and in(v) the flow on the arcs entering v. Split it into paths and
+    cycles (Ford & Fulkerson 1956). The paths that avoid v stay in the
+    network minus v, and each path through v brings at least one unit
+    into v, so the same flow in the network minus v is at least
+    F - in(v). That flow runs, capped at the running minimum as `min_cut`
+    caps its own, only when this bound is below the running minimum: a
+    skipped flow cannot lower it, so the value is exact, and the flows
+    that run keep their order. The network minus r has root r + 1, no
+    bound, and runs every flow. A deleted vertex keeps its arcs at
+    capacity 0, so every flow shares one arc list.
+    """
+    net = _flow_network(n, arcs)
+    head, cap, out = net
+
+    def pairs(r):
+        return [p for t in range(r + 1, n)
+                for p in ((r, t), (t, r))[:1 + both_ways]]
+
+    roots = []
+    for s, t in pairs(0):
+        flow, _, left = _augmenting_paths(net, s, t)
+        into = [0] * n
+        for h, f in zip(head[::2], left[1::2]):
+            into[h] += f
+        roots.append((s, t, flow, into))
+    worst = INFINITY
+    for v in range(n):
+        deleted = cap[:]
+        for a in out[v]:
+            deleted[a] = deleted[a ^ 1] = 0
+        minus = (head, deleted, out)
+        for s, t in pairs(1) if v == 0 else ():
+            worst = min(worst, _maxflow(minus, s, t, worst)[0])
+        for s, t, flow, into in roots:
+            if v not in (s, t) and flow - into[v] < worst:
+                worst = min(worst, _maxflow(minus, s, t, worst)[0])
+    return min((flow for _, _, flow, _ in roots), default=INFINITY), worst
+
+
 def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:
     """Max s-t flow value by shortest augmenting paths on a `_flow_network`,
     with the mask of the vertices its last search reached.
@@ -402,6 +452,12 @@ def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:
     the vertices it reached are the least source side of a minimum cut
     (Ford & Fulkerson 1956): the arcs leaving them carry the whole flow.
     """
+    return _augmenting_paths(net, s, t, limit)[:2]
+
+
+def _augmenting_paths(net, s: int, t: int, limit=INFINITY):
+    """`_maxflow`'s value and mask, and the residual capacities it left:
+    the odd arc 2i + 1 holds the flow on arc 2i."""
     head, cap, out = net
     cap = cap[:]
     size = len(out)
@@ -418,7 +474,7 @@ def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:
             if via[t] != -1:
                 break
         if via[t] == -1:
-            return flow, mask_of(queue)
+            return flow, mask_of(queue), cap
         bottleneck = INFINITY
         v = t
         while v != s:
@@ -432,4 +488,4 @@ def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:
             cap[a ^ 1] += bottleneck
             v = head[a ^ 1]
         flow += bottleneck
-    return flow, None
+    return flow, None, cap

@@ -22,7 +22,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import MultiGraph, INFINITY, vertices_of, _flow_network, _maxflow
+from .graph import (MultiGraph, INFINITY, vertices_of, _flow_network, _maxflow,
+                    _vertex_deleted_cuts)
 from .setfuncs import SetFunc, lmn, halved_slack
 from .sparsity import is_sparse, rank_and_rigid
 from . import packing as packmod
@@ -150,9 +151,13 @@ def hakimi_orient(graph: MultiGraph, targets) -> HakimiResult:
     in_edges = [[] for _ in range(graph.n)]
     for eid, h in enumerate(heads):
         in_edges[h].append(eid)
+    # a flip lowers `over` by one and raises a vertex below its target, so
+    # the over-target set only shrinks and its lowest vertex only moves up
+    over = 0
     while True:
-        over = next((v for v in range(graph.n) if indeg[v] > t[v]), None)
-        if over is None:
+        while over < graph.n and indeg[over] <= t[over]:
+            over += 1
+        if over == graph.n:
             break
         # BFS backwards from `over` along arcs (head -> tail)
         parent_edge = {over: -1}
@@ -728,15 +733,16 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
 def robust_claims(orient: Orientation, k: int):
     """Claims of a robust orientation: smooth, (2k+1)-arc-strong and
     k-arc-strong after deleting any vertex. Both strengths are computed
-    exactly into the returned checks. The engine's other checks concern
-    the reinforced part and the Eulerian union, edge sets a report does
-    not carry, so only the engine makes them. Returns the failed claims
-    and the checks."""
+    exactly into the returned checks, from one pair of flows 0 -> t and
+    t -> 0 per vertex t > 0: each gives the bound F - in(v) on the same
+    flow in the digraph minus v, and a minus-v flow runs only when that
+    bound is below the running minimum (`_vertex_deleted_cuts`). The
+    engine's other checks concern the reinforced part and the Eulerian
+    union, edge sets a report does not carry, so only the engine makes
+    them. Returns the failed claims and the checks."""
     failed = [] if orient.is_smooth() else ["orientation is not smooth"]
-    strong = arc_strong_value(orient)
-    worst = INFINITY
-    for v in range(orient.host.n):
-        worst = _arc_cut(orient, worst, v)[0]
+    strong, worst = _vertex_deleted_cuts(
+        orient.host.n, [(t, h, 1) for t, h in orient.arcs], True)
     if strong < 2 * k + 1:
         failed.append(f"orientation is only {strong}-arc-strong")
     if worst < k:

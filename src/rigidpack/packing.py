@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import MultiGraph, mask_of, vertices_of
+from .graph import MultiGraph, mask_of, vertices_of, _vertex_deleted_cuts
 from .setfuncs import (
     SetFunc, lmn, zero, halved_slack, rho_slack, scaled, pebble_params,
 )
@@ -361,8 +361,8 @@ def check_rigid_cut_consequences(graph: MultiGraph, k: int) -> HypothesisReport:
         return HypothesisReport("rigid-cuts", False,
                                 witness={"check": "essential", "value": ess}, aux=aux)
     for v in range(graph.n):
-        sub = graph.delete_vertex(v)
-        lam_v = sub.edge_connectivity()
+        # below the cap k - 1 the value is exact
+        lam_v = graph.min_cut(k - 1, without=1 << v)[0]
         if lam_v < k - 1:
             return HypothesisReport("rigid-cuts", False, witness={
                 "check": "vertex-deleted", "vertex": v, "value": lam_v}, aux=aux)
@@ -680,16 +680,10 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
     for u, v in graph.edges:
         if (side_mask >> u) & 1 and (side_mask >> v) & 1:
             raise ValueError("side mask is not an independent set")
-    hyp = None
-    if not force:
-        kappa = graph.vertex_connectivity()
-        ok = Fraction(kappa) >= 6 * kf
-        hyp = HypothesisReport("bipartite-degree", ok,
-                               witness={} if ok else {"vertex_connectivity": kappa},
-                               aux={"vertex_connectivity": kappa})
-        if not ok:
-            return PresetResult(ok=False, hypothesis=hyp,
-                                union_edges=frozenset(), degree_bounds=())
+    hyp = None if force else check_bipartite_connectivity(graph, kf)
+    if hyp is not None and not hyp.ok:
+        return PresetResult(ok=False, hypothesis=hyp,
+                            union_edges=frozenset(), degree_bounds=())
     ell = lmn(graph.n, 2, 3)
     if kf > 1:
         if kf > 2:
@@ -722,6 +716,16 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
     return PresetResult(ok=True, hypothesis=hyp, union_edges=frozenset(h_edges),
                         degree_bounds=bounds, rigid_parts=(frozenset(h_edges),),
                         checks=checks)
+
+
+def check_bipartite_connectivity(graph: MultiGraph, k) -> HypothesisReport:
+    """The bipartite-degree hypothesis: vertex connectivity at least 6k,
+    with the connectivity as the witness when it fails."""
+    kappa = graph.vertex_connectivity()
+    ok = Fraction(kappa) >= 6 * Fraction(k)
+    return HypothesisReport("bipartite-degree", ok,
+                            witness={} if ok else {"vertex_connectivity": kappa},
+                            aux={"vertex_connectivity": kappa})
 
 
 def _is_two_connected(graph: MultiGraph) -> bool:
@@ -956,9 +960,13 @@ def tree_rigid_claims(graph: MultiGraph, k: int, p: int, m: int, trees,
 
 
 def _cut_profile(sub: MultiGraph):
-    """Edge connectivity, and the least one after deleting a vertex."""
-    return sub.edge_connectivity(), min(
-        sub.delete_vertex(v).edge_connectivity() for v in range(sub.n))
+    """Edge connectivity, and the least one after deleting a vertex, both
+    exact (INFINITY where under two vertices are left). One root flow per
+    vertex t > 0 gives the first, and with the flow F it sends into each
+    v the bound F - in(v) on the same flow in G - v: a G - v flow runs
+    only when that bound is below the running minimum
+    (`_vertex_deleted_cuts`)."""
+    return _vertex_deleted_cuts(sub.n, sub._edge_arcs(), False)
 
 
 def bipartite_claims(graph: MultiGraph, k, side_mask: int, rigid_parts, union,

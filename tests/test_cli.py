@@ -382,6 +382,9 @@ REPORTS = {
     "tree-rigid": ("k9", ["pack", "--preset", "tree-rigid", *TREE_RIGID]),
     "tree-rigid-ec": ("k9", ["pack", "--preset", "tree-rigid-ec", *TREE_RIGID]),
     "bipartite-degree": ("k66", ["pack", *BIPARTITE]),
+    # kappa(K3,3) = 3 is below 6k: the hypothesis fails, nothing is built
+    "bipartite-hypothesis": ("k33", ["pack", "--preset", "bipartite-degree",
+                                     "--k", "1", "--side", "0", "1", "2"]),
     "packed": ("k9", ["orient", *PACKED]),
     "robust": ("k13", ["orient", "--mode", "robust", "--k", "1"]),
     "hakimi": ("k4", ["orient", "--mode", "hakimi", "--targets", "1,1,2,2"]),
@@ -395,7 +398,7 @@ REPORTS = {
 }
 GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
           "k10": complete(10), "k13": complete(13),
-          "k66": complete_bipartite(6, 6),
+          "k33": complete_bipartite(3, 3), "k66": complete_bipartite(6, 6),
           "c4": MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
           "double-path": MultiGraph(3, [(2, 0), (2, 0), (2, 1), (1, 2)]),
           # two triangles sharing vertex 2, and a pendant edge at vertex 4
@@ -616,6 +619,14 @@ def _witness(r):
     return hyp["witness"] if "ok" in hyp else hyp
 
 
+def _claim_hypothesis_holds(r):
+    r["certificates"]["hypothesis"] = {"ok": True, "witness": {}}
+
+
+def _raise_recorded_connectivity(r):
+    _witness(r)["vertex_connectivity"] += 1
+
+
 def _lower_witness_lhs(r):
     _witness(r)["lhs"] -= 1
 
@@ -682,6 +693,8 @@ def _unbalance_vertex_0(r):
     ("tree-rigid-hypothesis", _move_witness_vertex_to_b, "hypothesis witness"),
     ("robust-hypothesis", _lower_witness_lhs, "hypothesis witness"),
     ("robust-hypothesis", _move_witness_vertex_to_b, "hypothesis witness"),
+    ("bipartite-hypothesis", _claim_hypothesis_holds, "hypothesis verdict"),
+    ("bipartite-hypothesis", _raise_recorded_connectivity, "hypothesis witness"),
     ("hakimi", _zero_indegrees, "indegrees disagree"),
     ("hakimi-infeasible", _violation_of_vertex_3, "violation set"),
     ("smooth", _zero_outdegrees, "outdegrees disagree"),
@@ -698,10 +711,15 @@ def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
     assert claim in failed, vout
 
 
-@pytest.mark.parametrize("name", ["tree-rigid-hypothesis", "robust-hypothesis"])
+@pytest.mark.parametrize("name", ["tree-rigid-hypothesis", "robust-hypothesis",
+                                  "bipartite-hypothesis"])
 def test_verify_reruns_a_failed_hypothesis(tmp_path, capsys, reports, name):
     report = reports(name)
-    assert not report["verdict"] and _witness(report)["A"] == list(range(9))
+    assert not report["verdict"]
+    if name == "bipartite-hypothesis":
+        assert _witness(report) == {"vertex_connectivity": 3}
+    else:
+        assert _witness(report)["A"] == list(range(9))
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     vcode, vout = run(capsys, "verify", "--report", str(path))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack.graph import MultiGraph, mask_of, INFINITY
-from rigidpack import generators, graph, oracle, packing
+from rigidpack import generators, graph, oracle, orientation, packing
 
 
 def c4():
@@ -182,6 +182,71 @@ def test_essential_edge_connectivity_flow_count(monkeypatch):
     assert len(calls) <= 253 + 22 * 22
     res = packing.preset_tree_rigid(generators.complete(20), 2, 1, 1, force=True)
     assert res.ok and res.checks["rigid_0_cuts"] is True
+
+
+def _hub(rng):
+    """Two cliques sharing one vertex, relabelled at random: every flow
+    between them runs through the shared vertex, whose deletion
+    disconnects the graph."""
+    a, b = rng.randrange(2, 7), rng.randrange(2, 7)
+    edges = [(u + o, v + o) for o, size in ((0, a), (a - 1, b))
+             for u in range(size) for v in range(u + 1, size)]
+    perm = rng.sample(range(a + b - 1), a + b - 1)
+    return MultiGraph(a + b - 1, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _dense(rng):
+    n = rng.randrange(3, 11)
+    p = rng.uniform(0.5, 1.0)
+    return MultiGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+
+
+def test_vertex_deleted_cuts_match_per_vertex_flows():
+    # _cut_profile and robust_claims skip the G - v flows that the root
+    # flows' bound F - in(v) rules out; the values must equal a fresh
+    # min cut of every G - v
+    rng = random.Random(1414)
+    hosts = [MultiGraph(1, []), MultiGraph(2, [(0, 1)]),
+             MultiGraph(2, [(0, 1), (1, 0), (0, 1)]),
+             MultiGraph(3, [(0, 1), (1, 2)]),  # G - 1 is disconnected
+             MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 2)])]
+    hosts += [_dense(rng) if i % 2 else _hub(rng) for i in range(300)]
+    deleted_zero = 0
+    for g in hosts:
+        if g.n == 1:
+            assert packing._cut_profile(g) == (INFINITY, INFINITY)
+        else:
+            per_vertex = min(g.delete_vertex(v).edge_connectivity()
+                             for v in range(g.n))
+            assert packing._cut_profile(g) == (g.edge_connectivity(), per_vertex)
+            deleted_zero += per_vertex == 0
+        orient = orientation.smooth_orient(g, rng)
+        checks = orientation.robust_claims(orient, 1)[1]
+        assert checks == {
+            "arc_strong": orientation.arc_strong_value(orient),
+            "vertex_deleted_arc_strong": min(
+                orientation._arc_cut(orient, INFINITY, v)[0] for v in range(g.n))}
+    assert deleted_zero >= 100
+
+
+def test_robust_claims_flow_count(monkeypatch):
+    # one flow each way per vertex t > 0, and only the G - v flows their
+    # bound leaves open; a fresh min cut of every G - v ran 418 flows here
+    orient = orientation.robust_arc_strong(generators.complete(15), 1,
+                                           force=True).orientation
+    calls = []
+    flow = graph._augmenting_paths
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(graph, "_augmenting_paths", counted)
+    failed, checks = orientation.robust_claims(orient, 1)
+    assert not failed
+    assert checks == {"arc_strong": 7, "vertex_deleted_arc_strong": 6}
+    assert len(calls) <= 418 // 4
 
 
 def test_bipartition():

@@ -46,6 +46,14 @@ def test_hakimi_examples():
     res = hakimi_orient(path, [0, 1, 1])
     assert res.ok and res.orientation.arcs == ((0, 1), (1, 2))
 
+    # the first pass heads every edge into vertex 0, two over its target:
+    # the repair must flip into 0 twice before it moves on
+    fan = MultiGraph(4, [(0, 1)] * 2 + [(0, 2)] * 3 + [(0, 3)] * 3)
+    res = hakimi_orient(fan, [6, 2, 0, 0])
+    assert res.ok and res.orientation.indegrees == (6, 2, 0, 0)
+    res = hakimi_orient(fan, [5, 3, 0, 0])
+    assert not res.ok and res.violation == 0b1101
+
 
 def test_hakimi_rejects_bad_totals():
     with pytest.raises(ValueError, match="sum"):
