@@ -425,12 +425,15 @@ def cmd_hypothesis(args) -> int:
         rep = packing.check_weakly_connected(graph, ell_vec, func("--l"))
     else:
         raise ValueError(f"unknown hypothesis check {check!r}")
-    cert = {"witness": rep.witness,
-            "aux": {k: (v if v is not None else "none") for k, v in rep.aux.items()}}
     report = make_report(args, "hypothesis", graph, meta, params, rep.ok,
-                         cert, started)
+                         _hypothesis_record(rep), started)
     emit(report, args.format)
     return 0 if rep.ok else 1
+
+
+def _hypothesis_record(rep) -> dict:
+    return {"witness": rep.witness,
+            "aux": {k: (v if v is not None else "none") for k, v in rep.aux.items()}}
 
 
 def cmd_oracle(args) -> int:
@@ -551,8 +554,15 @@ def _checks_differ(recorded: dict, computed: dict) -> list[str]:
 def _reverify(sub, graph, params, certs, verdict) -> list[str]:
     """Names of the report's claims that fail when re-checked. The six
     certified result types go through the library's claim checkers, the
-    ones the engine runs on its own results; hypothesis and oracle
-    reports are not re-run yet."""
+    ones the engine runs on its own results. A `rigid-cuts` hypothesis
+    report is re-run, and its verdict, witness and aux must be the
+    re-run's; the other hypothesis reports and oracle reports are not
+    re-run yet."""
+    if sub == "hypothesis" and params["check"] == "rigid-cuts":
+        rerun = packing.check_rigid_cut_consequences(graph, params["k"])
+        record = _hypothesis_record(rerun)
+        return (["verdict"] if rerun.ok != verdict else []) + \
+            [key for key in ("witness", "aux") if certs.get(key) != record[key]]
     if sub in ("hypothesis", "oracle"):
         return []
     func = parse_setfunc(params["func"], graph.n) if params.get("func") else None

@@ -257,33 +257,19 @@ class MultiGraph:
         return len(self.components()) == 1
 
     def edge_connectivity(self):
-        """Global min cut (INFINITY on a single vertex): `min_cut`'s value."""
-        if not self.is_connected():
-            return 0
+        """Global min cut (0 if disconnected, INFINITY on a single vertex):
+        `min_cut`'s value."""
         return self.min_cut()[0]
 
     def min_cut(self, limit=INFINITY, without: int = 0):
         """min d(A) over proper nonempty vertex sets A of the graph minus
         the vertex set `without`, or `limit` if that is lower, with a set A
-        reaching it as a mask (None if no A is below `limit`).
-
-        Let r be the lowest remaining vertex. Every such A separates r from
-        some vertex t, so the value is the least r-t flow. Each flow stops
-        at the running minimum, so the source side of the last flow that
-        lowers it is a minimum A (`_maxflow`): that is the witness.
-        """
-        rest = self.full_mask & ~without
-        low = rest & -rest
-        root = low.bit_length() - 1
+        reaching it as a mask (None if no A is below `limit`): `_least_cut`
+        of the graph's edges."""
         net = _flow_network(self.n, [(u, v, c) for u, v, c in self._edge_arcs()
                                      if not (without >> u) & 1
                                      and not (without >> v) & 1])
-        best, side = limit, None
-        for t in vertices_of(rest ^ low):
-            flow, reached = _maxflow(net, root, t, best)
-            if reached is not None:
-                best, side = flow, reached
-        return best, side
+        return _least_cut(net, self.full_mask & ~without, False, limit)
 
     def local_edge_connectivity(self, s: int, t: int) -> int:
         if not (0 <= s < self.n and 0 <= t < self.n):
@@ -391,54 +377,86 @@ def _flow_network(size: int, arcs):
     return head, cap, out
 
 
-def _vertex_deleted_cuts(n: int, arcs, both_ways: bool):
-    """The least cut of the network on vertices 0..n-1 with (tail, head,
-    capacity) `arcs`, and the least cut of the network minus v over every
-    vertex v: INFINITY where under two vertices are left. A cut is the
-    capacity of the arcs entering a proper nonempty vertex set A. With
-    root r the lowest vertex, A either holds some t but not r, or holds r
-    and misses some t, so the least cut is the least of the flows r -> t,
-    and t -> r when `both_ways` (a symmetric network, such as
-    `_edge_arcs`, needs only r -> t: its flows are the same both ways).
+def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY):
+    """The least cut of a `_flow_network` restricted to the vertex set
+    `rest`, or `limit` if that is lower, with the source side of a flow
+    reaching it as a mask (None if no cut is below `limit`). A cut is the
+    capacity of the arcs entering a proper nonempty subset A of `rest`.
 
-    Each root flow runs once on the whole network, uncapped, with value F
-    and in(v) the flow on the arcs entering v. Split it into paths and
-    cycles (Ford & Fulkerson 1956). The paths that avoid v stay in the
-    network minus v, and each path through v brings at least one unit
-    into v, so the same flow in the network minus v is at least
-    F - in(v). That flow runs, capped at the running minimum as `min_cut`
-    caps its own, only when this bound is below the running minimum: a
-    skipped flow cannot lower it, so the value is exact, and the flows
-    that run keep their order. The network minus r has root r + 1, no
-    bound, and runs every flow. A deleted vertex keeps its arcs at
-    capacity 0, so every flow shares one arc list.
+    Let r be the lowest vertex of `rest`. A either holds some t but not r,
+    and takes at least the r -> t flow, or holds r and misses some t, and
+    takes at least the t -> r flow; the sink side of a minimum cut of
+    either flow is such an A at the flow's value. So the least cut is the
+    least of the flows r -> t, and t -> r when `both_ways` (Even & Tarjan
+    1975); a symmetric network, such as `_edge_arcs`, needs only r -> t,
+    as its flows are the same both ways. Each flow stops at the running
+    minimum, so the last flow that lowers it has a minimum cut (`_maxflow`),
+    and its side is returned. The network may hold arcs outside `rest` at
+    capacity 0: no search reaches their vertices.
+    """
+    low = rest & -rest
+    root = low.bit_length() - 1
+    best, side = limit, None
+    for t in vertices_of(rest ^ low):
+        for s, u in ((root, t), (t, root))[:1 + both_ways]:
+            flow, reached = _maxflow(net, s, u, best)
+            if reached is not None:
+                best, side = flow, reached
+    return best, side
+
+
+def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
+    """`(whole, lowered)` for the network on vertices 0..n-1 with (tail,
+    head, capacity) `arcs`. `whole` is its least cut (`_least_cut`;
+    INFINITY if n = 1). `lowered` lazily yields `(v, value, side)`, in
+    vertex order, for each v whose least cut minus v lowers a running
+    minimum that starts at `limit`, with the source side of a flow
+    reaching it. So the first entry is the first v below `limit`, and the
+    least entry is the least cut minus a vertex (INFINITY if none).
+
+    The network minus 0 is `_least_cut` with root 1. For v > 0, each root
+    flow runs once on the whole network, uncapped, with value F and in(v)
+    the flow on the arcs entering v. Split into paths and cycles (Ford &
+    Fulkerson 1956), its paths avoiding v stay in the network minus v and
+    each path through v brings at least one unit into v, so the same flow
+    minus v is at least F - in(v). It runs, capped at the running
+    minimum, only when that bound is below it: a skipped flow cannot lower
+    it, so values are exact and the flows that run keep their order. A
+    deleted vertex keeps its arcs at capacity 0, so all flows share one
+    arc list.
     """
     net = _flow_network(n, arcs)
     head, cap, out = net
-
-    def pairs(r):
-        return [p for t in range(r + 1, n)
-                for p in ((r, t), (t, r))[:1 + both_ways]]
-
     roots = []
-    for s, t in pairs(0):
-        flow, _, left = _augmenting_paths(net, s, t)
-        into = [0] * n
-        for h, f in zip(head[::2], left[1::2]):
-            into[h] += f
-        roots.append((s, t, flow, into))
-    worst = INFINITY
-    for v in range(n):
-        deleted = cap[:]
-        for a in out[v]:
-            deleted[a] = deleted[a ^ 1] = 0
-        minus = (head, deleted, out)
-        for s, t in pairs(1) if v == 0 else ():
-            worst = min(worst, _maxflow(minus, s, t, worst)[0])
-        for s, t, flow, into in roots:
-            if v not in (s, t) and flow - into[v] < worst:
-                worst = min(worst, _maxflow(minus, s, t, worst)[0])
-    return min((flow for _, _, flow, _ in roots), default=INFINITY), worst
+    for t in range(1, n):
+        for s, u in ((0, t), (t, 0))[:1 + both_ways]:
+            flow, _, left = _augmenting_paths(net, s, u)
+            into = [0] * n
+            for h, f in zip(head[::2], left[1::2]):
+                into[h] += f
+            roots.append((s, u, flow, into))
+
+    def lowered():
+        worst = limit
+        for v in range(n):
+            deleted = cap[:]
+            for a in out[v]:
+                deleted[a] = deleted[a ^ 1] = 0
+            minus = (head, deleted, out)
+            if v == 0:
+                best, side = _least_cut(minus, (1 << n) - 2, both_ways, worst)
+            else:
+                best, side = worst, None
+                for s, t, flow, into in roots:
+                    if v not in (s, t) and flow - into[v] < best:
+                        value, reached = _maxflow(minus, s, t, best)
+                        if reached is not None:
+                            best, side = value, reached
+            if side is not None:
+                worst = best
+                yield v, best, side
+
+    return min((flow for _, _, flow, _ in roots), default=INFINITY), lowered()
 
 
 def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:

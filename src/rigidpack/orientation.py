@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import (MultiGraph, INFINITY, vertices_of, _flow_network, _maxflow,
+from .graph import (MultiGraph, INFINITY, vertices_of, _flow_network, _least_cut,
                     _vertex_deleted_cuts)
 from .setfuncs import SetFunc, lmn, halved_slack
 from .sparsity import is_sparse, rank_and_rigid
@@ -81,38 +81,10 @@ class Orientation:
 
 def arc_strong_value(orient: Orientation, limit=INFINITY) -> int | float:
     """min d^-(A) over proper nonempty A (INFINITY on a single vertex), or
-    `limit` if that is lower: the value of `_arc_cut`, whose witness is a
-    minimum cut of one of its flows."""
-    return _arc_cut(orient, limit)[0]
-
-
-def _arc_cut(orient: Orientation, limit=INFINITY, without: int | None = None):
-    """min d^-(A) over proper nonempty vertex sets A of the digraph minus
-    the vertex `without` (the whole digraph if None), or `limit` if that is
-    lower, with a set A reaching it as a host mask (None if no A is below
-    `limit`).
-
-    Let r be the lowest remaining vertex. An A without r holds some v and
-    takes at least the r -> v flow; an A with r misses some v and takes at
-    least the v -> r flow. The sink side of a minimum cut of either flow is
-    such an A with d^-(A) equal to the flow, so the value is the least of
-    these flows (Even & Tarjan 1975). Each flow stops at the running
-    minimum, so the sink side of the last flow that lowers it is a minimum
-    A: that is the witness.
-    """
+    `limit` if that is lower: `_least_cut` of the digraph's arcs."""
     host = orient.host
-    rest = host.full_mask & ~(0 if without is None else 1 << without)
-    net = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs
-                                 if without not in (t, h)])
-    low = rest & -rest
-    root = low.bit_length() - 1
-    best, witness = limit, None
-    for v in vertices_of(rest ^ low):
-        for s, t in ((root, v), (v, root)):
-            flow, side = _maxflow(net, s, t, best)
-            if side is not None:
-                best, witness = flow, rest & ~side
-    return best, witness
+    net = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs])
+    return _least_cut(net, host.full_mask, True, limit)[0]
 
 
 # ----------------------------------------------------------------------
@@ -733,16 +705,14 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
 def robust_claims(orient: Orientation, k: int):
     """Claims of a robust orientation: smooth, (2k+1)-arc-strong and
     k-arc-strong after deleting any vertex. Both strengths are computed
-    exactly into the returned checks, from one pair of flows 0 -> t and
-    t -> 0 per vertex t > 0: each gives the bound F - in(v) on the same
-    flow in the digraph minus v, and a minus-v flow runs only when that
-    bound is below the running minimum (`_vertex_deleted_cuts`). The
+    exactly into the returned checks by `_vertex_deleted_cuts`. The
     engine's other checks concern the reinforced part and the Eulerian
     union, edge sets a report does not carry, so only the engine makes
     them. Returns the failed claims and the checks."""
     failed = [] if orient.is_smooth() else ["orientation is not smooth"]
-    strong, worst = _vertex_deleted_cuts(
+    strong, lowered = _vertex_deleted_cuts(
         orient.host.n, [(t, h, 1) for t, h in orient.arcs], True)
+    worst = min((value for _, value, _ in lowered), default=INFINITY)
     if strong < 2 * k + 1:
         failed.append(f"orientation is only {strong}-arc-strong")
     if worst < k:
@@ -764,13 +734,14 @@ def _robust_euler_search(hsub: MultiGraph, k: int, seed: int,
 def _find_robust_violation(orient: Orientation, k: int):
     """The first vertex v whose deletion leaves the digraph below
     k-arc-strong, with a set of the digraph minus v that has the fewest
-    entering arcs, as a host mask: the sink side of a minimum cut of
-    `_arc_cut`'s flows. None if every vertex-deleted digraph is
+    entering arcs, as a host mask: the sink side of the minimum cut that
+    `_vertex_deleted_cuts` found. None if every vertex-deleted digraph is
     k-arc-strong."""
-    for v in range(orient.host.n):
-        value, witness = _arc_cut(orient, k, v)
-        if value < k:
-            return v, witness
+    host = orient.host
+    _, lowered = _vertex_deleted_cuts(
+        host.n, [(t, h, 1) for t, h in orient.arcs], True, k)
+    for v, _, side in lowered:
+        return v, host.full_mask & ~side & ~(1 << v)
     return None
 
 

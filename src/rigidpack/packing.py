@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import MultiGraph, mask_of, vertices_of, _vertex_deleted_cuts
+from .graph import MultiGraph, INFINITY, mask_of, vertices_of, _vertex_deleted_cuts
 from .setfuncs import (
     SetFunc, lmn, zero, halved_slack, rho_slack, scaled, pebble_params,
 )
@@ -349,9 +349,9 @@ def check_rigid_cut_consequences(graph: MultiGraph, k: int) -> HypothesisReport:
         raise ValueError("rigidity level must be at least 1")
     if graph.n < 3:
         raise ValueError("cut consequences apply to graphs of order at least 3")
-    aux = {}
-    lam = graph.edge_connectivity()
-    aux["edge_connectivity"] = lam
+    # the G - v flows run only once the first two checks pass
+    lam, lowered = _vertex_deleted_cuts(graph.n, graph._edge_arcs(), False, k - 1)
+    aux = {"edge_connectivity": lam}
     if lam < k:
         return HypothesisReport("rigid-cuts", False,
                                 witness={"check": "edge", "value": lam}, aux=aux)
@@ -360,12 +360,9 @@ def check_rigid_cut_consequences(graph: MultiGraph, k: int) -> HypothesisReport:
     if ess < 2 * k - 1:
         return HypothesisReport("rigid-cuts", False,
                                 witness={"check": "essential", "value": ess}, aux=aux)
-    for v in range(graph.n):
-        # below the cap k - 1 the value is exact
-        lam_v = graph.min_cut(k - 1, without=1 << v)[0]
-        if lam_v < k - 1:
-            return HypothesisReport("rigid-cuts", False, witness={
-                "check": "vertex-deleted", "vertex": v, "value": lam_v}, aux=aux)
+    for v, lam_v, _ in lowered:
+        return HypothesisReport("rigid-cuts", False, witness={
+            "check": "vertex-deleted", "vertex": v, "value": lam_v}, aux=aux)
     return HypothesisReport("rigid-cuts", True, aux=aux)
 
 
@@ -961,12 +958,10 @@ def tree_rigid_claims(graph: MultiGraph, k: int, p: int, m: int, trees,
 
 def _cut_profile(sub: MultiGraph):
     """Edge connectivity, and the least one after deleting a vertex, both
-    exact (INFINITY where under two vertices are left). One root flow per
-    vertex t > 0 gives the first, and with the flow F it sends into each
-    v the bound F - in(v) on the same flow in G - v: a G - v flow runs
-    only when that bound is below the running minimum
-    (`_vertex_deleted_cuts`)."""
-    return _vertex_deleted_cuts(sub.n, sub._edge_arcs(), False)
+    exact (INFINITY where under two vertices are left), from
+    `_vertex_deleted_cuts`."""
+    lam, lowered = _vertex_deleted_cuts(sub.n, sub._edge_arcs(), False)
+    return lam, min((value for _, value, _ in lowered), default=INFINITY)
 
 
 def bipartite_claims(graph: MultiGraph, k, side_mask: int, rigid_parts, union,

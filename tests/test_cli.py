@@ -395,8 +395,13 @@ REPORTS = {
     "tree-rigid-hypothesis": ("two-k9", ["pack", "--preset", "tree-rigid",
                                          *TREE_RIGID]),
     "robust-hypothesis": ("two-k9", ["orient", "--mode", "robust", "--k", "1"]),
+    "rigid-cuts": ("k5", ["hypothesis", "--check", "rigid-cuts", "--k-int", "2"]),
+    # 3-edge-connected and essentially 3-edge-connected, but deleting the
+    # shared vertex 3 disconnects it
+    "rigid-cuts-vertex": ("two-k4", ["hypothesis", "--check", "rigid-cuts",
+                                     "--k-int", "2"]),
 }
-GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
+GRAPHS = {"k4": complete(4), "k5": complete(5), "k6": complete(6), "k9": complete(9),
           "k10": complete(10), "k13": complete(13),
           "k33": complete_bipartite(3, 3), "k66": complete_bipartite(6, 6),
           "c4": MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
@@ -404,6 +409,8 @@ GRAPHS = {"k4": complete(4), "k6": complete(6), "k9": complete(9),
           # two triangles sharing vertex 2, and a pendant edge at vertex 4
           "bowtie-pendant": MultiGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3),
                                            (3, 4), (2, 4), (4, 5)]),
+          "two-k4": MultiGraph(7, [(u + o, v + o) for o in (0, 3)
+                                   for u in range(4) for v in range(u + 1, 4)]),
           # two K9s joined by a matching of seven edges: 7-edge-connected,
           # below both presets' demands, with the first K9 as the witness A
           "two-k9": MultiGraph(18, [(u + o, v + o) for o in (0, 9)
@@ -637,6 +644,19 @@ def _move_witness_vertex_to_b(r):
     w["B"].append(w["A"].pop())
 
 
+def _forge_vertex_deleted_witness(r):
+    r["certificates"]["witness"] = {"check": "vertex-deleted", "vertex": 0,
+                                    "value": 0}
+
+
+def _move_witness_vertex(r):
+    r["certificates"]["witness"]["vertex"] += 1
+
+
+def _raise_recorded_edge_connectivity(r):
+    r["certificates"]["aux"]["edge_connectivity"] += 1
+
+
 def _unbalance_vertex_0(r):
     out = [e for e, (t, _) in enumerate(r["certificates"]["arcs"]) if t == 0]
     _reverse_arcs(r, out[:2])
@@ -695,6 +715,10 @@ def _unbalance_vertex_0(r):
     ("robust-hypothesis", _move_witness_vertex_to_b, "hypothesis witness"),
     ("bipartite-hypothesis", _claim_hypothesis_holds, "hypothesis verdict"),
     ("bipartite-hypothesis", _raise_recorded_connectivity, "hypothesis witness"),
+    ("rigid-cuts", _deny_construction, "verdict"),
+    ("rigid-cuts", _forge_vertex_deleted_witness, "witness"),
+    ("rigid-cuts", _raise_recorded_edge_connectivity, "aux"),
+    ("rigid-cuts-vertex", _move_witness_vertex, "witness"),
     ("hakimi", _zero_indegrees, "indegrees disagree"),
     ("hakimi-infeasible", _violation_of_vertex_3, "violation set"),
     ("smooth", _zero_outdegrees, "outdegrees disagree"),
@@ -720,6 +744,21 @@ def test_verify_reruns_a_failed_hypothesis(tmp_path, capsys, reports, name):
         assert _witness(report) == {"vertex_connectivity": 3}
     else:
         assert _witness(report)["A"] == list(range(9))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    vcode, vout = run(capsys, "verify", "--report", str(path))
+    assert vcode == 0 and "REPRODUCED" in vout, vout
+
+
+@pytest.mark.parametrize("name, verdict, witness", [
+    ("rigid-cuts", True, {}),
+    ("rigid-cuts-vertex", False,
+     {"check": "vertex-deleted", "vertex": 3, "value": 0})])
+def test_verify_reruns_rigid_cuts_reports(tmp_path, capsys, reports, name,
+                                          verdict, witness):
+    report = reports(name)
+    assert report["verdict"] is verdict
+    assert report["certificates"]["witness"] == witness
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     vcode, vout = run(capsys, "verify", "--report", str(path))

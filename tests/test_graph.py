@@ -226,15 +226,18 @@ def test_vertex_deleted_cuts_match_per_vertex_flows():
         assert checks == {
             "arc_strong": orientation.arc_strong_value(orient),
             "vertex_deleted_arc_strong": min(
-                orientation._arc_cut(orient, INFINITY, v)[0] for v in range(g.n))}
+                _deleted_arc_strong(orient, v) for v in range(g.n))}
     assert deleted_zero >= 100
 
 
-def test_robust_claims_flow_count(monkeypatch):
-    # one flow each way per vertex t > 0, and only the G - v flows their
-    # bound leaves open; a fresh min cut of every G - v ran 418 flows here
-    orient = orientation.robust_arc_strong(generators.complete(15), 1,
-                                           force=True).orientation
+def _deleted_arc_strong(orient, v):
+    """A fresh least cut of the digraph minus v, on its own network."""
+    net = graph._flow_network(orient.host.n, [(t, h, 1) for t, h in orient.arcs
+                                              if v not in (t, h)])
+    return graph._least_cut(net, orient.host.full_mask ^ (1 << v), True)[0]
+
+
+def _augmenting_path_calls(monkeypatch):
     calls = []
     flow = graph._augmenting_paths
 
@@ -243,10 +246,36 @@ def test_robust_claims_flow_count(monkeypatch):
         return flow(*args)
 
     monkeypatch.setattr(graph, "_augmenting_paths", counted)
+    return calls
+
+
+def test_robust_claims_flow_count(monkeypatch):
+    # one flow each way per vertex t > 0, and only the G - v flows their
+    # bound leaves open; a fresh min cut of every G - v ran 418 flows here
+    orient = orientation.robust_arc_strong(generators.complete(15), 1,
+                                           force=True).orientation
+    calls = _augmenting_path_calls(monkeypatch)
     failed, checks = orientation.robust_claims(orient, 1)
     assert not failed
     assert checks == {"arc_strong": 7, "vertex_deleted_arc_strong": 6}
     assert len(calls) <= 418 // 4
+
+
+def test_robust_construction_flow_count(monkeypatch):
+    # each repair pass finds the first deficient vertex from one set of
+    # root flows; a fresh min cut per vertex and pass ran 518 flows here
+    calls = _augmenting_path_calls(monkeypatch)
+    assert orientation.robust_arc_strong(generators.complete(15), 1,
+                                         force=True).ok
+    assert len(calls) <= 259
+
+
+def test_tree_rigid_flow_count(monkeypatch):
+    # the self-check's edge connectivity and vertex-deleted cuts share one
+    # set of root flows; a fresh min cut per G - v ran 84 flows here
+    calls = _augmenting_path_calls(monkeypatch)
+    assert packing.preset_tree_rigid(generators.complete(9), 2, 1, 1).ok
+    assert len(calls) <= 42
 
 
 def test_bipartition():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack import generators, oracle
-from rigidpack.graph import MultiGraph, INFINITY, mask_of
+from rigidpack.graph import (MultiGraph, INFINITY, mask_of, _flow_network,
+                            _least_cut, _vertex_deleted_cuts)
 from rigidpack.setfuncs import (
     lmn, const, zero, force_zero_on_ground, table_func, vertex_weights,
     with_overrides, rooted_shift,
@@ -15,7 +16,7 @@ from rigidpack.orientation import (
     Orientation, hakimi_orient, arc_strong_value, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, odd_spanning_forest, rigid_factor,
-    robust_arc_strong, _arc_cut, _find_robust_violation, _repair_orientation,
+    robust_arc_strong, _find_robust_violation, _repair_orientation,
 )
 
 
@@ -375,9 +376,35 @@ def test_unforced_robust_orientation_past_fourteen_vertices(host):
     assert res.ok and res.hypothesis.ok
 
 
+def _check_lowered(orient, values):
+    """`_vertex_deleted_cuts` against the least cut of every digraph minus
+    v, given in `values`: at limits 0-3 and INFINITY its first entry names
+    the first v whose value is below the limit, with that value and a side
+    whose complement without v has that many entering arcs, and with no
+    limit its entries reach the least value."""
+    arcs = [(t, h, 1) for t, h in orient.arcs]
+    for limit in [*range(4), INFINITY]:
+        first = next((v for v, value in enumerate(values) if value < limit), None)
+        entry = next(_vertex_deleted_cuts(orient.host.n, arcs, True, limit)[1], None)
+        if first is None:
+            assert entry is None
+            continue
+        v, value, side = entry
+        assert (v, value) == (first, values[v])
+        rest = orient.host.full_mask ^ (1 << v)
+        witness = rest & ~side
+        # a minimum cut side: nonempty, proper, without v
+        assert witness and witness != rest
+        assert _entering([(t, h) for t, h, _ in arcs if v not in (t, h)],
+                         witness) == value
+    lowered = _vertex_deleted_cuts(orient.host.n, arcs, True)[1]
+    assert min((value for _, value, _ in lowered), default=INFINITY) == min(values)
+
+
 def test_deleted_arc_strong_matches_definition():
     g = generators.complete(5)
     orient = smooth_orient(g)
+    values = []
     for v in range(5):
         keep = [e for e in range(g.m) if v not in g.edges[e]]
         rest = [w for w in range(5) if w != v]
@@ -391,7 +418,8 @@ def test_deleted_arc_strong_matches_definition():
                         if (mask >> orient.heads[e]) & 1
                         and not (mask >> orient.tail(e)) & 1)
             best = indeg if best is None else min(best, indeg)
-        assert _arc_cut(orient, without=v)[0] == best
+        values.append(best)
+    _check_lowered(orient, values)
 
 
 def _random_orientation(rng, n):
@@ -416,19 +444,8 @@ def test_deleted_arc_strong_flows_match_table():
     assert sum(not o.host.is_connected() for o in orients) >= 50
     assert sum(len(set(o.host.edges)) < o.host.m for o in orients) >= 50
     for orient in orients:
-        for v in range(orient.host.n):
-            value = _min_deleted(orient, v)
-            rest = orient.host.full_mask ^ (1 << v)
-            arcs = [(t, h) for t, h in orient.arcs if v not in (t, h)]
-            for limit in [*range(4), INFINITY]:
-                got, witness = _arc_cut(orient, limit, v)
-                assert got == min(value, limit)
-                if value >= limit:
-                    assert witness is None
-                    continue
-                # a minimum cut side: nonempty, proper, without v
-                assert witness and not witness & ~rest and witness != rest
-                assert _entering(arcs, witness) == value
+        _check_lowered(orient, [_min_deleted(orient, v)
+                                for v in range(orient.host.n)])
 
 
 def _table_violation(orient, k):
@@ -481,4 +498,7 @@ def test_robust_repair_past_twenty_vertices():
     assert _entering(arcs, witness) == 0
     fixed = _repair_orientation(g, orient, 1)
     assert fixed is not None and fixed.is_balanced()
-    assert all(_arc_cut(fixed, without=u)[0] >= 1 for u in range(22))
+    # a fresh min cut of every digraph minus u, with no bound to skip flows
+    for u in range(22):
+        net = _flow_network(22, [(t, h, 1) for t, h in fixed.arcs if u not in (t, h)])
+        assert _least_cut(net, g.full_mask ^ (1 << u), True)[0] >= 1

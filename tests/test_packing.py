@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -630,6 +630,37 @@ def test_rigid_cut_consequences():
     assert rep.aux["essential"] == 3
     rep = check_rigid_cut_consequences(c4(), 2)
     assert not rep.ok
+
+
+def _ref_rigid_cut_consequences(g, k):
+    """(ok, witness, aux) of the rigid-cuts check with a fresh min cut of
+    every G - v: the reference for the shared root flows."""
+    aux = {"edge_connectivity": g.edge_connectivity()}
+    if aux["edge_connectivity"] < k:
+        return False, {"check": "edge", "value": aux["edge_connectivity"]}, aux
+    aux["essential"] = g.essential_edge_connectivity()
+    if aux["essential"] < 2 * k - 1:
+        return False, {"check": "essential", "value": aux["essential"]}, aux
+    for v in range(g.n):
+        lam_v = g.min_cut(k - 1, without=1 << v)[0]
+        if lam_v < k - 1:
+            return False, {"check": "vertex-deleted", "vertex": v,
+                           "value": lam_v}, aux
+    return True, {}, aux
+
+
+def test_rigid_cut_consequences_match_per_vertex_min_cuts():
+    rng = random.Random(1515)
+    outcomes = Counter()
+    for _ in range(420):
+        n = rng.randrange(3, 10)
+        g = oracle.random_multigraph(n, rng.randrange(n, 5 * n), rng)
+        for k in (1, 2, 3):
+            rep = check_rigid_cut_consequences(g, k)
+            assert (rep.ok, rep.witness, rep.aux) == _ref_rigid_cut_consequences(g, k)
+            outcomes[rep.witness.get("check", "pass")] += 1
+    assert min(outcomes[c] for c in ("edge", "essential", "vertex-deleted",
+                                     "pass")) >= 20
 
 
 def test_rigid_sufficient_and_extraction():
