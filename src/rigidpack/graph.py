@@ -261,15 +261,12 @@ class MultiGraph:
         `min_cut`'s value."""
         return self.min_cut()[0]
 
-    def min_cut(self, limit=INFINITY, without: int = 0):
-        """min d(A) over proper nonempty vertex sets A of the graph minus
-        the vertex set `without`, or `limit` if that is lower, with a set A
-        reaching it as a mask (None if no A is below `limit`): `_least_cut`
-        of the graph's edges."""
-        net = _flow_network(self.n, [(u, v, c) for u, v, c in self._edge_arcs()
-                                     if not (without >> u) & 1
-                                     and not (without >> v) & 1])
-        return _least_cut(net, self.full_mask & ~without, False, limit)
+    def min_cut(self, limit=INFINITY):
+        """min d(A) over proper nonempty vertex sets A, or `limit` if that
+        is lower, with a set A reaching it as a mask (None if no A is below
+        `limit`): `_least_cut` of the graph's edges."""
+        net = _flow_network(self.n, self._edge_arcs())
+        return _least_cut(net, self.full_mask, False, limit)
 
     def local_edge_connectivity(self, s: int, t: int) -> int:
         if not (0 <= s < self.n and 0 <= t < self.n):
@@ -328,35 +325,12 @@ class MultiGraph:
         return best
 
     def vertex_connectivity(self) -> int:
-        """Vertex connectivity via unit vertex-capacity flows (n-1 if complete).
-
-        Even's bound (1975) limits the sources: let S be a minimum separator
-        and i* the first index outside S. The i* vertices before it all lie
-        in S, so i* <= kappa, and every vertex of another component of G - S
-        has a larger index than i*. The pair (i*, j) for such a j is
-        therefore swept before the loop over sources i < best can stop, and
-        its flow is kappa.
-
-        Even & Tarjan's split network: x_in = x, x_out = x + n, a unit arc
-        x_in -> x_out and a unit arc u_out -> v_in per adjacency. A flow
-        from s_out to t_in never uses the terminals' own unit arcs, so one
-        arc list serves every pair.
-        """
-        n = self.n
-        if n <= 1:
-            return 0
-        mult = self.mult
-        arcs = [(x, x + n, 1) for x in range(n)]
-        arcs += [(u + n, v, 1) for u, v, _ in self._edge_arcs()]
-        net = _flow_network(2 * n, arcs)
-        best = n - 1
-        i = 0
-        while i < best:
-            for j in range(i + 1, n):
-                if mult[i][j] == 0:
-                    best = min(best, _maxflow(net, i + n, j, best)[0])
-            i += 1
-        return best
+        """Vertex connectivity (n-1 if complete): `_mixed_cut` with unit
+        vertex arcs and edge arcs of capacity n, which no cut below n
+        crosses. Its limit is the fewest distinct neighbours of a vertex,
+        which separate it from the rest or are all of the rest."""
+        limit = min(sum(map(bool, row)) for row in self.mult)
+        return _mixed_cut(self, 1, self.n, limit)[0]
 
 
 def _flow_network(size: int, arcs):
@@ -402,6 +376,45 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY):
             flow, reached = _maxflow(net, s, u, best)
             if reached is not None:
                 best, side = flow, reached
+    return best, side
+
+
+def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
+    """The least vcap |B| + ecap d_{G-B}(A) over disjoint vertex sets A, B
+    with A nonempty and A | B proper, a mixed vertex/edge cut (Beineke &
+    Harary 1967), or `limit` if lower, with the source side of a flow
+    reaching it as a split-network mask (None if no cut is below `limit`).
+
+    The split network has x_in = x, x_out = x + n, an arc x_in -> x_out of
+    capacity vcap and an arc u_out -> v_in of capacity mult(u, v) ecap. On
+    the least source side of a minimum s_out -> t_in cut, A is the vertices
+    whose out-copy is on it and B those whose in-copy alone is, s is in A, t
+    outside A | B, and the cut costs exactly vcap |B| + ecap d_{G-B}(A).
+
+    Even's bound (1975): with i the lowest vertex outside B of an optimal
+    A, B, which costs at least vcap i, the flow from i to a vertex outside
+    A | B (if i is in A) or of A (if not; the network is symmetric) reaches
+    it, and that vertex is higher than i. So roots stop once vcap i reaches
+    the running minimum, and each flow i -> j, j > i, stops at it. A pair
+    is skipped when its arc and one path i -> x -> j per common neighbour
+    x, all disjoint, already carry the running minimum.
+    """
+    n, mult = graph.n, graph.mult
+    arcs = [(x, x + n, vcap) for x in range(n)]
+    arcs += [(u + n, v, c * ecap) for u, v, c in graph._edge_arcs()]
+    net = _flow_network(2 * n, arcs)
+    best, side = limit, None
+    for i in range(n):
+        if vcap * i >= best:
+            break
+        for j in range(i + 1, n):
+            paths = mult[i][j] * ecap + sum(
+                min(a * ecap, vcap, b * ecap)
+                for a, b in zip(mult[i], mult[j]) if a and b)
+            if paths < best:
+                flow, reached = _maxflow(net, i + n, j, best)
+                if reached is not None:
+                    best, side = flow, reached
     return best, side
 
 

@@ -18,13 +18,13 @@ again (Cunningham 1986).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import MultiGraph, INFINITY, mask_of, vertices_of, _vertex_deleted_cuts
+from .graph import (MultiGraph, INFINITY, mask_of, vertices_of, _mixed_cut,
+                    _vertex_deleted_cuts)
 from .setfuncs import (
     SetFunc, lmn, zero, halved_slack, rho_slack, scaled, pebble_params,
 )
@@ -726,30 +726,18 @@ def check_bipartite_connectivity(graph: MultiGraph, k) -> HypothesisReport:
 
 
 def _is_two_connected(graph: MultiGraph) -> bool:
-    if graph.n < 3 or not graph.is_connected():
-        return False
-    return all(graph.delete_vertex(v).is_connected() for v in range(graph.n))
+    return graph.n >= 3 and graph.vertex_connectivity() >= 2
 
 
 def check_uniform_weakly_connected(graph, k: int, conn: int,
                                    force: bool = False):
-    """Simple-graph guard plus weak connectivity with constant slack k per
-    removed vertex against a constant demand: d_{G-B}(A) >= conn - k|B| for
-    disjoint A, B with A nonempty and A | B proper, which is
+    """Simple-graph guard plus weak connectivity with constant slack k >= 0
+    per removed vertex against a constant demand: d_{G-B}(A) >= conn - k|B|
+    for disjoint A, B with A nonempty and A | B proper, which is
     check_weakly_connected(graph, [k] * n, const(n, conn)) decided without
-    its 3^n sweep.
-
-    For a fixed B the least cut over A is the edge connectivity of G - B,
-    so the condition is lambda(G - B) >= conn - k|B| for every B leaving at
-    least two vertices. Deleting a vertex lowers the vertex connectivity
-    kappa by at most one (with K_n counted (n-1)-connected, as
-    `vertex_connectivity` does), and lambda >= kappa (Whitney 1932), so
-    lambda(G - B) >= kappa - |B|. A size |B| therefore passes whole when
-    kappa - |B| >= conn - k|B| or conn - k|B| <= 0, and for k >= 1 only
-    sizes below conn / k are left. Each remaining B gets one `min_cut` of
-    G - B with conn - k|B| as its cut-off. B runs by size, then in
-    lexicographic order, and the witness is the first failing B with the
-    source side of its minimum cut as A.
+    its 3^n sweep, by one `_mixed_cut` with vertex arcs k, unit edge arcs
+    and the limit conn. A failing witness is its cut's A and B, with lhs =
+    d_{G-B}(A) the cut minus k|B|.
     """
     if force:
         return None
@@ -757,17 +745,15 @@ def check_uniform_weakly_connected(graph, k: int, conn: int,
     if not simple:
         return HypothesisReport("weakly-connected", False,
                                 witness={"check": "simple"})
-    kappa = graph.vertex_connectivity()
-    for size in range(graph.n - 1):
-        rhs = conn - k * size
-        if rhs <= 0 or kappa - size >= rhs:
-            continue
-        for b in itertools.combinations(range(graph.n), size):
-            lhs, a = graph.min_cut(rhs, without=mask_of(b))
-            if a is not None:
-                return HypothesisReport("weakly-connected", False, witness={
-                    "A": vertices_of(a), "B": list(b), "lhs": lhs, "rhs": rhs})
-    return HypothesisReport("weakly-connected", True)
+    value, side = _mixed_cut(graph, k, 1, conn)
+    if side is None:
+        return HypothesisReport("weakly-connected", True)
+    a = side >> graph.n
+    b = side & graph.full_mask & ~a
+    used = k * b.bit_count()
+    return HypothesisReport("weakly-connected", False, witness={
+        "A": vertices_of(a), "B": vertices_of(b), "lhs": value - used,
+        "rhs": conn - used})
 
 
 def uniform_hypothesis_claims(graph, k: int, conn: int, ok: bool,

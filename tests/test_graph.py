@@ -122,6 +122,9 @@ def test_flow_paths_match_sweeps():
     assert sum(len(set(g.edges)) < g.m for g in graphs) >= 50
     for g in graphs:
         assert g.vertex_connectivity() == _bf_vertex_connectivity(g)
+        two_connected = g.n >= 3 and g.is_connected() and all(
+            g.delete_vertex(v).is_connected() for v in range(g.n))
+        assert packing._is_two_connected(g) == two_connected
         if g.n >= 2:
             cut = min(g.boundary(a) for a in range(1, g.full_mask))
             assert g.edge_connectivity() == cut
@@ -164,6 +167,30 @@ def test_vertex_connectivity_flow_count(monkeypatch):
     calls.clear()
     assert generators.circulant(80, [1, 2, 3]).vertex_connectivity() == 6
     assert len(calls) <= 560
+
+
+def test_mixed_cut_flow_count(monkeypatch):
+    # the two-path bound skips every pair of K9 and K13 at their demands and
+    # of K12,12 under its degree limit; on two K40 sharing four vertices the
+    # root bound leaves at most ceil(conn / k) (n - 1) flows
+    calls = []
+    flow = graph._maxflow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(graph, "_maxflow", counted)
+    assert packing.check_uniform_weakly_connected(generators.complete(9), 2, 8).ok
+    assert packing.check_uniform_weakly_connected(generators.complete(13), 3, 12).ok
+    assert generators.complete_bipartite(12, 12).vertex_connectivity() == 12
+    assert not calls
+    glued = MultiGraph(76, sorted({(a, b) for group in (range(40), range(36, 76))
+                                   for a in group for b in group if a < b}))
+    for k, conn in (orientation.robust_demand(1), packing.tree_rigid_demand(2, 1, 1)):
+        calls.clear()
+        assert packing.check_uniform_weakly_connected(glued, k, conn).ok
+        assert len(calls) <= -(-conn // k) * (glued.n - 1)
 
 
 def test_essential_edge_connectivity_flow_count(monkeypatch):

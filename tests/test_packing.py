@@ -402,7 +402,7 @@ def test_uniform_weak_connectivity_matches_the_sweep(monkeypatch):
     # kappa 6 and 7 below the demand 8 of (k, conn) = (2, 8), yet passing
     hosts += [_glued_cliques(9, 9, 6, 0, rng), _glued_cliques(9, 9, 7, 0, rng)]
     cases = [(g, k, conn) for g in hosts
-             for k, conn in [(2, 8), (3, 12), (5, 20), (2, 4), (3, 5)]]
+             for k, conn in [(2, 8), (3, 12), (5, 20), (2, 4), (3, 5), (1, 3)]]
     sweeps = [check_weakly_connected(g, [k] * g.n, const(g.n, conn))
               for g, k, conn in cases]
 
@@ -423,8 +423,9 @@ def test_uniform_weak_connectivity_matches_the_sweep(monkeypatch):
         assert a and not a & b and (a | b) != g.full_mask
         assert g.boundary_minus(a, b) == w["lhs"] < w["rhs"] == conn - k * len(w["B"])
         past_empty_b += b != 0
-    # passing hosts below the vertex-connectivity bound take the B search,
-    # and glued cliques with one shared vertex fail past the empty B
+    # passing hosts whose vertex connectivity is below the demand, so that
+    # the least cut must weigh removed vertices against edges, and glued
+    # cliques with one shared vertex fail past the empty B
     assert enumerated >= 15 and past_empty_b >= 4
 
 
@@ -642,7 +643,7 @@ def _ref_rigid_cut_consequences(g, k):
     if aux["essential"] < 2 * k - 1:
         return False, {"check": "essential", "value": aux["essential"]}, aux
     for v in range(g.n):
-        lam_v = g.min_cut(k - 1, without=1 << v)[0]
+        lam_v = g.delete_vertex(v).min_cut(k - 1)[0]
         if lam_v < k - 1:
             return False, {"check": "vertex-deleted", "vertex": v,
                            "value": lam_v}, aux
