@@ -100,15 +100,16 @@ def parse_setfunc(token: str, ground: int) -> SetFunc:
     raise ValueError(f"unknown set function token {token!r}")
 
 
-MODE_FLAGS = {"orient": "mode", "hypothesis": "check", "oracle": "what", "gen": "family"}
+MODE_FLAGS = ("mode", "check", "what", "family")
 
 
-def _need(args, flag: str):
-    """A flag's value; a usage error naming it and the mode when it is missing."""
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
+def _need(values: dict, flag: str):
+    """A flag's value from parsed arguments or a report's params; a usage
+    error naming it and the mode when it is missing."""
+    value = values.get(flag.lstrip("-").replace("-", "_"))
     if value is None:
-        mode = MODE_FLAGS[args.subcommand]
-        raise ValueError(f"--{mode} {getattr(args, mode)} needs {flag}")
+        mode = next(key for key in MODE_FLAGS if key in values)
+        raise ValueError(f"--{mode} {values[mode]} needs {flag}")
     return value
 
 
@@ -145,7 +146,7 @@ def make_report(args, subcommand: str, graph: MultiGraph, meta: dict,
                 params: dict, verdict: bool, certificates: dict,
                 started: float) -> dict:
     return {
-        "command": sys.argv[1:],
+        "command": args.argv,
         "subcommand": subcommand,
         "graph": graph_record(graph, meta.get("name", "graph")),
         "params": params,
@@ -183,8 +184,8 @@ def cmd_rigid(args) -> int:
         ids = packing.extract_rigid(graph, func, forbidden)
         sub = graph.subgraph(ids)
         ok = len(ids) == max(func.rigid_target, 0) and sparsity.is_sparse(sub, func).ok
-        cert = {"hypothesis": {"ok": hyp.ok, "witness": hyp.witness},
-                "edges": sorted(ids), "target": max(func.rigid_target, 0)}
+        cert = {**_hypothesis_cert(hyp), "edges": sorted(ids),
+                "target": max(func.rigid_target, 0)}
     else:
         rr = sparsity.rank_and_rigid(graph, func)
         ok = rr.rigid
@@ -313,19 +314,22 @@ def _run_preset(args, graph, meta, started) -> int:
 def cmd_decompose(args) -> int:
     started = time.time()
     graph, meta = load_graph(args.graph)
-    func = parse_setfunc(args.func, graph.n)
     params = {"func": args.func, "parts": args.parts}
-    try:
-        dec = packing.decompose_p_rigid(graph, func, args.parts)
-    except ValueError as exc:
-        emit(make_report(args, "decompose", graph, meta, params, False,
-                         {"error": str(exc)}, started), args.format)
-        return 2
-    cert = {"parts": [sorted(p) for p in dec.parts],
-            "leftover": sorted(dec.leftover)}
-    emit(make_report(args, "decompose", graph, meta, params, True, cert, started),
+    ok, cert = _decompose(graph, params)
+    emit(make_report(args, "decompose", graph, meta, params, ok, cert, started),
          args.format)
-    return 0
+    return 0 if ok else 2
+
+
+def _decompose(graph, params) -> tuple[bool, dict]:
+    """Verdict and certificates of a `decompose` run, from its params."""
+    func = parse_setfunc(params["func"], graph.n)
+    try:
+        dec = packing.decompose_p_rigid(graph, func, params["parts"])
+    except ValueError as exc:
+        return False, {"error": str(exc)}
+    return True, {"parts": [sorted(p) for p in dec.parts],
+                  "leftover": sorted(dec.leftover)}
 
 
 def _orient_cert(orient: orientation.Orientation) -> dict:
@@ -337,10 +341,10 @@ def _orient_cert(orient: orientation.Orientation) -> dict:
 def cmd_orient(args) -> int:
     started = time.time()
     graph, meta = load_graph(args.graph)
-    mode = args.mode
+    mode, opts = args.mode, vars(args)
     params: dict = {"mode": mode}
     if mode == "hakimi":
-        targets = parse_int_list(_need(args, "--targets"), graph.n, "--targets")
+        targets = parse_int_list(_need(opts, "--targets"), graph.n, "--targets")
         params["targets"] = targets
         res = orientation.hakimi_orient(graph, targets)
         cert = _orient_cert(res.orientation) if res.ok else \
@@ -352,7 +356,7 @@ def cmd_orient(args) -> int:
         cert = _orient_cert(orient)
         ok = True
     elif mode == "rigid":
-        func = parse_setfunc(_need(args, "--func"), graph.n)
+        func = parse_setfunc(_need(opts, "--func"), graph.n)
         params["func"] = args.func
         res = orientation.rigid_to_orientation(graph, func)
         ok = res.ok
@@ -361,12 +365,12 @@ def cmd_orient(args) -> int:
              "witness": vertices_of(res.witness) if isinstance(res.witness, int)
              and res.reason == "not-sparse" else res.witness}
     elif mode == "packed":
-        r1 = parse_int_list(_need(args, "--r1"), graph.n, "--r1")
-        r2 = parse_int_list(_need(args, "--r2"), graph.n, "--r2")
+        r1 = parse_int_list(_need(opts, "--r1"), graph.n, "--r1")
+        r2 = parse_int_list(_need(opts, "--r2"), graph.n, "--r2")
         params.update({"l": args.l, "ell": args.ell, "r1": r1, "r2": r2})
         res = orientation.packed_orientation(
-            graph, parse_setfunc(_need(args, "--l"), graph.n),
-            parse_setfunc(_need(args, "--ell"), graph.n), r1, r2, force=args.force)
+            graph, parse_setfunc(_need(opts, "--l"), graph.n),
+            parse_setfunc(_need(opts, "--ell"), graph.n), r1, r2, force=args.force)
         extra = {"h1": sorted(res.h1), "h2": sorted(res.h2)}
     elif mode == "robust":
         params["k"] = 1 if args.k is None else args.k
@@ -382,79 +386,88 @@ def cmd_orient(args) -> int:
         if ok:
             cert = {**_orient_cert(res.orientation), **extra}
         else:
-            cert = {"hypothesis": res.hypothesis.witness if res.hypothesis else None,
-                    "detail": res.detail}
+            cert = {**_hypothesis_cert(res.hypothesis), "detail": res.detail}
             hyp_failed = res.hypothesis is not None and not res.hypothesis.ok
     report = make_report(args, "orient", graph, meta, params, ok, cert, started)
     emit(report, args.format)
     return 2 if hyp_failed else (0 if ok else 1)
 
 
+HYPOTHESIS_INPUTS = ("check", "l", "ell", "ell_vec", "k", "k_int", "phi", "rho",
+                     "forbid")
+
+
 def cmd_hypothesis(args) -> int:
     started = time.time()
     graph, meta = load_graph(args.graph)
-    check = args.check
-    params: dict = {"check": check}
+    params = {key: getattr(args, key) for key in HYPOTHESIS_INPUTS}
+    ok, cert = _hypothesis(graph, params)
+    emit(make_report(args, "hypothesis", graph, meta, params, ok, cert, started),
+         args.format)
+    return 0 if ok else 1
+
+
+def _hypothesis(graph, params) -> tuple[bool, dict]:
+    """Verdict and certificates of a `hypothesis` check, from its params."""
+    check = params["check"]
+    forbid = set(params["forbid"] or [])
 
     def func(flag):
-        return parse_setfunc(_need(args, flag), graph.n)
+        return parse_setfunc(_need(params, flag), graph.n)
 
     if check == "rigid-necessary":
         rep = packing.check_rigid_necessary(graph, func("--ell"))
     elif check == "rigid-sufficient":
-        rep = packing.check_rigid_sufficient(graph, func("--ell"),
-                                             set(args.forbid or []))
+        rep = packing.check_rigid_sufficient(graph, func("--ell"), forbid)
     elif check == "rigid-cuts":
-        rep = packing.check_rigid_cut_consequences(graph, _need(args, "--k-int"))
-        params["k"] = args.k_int
+        rep = packing.check_rigid_cut_consequences(graph, _need(params, "--k-int"))
     elif check == "pack-basic":
         rep = packing.check_pack_basic(graph, func("--l"), func("--ell"))
     elif check == "pack-refined":
-        rep = packing.check_pack_refined(
-            graph, func("--l"), func("--ell"),
-            Fraction(args.phi), len(set(args.forbid or [])))
-        params["phi"] = args.phi
+        rep = packing.check_pack_refined(graph, func("--l"), func("--ell"),
+                                         Fraction(params["phi"]), len(forbid))
     elif check == "pack-degree":
         rep = packing.check_pack_degree(
-            graph, func("--l"), func("--ell"), Fraction(_need(args, "--k")),
-            parse_int_list(_need(args, "--rho"), graph.n, "--rho"))
-        params["k"] = args.k
+            graph, func("--l"), func("--ell"), Fraction(_need(params, "--k")),
+            parse_int_list(_need(params, "--rho"), graph.n, "--rho"))
     elif check == "weakly-connected":
-        ell_vec = parse_int_list(args.ell_vec, graph.n, "--ell-vec") \
-            if args.ell_vec else [1 if args.k_int is None else args.k_int] * graph.n
+        k_int = params["k_int"]
+        ell_vec = parse_int_list(params["ell_vec"], graph.n, "--ell-vec") \
+            if params["ell_vec"] else [1 if k_int is None else k_int] * graph.n
         rep = packing.check_weakly_connected(graph, ell_vec, func("--l"))
     else:
         raise ValueError(f"unknown hypothesis check {check!r}")
-    report = make_report(args, "hypothesis", graph, meta, params, rep.ok,
-                         _hypothesis_record(rep), started)
-    emit(report, args.format)
-    return 0 if rep.ok else 1
+    return rep.ok, {"witness": rep.witness, "aux": {
+        k: (v if v is not None else "none") for k, v in rep.aux.items()}}
 
 
-def _hypothesis_record(rep) -> dict:
-    return {"witness": rep.witness,
-            "aux": {k: (v if v is not None else "none") for k, v in rep.aux.items()}}
+ORACLE_INPUTS = ("what", "func", "heads", "roots", "ell_vec", "budget")
 
 
 def cmd_oracle(args) -> int:
     started = time.time()
-    budget = oracle.OracleBudget(
-        subset_n=args.budget, partition_n=args.budget,
-        pair_n=args.budget, rank_m=2 * args.budget)
     if args.what == "census":
-        graphs = list(oracle.census(args.census_n,
-                                    connected=args.census_filter == "connected"))
-        cert = {"count": len(graphs)}
-        graph = MultiGraph(1, [])
-        report = make_report(args, "oracle", graph, {"name": "census"},
-                             {"what": "census", "n": args.census_n,
-                              "filter": args.census_filter},
-                             True, cert, started)
-        emit(report, args.format)
-        return 0
-    what = args.what
-    graph, meta = load_graph(_need(args, "--graph"))
-    func = parse_setfunc(_need(args, "--func"), graph.n)
+        graph, meta = MultiGraph(1, []), {"name": "census"}
+        params = {"what": "census", "n": args.census_n, "filter": args.census_filter,
+                  "budget": args.budget}
+    else:
+        graph, meta = load_graph(_need(vars(args), "--graph"))
+        params = {key: getattr(args, key) for key in ORACLE_INPUTS}
+    ok, cert = _oracle(graph, params)
+    emit(make_report(args, "oracle", graph, meta, params, ok, cert, started),
+         args.format)
+    return 0 if ok else 1
+
+
+def _oracle(graph, params) -> tuple[bool, dict]:
+    """Verdict and certificates of an `oracle` check, from its params."""
+    what, size = params["what"], params["budget"]
+    if what == "census":
+        graphs = oracle.census(params["n"], connected=params["filter"] == "connected")
+        return True, {"count": len(list(graphs))}
+    budget = oracle.OracleBudget(subset_n=size, partition_n=size, pair_n=size,
+                                 rank_m=2 * size)
+    func = parse_setfunc(_need(params, "--func"), graph.n)
     if what == "sparse":
         ok, wit = oracle.bf_sparse(graph, func, budget)
         cert = {"witness": vertices_of(wit) if wit is not None else None}
@@ -474,42 +487,39 @@ def cmd_oracle(args) -> int:
         ok, detail = oracle.bf_matroid_axioms(graph, func, budget)
         cert = {"detail": list(detail) if detail else None}
     elif what == "arc-connected":
-        heads = parse_int_list(_need(args, "--heads"), graph.m, "--heads")
-        roots = parse_int_list(args.roots, graph.n, "--roots") \
-            if args.roots else None
+        heads = parse_int_list(_need(params, "--heads"), graph.m, "--heads")
+        roots = parse_int_list(params["roots"], graph.n, "--roots") \
+            if params["roots"] else None
         ok, wit = oracle.bf_arc_connected(graph, heads, func, roots, budget)
         cert = {"witness": vertices_of(wit) if wit is not None else None}
     elif what == "weakly-connected":
-        ell_vec = parse_int_list(_need(args, "--ell-vec"), graph.n, "--ell-vec")
+        ell_vec = parse_int_list(_need(params, "--ell-vec"), graph.n, "--ell-vec")
         ok, wit = oracle.bf_weakly_connected(graph, ell_vec, func, budget)
         cert = {"witness": [vertices_of(m) for m in wit] if wit else None}
     else:
         raise ValueError(f"unknown oracle check {what!r}")
-    report = make_report(args, "oracle", graph, meta,
-                         {"what": what, "func": args.func}, ok, cert, started)
-    emit(report, args.format)
-    return 0 if ok else 1
+    return ok, cert
 
 
 def cmd_gen(args) -> int:
-    fam = args.family
+    fam, opts = args.family, vars(args)
     if fam == "complete":
-        graph = generators.complete(_need(args, "--n"))
+        graph = generators.complete(_need(opts, "--n"))
         name = f"K{args.n}"
     elif fam == "complete-bipartite":
-        graph = generators.complete_bipartite(_need(args, "--a"), _need(args, "--b"))
+        graph = generators.complete_bipartite(_need(opts, "--a"), _need(opts, "--b"))
         name = f"K{args.a}_{args.b}"
     elif fam == "circulant":
-        graph = generators.circulant(_need(args, "--n"), _need(args, "--offsets"))
+        graph = generators.circulant(_need(opts, "--n"), _need(opts, "--offsets"))
         name = f"C{args.n}({','.join(map(str, args.offsets))})"
     elif fam == "random-simple":
-        graph = generators.random_simple(_need(args, "--n"), _need(args, "--m"), args.seed)
+        graph = generators.random_simple(_need(opts, "--n"), _need(opts, "--m"), args.seed)
         name = f"G{args.n}_{args.m}_s{args.seed}"
     elif fam == "random-regular":
-        graph = generators.random_regular(_need(args, "--n"), _need(args, "--r"), args.seed)
+        graph = generators.random_regular(_need(opts, "--n"), _need(opts, "--r"), args.seed)
         name = f"R{args.n}_{args.r}_s{args.seed}"
     elif fam == "doubled":
-        base, meta = load_graph(_need(args, "--base"))
+        base, meta = load_graph(_need(opts, "--base"))
         graph = generators.doubled(base, args.mult)
         name = f"{meta['name']}x{args.mult}"
     else:
@@ -545,51 +555,78 @@ def _checks_record(checks: dict) -> dict:
     return {k: (v if v is not INFINITY else "inf") for k, v in checks.items()}
 
 
-def _checks_differ(recorded: dict, computed: dict) -> list[str]:
-    return [f"checks.{key} recomputes to {val}"
-            for key, val in _checks_record(computed).items()
-            if recorded.get(key) != val]
+def _differ(recorded: dict, rerun: dict, prefix: str = "") -> list[str]:
+    """Names of the re-run's fields whose recorded values are not the re-run's."""
+    return [f"{prefix}{key} recomputes to {val}"
+            for key, val in rerun.items() if recorded.get(key) != val]
 
 
 def _reverify(sub, graph, params, certs, verdict) -> list[str]:
     """Names of the report's claims that fail when re-checked. The six
     certified result types go through the library's claim checkers, the
-    ones the engine runs on its own results. A `rigid-cuts` hypothesis
-    report is re-run, and its verdict, witness and aux must be the
-    re-run's; the other hypothesis reports and oracle reports are not
-    re-run yet."""
-    if sub == "hypothesis" and params["check"] == "rigid-cuts":
-        rerun = packing.check_rigid_cut_consequences(graph, params["k"])
-        record = _hypothesis_record(rerun)
-        return (["verdict"] if rerun.ok != verdict else []) + \
-            [key for key in ("witness", "aux") if certs.get(key) != record[key]]
-    if sub in ("hypothesis", "oracle"):
-        return []
+    ones the engine runs on its own results. A verdict with no certificate
+    that can be checked on its own (a `hypothesis` or `oracle` report, a
+    `decompose` error, the hypothesis a construction records) is decided
+    again by the function that decided it, and must be recorded exactly."""
+    if sub in ("hypothesis", "oracle") or (sub == "decompose" and "error" in certs):
+        run = {"hypothesis": _hypothesis, "oracle": _oracle, "decompose": _decompose}
+        ok, rerun = run[sub](graph, params)
+        return _differ({"verdict": verdict, **certs}, {"verdict": ok, **rerun})
+    failed = []
+    hyp = certs.get("hypothesis")
+    if hyp is not None:
+        rerun = _recorded_hypothesis(sub, graph, params)
+        failed = _differ({"verdict": hyp.get("ok"), "witness": hyp.get("witness")},
+                         {"verdict": rerun.ok, "witness": rerun.witness}, "hypothesis ")
     func = parse_setfunc(params["func"], graph.n) if params.get("func") else None
     if sub == "sparse":
         res = sparsity.is_sparse(graph, func)
+        mask = 0 if verdict else mask_of(certs.get("violation", ()))
         if res.ok != verdict:
-            return ["verdict"]
-        mask = 0 if verdict else mask_of(certs["violation"])
-        return ["violation"] if mask and graph.induced(mask) <= func.cap(mask) else []
-    if sub == "rigid":
-        return _rigid_claims(graph, func, params["forbid"], certs, verdict)
-    if sub == "components":
+            failed.append("verdict")
+        elif mask and graph.induced(mask) <= func.cap(mask):
+            failed.append("violation")
+    elif sub == "rigid":
+        failed += _rigid_claims(graph, func, params["forbid"], certs, verdict)
+    elif sub == "components":
         comps = {mask_of(c) for c in certs["components"]}
         if comps != set(sparsity.rigid_components(graph, func)):
-            return ["components are not the recomputed rigid components"]
-        return []
+            failed.append("components are not the recomputed rigid components")
+        failed += [] if verdict else ["verdict"]
+    elif sub == "pack":
+        failed += _pack_claims(graph, params, certs, verdict)
+    elif sub == "decompose":
+        failed += packing.decomposition_claims(graph, func, params["parts"],
+                                               certs["parts"], certs["leftover"])
+        failed += [] if verdict else ["verdict"]
+    elif sub == "orient":
+        failed += _orient_claims(graph, func, params, certs, verdict)
+    else:
+        raise ValueError(f"cannot verify reports for subcommand {sub!r}")
+    return failed
+
+
+def _recorded_hypothesis(sub, graph, params) -> packing.HypothesisReport:
+    """The check whose result a `pack`, `rigid` or `orient` report records
+    as its hypothesis, run from the report's params as the engine ran it."""
+    preset = params.get("preset")
+    if preset == "bipartite-degree":
+        return packing.check_bipartite_connectivity(graph, Fraction(params["k"]))
+    if preset is not None:
+        return packing.check_uniform_weakly_connected(graph, *packing.tree_rigid_demand(
+            int(params["k"]), params["p"], params["m"]))
+    if sub == "rigid":
+        return packing.check_rigid_sufficient(
+            graph, parse_setfunc(params["func"], graph.n), params["forbid"])
+    if sub == "orient" and params["mode"] == "robust":
+        return packing.check_uniform_weakly_connected(
+            graph, *orientation.robust_demand(params["k"]))
+    l, ell = (parse_setfunc(params[key], graph.n) for key in ("l", "ell"))
     if sub == "pack":
-        return _pack_claims(graph, params, certs, verdict)
-    if sub == "decompose":
-        if "error" in certs:
-            return ["verdict"] if verdict else []
-        failed = packing.decomposition_claims(graph, func, params["parts"],
-                                              certs["parts"], certs["leftover"])
-        return failed + ([] if verdict else ["verdict"])
-    if sub == "orient":
-        return _orient_claims(graph, func, params, certs, verdict)
-    raise ValueError(f"cannot verify reports for subcommand {sub!r}")
+        return packing.check_pack_hypothesis(graph, l, ell, params["forbid"],
+                                             params["mode"], params.get("k"),
+                                             params.get("rho"))
+    return packing.check_pack_basic(graph, l, ell)  # orient --mode packed
 
 
 def _rigid_claims(graph, func, forbid, certs, verdict) -> list[str]:
@@ -617,21 +654,8 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
     preset = params.get("preset")
     if preset is not None:
         rigid = certs["rigid_parts"]
-        hyp = certs.get("hypothesis")
-        if hyp is None:
-            failed = []
-        elif preset == "bipartite-degree":
-            rerun = packing.check_bipartite_connectivity(graph, Fraction(params["k"]))
-            failed = ([] if hyp["ok"] == rerun.ok else ["hypothesis verdict"]) + \
-                ([] if hyp["witness"] == rerun.witness else
-                 ["hypothesis witness is not the recomputed vertex connectivity"])
-        else:
-            failed = packing.uniform_hypothesis_claims(
-                graph, *packing.tree_rigid_demand(
-                    int(params["k"]), params["p"], params["m"]),
-                hyp["ok"], hyp["witness"])
         if not (verdict or rigid or certs["trees"]):
-            return failed  # no construction to check
+            return []  # no construction to check
         if preset == "bipartite-degree":
             claims, checks = packing.bipartite_claims(
                 graph, Fraction(params["k"]), mask_of(params["side"]), rigid,
@@ -642,7 +666,7 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
                 certs["trees"], rigid,
                 certs["reinforced"] if preset == "tree-rigid-ec" else None,
                 certs["union"], certs["degree_bounds"])
-        return failed + claims + _checks_differ(certs["checks"], checks) + \
+        return claims + _differ(certs["checks"], _checks_record(checks), "checks.") + \
             ([] if verdict else ["verdict"])
     pk = certs.get("packing")
     failed = ["verdict"] if pk is None and verdict else []
@@ -676,14 +700,7 @@ def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
             over = certs["violation"]
             if graph.induced(mask_of(over)) <= sum(params["targets"][v] for v in over):
                 return ["violation set induces no more edges than its targets sum to"]
-        failed = ["verdict"] if verdict else []
-        witness = certs.get("hypothesis")
-        if mode == "robust" and witness is not None:
-            # a failed robust report records the witness alone, {} if it held
-            failed += packing.uniform_hypothesis_claims(
-                graph, *orientation.robust_demand(params["k"]), not witness,
-                witness)
-        return failed
+        return ["verdict"] if verdict else []
     orient = orientation.Orientation(graph, tuple(h for _, h in certs["arcs"]))
     failed = [] if verdict else ["verdict"]
     failed += [f"{key} disagree with the arcs"
@@ -703,7 +720,7 @@ def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
             certs["h1"], certs["h2"])
     if mode == "robust":
         claims, checks = orientation.robust_claims(orient, params["k"])
-        failed += claims + _checks_differ(certs["checks"], checks)
+        failed += claims + _differ(certs["checks"], _checks_record(checks), "checks.")
     return failed
 
 
@@ -831,6 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     if args.budget is None:
         args.budget = int(os.environ.get(BUDGET_ENV, "12"))
     try:

@@ -337,11 +337,9 @@ def packed_orientation(graph: MultiGraph, l: SetFunc, ell: SetFunc,
             raise ValueError(f"root exceeds the function value at vertex {v}")
         if r1[v] > l.singletons[v]:
             raise ValueError(f"root exceeds the function value at vertex {v}")
-    hyp = None
-    if not force:
-        hyp = packmod.check_pack_basic(graph, l, ell)
-        if not hyp.ok:
-            return PackedOrientResult(False, hypothesis=hyp)
+    hyp = None if force else packmod.check_pack_basic(graph, l, ell)
+    if hyp is not None and not hyp.ok:
+        return PackedOrientResult(False, hypothesis=hyp)
     # the degree eater absorbs everything above floor(d/2) minus the rooted
     # in-degree targets, so the three in-degree sums reach floor(d/2)
     extra = [a + b for a, b in zip(r1, r2)]
@@ -643,11 +641,10 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     if k < 1:
         raise ValueError("robustness level must be at least 1")
     kk = 2 * k + 1
-    hyp = None
-    if not force:
-        hyp = packmod.check_uniform_weakly_connected(graph, *robust_demand(k))
-        if not hyp.ok:
-            return RobustResult(False, hypothesis=hyp)
+    hyp = None if force else \
+        packmod.check_uniform_weakly_connected(graph, *robust_demand(k))
+    if hyp is not None and not hyp.ok:
+        return RobustResult(False, hypothesis=hyp)
     l = lmn(graph.n, kk, 1)
     ell = lmn(graph.n, kk, 2 * kk - 1)
     outcome = packmod.pack_partition_rigid(graph, l, ell,

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (MultiGraph, INFINITY, mask_of, vertices_of, _mixed_cut,
+from .graph import (MultiGraph, INFINITY, vertices_of, _mixed_cut,
                     _vertex_deleted_cuts)
 from .setfuncs import (
     SetFunc, lmn, zero, halved_slack, rho_slack, scaled, pebble_params,
@@ -496,6 +496,21 @@ def check_pack_degree(graph: MultiGraph, l: SetFunc, ell: SetFunc, k,
     return HypothesisReport("pack-degree", False, witness=wit)
 
 
+def check_pack_hypothesis(graph: MultiGraph, l: SetFunc, ell: SetFunc,
+                          forbidden=(), degree_mode: str = "none", k=None,
+                          rho=None) -> HypothesisReport:
+    """The hypothesis of `pack_partition_rigid`: check_pack_degree in the
+    rho mode, else check_pack_basic, and at most l(V) + ell(V) forbidden
+    edges, the exclusion sets the guarantee covers."""
+    hyp = check_pack_degree(graph, l, ell, k, rho) if degree_mode == "rho" \
+        else check_pack_basic(graph, l, ell)
+    limit = l.value(graph.full_mask) + ell.value(graph.full_mask)
+    if hyp.ok and len(set(forbidden)) > limit:
+        return HypothesisReport(hyp.tag, False, witness={
+            "check": "forbidden-size", "size": len(set(forbidden)), "limit": limit})
+    return hyp
+
+
 # ----------------------------------------------------------------------
 # packing pipelines
 
@@ -535,22 +550,10 @@ def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
     """
     if degree_mode not in ("none", "halved", "rho"):
         raise ValueError(f"unknown degree mode {degree_mode!r}")
-    hyp = None
-    if degree_mode == "rho":
-        if k is None or rho is None:
-            raise ValueError("rho mode needs k and rho")
-        if not force:
-            hyp = check_pack_degree(graph, l, ell, k, rho)
-    else:
-        if not force:
-            hyp = check_pack_basic(graph, l, ell)
-    if hyp is not None and hyp.ok:
-        # the guarantee only covers exclusion sets up to l(V) + ell(V)
-        limit = l.value(graph.full_mask) + ell.value(graph.full_mask)
-        if len(set(forbidden)) > limit:
-            hyp = HypothesisReport(hyp.tag, False, witness={
-                "check": "forbidden-size",
-                "size": len(set(forbidden)), "limit": limit})
+    if degree_mode == "rho" and (k is None or rho is None):
+        raise ValueError("rho mode needs k and rho")
+    hyp = None if force else \
+        check_pack_hypothesis(graph, l, ell, forbidden, degree_mode, k, rho)
     if hyp is not None and not hyp.ok:
         return PackOutcome(ok=False,
                            packing=Packing(graph, (), frozenset(range(graph.m)),
@@ -635,7 +638,8 @@ def tree_rigid_demand(k: int, p: int, m: int) -> tuple[int, int]:
 def _tree_rigid_preset(graph, k, p, m, force, reinforce) -> PresetResult:
     if k < 2:
         raise ValueError("rigid presets need k >= 2")
-    hyp = check_uniform_weakly_connected(graph, *tree_rigid_demand(k, p, m), force)
+    hyp = None if force else \
+        check_uniform_weakly_connected(graph, *tree_rigid_demand(k, p, m))
     if hyp is not None and not hyp.ok:
         return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
                             degree_bounds=())
@@ -729,8 +733,7 @@ def _is_two_connected(graph: MultiGraph) -> bool:
     return graph.n >= 3 and graph.vertex_connectivity() >= 2
 
 
-def check_uniform_weakly_connected(graph, k: int, conn: int,
-                                   force: bool = False):
+def check_uniform_weakly_connected(graph, k: int, conn: int) -> HypothesisReport:
     """Simple-graph guard plus weak connectivity with constant slack k >= 0
     per removed vertex against a constant demand: d_{G-B}(A) >= conn - k|B|
     for disjoint A, B with A nonempty and A | B proper, which is
@@ -739,8 +742,6 @@ def check_uniform_weakly_connected(graph, k: int, conn: int,
     and the limit conn. A failing witness is its cut's A and B, with lhs =
     d_{G-B}(A) the cut minus k|B|.
     """
-    if force:
-        return None
     simple = all(m <= 1 for row in graph.mult for m in row)
     if not simple:
         return HypothesisReport("weakly-connected", False,
@@ -754,27 +755,6 @@ def check_uniform_weakly_connected(graph, k: int, conn: int,
     return HypothesisReport("weakly-connected", False, witness={
         "A": vertices_of(a), "B": vertices_of(b), "lhs": value - used,
         "rhs": conn - used})
-
-
-def uniform_hypothesis_claims(graph, k: int, conn: int, ok: bool,
-                              witness: dict) -> list[str]:
-    """Names of the failed claims of a recorded uniform weak-connectivity
-    verdict: it must be the re-run check's, and a failing witness must meet
-    its own inequality d_{G-B}(A) = lhs < rhs = conn - k|B|, with A
-    nonempty and A | B proper."""
-    rerun = check_uniform_weakly_connected(graph, k, conn)
-    failed = [] if rerun.ok == ok else ["hypothesis verdict"]
-    if ok or witness == rerun.witness == {"check": "simple"}:
-        return failed
-    a, b = mask_of(witness.get("A", ())), mask_of(witness.get("B", ()))
-    # a | b below the full mask is a proper subset of the vertices
-    if not a or a & b or (a | b) >= graph.full_mask or \
-            graph.boundary_minus(a, b) != witness.get("lhs") or \
-            witness.get("rhs") != conn - k * b.bit_count() or \
-            not witness["lhs"] < witness["rhs"]:
-        failed.append("hypothesis witness does not meet "
-                      "d_{G-B}(A) = lhs < rhs = conn - k|B|")
-    return failed
 
 
 def _split_all(graph: MultiGraph, edge_ids, funcs) -> tuple[frozenset[int], ...]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -400,6 +401,20 @@ REPORTS = {
     # shared vertex 3 disconnects it
     "rigid-cuts-vertex": ("two-k4", ["hypothesis", "--check", "rigid-cuts",
                                      "--k-int", "2"]),
+    "weakly-connected": ("k6", ["hypothesis", "--check", "weakly-connected",
+                                "--l", "lmn:1,1"]),
+    "pack-basic": ("k9", ["hypothesis", "--check", "pack-basic", "--l", "lmn:1,1",
+                          "--ell", "lmn:2,3"]),
+    "oracle-rank": ("k6", ["oracle", "--what", "rank", "--func", "lmn:2,3"]),
+    "oracle-census": ("k4", ["oracle", "--what", "census", "--census-n", "4"]),
+    # degree 5 is below 2 ell(v) + 2 l(v) = 8: exit 2, nothing is built
+    "pack-hypothesis": ("k6", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
+                               "--mode", "halved"]),
+    "rigid-forbid": ("k6", ["rigid", "--func", "lmn:2,3", "--forbid", "0", "1"]),
+    # K9 meets the cut condition, but five forbidden edges exceed l(V) + ell(V)
+    "pack-forbidden-size": ("k9", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
+                                   "--forbid", "0", "1", "2", "3", "4"]),
+    "decompose-error": ("c4", ["decompose", "--func", "lmn:1,1", "--parts", "2"]),
 }
 GRAPHS = {"k4": complete(4), "k5": complete(5), "k6": complete(6), "k9": complete(9),
           "k10": complete(10), "k13": complete(13),
@@ -618,12 +633,12 @@ def _drop_triangles(r):
 
 
 def _flip_hypothesis_ok(r):
-    r["certificates"]["hypothesis"]["ok"] = True
+    hyp = r["certificates"]["hypothesis"]
+    hyp["ok"] = not hyp["ok"]
 
 
 def _witness(r):
-    hyp = r["certificates"]["hypothesis"]
-    return hyp["witness"] if "ok" in hyp else hyp
+    return r["certificates"]["hypothesis"]["witness"]
 
 
 def _claim_hypothesis_holds(r):
@@ -655,6 +670,19 @@ def _move_witness_vertex(r):
 
 def _raise_recorded_edge_connectivity(r):
     r["certificates"]["aux"]["edge_connectivity"] += 1
+
+
+def _edit_error(r):
+    r["certificates"]["error"] = "graph is rigid enough"
+
+
+def _flip_verdict(r):
+    r["verdict"] = not r["verdict"]
+
+
+def _flip_verdict_raise_rank(r):
+    _flip_verdict(r)
+    r["certificates"]["rank"] += 5
 
 
 def _unbalance_vertex_0(r):
@@ -719,6 +747,12 @@ def _unbalance_vertex_0(r):
     ("rigid-cuts", _forge_vertex_deleted_witness, "witness"),
     ("rigid-cuts", _raise_recorded_edge_connectivity, "aux"),
     ("rigid-cuts-vertex", _move_witness_vertex, "witness"),
+    ("weakly-connected", _flip_verdict, "verdict"),
+    ("oracle-rank", _flip_verdict_raise_rank, "rank"),
+    ("pack-hypothesis", _flip_hypothesis_ok, "hypothesis verdict"),
+    ("rigid-forbid", _flip_hypothesis_ok, "hypothesis verdict"),
+    ("pack-forbidden-size", _flip_hypothesis_ok, "hypothesis verdict"),
+    ("decompose-error", _edit_error, "error"),
     ("hakimi", _zero_indegrees, "indegrees disagree"),
     ("hakimi-infeasible", _violation_of_vertex_3, "violation set"),
     ("smooth", _zero_outdegrees, "outdegrees disagree"),
@@ -733,6 +767,18 @@ def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
     assert vcode == 1, vout
     failed = vout.split("-> MISMATCH (failed: ", 1)[1]
     assert claim in failed, vout
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_verify_decides_every_verdict_again(tmp_path, capsys, reports, name):
+    # each report reproduces as made, and no longer once its verdict flips
+    report = reports(name)
+    path = tmp_path / "report.json"
+    for expect in ("REPRODUCED", "MISMATCH"):
+        path.write_text(json.dumps(report))
+        _, vout = run(capsys, "verify", "--report", str(path))
+        assert f"-> {expect}" in vout, vout
+        _flip_verdict(report)
 
 
 @pytest.mark.parametrize("name", ["tree-rigid-hypothesis", "robust-hypothesis",
@@ -774,6 +820,13 @@ def test_mismatch_line_format(tmp_path, capsys, reports):
     assert vout == (f"verify {path}: subcommand=decompose recorded verdict=True "
                     "-> MISMATCH (failed: 0 parts, not 2; "
                     "parts and uncovered do not partition the edges)\n")
+
+
+def test_report_records_the_argv_main_is_given(capsys, monkeypatch, k4):
+    monkeypatch.setattr(sys, "argv", ["host", "--unrelated"])
+    argv = ["--format", "structured", "sparse", "--graph", k4, "--func", "lmn:2,3"]
+    _, out = run(capsys, *argv)
+    assert json.loads(out)["command"] == argv
 
 
 def test_budget_environment_read_on_every_call(tmp_path, capsys, monkeypatch, k4):
