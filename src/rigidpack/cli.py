@@ -154,60 +154,95 @@ def make_report(args, subcommand: str, graph: MultiGraph, meta: dict,
         "certificates": certificates,
         "engine_version": __version__,
         "seed": args.seed,
+        "force": args.force,
         "elapsed_s": round(time.time() - started, 6),
     }
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: the params a report records, and one runner per report
+# subcommand, `(graph, params, seed, force) -> (verdict, certificates)`,
+# that the command and `verify` both call
 
 
-def cmd_sparse(args) -> int:
-    started = time.time()
-    graph, meta = load_graph(args.graph)
-    func = parse_setfunc(args.func, graph.n)
-    res = sparsity.is_sparse(graph, func)
-    cert = {} if res.ok else {"violation": vertices_of(res.violation)}
-    report = make_report(args, "sparse", graph, meta, {"func": args.func},
-                         res.ok, cert, started)
-    emit(report, args.format)
-    return 0 if res.ok else 1
+# the inputs these reports record as the arguments give them
+GIVEN_INPUTS = {
+    "sparse": ("func",), "components": ("func",), "decompose": ("func", "parts"),
+    "hypothesis": ("check", "l", "ell", "ell_vec", "k", "k_int", "phi", "rho",
+                   "forbid"),
+    "oracle": ("what", "func", "heads", "roots", "ell_vec", "budget"),
+}
+# the inputs of each orientation mode; targets, r1 and r2 are recorded as
+# one int per vertex
+ORIENT_INPUTS = {"hakimi": ("targets",), "eulerian": (), "smooth": (),
+                 "rigid": ("func",), "packed": ("l", "ell", "r1", "r2"),
+                 "robust": ("k", "retries")}
 
 
-def cmd_rigid(args) -> int:
-    started = time.time()
-    graph, meta = load_graph(args.graph)
-    func = parse_setfunc(args.func, graph.n)
-    forbidden = set(args.forbid or [])
-    if forbidden:
-        hyp = packing.check_rigid_sufficient(graph, func, forbidden)
-        ids = packing.extract_rigid(graph, func, forbidden)
-        sub = graph.subgraph(ids)
-        ok = len(ids) == max(func.rigid_target, 0) and sparsity.is_sparse(sub, func).ok
-        cert = {**_hypothesis_cert(hyp), "edges": sorted(ids),
-                "target": max(func.rigid_target, 0)}
-    else:
+def _inputs(opts: dict, graph: MultiGraph) -> dict:
+    """A report's params: every input its runner reads, from the parsed
+    arguments, in the form the runner reads it."""
+    sub = opts["subcommand"]
+    if sub == "oracle" and opts["what"] == "census":
+        return {"what": "census", "n": opts["census_n"],
+                "filter": opts["census_filter"], "budget": opts["budget"]}
+    if sub in GIVEN_INPUTS:
+        return {key: opts[key] for key in GIVEN_INPUTS[sub]}
+    if sub == "orient":
+        params = {"mode": opts["mode"]}
+        for key in ORIENT_INPUTS[opts["mode"]]:
+            value = _need(opts, "--" + key)
+            params[key] = parse_int_list(value, graph.n, "--" + key) \
+                if key in ("targets", "r1", "r2") else value
+        return params
+    forbid = sorted(set(opts["forbid"] or []))
+    if sub == "rigid":
+        return {"func": opts["func"], "forbid": forbid}
+    name = opts["preset"]  # pack: a preset, --l/--ell or --funcs
+    if name == "bipartite-degree":
+        if opts["side"] is None:
+            raise ValueError("bipartite-degree needs --side")
+        return {"preset": name, "k": str(Fraction(opts["k"] or "1")),
+                "p": opts["p"], "m": opts["m"], "side": opts["side"]}
+    if name is not None:
+        if opts["k_int"] is None:
+            raise ValueError(f"{name} needs --k-int")
+        return {"preset": name, "k": str(opts["k_int"]), "p": opts["p"], "m": opts["m"]}
+    if opts["l"] or opts["ell"]:
+        if not (opts["l"] and opts["ell"]):
+            raise ValueError("--l and --ell go together")
+        params = {"l": opts["l"], "ell": opts["ell"], "mode": opts["mode"],
+                  "forbid": forbid}
+        if opts["mode"] == "rho":
+            params.update(k=opts["k"], rho=parse_int_list(opts["rho"], graph.n, "--rho")
+                          if opts["rho"] else None)
+        return params
+    if not opts["funcs"]:
+        raise ValueError("pack needs --funcs, --l/--ell, or --preset")
+    return {"funcs": opts["funcs"], "forbid": forbid}
+
+
+def _sparse(graph, params, seed, force) -> tuple[bool, dict]:
+    res = sparsity.is_sparse(graph, parse_setfunc(params["func"], graph.n))
+    return res.ok, {} if res.ok else {"violation": vertices_of(res.violation)}
+
+
+def _rigid(graph, params, seed, force) -> tuple[bool, dict]:
+    func, forbidden = parse_setfunc(params["func"], graph.n), set(params["forbid"])
+    if not forbidden:
         rr = sparsity.rank_and_rigid(graph, func)
-        ok = rr.rigid
-        cert = {"rank": rr.rank, "target": rr.target,
-                "edges": sorted(rr.basis)}
-    report = make_report(args, "rigid", graph, meta,
-                         {"func": args.func, "forbid": sorted(forbidden)},
-                         ok, cert, started)
-    emit(report, args.format)
-    return 0 if ok else 1
+        return rr.rigid, {"rank": rr.rank, "target": rr.target,
+                          "edges": sorted(rr.basis)}
+    hyp = packing.check_rigid_sufficient(graph, func, forbidden)
+    ids = packing.extract_rigid(graph, func, forbidden)
+    target = max(func.rigid_target, 0)
+    ok = len(ids) == target and sparsity.is_sparse(graph.subgraph(ids), func).ok
+    return ok, {**_hypothesis_cert(hyp), "edges": sorted(ids), "target": target}
 
 
-def cmd_components(args) -> int:
-    started = time.time()
-    graph, meta = load_graph(args.graph)
-    func = parse_setfunc(args.func, graph.n)
-    comps = sparsity.rigid_components(graph, func)
-    cert = {"components": [vertices_of(c) for c in comps]}
-    report = make_report(args, "components", graph, meta,
-                         {"func": args.func}, True, cert, started)
-    emit(report, args.format)
-    return 0
+def _components(graph, params, seed, force) -> tuple[bool, dict]:
+    comps = sparsity.rigid_components(graph, parse_setfunc(params["func"], graph.n))
+    return True, {"components": [vertices_of(c) for c in comps]}
 
 
 def _packing_cert(packing_obj) -> dict:
@@ -231,98 +266,54 @@ def _hypothesis_cert(hyp) -> dict:
     return {} if hyp is None else {"hypothesis": {"ok": hyp.ok, "witness": hyp.witness}}
 
 
-def cmd_pack(args) -> int:
-    started = time.time()
-    graph, meta = load_graph(args.graph)
-    forbidden = set(args.forbid or [])
-    if args.preset:
-        return _run_preset(args, graph, meta, started)
-    if args.l or args.ell:
-        if not (args.l and args.ell):
-            raise ValueError("--l and --ell go together")
-        l = parse_setfunc(args.l, graph.n)
-        ell = parse_setfunc(args.ell, graph.n)
-        rho = parse_int_list(args.rho, graph.n, "--rho") if args.rho else None
-        k = Fraction(args.k) if args.k else None
-        outcome = packing.pack_partition_rigid(
-            graph, l, ell, forbidden, degree_mode=args.mode,
-            force=args.force, k=k, rho=rho)
-        cert = _hypothesis_cert(outcome.hypothesis)
-        if outcome.packing.parts:
-            cert["packing"] = _packing_cert(outcome.packing)
-        if outcome.union_edges is not None:
-            cert["union"] = sorted(outcome.union_edges)
-            cert["degree_bounds"] = list(outcome.degree_bounds or [])
-        if outcome.certificate is not None:
-            cert["structure"] = _structure_cert(outcome.certificate)
-        params = {"l": args.l, "ell": args.ell, "mode": args.mode,
-                  "forbid": sorted(forbidden)}
-        if args.mode == "rho":
-            params.update(k=args.k, rho=rho)
-        report = make_report(args, "pack", graph, meta, params, outcome.ok,
-                             cert, started)
-        emit(report, args.format)
-        if outcome.hypothesis is not None and not outcome.hypothesis.ok \
-                and not outcome.packing.parts:
-            return 2
-        return 0 if outcome.ok else 1
-    if not args.funcs:
-        raise ValueError("pack needs --funcs, --l/--ell, or --preset")
-    funcs = [parse_setfunc(t, graph.n) for t in args.funcs]
-    pk = packing.matroid_union_pack(graph, funcs, forbidden)
-    ok = all(p.full for p in pk.parts)
-    cert = {"packing": _packing_cert(pk)}
-    if not ok:
-        cert["structure"] = _structure_cert(packing.structure_partition(pk))
-    report = make_report(args, "pack", graph, meta,
-                         {"funcs": args.funcs, "forbid": sorted(forbidden)},
-                         ok, cert, started)
-    emit(report, args.format)
-    return 0 if ok else 1
+def _pack(graph, params, seed, force) -> tuple[bool, dict]:
+    if "preset" in params:
+        return _preset(graph, params, force)
+    forbidden = set(params["forbid"])
+    if "funcs" in params:
+        pk = packing.matroid_union_pack(
+            graph, [parse_setfunc(t, graph.n) for t in params["funcs"]], forbidden)
+        ok = all(p.full for p in pk.parts)
+        cert = {"packing": _packing_cert(pk)}
+        if not ok:
+            cert["structure"] = _structure_cert(packing.structure_partition(pk))
+        return ok, cert
+    k = params.get("k")
+    outcome = packing.pack_partition_rigid(
+        graph, parse_setfunc(params["l"], graph.n),
+        parse_setfunc(params["ell"], graph.n), forbidden,
+        degree_mode=params["mode"], force=force, k=Fraction(k) if k else None,
+        rho=params.get("rho"))
+    cert = _hypothesis_cert(outcome.hypothesis)
+    if outcome.packing.parts:
+        cert["packing"] = _packing_cert(outcome.packing)
+    if outcome.union_edges is not None:
+        cert["union"] = sorted(outcome.union_edges)
+        cert["degree_bounds"] = list(outcome.degree_bounds or [])
+    if outcome.certificate is not None:
+        cert["structure"] = _structure_cert(outcome.certificate)
+    return outcome.ok, cert
 
 
-def _run_preset(args, graph, meta, started) -> int:
-    name = args.preset
+def _preset(graph, params, force) -> tuple[bool, dict]:
+    name = params["preset"]
     if name == "bipartite-degree":
-        if args.side is None:
-            raise ValueError("bipartite-degree needs --side")
-        res = packing.preset_bipartite_degree(graph, Fraction(args.k or "1"),
-                                              mask_of(args.side), force=args.force)
+        res = packing.preset_bipartite_degree(graph, Fraction(params["k"]),
+                                              mask_of(params["side"]), force=force)
     else:
-        if args.k_int is None:
-            raise ValueError(f"{name} needs --k-int")
         fn = packing.preset_tree_rigid_ec if name == "tree-rigid-ec" else \
             packing.preset_tree_rigid
-        res = fn(graph, args.k_int, args.p, args.m, force=args.force)
-    cert = {"checks": _checks_record(res.checks), **_hypothesis_cert(res.hypothesis)}
-    cert.update(union=sorted(res.union_edges), degree_bounds=list(res.degree_bounds),
-                trees=[sorted(t) for t in res.trees],
-                rigid_parts=[sorted(r) for r in res.rigid_parts],
-                reinforced=[sorted(r) for r in res.reinforced])
-    k = Fraction(args.k or "1") if name == "bipartite-degree" else args.k_int
-    params = {"preset": name, "k": str(k),
-              "p": args.p, "m": args.m}
-    if name == "bipartite-degree":
-        params["side"] = args.side
-    report = make_report(args, "pack", graph, meta, params, res.ok, cert, started)
-    emit(report, args.format)
-    if not res.ok and res.hypothesis is not None and not res.hypothesis.ok:
-        return 2
-    return 0 if res.ok else 1
+        res = fn(graph, int(params["k"]), params["p"], params["m"], force=force)
+    return res.ok, {"checks": _checks_record(res.checks),
+                    **_hypothesis_cert(res.hypothesis),
+                    "union": sorted(res.union_edges),
+                    "degree_bounds": list(res.degree_bounds),
+                    "trees": [sorted(t) for t in res.trees],
+                    "rigid_parts": [sorted(r) for r in res.rigid_parts],
+                    "reinforced": [sorted(r) for r in res.reinforced]}
 
 
-def cmd_decompose(args) -> int:
-    started = time.time()
-    graph, meta = load_graph(args.graph)
-    params = {"func": args.func, "parts": args.parts}
-    ok, cert = _decompose(graph, params)
-    emit(make_report(args, "decompose", graph, meta, params, ok, cert, started),
-         args.format)
-    return 0 if ok else 2
-
-
-def _decompose(graph, params) -> tuple[bool, dict]:
-    """Verdict and certificates of a `decompose` run, from its params."""
+def _decompose(graph, params, seed, force) -> tuple[bool, dict]:
     func = parse_setfunc(params["func"], graph.n)
     try:
         dec = packing.decompose_p_rigid(graph, func, params["parts"])
@@ -338,77 +329,40 @@ def _orient_cert(orient: orientation.Orientation) -> dict:
             "outdegrees": list(orient.outdegrees)}
 
 
-def cmd_orient(args) -> int:
-    started = time.time()
-    graph, meta = load_graph(args.graph)
-    mode, opts = args.mode, vars(args)
-    params: dict = {"mode": mode}
+def _orient(graph, params, seed, force) -> tuple[bool, dict]:
+    mode = params["mode"]
     if mode == "hakimi":
-        targets = parse_int_list(_need(opts, "--targets"), graph.n, "--targets")
-        params["targets"] = targets
-        res = orientation.hakimi_orient(graph, targets)
-        cert = _orient_cert(res.orientation) if res.ok else \
+        res = orientation.hakimi_orient(graph, params["targets"])
+        return res.ok, _orient_cert(res.orientation) if res.ok else \
             {"violation": vertices_of(res.violation)}
-        ok = res.ok
-    elif mode in ("eulerian", "smooth"):
+    if mode in ("eulerian", "smooth"):
         fn = orientation.euler_orient if mode == "eulerian" else orientation.smooth_orient
-        orient = fn(graph)
-        cert = _orient_cert(orient)
-        ok = True
-    elif mode == "rigid":
-        func = parse_setfunc(_need(opts, "--func"), graph.n)
-        params["func"] = args.func
-        res = orientation.rigid_to_orientation(graph, func)
-        ok = res.ok
-        cert = _orient_cert(res.orientation) if res.ok else \
-            {"reason": res.reason,
-             "witness": vertices_of(res.witness) if isinstance(res.witness, int)
-             and res.reason == "not-sparse" else res.witness}
-    elif mode == "packed":
-        r1 = parse_int_list(_need(opts, "--r1"), graph.n, "--r1")
-        r2 = parse_int_list(_need(opts, "--r2"), graph.n, "--r2")
-        params.update({"l": args.l, "ell": args.ell, "r1": r1, "r2": r2})
+        return True, _orient_cert(fn(graph))
+    if mode == "rigid":
+        res = orientation.rigid_to_orientation(graph, parse_setfunc(params["func"], graph.n))
+        if res.ok:
+            return True, _orient_cert(res.orientation)
+        return False, {"reason": res.reason,
+                       "witness": vertices_of(res.witness) if isinstance(res.witness, int)
+                       and res.reason == "not-sparse" else res.witness}
+    if mode == "packed":
         res = orientation.packed_orientation(
-            graph, parse_setfunc(_need(opts, "--l"), graph.n),
-            parse_setfunc(_need(opts, "--ell"), graph.n), r1, r2, force=args.force)
+            graph, parse_setfunc(params["l"], graph.n),
+            parse_setfunc(params["ell"], graph.n), params["r1"], params["r2"],
+            force=force)
         extra = {"h1": sorted(res.h1), "h2": sorted(res.h2)}
     elif mode == "robust":
-        params["k"] = 1 if args.k is None else args.k
-        res = orientation.robust_arc_strong(graph, params["k"], seed=args.seed,
-                                            retries=args.retries,
-                                            force=args.force)
+        res = orientation.robust_arc_strong(graph, params["k"], seed=seed,
+                                            retries=params["retries"], force=force)
         extra = {"checks": _checks_record(res.checks)}
     else:
         raise ValueError(f"unknown orientation mode {mode!r}")
-    hyp_failed = False
-    if mode in ("packed", "robust"):
-        ok = res.ok
-        if ok:
-            cert = {**_orient_cert(res.orientation), **extra}
-        else:
-            cert = {**_hypothesis_cert(res.hypothesis), "detail": res.detail}
-            hyp_failed = res.hypothesis is not None and not res.hypothesis.ok
-    report = make_report(args, "orient", graph, meta, params, ok, cert, started)
-    emit(report, args.format)
-    return 2 if hyp_failed else (0 if ok else 1)
+    if res.ok:
+        return True, {**_orient_cert(res.orientation), **extra}
+    return False, {**_hypothesis_cert(res.hypothesis), "detail": res.detail}
 
 
-HYPOTHESIS_INPUTS = ("check", "l", "ell", "ell_vec", "k", "k_int", "phi", "rho",
-                     "forbid")
-
-
-def cmd_hypothesis(args) -> int:
-    started = time.time()
-    graph, meta = load_graph(args.graph)
-    params = {key: getattr(args, key) for key in HYPOTHESIS_INPUTS}
-    ok, cert = _hypothesis(graph, params)
-    emit(make_report(args, "hypothesis", graph, meta, params, ok, cert, started),
-         args.format)
-    return 0 if ok else 1
-
-
-def _hypothesis(graph, params) -> tuple[bool, dict]:
-    """Verdict and certificates of a `hypothesis` check, from its params."""
+def _hypothesis(graph, params, seed, force) -> tuple[bool, dict]:
     check = params["check"]
     forbid = set(params["forbid"] or [])
 
@@ -441,26 +395,7 @@ def _hypothesis(graph, params) -> tuple[bool, dict]:
         k: (v if v is not None else "none") for k, v in rep.aux.items()}}
 
 
-ORACLE_INPUTS = ("what", "func", "heads", "roots", "ell_vec", "budget")
-
-
-def cmd_oracle(args) -> int:
-    started = time.time()
-    if args.what == "census":
-        graph, meta = MultiGraph(1, []), {"name": "census"}
-        params = {"what": "census", "n": args.census_n, "filter": args.census_filter,
-                  "budget": args.budget}
-    else:
-        graph, meta = load_graph(_need(vars(args), "--graph"))
-        params = {key: getattr(args, key) for key in ORACLE_INPUTS}
-    ok, cert = _oracle(graph, params)
-    emit(make_report(args, "oracle", graph, meta, params, ok, cert, started),
-         args.format)
-    return 0 if ok else 1
-
-
-def _oracle(graph, params) -> tuple[bool, dict]:
-    """Verdict and certificates of an `oracle` check, from its params."""
+def _oracle(graph, params, seed, force) -> tuple[bool, dict]:
     what, size = params["what"], params["budget"]
     if what == "census":
         graphs = oracle.census(params["n"], connected=params["filter"] == "connected")
@@ -499,6 +434,29 @@ def _oracle(graph, params) -> tuple[bool, dict]:
     else:
         raise ValueError(f"unknown oracle check {what!r}")
     return ok, cert
+
+
+RUNNERS = {"sparse": _sparse, "rigid": _rigid, "components": _components,
+           "pack": _pack, "decompose": _decompose, "orient": _orient,
+           "hypothesis": _hypothesis, "oracle": _oracle}
+
+
+def _run_report(args) -> int:
+    """Load the graph (the census has none), record the params, run, and
+    emit the report. Exit code 2 marks an error or a failed hypothesis that
+    stopped the construction; `rigid --forbid` extracts whatever its
+    hypothesis says, so it exits 0 or 1."""
+    started, opts, sub = time.time(), vars(args), args.subcommand
+    if sub == "oracle" and args.what == "census":
+        graph, meta = MultiGraph(1, []), {"name": "census"}
+    else:
+        graph, meta = load_graph(_need(opts, "--graph"))
+    params = _inputs(opts, graph)
+    ok, certs = RUNNERS[sub](graph, params, args.seed, args.force)
+    emit(make_report(args, sub, graph, meta, params, ok, certs, started), args.format)
+    stopped = "error" in certs or \
+        (sub != "rigid" and certs.get("hypothesis", {}).get("ok") is False)
+    return 0 if ok else 2 if stopped else 1
 
 
 def cmd_gen(args) -> int:
@@ -541,10 +499,10 @@ def cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     graph, _ = graph_from_record(report["graph"], where=args.report)
-    sub = report["subcommand"]
-    verdict = report["verdict"]
+    sub, verdict = report["subcommand"], report["verdict"]
     failed = _reverify(sub, graph, report.get("params", {}),
-                       report.get("certificates", {}), verdict)
+                       report.get("certificates", {}), verdict,
+                       report["seed"], report.get("force", False))
     result = f"MISMATCH (failed: {'; '.join(failed)})" if failed else "REPRODUCED"
     print(f"verify {args.report}: subcommand={sub} recorded verdict={verdict} "
           f"-> {result}")
@@ -555,37 +513,58 @@ def _checks_record(checks: dict) -> dict:
     return {k: (v if v is not INFINITY else "inf") for k, v in checks.items()}
 
 
-def _differ(recorded: dict, rerun: dict, prefix: str = "") -> list[str]:
-    """Names of the re-run's fields whose recorded values are not the re-run's."""
-    return [f"{prefix}{key} recomputes to {val}"
-            for key, val in rerun.items() if recorded.get(key) != val]
-
-
-def _reverify(sub, graph, params, certs, verdict) -> list[str]:
-    """Names of the report's claims that fail when re-checked. The six
-    certified result types go through the library's claim checkers, the
-    ones the engine runs on its own results. A verdict with no certificate
-    that can be checked on its own (a `hypothesis` or `oracle` report, a
-    `decompose` error, the hypothesis a construction records) is decided
-    again by the function that decided it, and must be recorded exactly."""
-    if sub in ("hypothesis", "oracle") or (sub == "decompose" and "error" in certs):
-        run = {"hypothesis": _hypothesis, "oracle": _oracle, "decompose": _decompose}
-        ok, rerun = run[sub](graph, params)
-        return _differ({"verdict": verdict, **certs}, {"verdict": ok, **rerun})
-    failed = []
-    hyp = certs.get("hypothesis")
+def _fields(certs: dict) -> dict:
+    """Certificates as `verify` compares them, a recorded hypothesis split
+    into its verdict and its witness."""
+    fields = dict(certs)
+    hyp = fields.pop("hypothesis", None)
     if hyp is not None:
-        rerun = _recorded_hypothesis(sub, graph, params)
-        failed = _differ({"verdict": hyp.get("ok"), "witness": hyp.get("witness")},
-                         {"verdict": rerun.ok, "witness": rerun.witness}, "hypothesis ")
+        fields.update({"hypothesis verdict": hyp.get("ok"),
+                       "hypothesis witness": hyp.get("witness")})
+    return fields
+
+
+def _differ(recorded: dict, rerun: dict, prefix: str = "") -> list[str]:
+    """Names of the fields whose recorded values are not the re-run's."""
+    return [f"{prefix}{key} recomputes to {rerun.get(key)}"
+            for key in {**recorded, **rerun} if recorded.get(key) != rerun.get(key)]
+
+
+# the fields that hold a certificate checkable on its own, where a result
+# has one; a preset records its parts, empty, also when it built nothing
+CERTIFICATES = {"sparse": ("violation",), "rigid": ("edges",),
+                "components": ("components",), "decompose": ("parts",),
+                "pack": ("packing",), "orient": ("arcs", "violation")}
+
+
+def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
+    """Names of the report's claims that fail when re-checked. A result
+    that carries a certificate checkable on its own goes through the
+    library's claim checkers, the ones the engine runs on its own results,
+    and the hypothesis it records is re-run by the check that made it.
+    Every other verdict (a `hypothesis` or `oracle` report, an error, a
+    construction that built nothing) is decided again by the subcommand's
+    runner, from the report's params, seed and force, and must be recorded
+    exactly."""
+    if sub not in RUNNERS:
+        raise ValueError(f"cannot verify reports for subcommand {sub!r}")
+    if sub == "pack" and "preset" in params:
+        certified = bool(certs.get("trees") or certs.get("rigid_parts"))
+    else:
+        certified = any(key in certs for key in CERTIFICATES.get(sub, ()))
+    if not certified:
+        ok, rerun = RUNNERS[sub](graph, params, seed, force)
+        return _differ({"verdict": verdict, **_fields(certs)},
+                       {"verdict": ok, **_fields(rerun)})
+    failed = []
+    if "hypothesis" in certs:
+        rerun = _hypothesis_cert(_recorded_hypothesis(sub, graph, params))
+        failed = _differ(_fields({"hypothesis": certs["hypothesis"]}), _fields(rerun))
     func = parse_setfunc(params["func"], graph.n) if params.get("func") else None
     if sub == "sparse":
-        res = sparsity.is_sparse(graph, func)
-        mask = 0 if verdict else mask_of(certs.get("violation", ()))
-        if res.ok != verdict:
-            failed.append("verdict")
-        elif mask and graph.induced(mask) <= func.cap(mask):
-            failed.append("violation")
+        mask = mask_of(certs["violation"])
+        failed += ["verdict"] if verdict else []
+        failed += [] if graph.induced(mask) > func.cap(mask) else ["violation"]
     elif sub == "rigid":
         failed += _rigid_claims(graph, func, params["forbid"], certs, verdict)
     elif sub == "components":
@@ -599,10 +578,8 @@ def _reverify(sub, graph, params, certs, verdict) -> list[str]:
         failed += packing.decomposition_claims(graph, func, params["parts"],
                                                certs["parts"], certs["leftover"])
         failed += [] if verdict else ["verdict"]
-    elif sub == "orient":
-        failed += _orient_claims(graph, func, params, certs, verdict)
     else:
-        raise ValueError(f"cannot verify reports for subcommand {sub!r}")
+        failed += _orient_claims(graph, func, params, certs, verdict)
     return failed
 
 
@@ -654,8 +631,6 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
     preset = params.get("preset")
     if preset is not None:
         rigid = certs["rigid_parts"]
-        if not (verdict or rigid or certs["trees"]):
-            return []  # no construction to check
         if preset == "bipartite-degree":
             claims, checks = packing.bipartite_claims(
                 graph, Fraction(params["k"]), mask_of(params["side"]), rigid,
@@ -668,22 +643,20 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
                 certs["union"], certs["degree_bounds"])
         return claims + _differ(certs["checks"], _checks_record(checks), "checks.") + \
             ([] if verdict else ["verdict"])
-    pk = certs.get("packing")
-    failed = ["verdict"] if pk is None and verdict else []
-    if pk is not None:
-        parts = [(parse_setfunc(p["func"], graph.n), p["edges"], p["target"],
-                  p["full"]) for p in pk["parts"]]
-        failed += packing.packing_claims(graph, parts, pk["uncovered"],
-                                         params["forbid"], verdict)
-        if sorted(pk["forbidden"]) != sorted(params["forbid"]):
-            failed.append("forbidden edges differ from the requested ones")
-        structure = certs.get("structure")
-        if structure is not None:
-            failed += packing.structure_claims(
-                graph, parts, pk["uncovered"], params["forbid"],
-                structure["closure"], [mask_of(b) for b in structure["partition"]])
-        elif not verdict:
-            failed.append("deficient packing has no structure certificate")
+    pk = certs["packing"]
+    parts = [(parse_setfunc(p["func"], graph.n), p["edges"], p["target"],
+              p["full"]) for p in pk["parts"]]
+    failed = packing.packing_claims(graph, parts, pk["uncovered"],
+                                    params["forbid"], verdict)
+    if sorted(pk["forbidden"]) != sorted(params["forbid"]):
+        failed.append("forbidden edges differ from the requested ones")
+    structure = certs.get("structure")
+    if structure is not None:
+        failed += packing.structure_claims(
+            graph, parts, pk["uncovered"], params["forbid"],
+            structure["closure"], [mask_of(b) for b in structure["partition"]])
+    elif not verdict:
+        failed.append("deficient packing has no structure certificate")
     if "union" in certs:
         failed += packing.union_degree_claims(
             graph, parse_setfunc(params["l"], graph.n),
@@ -695,12 +668,12 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
 
 def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
     mode = params["mode"]
-    if "arcs" not in certs:
-        if mode == "hakimi" and not verdict:
-            over = certs["violation"]
-            if graph.induced(mask_of(over)) <= sum(params["targets"][v] for v in over):
-                return ["violation set induces no more edges than its targets sum to"]
-        return ["verdict"] if verdict else []
+    if "arcs" not in certs:  # the violation set of an infeasible `hakimi` run
+        over = certs["violation"]
+        failed = ["verdict"] if verdict else []
+        if graph.induced(mask_of(over)) <= sum(params["targets"][v] for v in over):
+            failed.append("violation set induces no more edges than its targets sum to")
+        return failed
     orient = orientation.Orientation(graph, tuple(h for _, h in certs["arcs"]))
     failed = [] if verdict else ["verdict"]
     failed += [f"{key} disagree with the arcs"
@@ -795,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell")
     p.add_argument("--r1")
     p.add_argument("--r2")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, default=1)
     p.add_argument("--retries", type=int, default=64)
 
     p = sub.add_parser("hypothesis", parents=[common])
@@ -852,8 +825,9 @@ def main(argv=None) -> int:
     if args.budget is None:
         args.budget = int(os.environ.get(BUDGET_ENV, "12"))
     try:
-        # looked up per call, so the cached parser holds no command function
-        return globals()["cmd_" + args.subcommand](args)
+        if args.subcommand in ("gen", "verify"):
+            return (cmd_gen if args.subcommand == "gen" else cmd_verify)(args)
+        return _run_report(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -657,8 +657,6 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
         graph, l_part, [lmn(graph.n, kk - 1, 0), lmn(graph.n, 1, 1)])
     gprime = rigid | companion
     lam, worst = packmod._cut_profile(graph.subgraph(gprime))
-    checks: dict = {"reinforced_edge_connectivity": lam,
-                    "reinforced_vertex_deleted": worst}
     if lam < 4 * k + 1 or worst < 2 * k:
         raise RuntimeError(f"reinforced part is {lam}-edge-connected, "
                            f"{worst} after deleting a vertex")
@@ -671,13 +669,11 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     hsub = graph.subgraph(h_ids)
     if any(d % 2 for d in hsub.degrees):
         raise RuntimeError("parity forest failed to make the union Eulerian")
-    lam_h = hsub.edge_connectivity()
-    checks["eulerian_edge_connectivity"] = lam_h
-    if lam_h < 4 * k + 2:
+    if hsub.edge_connectivity() < 4 * k + 2:
         raise RuntimeError("Eulerian union below 4k+2 edge connectivity")
     orient_h = _robust_euler_search(hsub, k, seed, retries)
     if orient_h is None:
-        return RobustResult(False, hypothesis=hyp, checks=checks,
+        return RobustResult(False, hypothesis=hyp,
                             detail={"inner_search": "budget exhausted",
                                     "eulerian_part": h_ids})
     heads: list[int | None] = [None] * graph.m
@@ -689,8 +685,7 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
         for local, eid in enumerate(rest):
             heads[eid] = sm.heads[local]
     orient = Orientation(graph, tuple(heads))
-    failed, final = robust_claims(orient, k)
-    checks.update(final)
+    failed, checks = robust_claims(orient, k)
     packmod._fail_on(failed)
     return RobustResult(True, orientation=orient, hypothesis=hyp, checks=checks,
                         detail={"rigid_part": sorted(rigid),
@@ -702,10 +697,9 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
 def robust_claims(orient: Orientation, k: int):
     """Claims of a robust orientation: smooth, (2k+1)-arc-strong and
     k-arc-strong after deleting any vertex. Both strengths are computed
-    exactly into the returned checks by `_vertex_deleted_cuts`. The
-    engine's other checks concern the reinforced part and the Eulerian
-    union, edge sets a report does not carry, so only the engine makes
-    them. Returns the failed claims and the checks."""
+    exactly into the returned checks by `_vertex_deleted_cuts`; they are
+    all the checks a robust result records. Returns the failed claims and
+    the checks."""
     failed = [] if orient.is_smooth() else ["orientation is not smooth"]
     strong, lowered = _vertex_deleted_cuts(
         orient.host.n, [(t, h, 1) for t, h in orient.arcs], True)

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from rigidpack.cli import main, canonical_dumps, load_graph, parse_setfunc
+from rigidpack.cli import (
+    RUNNERS, main, canonical_dumps, graph_from_record, load_graph, parse_setfunc,
+)
 from rigidpack.generators import circulant, complete, complete_bipartite
 from rigidpack.graph import MultiGraph
 from rigidpack.setfuncs import lmn
@@ -369,52 +371,63 @@ def test_verify_rejects_tampered_pack_reports(tmp_path, capsys, c4, tamper):
     assert vcode == 1 and "MISMATCH" in vout
 
 
-# one report per certified result type, made once per module; a tamper
-# case edits one certificate field and names the claim verify must fail
+# one report per certified result type, made once per module, with the
+# exit code its command returns; a tamper case edits one certificate field
+# and names the claim verify must fail
 REPORTS = {
-    "rigid": ("k4", ["rigid", "--func", "lmn:2,3"]),
-    "pack-forbid": ("k9", ["pack", "--funcs", "lmn:1,1", "--forbid", "0"]),
-    "pack-deficient": ("c4", ["pack", "--funcs", "lmn:1,1", "lmn:1,1"]),
-    "pack-closure": ("double-path", ["pack", "--funcs", "lmn:3,5", "--forbid", "0"]),
+    "sparse": ("k4", ["sparse", "--func", "lmn:2,3"], 1),
+    "rigid": ("k4", ["rigid", "--func", "lmn:2,3"], 0),
+    "pack-forbid": ("k9", ["pack", "--funcs", "lmn:1,1", "--forbid", "0"], 0),
+    "pack-deficient": ("c4", ["pack", "--funcs", "lmn:1,1", "lmn:1,1"], 1),
+    "pack-closure": ("double-path", ["pack", "--funcs", "lmn:3,5", "--forbid", "0"], 1),
     "pack-halved": ("k9", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
-                           "--mode", "halved"]),
-    "pack-rho": ("k10", ["pack", *PACK_RHO]),
-    "decompose": ("k6", ["decompose", "--func", "lmn:1,1", "--parts", "2"]),
-    "tree-rigid": ("k9", ["pack", "--preset", "tree-rigid", *TREE_RIGID]),
-    "tree-rigid-ec": ("k9", ["pack", "--preset", "tree-rigid-ec", *TREE_RIGID]),
-    "bipartite-degree": ("k66", ["pack", *BIPARTITE]),
+                           "--mode", "halved"], 0),
+    "pack-rho": ("k10", ["pack", *PACK_RHO], 0),
+    "decompose": ("k6", ["decompose", "--func", "lmn:1,1", "--parts", "2"], 0),
+    "tree-rigid": ("k9", ["pack", "--preset", "tree-rigid", *TREE_RIGID], 0),
+    "tree-rigid-ec": ("k9", ["pack", "--preset", "tree-rigid-ec", *TREE_RIGID], 0),
+    "bipartite-degree": ("k66", ["pack", *BIPARTITE], 0),
     # kappa(K3,3) = 3 is below 6k: the hypothesis fails, nothing is built
     "bipartite-hypothesis": ("k33", ["pack", "--preset", "bipartite-degree",
-                                     "--k", "1", "--side", "0", "1", "2"]),
-    "packed": ("k9", ["orient", *PACKED]),
-    "robust": ("k13", ["orient", "--mode", "robust", "--k", "1"]),
-    "hakimi": ("k4", ["orient", "--mode", "hakimi", "--targets", "1,1,2,2"]),
+                                     "--k", "1", "--side", "0", "1", "2"], 2),
+    "packed": ("k9", ["orient", *PACKED], 0),
+    "robust": ("k13", ["orient", "--mode", "robust", "--k", "1"], 0),
+    # forced: no hypothesis is checked or recorded, and at most 8 retries
+    "robust-forced": ("k13", ["orient", "--force", "--mode", "robust", "--k", "1",
+                              "--retries", "8"], 0),
+    "hakimi": ("k4", ["orient", "--mode", "hakimi", "--targets", "1,1,2,2"], 0),
     "hakimi-infeasible": ("k4", ["orient", "--mode", "hakimi",
-                                 "--targets", "0,0,0,6"]),
-    "smooth": ("k9", ["orient", "--mode", "smooth"]),
-    "components": ("bowtie-pendant", ["components", "--func", "lmn:2,3"]),
+                                 "--targets", "0,0,0,6"], 1),
+    "smooth": ("k9", ["orient", "--mode", "smooth"], 0),
+    # f(V) = 0 sets the target at 4 edges: K4 has 2 more, and no arcs are made
+    "orient-rigid-failed": ("k4", ["orient", "--mode", "rigid",
+                                   "--func", "mod:lmn:1,1:V=0"], 1),
+    "components": ("bowtie-pendant", ["components", "--func", "lmn:2,3"], 0),
     "tree-rigid-hypothesis": ("two-k9", ["pack", "--preset", "tree-rigid",
-                                         *TREE_RIGID]),
-    "robust-hypothesis": ("two-k9", ["orient", "--mode", "robust", "--k", "1"]),
-    "rigid-cuts": ("k5", ["hypothesis", "--check", "rigid-cuts", "--k-int", "2"]),
+                                         *TREE_RIGID], 2),
+    "robust-hypothesis": ("two-k9", ["orient", "--mode", "robust", "--k", "1"], 2),
+    "rigid-cuts": ("k5", ["hypothesis", "--check", "rigid-cuts", "--k-int", "2"], 0),
     # 3-edge-connected and essentially 3-edge-connected, but deleting the
     # shared vertex 3 disconnects it
     "rigid-cuts-vertex": ("two-k4", ["hypothesis", "--check", "rigid-cuts",
-                                     "--k-int", "2"]),
+                                     "--k-int", "2"], 1),
     "weakly-connected": ("k6", ["hypothesis", "--check", "weakly-connected",
-                                "--l", "lmn:1,1"]),
+                                "--l", "lmn:1,1"], 0),
     "pack-basic": ("k9", ["hypothesis", "--check", "pack-basic", "--l", "lmn:1,1",
-                          "--ell", "lmn:2,3"]),
-    "oracle-rank": ("k6", ["oracle", "--what", "rank", "--func", "lmn:2,3"]),
-    "oracle-census": ("k4", ["oracle", "--what", "census", "--census-n", "4"]),
+                          "--ell", "lmn:2,3"], 0),
+    "oracle-rank": ("k6", ["oracle", "--what", "rank", "--func", "lmn:2,3"], 0),
+    "oracle-census": ("k4", ["oracle", "--what", "census", "--census-n", "4"], 0),
     # degree 5 is below 2 ell(v) + 2 l(v) = 8: exit 2, nothing is built
     "pack-hypothesis": ("k6", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
-                               "--mode", "halved"]),
-    "rigid-forbid": ("k6", ["rigid", "--func", "lmn:2,3", "--forbid", "0", "1"]),
+                               "--mode", "halved"], 2),
+    "rigid-forbid": ("k6", ["rigid", "--func", "lmn:2,3", "--forbid", "0", "1"], 0),
+    # the hypothesis fails and the extraction falls short, yet exit 1, not 2:
+    # rigid --forbid extracts whatever its hypothesis says
+    "rigid-forbid-deficient": ("c4", ["rigid", "--func", "lmn:2,3", "--forbid", "0"], 1),
     # K9 meets the cut condition, but five forbidden edges exceed l(V) + ell(V)
     "pack-forbidden-size": ("k9", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
-                                   "--forbid", "0", "1", "2", "3", "4"]),
-    "decompose-error": ("c4", ["decompose", "--func", "lmn:1,1", "--parts", "2"]),
+                                   "--forbid", "0", "1", "2", "3", "4"], 2),
+    "decompose-error": ("c4", ["decompose", "--func", "lmn:1,1", "--parts", "2"], 2),
 }
 GRAPHS = {"k4": complete(4), "k5": complete(5), "k6": complete(6), "k9": complete(9),
           "k10": complete(10), "k13": complete(13),
@@ -440,13 +453,13 @@ def reports(tmp_path_factory):
 
     def get(name):
         if name not in made:
-            graph_name, argv = REPORTS[name]
+            graph_name, argv, code = REPORTS[name]
             g = GRAPHS[graph_name]
             path = write_graph(root, graph_name, g.n, g.edges)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                main(["--format", "structured", argv[0], "--graph", path,
-                      *argv[1:]])
+                assert main(["--format", "structured", argv[0], "--graph", path,
+                             *argv[1:]]) == code, name
             made[name] = out.getvalue()
         return json.loads(made[name])
 
@@ -519,6 +532,19 @@ def _part_outside_the_pebble_range(r):
 
 def _delete_structure(r):
     del r["certificates"]["structure"]
+
+
+def _empty_violation(r):
+    r["certificates"]["violation"] = []
+
+
+def _edit_reason(r):
+    r["certificates"]["reason"] = "made-up"
+    r["certificates"]["witness"] = [0]
+
+
+def _edit_detail(r):
+    r["certificates"]["detail"] = {"packing": "fine"}
 
 
 def _violation_of_vertex_3(r):
@@ -691,6 +717,7 @@ def _unbalance_vertex_0(r):
 
 
 @pytest.mark.parametrize("name, tamper, claim", [
+    ("sparse", _empty_violation, "violation"),
     ("rigid", _drop_basis_edge_deny_rigidity, "maximum sparse set"),
     ("rigid", _raise_rank, "rank or target"),
     ("pack-forbid", _forbidden_edge_in_part, "forbidden edge"),
@@ -741,6 +768,8 @@ def _unbalance_vertex_0(r):
     ("tree-rigid-hypothesis", _move_witness_vertex_to_b, "hypothesis witness"),
     ("robust-hypothesis", _lower_witness_lhs, "hypothesis witness"),
     ("robust-hypothesis", _move_witness_vertex_to_b, "hypothesis witness"),
+    ("robust-hypothesis", _edit_detail, "detail"),
+    ("orient-rigid-failed", _edit_reason, "reason"),
     ("bipartite-hypothesis", _claim_hypothesis_holds, "hypothesis verdict"),
     ("bipartite-hypothesis", _raise_recorded_connectivity, "hypothesis witness"),
     ("rigid-cuts", _deny_construction, "verdict"),
@@ -779,6 +808,17 @@ def test_verify_decides_every_verdict_again(tmp_path, capsys, reports, name):
         _, vout = run(capsys, "verify", "--report", str(path))
         assert f"-> {expect}" in vout, vout
         _flip_verdict(report)
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_runner_reproduces_every_report(reports, name):
+    # params, seed and force hold every input the subcommand's runner reads
+    report = reports(name)
+    graph, _ = graph_from_record(report["graph"])
+    ok, certs = RUNNERS[report["subcommand"]](graph, report["params"],
+                                              report["seed"], report["force"])
+    assert ok is report["verdict"]
+    assert json.loads(canonical_dumps(certs)) == report["certificates"]
 
 
 @pytest.mark.parametrize("name", ["tree-rigid-hypothesis", "robust-hypothesis",
