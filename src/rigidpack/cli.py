@@ -105,8 +105,8 @@ MODE_FLAGS = ("mode", "check", "what", "family")
 
 def _need(values: dict, flag: str):
     """A flag's value from parsed arguments or a report's params; a usage
-    error naming it and the mode when it is missing."""
-    value = values.get(flag.lstrip("-").replace("-", "_"))
+    error naming it and the mode when it is not given."""
+    value = values[flag.lstrip("-").replace("-", "_")]
     if value is None:
         mode = next(key for key in MODE_FLAGS if key in values)
         raise ValueError(f"--{mode} {values[mode]} needs {flag}")
@@ -495,14 +495,28 @@ def cmd_gen(args) -> int:
 # report verification
 
 
+class MissingField(Exception):
+    """A field a report's check reads is not in the report."""
+
+
+class _Params(dict):
+    """A report's params, whose missing ones raise `MissingField`."""
+
+    def __missing__(self, key):
+        raise MissingField(f"params.{key} is missing")
+
+
 def cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     graph, _ = graph_from_record(report["graph"], where=args.report)
     sub, verdict = report["subcommand"], report["verdict"]
-    failed = _reverify(sub, graph, report.get("params", {}),
-                       report.get("certificates", {}), verdict,
-                       report["seed"], report.get("force", False))
+    try:
+        failed = _reverify(sub, graph, _Params(report.get("params", {})),
+                           report.get("certificates", {}), verdict, report["seed"],
+                           report.get("force", False))
+    except MissingField as exc:
+        failed = [str(exc)]
     result = f"MISMATCH (failed: {'; '.join(failed)})" if failed else "REPRODUCED"
     print(f"verify {args.report}: subcommand={sub} recorded verdict={verdict} "
           f"-> {result}")
@@ -531,55 +545,84 @@ def _differ(recorded: dict, rerun: dict, prefix: str = "") -> list[str]:
 
 
 # the fields that hold a certificate checkable on its own, where a result
-# has one; a preset records its parts, empty, also when it built nothing
+# has one; a preset records its parts, empty, also when it built nothing,
+# and only a `hakimi` orientation records a violation
 CERTIFICATES = {"sparse": ("violation",), "rigid": ("edges",),
                 "components": ("components",), "decompose": ("parts",),
-                "pack": ("packing",), "orient": ("arcs", "violation")}
+                "pack": ("packing",), "orient": ("arcs",),
+                "hakimi": ("arcs", "violation")}
+
+
+def _certified_fields(sub, params, certs, verdict, force) -> set[str]:
+    """The fields of a result whose certificate is checkable on its own, as
+    its runner records them: a hypothesis unless forced, and a packing's
+    union and degree bounds if full, its structure certificate if not."""
+    hypothesis = set() if force else {"hypothesis"}
+    if sub == "orient":
+        extra = {"packed": {"h1", "h2"}, "robust": {"checks"}}.get(params["mode"], set())
+        return {"arcs", "indegrees", "outdegrees", *extra} if "arcs" in certs \
+            else {"violation"}
+    if sub == "rigid":
+        return {"edges", "target", "hypothesis" if params["forbid"] else "rank"}
+    if sub == "pack" and "preset" in params:
+        return {"checks", "union", "degree_bounds", "trees", "rigid_parts",
+                "reinforced", *hypothesis}
+    if sub == "pack" and "funcs" in params:
+        return {"packing"} if verdict else {"packing", "structure"}
+    if sub == "pack":
+        return {"packing", *hypothesis,
+                *(("union", "degree_bounds") if verdict else ("structure",))}
+    return {"sparse": {"violation"}, "components": {"components"},
+            "decompose": {"parts", "leftover"}}[sub]
 
 
 def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
     """Names of the report's claims that fail when re-checked. A result
-    that carries a certificate checkable on its own goes through the
-    library's claim checkers, the ones the engine runs on its own results,
-    and the hypothesis it records is re-run by the check that made it.
-    Every other verdict (a `hypothesis` or `oracle` report, an error, a
-    construction that built nothing) is decided again by the subcommand's
-    runner, from the report's params, seed and force, and must be recorded
-    exactly."""
+    that carries a certificate checkable on its own must record exactly
+    the fields of its kind; it goes through the library's claim checkers,
+    the ones the engine runs on its own results, and the hypothesis it
+    records is re-run by the check that made it. Every other verdict (a
+    `hypothesis` or `oracle` report, an error, a construction that built
+    nothing) is decided again by the subcommand's runner, from the report's
+    params, seed and force, and must be recorded exactly."""
     if sub not in RUNNERS:
         raise ValueError(f"cannot verify reports for subcommand {sub!r}")
     if sub == "pack" and "preset" in params:
         certified = bool(certs.get("trees") or certs.get("rigid_parts"))
     else:
-        certified = any(key in certs for key in CERTIFICATES.get(sub, ()))
+        shape = params["mode"] if sub == "orient" and params["mode"] == "hakimi" else sub
+        certified = any(key in certs for key in CERTIFICATES.get(shape, ()))
     if not certified:
         ok, rerun = RUNNERS[sub](graph, params, seed, force)
         return _differ({"verdict": verdict, **_fields(certs)},
                        {"verdict": ok, **_fields(rerun)})
-    failed = []
+    fields = _certified_fields(sub, params, certs, verdict, force)
+    failed = [f"certificates.{key} is missing" for key in sorted(fields - set(certs))]
+    failed += [f"certificates.{key} is not a field of this result"
+               for key in sorted(set(certs) - fields)]
+    if failed:  # the checks below read exactly the fields of this result
+        return failed
     if "hypothesis" in certs:
         rerun = _hypothesis_cert(_recorded_hypothesis(sub, graph, params))
         failed = _differ(_fields({"hypothesis": certs["hypothesis"]}), _fields(rerun))
-    func = parse_setfunc(params["func"], graph.n) if params.get("func") else None
+    if sub == "pack":
+        return failed + _pack_claims(graph, params, certs, verdict)
+    if sub == "orient":
+        return failed + _orient_claims(graph, params, certs, verdict)
+    func = parse_setfunc(params["func"], graph.n)
+    if sub == "rigid":
+        return failed + _rigid_claims(graph, func, params["forbid"], certs, verdict)
+    failed += [] if verdict == (sub != "sparse") else ["verdict"]
     if sub == "sparse":
         mask = mask_of(certs["violation"])
-        failed += ["verdict"] if verdict else []
         failed += [] if graph.induced(mask) > func.cap(mask) else ["violation"]
-    elif sub == "rigid":
-        failed += _rigid_claims(graph, func, params["forbid"], certs, verdict)
     elif sub == "components":
         comps = {mask_of(c) for c in certs["components"]}
         if comps != set(sparsity.rigid_components(graph, func)):
             failed.append("components are not the recomputed rigid components")
-        failed += [] if verdict else ["verdict"]
-    elif sub == "pack":
-        failed += _pack_claims(graph, params, certs, verdict)
-    elif sub == "decompose":
+    else:
         failed += packing.decomposition_claims(graph, func, params["parts"],
                                                certs["parts"], certs["leftover"])
-        failed += [] if verdict else ["verdict"]
-    else:
-        failed += _orient_claims(graph, func, params, certs, verdict)
     return failed
 
 
@@ -648,15 +691,18 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
               p["full"]) for p in pk["parts"]]
     failed = packing.packing_claims(graph, parts, pk["uncovered"],
                                     params["forbid"], verdict)
+    # the l- and ell-parts come last, after the degree eater of a degree mode
+    tokens = params["funcs"] if "funcs" in params else [params["l"], params["ell"]]
+    if [p["func"] for p in pk["parts"]][-len(tokens):] != [
+            parse_setfunc(token, graph.n).describe() for token in tokens]:
+        failed.append("part functions are not the requested ones")
     if sorted(pk["forbidden"]) != sorted(params["forbid"]):
         failed.append("forbidden edges differ from the requested ones")
-    structure = certs.get("structure")
-    if structure is not None:
+    if "structure" in certs:
+        structure = certs["structure"]
         failed += packing.structure_claims(
             graph, parts, pk["uncovered"], params["forbid"],
             structure["closure"], [mask_of(b) for b in structure["partition"]])
-    elif not verdict:
-        failed.append("deficient packing has no structure certificate")
     if "union" in certs:
         failed += packing.union_degree_claims(
             graph, parse_setfunc(params["l"], graph.n),
@@ -666,7 +712,7 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
     return failed
 
 
-def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
+def _orient_claims(graph, params, certs, verdict) -> list[str]:
     mode = params["mode"]
     if "arcs" not in certs:  # the violation set of an infeasible `hakimi` run
         over = certs["violation"]
@@ -684,7 +730,8 @@ def _orient_claims(graph, func, params, certs, verdict) -> list[str]:
         failed.append("orientation is not balanced")
     if mode == "smooth" and not orient.is_smooth():
         failed.append("orientation is not smooth")
-    if mode == "rigid" and not orientation.orientation_to_rigid(orient, func).ok:
+    if mode == "rigid" and not orientation.orientation_to_rigid(
+            orient, parse_setfunc(params["func"], graph.n)).ok:
         failed.append("orientation does not certify minimal rigidity")
     if mode == "packed":
         failed += orientation.packed_claims(

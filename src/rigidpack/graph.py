@@ -256,17 +256,12 @@ class MultiGraph:
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 
-    def edge_connectivity(self):
-        """Global min cut (0 if disconnected, INFINITY on a single vertex):
-        `min_cut`'s value."""
-        return self.min_cut()[0]
-
-    def min_cut(self, limit=INFINITY):
-        """min d(A) over proper nonempty vertex sets A, or `limit` if that
-        is lower, with a set A reaching it as a mask (None if no A is below
-        `limit`): `_least_cut` of the graph's edges."""
+    def edge_connectivity(self, limit=INFINITY):
+        """min d(A) over proper nonempty vertex sets A (0 if disconnected,
+        INFINITY on a single vertex), or `limit` if that is lower:
+        `_least_cut` of the graph's edges."""
         net = _flow_network(self.n, self._edge_arcs())
-        return _least_cut(net, self.full_mask, False, limit)
+        return _least_cut(net, self.full_mask, False, limit)[0]
 
     def local_edge_connectivity(self, s: int, t: int) -> int:
         if not (0 <= s < self.n and 0 <= t < self.n):

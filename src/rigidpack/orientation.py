@@ -21,9 +21,10 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .graph import (MultiGraph, INFINITY, vertices_of, _flow_network, _least_cut,
-                    _vertex_deleted_cuts)
+                    _vertex_deleted_cuts, _augmenting_paths)
 from .setfuncs import SetFunc, lmn, halved_slack
 from .sparsity import is_sparse, rank_and_rigid
 from . import packing as packmod
@@ -60,10 +61,7 @@ class Orientation:
 
     @cached_property
     def outdegrees(self) -> tuple[int, ...]:
-        d = [0] * self.host.n
-        for e in range(self.host.m):
-            d[self.tail(e)] += 1
-        return tuple(d)
+        return tuple(d - i for d, i in zip(self.host.degrees, self.indegrees))
 
     def is_smooth(self) -> bool:
         return all(abs(i - o) <= 1
@@ -352,27 +350,34 @@ def packed_orientation(graph: MultiGraph, l: SetFunc, ell: SetFunc,
         return PackedOrientResult(False, hypothesis=hyp,
                                   detail={"packing": "deficient"})
     h0, h1, h2 = (p.edges for p in pack.parts)
-    heads: list[int | None] = [None] * graph.m
     targets1 = [l.singletons[v] - r1[v] for v in range(graph.n)]
     targets2 = [ell.singletons[v] - r2[v] for v in range(graph.n)]
+    pieces = []
     for ids, tgt in ((h0, eater.weights), (h1, targets1), (h2, targets2)):
-        sub_ids = sorted(ids)
-        sub = graph.subgraph(sub_ids)
-        hk = hakimi_orient(sub, tgt)
+        hk = hakimi_orient(graph.subgraph(ids), tgt)
         if not hk.ok:
             raise RuntimeError("packed part refused its in-degree orientation")
-        for local, eid in enumerate(sub_ids):
-            heads[eid] = hk.orientation.heads[local]
-    rest = sorted(set(range(graph.m)) - set(h0) - set(h1) - set(h2))
-    if rest:
-        sm = smooth_orient(graph.subgraph(rest))
-        for local, eid in enumerate(rest):
-            heads[eid] = sm.heads[local]
-    orient = Orientation(graph, tuple(heads))
+        pieces.append((ids, hk.orientation))
+    orient = _assemble(graph, pieces)
     packmod._fail_on(packed_claims(orient, l, ell, r1, r2, h1, h2, lowered_vertex))
     return PackedOrientResult(True, orientation=orient,
                               h1=frozenset(h1), h2=frozenset(h2),
                               hypothesis=hyp)
+
+
+def _assemble(graph: MultiGraph, pieces) -> Orientation:
+    """The orientation of the graph that lays each (edge ids, orientation
+    of `graph.subgraph(ids)`) piece onto its host edges and smooth-orients
+    the edges no piece holds."""
+    heads: list[int | None] = [None] * graph.m
+    for ids, sub in pieces:
+        for eid, h in zip(sorted(ids), sub.heads):
+            heads[eid] = h
+    rest = [eid for eid, h in enumerate(heads) if h is None]
+    if rest:
+        for eid, h in zip(rest, smooth_orient(graph.subgraph(rest)).heads):
+            heads[eid] = h
+    return Orientation(graph, tuple(heads))
 
 
 def packed_claims(orient: Orientation, l: SetFunc, ell: SetFunc, r1, r2, h1, h2,
@@ -441,7 +446,7 @@ def odd_spanning_forest(graph: MultiGraph, m_param: int) -> OddForestResult:
             best, best_violation = forest, violation
         if best_violation == 0:
             break
-    deg = _forest_degrees(graph, best)
+    deg = graph.subgraph(best).degrees
     for v in range(graph.n):
         if deg[v] % 2 != 1:
             raise RuntimeError(f"forest degree at {v} is even; engine bug")
@@ -484,18 +489,8 @@ def _parity_tree(graph: MultiGraph, edge_ids, root: int, parity):
     return kept, len(order)
 
 
-def _forest_degrees(graph: MultiGraph, forest) -> list[int]:
-    deg = [0] * graph.n
-    for eid in forest:
-        u, v = graph.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def _violation(graph, forest, targets) -> int:
-    deg = _forest_degrees(graph, forest)
-    return sum(max(0, deg[v] - targets[v]) for v in range(graph.n))
+    return sum(max(0, d - t) for d, t in zip(graph.subgraph(forest).degrees, targets))
 
 
 def _is_forest(graph: MultiGraph, edge_ids) -> bool:
@@ -509,46 +504,35 @@ def _reduce_degrees(graph: MultiGraph, forest: set[int], targets) -> set[int]:
     by_pair: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v) in enumerate(graph.edges):
         by_pair.setdefault((min(u, v), max(u, v)), []).append(eid)
-    improved = True
-    while improved:
-        improved = False
-        deg = _forest_degrees(graph, forest)
-        for v in range(graph.n):
-            if deg[v] <= targets[v]:
-                continue
-            nbrs = []
-            for eid in forest:
-                a, b = graph.edges[eid]
-                if v == a:
-                    nbrs.append((b, eid))
-                elif v == b:
-                    nbrs.append((a, eid))
-            done = False
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    x, ex = nbrs[i]
-                    y, ey = nbrs[j]
-                    if x == y:
-                        continue
-                    key = (min(x, y), max(x, y))
-                    cands = [e for e in by_pair.get(key, ()) if e not in forest]
-                    if not cands:
-                        continue
-                    trial = set(forest)
-                    trial.discard(ex)
-                    trial.discard(ey)
-                    trial.add(cands[0])
-                    if not _is_forest(graph, trial):
-                        continue
-                    forest = trial
-                    improved = True
-                    done = True
-                    break
-                if done:
-                    break
-            if done:
-                break
+    while (swapped := next(_degree_swaps(graph, forest, targets, by_pair), None)):
+        forest = swapped
     return forest
+
+
+def _degree_swaps(graph: MultiGraph, forest: set[int], targets, by_pair):
+    """Forests that trade two edges at an over-target vertex for an edge
+    joining their far endpoints, in vertex, then edge-pair order."""
+    deg = graph.subgraph(forest).degrees
+    for v in range(graph.n):
+        if deg[v] <= targets[v]:
+            continue
+        nbrs = []
+        for eid in forest:
+            a, b = graph.edges[eid]
+            if v == a:
+                nbrs.append((b, eid))
+            elif v == b:
+                nbrs.append((a, eid))
+        for (x, ex), (y, ey) in combinations(nbrs, 2):
+            cands = [e for e in by_pair.get((min(x, y), max(x, y)), ()) if e not in forest]
+            if not cands:  # also where x == y: no edge is a loop
+                continue
+            trial = set(forest)
+            trial.discard(ex)
+            trial.discard(ey)
+            trial.add(cands[0])
+            if _is_forest(graph, trial):
+                yield trial
 
 
 @dataclass(frozen=True)
@@ -662,7 +646,7 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
                            f"{worst} after deleting a vertex")
     # a subforest of the tree matching gprime's degree parities
     forest, reached = _parity_tree(graph, tree, 0,
-                                   [d % 2 for d in _forest_degrees(graph, gprime)])
+                                   [d % 2 for d in graph.subgraph(gprime).degrees])
     if reached != graph.n:
         raise RuntimeError("tree part does not span the graph")
     h_ids = sorted(gprime | forest)
@@ -676,15 +660,7 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
         return RobustResult(False, hypothesis=hyp,
                             detail={"inner_search": "budget exhausted",
                                     "eulerian_part": h_ids})
-    heads: list[int | None] = [None] * graph.m
-    for local, eid in enumerate(h_ids):
-        heads[eid] = orient_h.heads[local]
-    rest = sorted(set(range(graph.m)) - set(h_ids))
-    if rest:
-        sm = smooth_orient(graph.subgraph(rest))
-        for local, eid in enumerate(rest):
-            heads[eid] = sm.heads[local]
-    orient = Orientation(graph, tuple(heads))
+    orient = _assemble(graph, [(h_ids, orient_h)])
     failed, checks = robust_claims(orient, k)
     packmod._fail_on(failed)
     return RobustResult(True, orientation=orient, hypothesis=hyp, checks=checks,
@@ -711,12 +687,15 @@ def robust_claims(orient: Orientation, k: int):
     return failed, {"arc_strong": strong, "vertex_deleted_arc_strong": worst}
 
 
+REPAIR_PASSES = 8  # cycle reversals `_repair_orientation` tries per tour
+
+
 def _robust_euler_search(hsub: MultiGraph, k: int, seed: int,
                          retries: int) -> Orientation | None:
     for attempt in range(max(1, retries)):
         rng = None if attempt == 0 else random.Random(seed * 10007 + attempt)
         orient = euler_orient(hsub, rng)
-        orient = _repair_orientation(hsub, orient, k)
+        orient = _repair_orientation(orient, k)
         if orient is not None:
             return orient
     return None
@@ -736,57 +715,38 @@ def _find_robust_violation(orient: Orientation, k: int):
     return None
 
 
-def _repair_orientation(hsub: MultiGraph, orient: Orientation,
-                        k: int, passes: int = 8) -> Orientation | None:
-    heads = list(orient.heads)
-    for _ in range(passes):
-        cur = Orientation(hsub, tuple(heads))
-        bad = _find_robust_violation(cur, k)
+def _repair_orientation(orient: Orientation, k: int) -> Orientation | None:
+    """Reverse up to REPAIR_PASSES cycles, each through an arc into a
+    deficient set of the first vertex-deleted digraph below k-arc-strong;
+    None if a violation outlasts them."""
+    for reversals in range(REPAIR_PASSES + 1):
+        bad = _find_robust_violation(orient, k)
         if bad is None:
-            return cur
-        v, mask = bad
-        fixed = _reverse_cycle_through(hsub, heads, v, mask)
-        if not fixed:
+            return orient
+        if reversals == REPAIR_PASSES:
             return None
-    cur = Orientation(hsub, tuple(heads))
-    return cur if _find_robust_violation(cur, k) is None else None
+        orient = _reverse_cycle_through(orient, *bad)
+        if orient is None:
+            return None
 
 
-def _reverse_cycle_through(hsub: MultiGraph, heads: list[int], v: int,
-                           mask: int) -> bool:
-    """Reverse one directed cycle through an arc from v into the deficient
-    set; Eulerian balance is preserved and the arc count from v into the
-    set drops when the return arc comes from outside it."""
-    arcs_from_v = [e for e in range(hsub.m)
-                   if heads[e] != v and v in hsub.edges[e]
-                   and (mask >> heads[e]) & 1]
-    for e0 in arcs_from_v:
+def _reverse_cycle_through(orient: Orientation, v: int,
+                           mask: int) -> Orientation | None:
+    """Reverse one directed cycle through the lowest arc e0 from v into the
+    deficient set that lies on one: e0 and a shortest path from its head
+    back to v, one unit `_augmenting_paths` flow with e0 at capacity 0.
+    Eulerian balance is preserved and the arc count from v into the set
+    drops when the return arc comes from outside it."""
+    host, heads = orient.host, orient.heads
+    head, cap, out = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs])
+    for e0 in range(host.m):
         w = heads[e0]
-        # BFS for a directed path w -> ... -> v avoiding e0
-        parent: dict[int, int] = {w: -1}
-        queue = deque([w])
-        while queue:
-            x = queue.popleft()
-            for e in range(hsub.m):
-                if e == e0 or heads[e] in parent:
-                    continue
-                a, b = hsub.edges[e]
-                tail = a if heads[e] == b else b
-                if tail != x:
-                    continue
-                parent[heads[e]] = e
-                queue.append(heads[e])
-        if v not in parent:
+        if orient.tail(e0) != v or not (mask >> w) & 1:
             continue
-        path = []
-        x = v
-        while parent[x] != -1:
-            e = parent[x]
-            path.append(e)
-            a, b = hsub.edges[e]
-            x = a if heads[e] == b else b
-        for e in path + [e0]:
-            a, b = hsub.edges[e]
-            heads[e] = a if heads[e] == b else b
-        return True
-    return False
+        cap0 = cap[:]
+        cap0[2 * e0] = 0
+        flow, _, left = _augmenting_paths((head, cap0, out), w, v, 1)
+        if flow:
+            return Orientation(host, tuple(orient.tail(e) if e == e0 or left[2 * e + 1]
+                                           else heads[e] for e in range(host.m)))
+    return None

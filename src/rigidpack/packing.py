@@ -80,15 +80,14 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     funcs = list(funcs)
     states = [PebbleState.fresh(*_require_pebble_params(f)) for f in funcs]
     blocked = set(forbidden)
-    owner: dict[int, int] = {}
     dead: set[int] = set()
     for eid in range(host.m):
         if eid not in blocked:
-            _augment(host, states, owner, eid, dead)
+            _augment(host, states, eid, dead)
     parts = tuple(PackPart(func=f, edges=frozenset(state.accepted),
                            target=max(f.rigid_target, 0))
                   for f, state in zip(funcs, states))
-    uncovered = frozenset(range(host.m)) - set(owner)
+    uncovered = frozenset(range(host.m)).difference(*(p.edges for p in parts))
     packing = Packing(host=host, parts=parts, uncovered=uncovered,
                       forbidden=frozenset(blocked), closure=frozenset(dead))
     packing.verify()
@@ -115,9 +114,12 @@ def _circuit_edges(host: MultiGraph, state: PebbleState, tight_mask: int) -> lis
     return sorted(out)
 
 
-def _augment(host: MultiGraph, states, owner: dict[int, int], eid: int,
-             dead: set[int]) -> bool:
+def _augment(host: MultiGraph, states, eid: int, dead: set[int]) -> bool:
     """Breadth-first replacement search; applies the chain on success.
+
+    `parent[y] = (x, i)` says that y sits in part i, so it is the record
+    of which part owns each edge reached: the queue carries every edge with
+    its part (None for `eid`), and the chain walks `parent` back.
 
     Edges in `dead` are never enqueued, and a failed search adds its
     visited set to `dead`. This prunes nothing a search could use. After
@@ -138,45 +140,39 @@ def _augment(host: MultiGraph, states, owner: dict[int, int], eid: int,
     """
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}
-    queue = deque([eid])
+    queue = deque([(eid, None)])
     while queue:
-        x = queue.popleft()
+        x, own = queue.popleft()
         u, v = host.edges[x]
         for i, state in enumerate(states):
-            if owner.get(x) == i:
+            if i == own:
                 continue
             res = state.probe_pair(u, v)
             if res is None:
-                _apply_chain(host, states, owner, parent, x, i)
+                _apply_chain(host, states, parent, x, i)
                 return True
             for y in _circuit_edges(host, state, res):
                 if y not in visited and y not in dead:
                     visited.add(y)
                     parent[y] = (x, i)
-                    queue.append(y)
+                    queue.append((y, i))
     dead |= visited
     return False
 
 
-def _apply_chain(host: MultiGraph, states, owner, parent, last: int,
+def _apply_chain(host: MultiGraph, states, parent, last: int,
                  free_part: int) -> None:
     """Move each edge of the chain ending at `last` into the part it was
-    found in (`last` into `free_part`). A shortest chain leaves every part
+    found in (`last` into `free_part`), walking `parent` back to the
+    uncovered edge that started it. A shortest chain leaves every part
     independent (Cunningham 1986), so after the deletions no insert may
     fail; a rejected one is an engine bug and raises."""
-    moves = []
-    edge, target = last, free_part
-    while True:
-        prev = owner.get(edge)
-        moves.append((edge, prev, target))
-        owner[edge] = target
-        if prev is None:
-            break
-        edge, target = parent[edge][0], prev
-    for edge, prev, _ in moves:
-        if prev is not None:
-            states[prev].delete(edge, *host.edges[edge])
-    for edge, _, target in moves:
+    moves = [(last, free_part)]
+    while moves[-1][0] in parent:
+        moves.append(parent[moves[-1][0]])
+    for edge, _ in moves[:-1]:
+        states[parent[edge][1]].delete(edge, *host.edges[edge])
+    for edge, target in moves:
         if states[target].insert(edge, *host.edges[edge]) is not None:
             raise RuntimeError(
                 f"part {target} rejected edge {edge}: exchange broke sparsity")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -716,6 +717,22 @@ def _unbalance_vertex_0(r):
     _reverse_arcs(r, out[:2])
 
 
+def _delete(section, key):
+    def tamper(r):
+        del r[section][key]
+    return tamper
+
+
+def _inject(key, value):
+    def tamper(r):
+        r["certificates"][key] = value
+    return tamper
+
+
+def _request_other_funcs(r):
+    r["params"]["funcs"] = ["lmn:2,3"]
+
+
 @pytest.mark.parametrize("name, tamper, claim", [
     ("sparse", _empty_violation, "violation"),
     ("rigid", _drop_basis_edge_deny_rigidity, "maximum sparse set"),
@@ -725,7 +742,7 @@ def _unbalance_vertex_0(r):
     ("pack-forbid", _empty_forbidden, "forbidden edges differ"),
     ("pack-deficient", _close_a_cycle, "part 0 is not sparse"),
     ("pack-deficient", _drop_block_vertex, "structure blocks"),
-    ("pack-deficient", _delete_structure, "no structure certificate"),
+    ("pack-deficient", _delete_structure, "certificates.structure is missing"),
     ("pack-deficient", _part_outside_the_pebble_range,
      "part 0 is outside the pebble range"),
     ("pack-closure", _drop_uncovered_from_closure, "misses a usable uncovered edge"),
@@ -785,6 +802,25 @@ def _unbalance_vertex_0(r):
     ("hakimi", _zero_indegrees, "indegrees disagree"),
     ("hakimi-infeasible", _violation_of_vertex_3, "violation set"),
     ("smooth", _zero_outdegrees, "outdegrees disagree"),
+    # a malformed report names the missing field, and a field no result of
+    # its kind carries fails
+    ("orient-rigid-failed", _inject("violation", [0, 1]), "violation recomputes"),
+    ("orient-rigid-failed", _delete("params", "func"), "params.func is missing"),
+    ("orient-rigid-failed", _delete("params", "mode"), "params.mode is missing"),
+    ("hakimi", _delete("certificates", "indegrees"), "certificates.indegrees is missing"),
+    ("smooth", _delete("certificates", "indegrees"), "certificates.indegrees is missing"),
+    ("sparse", _delete("params", "func"), "params.func is missing"),
+    ("rigid", _delete("params", "forbid"), "params.forbid is missing"),
+    ("rigid", _delete("certificates", "target"), "certificates.target is missing"),
+    ("weakly-connected", _delete("params", "check"), "params.check is missing"),
+    ("weakly-connected", _delete("params", "forbid"), "params.forbid is missing"),
+    ("hakimi", _inject("violation", [0, 1]),
+     "certificates.violation is not a field of this result"),
+    ("smooth", _inject("witness", [0]), "certificates.witness is not a field"),
+    ("smooth", _inject("packing", {}), "certificates.packing is not a field"),
+    ("sparse", _inject("arcs", [[0, 1]]), "certificates.arcs is not a field"),
+    ("sparse", _inject("edges", [0]), "certificates.edges is not a field"),
+    ("pack-forbid", _request_other_funcs, "part functions are not the requested ones"),
 ])
 def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
                                        tamper, claim):
@@ -860,6 +896,55 @@ def test_mismatch_line_format(tmp_path, capsys, reports):
     assert vout == (f"verify {path}: subcommand=decompose recorded verdict=True "
                     "-> MISMATCH (failed: 0 parts, not 2; "
                     "parts and uncovered do not partition the edges)\n")
+
+
+# the report kinds whose every params and certificates field the mutation
+# test deletes in turn, and the certificate fields it injects
+MUTATED = ["orient-rigid-failed", "hakimi", "hakimi-infeasible", "smooth", "sparse",
+           "rigid", "rigid-forbid", "weakly-connected", "pack-basic", "pack-forbid",
+           "pack-deficient", "components", "rigid-cuts"]
+INJECTED = ("violation", "arcs", "edges", "packing", "witness")
+
+
+def _injected_value(key, graph, rng):
+    """A seeded value of the injected field's shape on the report's graph."""
+    verts = sorted(rng.sample(range(graph.n), rng.randrange(1, graph.n + 1)))
+    edges = sorted(rng.sample(range(graph.m), rng.randrange(graph.m + 1)))
+    if key == "arcs":
+        return [list(e) if rng.random() < 0.5 else list(e[::-1]) for e in graph.edges]
+    if key == "packing":
+        return {"parts": [], "uncovered": list(range(graph.m)), "forbidden": []}
+    return edges if key == "edges" else verts
+
+
+def _mutations(report, rng):
+    """(description, edited report) for each single-field edit."""
+    graph, _ = graph_from_record(report["graph"])
+    for section in ("params", "certificates"):
+        for key in report[section]:
+            edited = json.loads(json.dumps(report))
+            del edited[section][key]
+            yield f"{section}.{key} deleted", edited
+    for key in INJECTED:
+        if key not in report["certificates"]:
+            edited = json.loads(json.dumps(report))
+            edited["certificates"][key] = _injected_value(key, graph, rng)
+            yield f"certificates.{key} injected", edited
+
+
+@pytest.mark.parametrize("name", MUTATED)
+def test_single_field_mutations_never_crash_verify(tmp_path, capsys, reports, name):
+    # every edit gives a verify line, not a traceback or an error exit, and
+    # every injected field is a MISMATCH
+    rng = random.Random(f"mutate {name}")
+    path = tmp_path / "mutated.json"
+    for what, edited in _mutations(reports(name), rng):
+        path.write_text(json.dumps(edited))
+        vcode, vout = run(capsys, "verify", "--report", str(path))
+        verdict = "MISMATCH (failed: " if vcode else "REPRODUCED"
+        assert vcode in (0, 1) and f"-> {verdict}" in vout, (what, vout)
+        if what.endswith("injected"):
+            assert vcode == 1, (what, vout)
 
 
 def test_report_records_the_argv_main_is_given(capsys, monkeypatch, k4):

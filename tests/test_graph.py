@@ -348,11 +348,12 @@ def test_edge_connectivity_equals_min_cut_oracle():
     for _ in range(40):
         n = rng.randrange(2, 8)
         g = oracle.random_multigraph(n, rng.randrange(n - 1, 2 * n + 3), rng)
-        if not g.is_connected():
-            assert g.edge_connectivity() == 0
-            continue
         best = min(g.boundary(a) for a in range(1, g.full_mask))
         assert g.edge_connectivity() == best
+        assert (best == 0) == (not g.is_connected())
+        # a limit caps the value: min(lambda, limit) for every limit
+        for limit in range(best + 2):
+            assert g.edge_connectivity(limit) == min(best, limit)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from rigidpack.orientation import (
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, odd_spanning_forest, rigid_factor,
     robust_arc_strong, _find_robust_violation, _repair_orientation,
+    _reverse_cycle_through,
 )
 
 
@@ -477,12 +479,97 @@ def test_repair_matches_table_search():
             if bad is None:
                 continue
             found += 1
-            fixed = _repair_orientation(g, orient, 1)
+            fixed = _repair_orientation(orient, 1)
             if fixed is not None:
                 repaired += 1
                 assert fixed.is_balanced()
                 assert _table_violation(fixed, 1) is None
     assert found >= 20 and repaired >= 10
+
+
+def _bfs_reverse_cycle_through(hsub, heads, v, mask):
+    """Cycle reversal by a breadth-first search that rescans every edge
+    for each vertex it dequeues: the reference for the unit flow of
+    `_reverse_cycle_through`. Reverses the cycle in `heads`."""
+    arcs_from_v = [e for e in range(hsub.m)
+                   if heads[e] != v and v in hsub.edges[e]
+                   and (mask >> heads[e]) & 1]
+    for e0 in arcs_from_v:
+        w = heads[e0]
+        # BFS for a directed path w -> ... -> v avoiding e0
+        parent = {w: -1}
+        queue = deque([w])
+        while queue:
+            x = queue.popleft()
+            for e in range(hsub.m):
+                if e == e0 or heads[e] in parent:
+                    continue
+                a, b = hsub.edges[e]
+                tail = a if heads[e] == b else b
+                if tail != x:
+                    continue
+                parent[heads[e]] = e
+                queue.append(heads[e])
+        if v not in parent:
+            continue
+        path = []
+        x = v
+        while parent[x] != -1:
+            e = parent[x]
+            path.append(e)
+            a, b = hsub.edges[e]
+            x = a if heads[e] == b else b
+        for e in path + [e0]:
+            a, b = hsub.edges[e]
+            heads[e] = a if heads[e] == b else b
+        return True
+    return False
+
+
+def _bfs_repair_orientation(orient, k, passes=8):
+    """`_repair_orientation` on `_bfs_reverse_cycle_through`."""
+    hsub, heads = orient.host, list(orient.heads)
+    for _ in range(passes):
+        cur = Orientation(hsub, tuple(heads))
+        bad = _find_robust_violation(cur, k)
+        if bad is None:
+            return cur
+        if not _bfs_reverse_cycle_through(hsub, heads, *bad):
+            return None
+    cur = Orientation(hsub, tuple(heads))
+    return cur if _find_robust_violation(cur, k) is None else None
+
+
+def test_cycle_reversal_and_repair_match_the_breadth_first_reference():
+    # tour orientations of random Eulerian multigraphs: one reversal at a
+    # random vertex and set, and one repair, per case; about half the tours
+    # leave a vertex-deleted digraph not strongly connected, and the repair
+    # fixes a share of those
+    rng = random.Random(1919)
+    reversed_ = found = repaired = 0
+    for case in range(2000):
+        n = rng.randrange(3, 12)
+        g = oracle.random_multigraph(n, rng.randrange(2 * n, 5 * n), rng)
+        odd = [v for v in range(n) if g.degree(v) % 2]
+        g = MultiGraph(n, g.edges + tuple(zip(odd[::2], odd[1::2])))
+        orient = euler_orient(g, random.Random(case))
+        v = rng.randrange(n)
+        mask = rng.randrange(1 << n) & ~(1 << v)
+        heads = list(orient.heads)
+        ok = _bfs_reverse_cycle_through(g, heads, v, mask)
+        assert _heads(_reverse_cycle_through(orient, v, mask)) == \
+            (tuple(heads) if ok else None)
+        reversed_ += ok
+        fixed = _repair_orientation(orient, 1)
+        assert _heads(fixed) == _heads(_bfs_repair_orientation(orient, 1))
+        if _find_robust_violation(orient, 1) is not None:
+            found += 1
+            repaired += fixed is not None
+    assert reversed_ >= 1000 and found >= 500 and repaired >= 60
+
+
+def _heads(orient):
+    return None if orient is None else orient.heads
 
 
 def test_robust_repair_past_twenty_vertices():
@@ -496,7 +583,7 @@ def test_robust_repair_past_twenty_vertices():
     arcs = [(t, h) for t, h in orient.arcs if v not in (t, h)]
     assert witness and not witness & ~rest and witness != rest
     assert _entering(arcs, witness) == 0
-    fixed = _repair_orientation(g, orient, 1)
+    fixed = _repair_orientation(orient, 1)
     assert fixed is not None and fixed.is_balanced()
     # a fresh min cut of every digraph minus u, with no bound to skip flows
     for u in range(22):

@@ -86,34 +86,32 @@ def _unpruned_union_pack(host, funcs, forbidden=()):
 
     Returns (part edge sets, uncovered)."""
     states = [PebbleState.fresh(*pebble_params(f)) for f in funcs]
-    owner = {}
 
     def augment(eid):
         parent = {}
         visited = {eid}
-        queue = deque([eid])
+        queue = deque([(eid, None)])
         while queue:
-            x = queue.popleft()
+            x, own = queue.popleft()
             u, v = host.edges[x]
             for i, state in enumerate(states):
-                if owner.get(x) == i:
+                if i == own:
                     continue
                 res = state.probe_pair(u, v)
                 if res is None:
-                    _apply_chain(host, states, owner, parent, x, i)
+                    _apply_chain(host, states, parent, x, i)
                     return
                 for y in _circuit_edges(host, state, res):
                     if y not in visited:
                         visited.add(y)
                         parent[y] = (x, i)
-                        queue.append(y)
+                        queue.append((y, i))
 
     for eid in range(host.m):
         if eid not in forbidden:
             augment(eid)
-    parts = [frozenset(e for e, o in owner.items() if o == i)
-             for i in range(len(funcs))]
-    return parts, frozenset(range(host.m)) - set(owner)
+    parts = [frozenset(state.accepted) for state in states]
+    return parts, frozenset(range(host.m)).difference(*parts)
 
 
 def _counting_probes(monkeypatch):
@@ -643,7 +641,7 @@ def _ref_rigid_cut_consequences(g, k):
     if aux["essential"] < 2 * k - 1:
         return False, {"check": "essential", "value": aux["essential"]}, aux
     for v in range(g.n):
-        lam_v = g.delete_vertex(v).min_cut(k - 1)[0]
+        lam_v = g.delete_vertex(v).edge_connectivity(k - 1)
         if lam_v < k - 1:
             return False, {"check": "vertex-deleted", "vertex": v,
                            "value": lam_v}, aux
