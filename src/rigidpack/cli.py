@@ -691,10 +691,16 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
               p["full"]) for p in pk["parts"]]
     failed = packing.packing_claims(graph, parts, pk["uncovered"],
                                     params["forbid"], verdict)
-    # the l- and ell-parts come last, after the degree eater of a degree mode
-    tokens = params["funcs"] if "funcs" in params else [params["l"], params["ell"]]
-    if [p["func"] for p in pk["parts"]][-len(tokens):] != [
-            parse_setfunc(token, graph.n).describe() for token in tokens]:
+    if "funcs" in params:
+        wanted = [parse_setfunc(token, graph.n) for token in params["funcs"]]
+    else:
+        l, ell = (parse_setfunc(params[key], graph.n) for key in ("l", "ell"))
+        k, rho = (params["k"], params["rho"]) if params["mode"] == "rho" else (None, None)
+        try:
+            wanted = packing.partition_rigid_funcs(graph, l, ell, params["mode"], k, rho)
+        except ValueError:  # the degree eater's hypothesis fails on this graph
+            wanted = []
+    if [p["func"] for p in pk["parts"]] != [f.describe() for f in wanted]:
         failed.append("part functions are not the requested ones")
     if sorted(pk["forbidden"]) != sorted(params["forbid"]):
         failed.append("forbidden edges differ from the requested ones")
@@ -705,9 +711,7 @@ def _pack_claims(graph, params, certs, verdict) -> list[str]:
             structure["closure"], [mask_of(b) for b in structure["partition"]])
     if "union" in certs:
         failed += packing.union_degree_claims(
-            graph, parse_setfunc(params["l"], graph.n),
-            parse_setfunc(params["ell"], graph.n), params["mode"],
-            params.get("k"), params.get("rho"), [p["edges"] for p in pk["parts"]],
+            graph, l, ell, params["mode"], k, rho, [p["edges"] for p in pk["parts"]],
             certs["union"], certs["degree_bounds"])
     return failed
 
@@ -720,8 +724,12 @@ def _orient_claims(graph, params, certs, verdict) -> list[str]:
         if graph.induced(mask_of(over)) <= sum(params["targets"][v] for v in over):
             failed.append("violation set induces no more edges than its targets sum to")
         return failed
-    orient = orientation.Orientation(graph, tuple(h for _, h in certs["arcs"]))
     failed = [] if verdict else ["verdict"]
+    arcs = certs["arcs"]
+    if not isinstance(arcs, list) or len(arcs) != graph.m or any(
+            arc not in ([u, v], [v, u]) for arc, (u, v) in zip(arcs, graph.edges)):
+        return failed + ["certificates.arcs do not orient each edge of the graph once"]
+    orient = orientation.Orientation(graph, tuple(h for _, h in arcs))
     failed += [f"{key} disagree with the arcs"
                for key, val in _orient_cert(orient).items() if certs[key] != val]
     if mode == "hakimi" and list(orient.indegrees) != params["targets"]:

@@ -81,9 +81,10 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     states = [PebbleState.fresh(*_require_pebble_params(f)) for f in funcs]
     blocked = set(forbidden)
     dead: set[int] = set()
+    inside = [[0] * host.n for _ in funcs]
     for eid in range(host.m):
-        if eid not in blocked:
-            _augment(host, states, eid, dead)
+        if eid not in blocked and _augment(host, states, eid, dead, inside):
+            inside = [[0] * host.n for _ in funcs]
     parts = tuple(PackPart(func=f, edges=frozenset(state.accepted),
                            target=max(f.rigid_target, 0))
                   for f, state in zip(funcs, states))
@@ -114,7 +115,8 @@ def _circuit_edges(host: MultiGraph, state: PebbleState, tight_mask: int) -> lis
     return sorted(out)
 
 
-def _augment(host: MultiGraph, states, eid: int, dead: set[int]) -> bool:
+def _augment(host: MultiGraph, states, eid: int, dead: set[int],
+             inside: list[list[int]]) -> bool:
     """Breadth-first replacement search; applies the chain on success.
 
     `parent[y] = (x, i)` says that y sits in part i, so it is the record
@@ -137,6 +139,18 @@ def _augment(host: MultiGraph, states, eid: int, dead: set[int]) -> bool:
     the pass S is the least set that holds the usable uncovered edges and
     is closed in this sense: the rank certificate F that
     `matroid_union_pack` returns as the packing's closure.
+
+    `inside[i][w]` is the union of the tight sets of part i that blocked
+    probes returned while holding w; the caller zeroes it after every
+    applied chain. The probe of an edge uv in part i is skipped when u and
+    v lie together in one such set M. This prunes nothing either. No chain
+    has changed part i since M was found, so M is still tight: the probe
+    would be blocked, and its minimal tight set would lie in M. Every
+    part-i edge inside M was visited or dead once M was found, so it is
+    visited in this search or dead from an earlier failed one, and the
+    probe would enqueue nothing. Probes only move pebbles, and acceptance
+    and minimal tight sets depend only on the accepted edges, so no later
+    answer changes and the packing is the same.
     """
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}
@@ -145,12 +159,14 @@ def _augment(host: MultiGraph, states, eid: int, dead: set[int]) -> bool:
         x, own = queue.popleft()
         u, v = host.edges[x]
         for i, state in enumerate(states):
-            if i == own:
+            if i == own or (inside[i][u] >> v) & 1:
                 continue
             res = state.probe_pair(u, v)
             if res is None:
                 _apply_chain(host, states, parent, x, i)
                 return True
+            for w in vertices_of(res):
+                inside[i][w] |= res
             for y in _circuit_edges(host, state, res):
                 if y not in visited and y not in dead:
                     visited.add(y)
@@ -556,13 +572,8 @@ def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
                                            frozenset(forbidden)),
                            hypothesis=hyp)
 
-    funcs = [l, ell]  # the l- and ell-parts come last in every mode
-    if degree_mode == "halved":
-        funcs.insert(0, halved_slack(graph, l, ell))
-    elif degree_mode == "rho":
-        funcs.insert(0, rho_slack(graph, l, ell, k, rho))
-
-    packing = matroid_union_pack(graph, funcs, forbidden)
+    packing = matroid_union_pack(
+        graph, partition_rigid_funcs(graph, l, ell, degree_mode, k, rho), forbidden)
     if not all(p.full for p in packing.parts):
         return PackOutcome(ok=False, packing=packing, hypothesis=hyp,
                            certificate=structure_partition(packing))
@@ -578,6 +589,18 @@ def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
                                  [l_part, ell_part], union, bounds))
     return PackOutcome(ok=True, packing=packing, hypothesis=hyp,
                        union_edges=frozenset(union), degree_bounds=bounds)
+
+
+def partition_rigid_funcs(graph: MultiGraph, l: SetFunc, ell: SetFunc,
+                          degree_mode: str, k=None, rho=None) -> list[SetFunc]:
+    """The parts `pack_partition_rigid` packs, in order: a degree mode's
+    degree eater first, then the l- and ell-parts, which come last in every
+    mode. ValueError when the eater's degree hypothesis fails."""
+    if degree_mode == "halved":
+        return [halved_slack(graph, l, ell), l, ell]
+    if degree_mode == "rho":
+        return [rho_slack(graph, l, ell, k, rho), l, ell]
+    return [l, ell]
 
 
 def _quoted_degree_bounds(graph, l, ell, mode, k, rho):

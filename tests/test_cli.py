@@ -733,6 +733,24 @@ def _request_other_funcs(r):
     r["params"]["funcs"] = ["lmn:2,3"]
 
 
+def _eater_func(token):
+    def tamper(r):
+        r["certificates"]["packing"]["parts"][0]["func"] = token
+    return tamper
+
+
+def _raise_eater_weight(r):
+    part = r["certificates"]["packing"]["parts"][0]
+    kind, weights = part["func"].split(":")
+    weights = [int(w) for w in weights.split(",")]
+    weights[0] += 1
+    part["func"] = f"{kind}:{','.join(map(str, weights))}"
+
+
+def _drop_last_arc(r):
+    del r["certificates"]["arcs"][-1]
+
+
 @pytest.mark.parametrize("name, tamper, claim", [
     ("sparse", _empty_violation, "violation"),
     ("rigid", _drop_basis_edge_deny_rigidity, "maximum sparse set"),
@@ -821,6 +839,16 @@ def _request_other_funcs(r):
     ("sparse", _inject("arcs", [[0, 1]]), "certificates.arcs is not a field"),
     ("sparse", _inject("edges", [0]), "certificates.edges is not a field"),
     ("pack-forbid", _request_other_funcs, "part functions are not the requested ones"),
+    # a degree mode's eater is derived again from the report's params
+    ("pack-halved", _eater_func("lmn:1,0"), "part functions are not the requested ones"),
+    ("pack-halved", _raise_eater_weight, "part functions are not the requested ones"),
+    ("pack-rho", _eater_func("lmn:1,0"), "part functions are not the requested ones"),
+    ("pack-rho", _raise_eater_weight, "part functions are not the requested ones"),
+    ("pack-rho", _delete("params", "k"), "params.k is missing"),
+    ("pack-rho", _delete("params", "rho"), "params.rho is missing"),
+    # a malformed certificate value is a MISMATCH, not an error exit
+    ("smooth", _drop_last_arc, "certificates.arcs"),
+    ("hakimi", _drop_last_arc, "certificates.arcs"),
 ])
 def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
                                        tamper, claim):
@@ -918,8 +946,14 @@ def _injected_value(key, graph, rng):
 
 
 def _mutations(report, rng):
-    """(description, edited report) for each single-field edit."""
+    """(description, edited report) for each single-field edit: each field
+    deleted, each field of `INJECTED` the report lacks injected, and the
+    value edits, which must also fail."""
     graph, _ = graph_from_record(report["graph"])
+    if report["certificates"].get("arcs"):
+        edited = json.loads(json.dumps(report))
+        del edited["certificates"]["arcs"][-1]
+        yield "certificates.arcs last entry dropped", edited
     for section in ("params", "certificates"):
         for key in report[section]:
             edited = json.loads(json.dumps(report))
@@ -935,7 +969,7 @@ def _mutations(report, rng):
 @pytest.mark.parametrize("name", MUTATED)
 def test_single_field_mutations_never_crash_verify(tmp_path, capsys, reports, name):
     # every edit gives a verify line, not a traceback or an error exit, and
-    # every injected field is a MISMATCH
+    # every injected field or edited value is a MISMATCH
     rng = random.Random(f"mutate {name}")
     path = tmp_path / "mutated.json"
     for what, edited in _mutations(reports(name), rng):
@@ -943,7 +977,7 @@ def test_single_field_mutations_never_crash_verify(tmp_path, capsys, reports, na
         vcode, vout = run(capsys, "verify", "--report", str(path))
         verdict = "MISMATCH (failed: " if vcode else "REPRODUCED"
         assert vcode in (0, 1) and f"-> {verdict}" in vout, (what, vout)
-        if what.endswith("injected"):
+        if not what.endswith("deleted"):
             assert vcode == 1, (what, vout)
 
 

@@ -81,11 +81,15 @@ def test_tree_packing_matches_partition_condition():
         assert full == cond
 
 
-def _unpruned_union_pack(host, funcs, forbidden=()):
-    """Reference matroid union: every search explores everything it reaches.
+def _reference_union_pack(host, funcs, forbidden=(), prune=True):
+    """Reference matroid union that probes every pair it reaches. Without
+    `prune` every search explores everything it reaches; with it the edges
+    of failed searches are dead, as in the engine, but no probe is skipped
+    for lying inside a tight set found earlier.
 
-    Returns (part edge sets, uncovered)."""
+    Returns (part edge sets, uncovered, closure)."""
     states = [PebbleState.fresh(*pebble_params(f)) for f in funcs]
+    dead = set()
 
     def augment(eid):
         parent = {}
@@ -102,16 +106,18 @@ def _unpruned_union_pack(host, funcs, forbidden=()):
                     _apply_chain(host, states, parent, x, i)
                     return
                 for y in _circuit_edges(host, state, res):
-                    if y not in visited:
+                    if y not in visited and y not in dead:
                         visited.add(y)
                         parent[y] = (x, i)
                         queue.append((y, i))
+        if prune:
+            dead.update(visited)
 
     for eid in range(host.m):
         if eid not in forbidden:
             augment(eid)
     parts = [frozenset(state.accepted) for state in states]
-    return parts, frozenset(range(host.m)).difference(*parts)
+    return parts, frozenset(range(host.m)).difference(*parts), frozenset(dead)
 
 
 def _counting_probes(monkeypatch):
@@ -149,7 +155,8 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
         start = calls[0]
         pk = matroid_union_pack(g, funcs, forbidden)
         middle = calls[0]
-        parts, uncovered = _unpruned_union_pack(g, funcs, forbidden)
+        parts, uncovered, _ = _reference_union_pack(g, funcs, forbidden,
+                                                    prune=False)
         pruned += middle - start < calls[0] - middle
         assert [p.edges for p in pk.parts] == parts
         assert pk.uncovered == uncovered
@@ -168,12 +175,41 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
 ])
 def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
     # without pruning, every failed search re-probes all the edges earlier
-    # failed searches reached: 5,331 / 15,575 / 17,971 probes here
+    # failed searches reached: 5,331 / 15,575 / 17,971 probes here; with it
+    # but without skipping pairs inside known tight sets, 481 / 1,055 / 961
     calls = _counting_probes(monkeypatch)
     host = generators.circulant(n, [1, 2, 3, 5, 8])
     pk = matroid_union_pack(host, [lmn(n, k, l) for k, l in funcs])
     assert pk.uncovered
     assert calls[0] <= 2 * host.m * len(funcs)
+    assert calls[0] == {(40, 2): 388, (40, 4): 875, (80, 2): 788}[n, len(funcs)]
+
+
+def test_tight_set_skip_matches_the_unskipped_search(monkeypatch):
+    # a probe whose pair lies in a tight set found since the last applied
+    # chain is skipped: no part, uncovered edge or closure changes, and the
+    # engine never probes more than the search that asks every pair
+    calls = _counting_probes(monkeypatch)
+    rng = random.Random(47)
+    fewer = 0
+    for _ in range(1500):
+        if rng.random() < 0.3:
+            n, m = rng.randrange(2, 7), rng.randrange(0, 13)
+        else:
+            n = rng.randrange(7, 10)
+            m = rng.randrange(3 * n, 9 * n + 1)
+        g = oracle.random_multigraph(n, m, rng)
+        funcs = [_random_pebble_func(n, rng) for _ in range(rng.randrange(1, 4))]
+        forbidden = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
+        start = calls[0]
+        pk = matroid_union_pack(g, funcs, forbidden)
+        middle = calls[0]
+        parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden)
+        assert [p.edges for p in pk.parts] == parts
+        assert (pk.uncovered, pk.closure) == (uncovered, closure)
+        assert middle - start <= calls[0] - middle
+        fewer += middle - start < calls[0] - middle
+    assert fewer >= 1000, fewer
 
 
 def test_union_pass_runs_no_fresh_pebble_game(monkeypatch):
