@@ -392,13 +392,11 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     it, and that vertex is higher than i. So roots stop once vcap i reaches
     the running minimum, and each flow i -> j, j > i, stops at it. A pair
     is skipped when its arc and one path i -> x -> j per common neighbour
-    x, all disjoint, already carry the running minimum.
+    x, all disjoint, already carry the running minimum; the network waits
+    for the first pair that is not.
     """
     n, mult = graph.n, graph.mult
-    arcs = [(x, x + n, vcap) for x in range(n)]
-    arcs += [(u + n, v, c * ecap) for u, v, c in graph._edge_arcs()]
-    net = _flow_network(2 * n, arcs)
-    best, side = limit, None
+    net, best, side = None, limit, None
     for i in range(n):
         if vcap * i >= best:
             break
@@ -407,6 +405,9 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
                 min(a * ecap, vcap, b * ecap)
                 for a, b in zip(mult[i], mult[j]) if a and b)
             if paths < best:
+                if net is None:
+                    net = _flow_network(2 * n, [(x, x + n, vcap) for x in range(n)] + [
+                        (u + n, v, c * ecap) for u, v, c in graph._edge_arcs()])
                 flow, reached = _maxflow(net, i + n, j, best)
                 if reached is not None:
                     best, side = flow, reached

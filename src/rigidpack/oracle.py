@@ -286,13 +286,11 @@ def _bits_of(mask: int):
 # graph streams
 
 
-def census(n: int, *, connected: bool = False, max_edges: int | None = None,
-           tight: SetFunc | None = None):
+def census(n: int, *, connected: bool = False, tight: SetFunc | None = None):
     """All labelled simple graphs on n vertices, deterministic order.
 
-    Optional filters: connected graphs only, an edge-count cap, and
-    tightness (sparse with the maximum possible edge count) for a given
-    set function.
+    Optional filters: connected graphs only, and tightness (sparse with
+    the maximum possible edge count) for a given set function.
     """
     if n > 6:
         raise ValueError("full census enumeration is capped at 6 vertices; sample instead")
@@ -300,8 +298,6 @@ def census(n: int, *, connected: bool = False, max_edges: int | None = None,
     np = len(pairs)
     for sel in range(1 << np):
         edges = [pairs[i] for i in range(np) if (sel >> i) & 1]
-        if max_edges is not None and len(edges) > max_edges:
-            continue
         g = MultiGraph(n, edges)
         if connected and not g.is_connected():
             continue

@@ -605,8 +605,9 @@ class RobustResult:
 
 def robust_demand(k: int) -> tuple[int, int]:
     """(2k + 1, 8k + 4): the slack per removed vertex and the demand of the
-    weak-connectivity hypothesis of `robust_arc_strong`."""
-    return 2 * k + 1, 8 * k + 4
+    weak-connectivity hypothesis of `robust_arc_strong`, the tree-rigid
+    presets' demand at (2k + 1, 1, 1)."""
+    return packmod.tree_rigid_demand(2 * k + 1, 1, 1)
 
 
 def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
@@ -614,32 +615,26 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     """Smooth (2k+1)-arc-strong orientation staying k-arc-strong after
     deleting any single vertex.
 
-    Pipeline: split off a spanning tree and a heavily rigid part whose
-    union with a connectivity companion is (4k+1)-edge-connected, add a
-    parity forest of the tree to make that union Eulerian, tour-orient it
-    so every vertex-deleted digraph stays k-arc-strong (seeded retries with
-    local arc-reversal repair), and orient the remainder smoothly. All
-    three properties are verified on the final orientation; an exhausted
-    retry budget reports failure rather than returning unverified output.
+    Pipeline: the tree-rigid-ec decomposition at (2k+1, 1, 1), as in the
+    paper, gives a spanning tree and a (2k+1)-rigid part that with its
+    companion is (4k+1)-edge-connected; a parity forest of the tree makes
+    that union Eulerian, a tour orients it so every vertex-deleted digraph
+    stays k-arc-strong (seeded retries with local arc-reversal repair), and
+    the remainder is oriented smoothly. All three properties are verified
+    on the final orientation; an exhausted retry budget reports failure
+    rather than returning unverified output.
     """
     if k < 1:
         raise ValueError("robustness level must be at least 1")
-    kk = 2 * k + 1
     hyp = None if force else \
         packmod.check_uniform_weakly_connected(graph, *robust_demand(k))
     if hyp is not None and not hyp.ok:
         return RobustResult(False, hypothesis=hyp)
-    l = lmn(graph.n, kk, 1)
-    ell = lmn(graph.n, kk, 2 * kk - 1)
-    outcome = packmod.pack_partition_rigid(graph, l, ell,
-                                           degree_mode="halved", force=True)
-    if not outcome.ok:
+    built = packmod._tree_rigid_parts(graph, 2 * k + 1, 1, 1, reinforce=True)
+    if built is None:
         return RobustResult(False, hypothesis=hyp,
                             detail={"packing": "deficient"})
-    l_part, rigid = (p.edges for p in outcome.packing.parts[-2:])
-    companion, tree = packmod._split_all(
-        graph, l_part, [lmn(graph.n, kk - 1, 0), lmn(graph.n, 1, 1)])
-    gprime = rigid | companion
+    _, (tree,), (rigid,), (gprime,) = built
     lam, worst = packmod._cut_profile(graph.subgraph(gprime))
     if lam < 4 * k + 1 or worst < 2 * k:
         raise RuntimeError(f"reinforced part is {lam}-edge-connected, "
@@ -665,7 +660,7 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     packmod._fail_on(failed)
     return RobustResult(True, orientation=orient, hypothesis=hyp, checks=checks,
                         detail={"rigid_part": sorted(rigid),
-                                "companion": sorted(companion),
+                                "companion": sorted(gprime - rigid),
                                 "tree": sorted(tree),
                                 "parity_forest": sorted(forest)})
 

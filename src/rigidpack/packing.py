@@ -334,12 +334,12 @@ def _sweep_pairs(graph: MultiGraph, weights, unions, demand, far_value=None,
     return None
 
 
-def check_weakly_connected(graph: MultiGraph, ell_singletons, l_func: SetFunc,
-                           tag: str = "weakly-connected") -> HypothesisReport:
+def check_weakly_connected(graph: MultiGraph, ell_singletons,
+                           l_func: SetFunc) -> HypothesisReport:
     """d_{G-B}(A) >= l(A|B) - sum of ell over B for disjoint A != 0, A|B proper."""
     wit = _sweep_pairs(graph, ell_singletons, range(1, graph.full_mask),
                        lambda union: (l_func.value(union), 0, None, 0))
-    return HypothesisReport(tag, wit is None, witness=wit or {})
+    return HypothesisReport("weakly-connected", wit is None, witness=wit or {})
 
 
 def check_rigid_necessary(graph: MultiGraph, ell: SetFunc) -> HypothesisReport:
@@ -381,22 +381,14 @@ def check_rigid_cut_consequences(graph: MultiGraph, k: int) -> HypothesisReport:
 def check_rigid_sufficient(graph: MultiGraph, ell: SetFunc,
                            forbidden=()) -> HypothesisReport:
     """Sufficient cut condition for a spanning rigid subgraph avoiding a
-    forbidden edge set of size at most ell(V): minimum degree 2 ell(v), and
-    d_{G-B}(A) >= 2 ell(A|B) - sum of ell over B wherever A|B induces more
-    edges than its capacity."""
+    forbidden edge set of size at most ell(V): check_pack_basic with l = 0,
+    under the same sweep budget and its own tag."""
     _pair_tables(graph)  # the sweep budget is checked before anything else
-    full = graph.full_mask
-    if len(set(forbidden)) > ell.value(full):
+    if len(set(forbidden)) > ell.value(graph.full_mask):
         return HypothesisReport("rigid-sufficient", False, witness={
             "check": "forbidden-size", "size": len(set(forbidden)),
-            "limit": ell.value(full)})
-    for v in range(graph.n):
-        if graph.degree(v) < 2 * ell.singletons[v]:
-            return HypothesisReport("rigid-sufficient", False, witness={
-                "check": "degree", "vertex": v, "degree": graph.degree(v)})
-    wit = _sweep_pairs(graph, ell.singletons, range(1, full),
-                       lambda union: (2 * ell.value(union), 0, 0, 0), over=ell)
-    return HypothesisReport("rigid-sufficient", wit is None, witness=wit or {})
+            "limit": ell.value(graph.full_mask)})
+    return check_pack_basic(graph, zero(graph.n), ell, "rigid-sufficient")
 
 
 def check_pack_basic(graph: MultiGraph, l: SetFunc, ell: SetFunc,
@@ -662,21 +654,11 @@ def _tree_rigid_preset(graph, k, p, m, force, reinforce) -> PresetResult:
     if hyp is not None and not hyp.ok:
         return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
                             degree_bounds=())
-    # the l-part holds the trees, after a (k-1, 0) companion per rigid
-    # part when reinforcing
-    companions = [lmn(graph.n, k - 1, 0)] * p if reinforce else []
-    l = lmn(graph.n, (k * p - p if reinforce else 0) + m, m)
-    ell = lmn(graph.n, p * k, p * (2 * k - 1))
-    outcome = pack_partition_rigid(graph, l, ell, degree_mode="halved",
-                                   force=True)
-    if not outcome.ok:
+    built = _tree_rigid_parts(graph, k, p, m, reinforce)
+    if built is None:
         return PresetResult(ok=False, hypothesis=hyp, union_edges=frozenset(),
                             degree_bounds=(), checks={"packing": "deficient"})
-    l_part, ell_part = (p.edges for p in outcome.packing.parts[-2:])
-    pieces = _split_all(graph, l_part, companions + [lmn(graph.n, 1, 1)] * m)
-    trees = pieces[len(companions):]
-    rigid = _split_all(graph, ell_part, [lmn(graph.n, k, 2 * k - 1)] * p)
-    reinforced = tuple(r | c for r, c in zip(rigid, pieces[:len(companions)]))
+    outcome, trees, rigid, reinforced = built
     failed, checks = tree_rigid_claims(
         graph, k, p, m, trees, rigid, reinforced if reinforce else None,
         outcome.union_edges, outcome.degree_bounds)
@@ -686,6 +668,26 @@ def _tree_rigid_preset(graph, k, p, m, force, reinforce) -> PresetResult:
                         degree_bounds=outcome.degree_bounds,
                         trees=trees, rigid_parts=rigid,
                         reinforced=reinforced, checks=checks)
+
+
+def _tree_rigid_parts(graph, k, p, m, reinforce):
+    """The tree-rigid decomposition without its claims: the halved packing's
+    outcome, its m trees and p rigid parts, and when reinforcing each rigid
+    part joined to its (k-1, 0) companion; None if the packing is deficient.
+    The l-part holds the companions, then the trees."""
+    companions = [lmn(graph.n, k - 1, 0)] * p if reinforce else []
+    l = lmn(graph.n, (k * p - p if reinforce else 0) + m, m)
+    ell = lmn(graph.n, p * k, p * (2 * k - 1))
+    outcome = pack_partition_rigid(graph, l, ell, degree_mode="halved",
+                                   force=True)
+    if not outcome.ok:
+        return None
+    l_part, ell_part = (p.edges for p in outcome.packing.parts[-2:])
+    pieces = _split_all(graph, l_part, companions + [lmn(graph.n, 1, 1)] * m)
+    trees = pieces[len(companions):]
+    rigid = _split_all(graph, ell_part, [lmn(graph.n, k, 2 * k - 1)] * p)
+    reinforced = tuple(r | c for r, c in zip(rigid, pieces[:len(companions)]))
+    return outcome, trees, rigid, reinforced
 
 
 def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
@@ -777,7 +779,11 @@ def check_uniform_weakly_connected(graph, k: int, conn: int) -> HypothesisReport
 
 
 def _split_all(graph: MultiGraph, edge_ids, funcs) -> tuple[frozenset[int], ...]:
-    """Decompose an edge set exactly into full parts for the given functions."""
+    """Decompose a full part of a verified packing, packed for the sum of
+    the functions, exactly into full parts for them; for one function the
+    packing's `verify()` has already checked the part, returned whole."""
+    if len(funcs) == 1:
+        return (frozenset(edge_ids),)
     ids = set(edge_ids)
     packing = matroid_union_pack(graph, funcs, set(range(graph.m)) - ids)
     # the parts lie inside ids, so covering as many edges covers them all

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpack import generators, oracle
+from rigidpack import generators, oracle, packing
 from rigidpack.graph import (MultiGraph, INFINITY, mask_of, _flow_network,
                             _least_cut, _vertex_deleted_cuts)
 from rigidpack.setfuncs import (
@@ -16,7 +16,7 @@ from rigidpack.sparsity import is_sparse
 from rigidpack.orientation import (
     Orientation, hakimi_orient, arc_strong_value, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
-    packed_orientation, odd_spanning_forest, rigid_factor,
+    packed_orientation, packed_claims, odd_spanning_forest, rigid_factor,
     robust_arc_strong, _find_robust_violation, _repair_orientation,
     _reverse_cycle_through,
 )
@@ -313,6 +313,71 @@ def test_packed_orientation_rejects_oversized_roots():
                            [1] + [0] * 8, [3] + [0] * 8)
 
 
+def _lowered_hosts():
+    """Seeded hosts with odd-degree vertices: K7-K9 less a random matching,
+    and K6-K8 with random parallel edges added."""
+    rng = random.Random(41)
+    for n in (7, 8, 9):
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            drop = {tuple(sorted(perm[i:i + 2]))
+                    for i in range(0, 2 * rng.randrange(1, n // 2 + 1), 2)}
+            yield MultiGraph(n, [e for e in generators.complete(n).edges
+                                 if e not in drop])
+    for _ in range(4):
+        n = rng.randrange(6, 9)
+        extra = oracle.random_multigraph(n, rng.randrange(n, 2 * n), rng).edges
+        yield MultiGraph(n, [*generators.complete(n).edges, *extra])
+
+
+def _with_outdegree(orient, u, target, keep):
+    """The orientation with arcs into u outside `keep` reversed until u
+    has out-degree `target`."""
+    heads = list(orient.heads)
+    out = orient.outdegrees[u]
+    for eid in range(orient.host.m):
+        if out == target:
+            break
+        if heads[eid] == u and eid not in keep:
+            heads[eid] = orient.tail(eid)
+            out += 1
+    assert out == target
+    return Orientation(orient.host, tuple(heads))
+
+
+def _roots(func, n, rng):
+    """Seeded roots summing to func(V), at most func(v) at each v."""
+    roots = [0] * n
+    for _ in range(func.value((1 << n) - 1)):
+        v = rng.choice([v for v in range(n) if roots[v] < func.singletons[v]])
+        roots[v] += 1
+    return roots
+
+
+def test_packed_orientation_lowers_an_odd_degree_vertex():
+    rng = random.Random(43)
+    for g in _lowered_hosts():
+        # the first pair whose degree eater the host's degrees can feed
+        l, ell = next((l, ell) for l, ell in ((lmn(g.n, 1, 1), lmn(g.n, 2, 3)),
+                                              (zero(g.n), lmn(g.n, 2, 3)),
+                                              (lmn(g.n, 1, 1), lmn(g.n, 1, 1)))
+                      if 2 * (l.singletons[0] + ell.singletons[0]) <= min(g.degrees))
+        for u in [v for v, d in enumerate(g.degrees) if d % 2]:
+            r1, r2 = _roots(l, g.n, rng), _roots(ell, g.n, rng)
+            res = packed_orientation(g, l, ell, r1, r2, force=True,
+                                     lowered_vertex=u)
+            assert res.ok
+            orient = res.orientation
+            assert orient.outdegrees[u] <= g.degree(u) // 2
+            assert packed_claims(orient, l, ell, r1, r2, res.h1, res.h2, u) == []
+            # out-degree ceil(d(u)/2) at u meets the plain bound, not the lowered one
+            raised = _with_outdegree(orient, u, -(-g.degree(u) // 2),
+                                     res.h1 | res.h2)
+            assert packed_claims(raised, l, ell, r1, r2, res.h1, res.h2) == []
+            assert packed_claims(raised, l, ell, r1, r2, res.h1, res.h2, u) == \
+                [f"out-degree bound violated at vertex {u}"]
+
+
 def test_odd_forest_examples():
     res = odd_spanning_forest(generators.complete(4), 2)
     assert res.achieved
@@ -376,6 +441,39 @@ def test_unforced_robust_orientation_past_fourteen_vertices(host):
     # the hypothesis is decided by connectivity, with no 3^n pair sweep
     res = robust_arc_strong(host, 1)
     assert res.ok and res.hypothesis.ok
+
+
+def _relabelled(graph, seed):
+    """The graph with vertices renamed and edges reordered at random."""
+    rng = random.Random(seed)
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in graph.edges]
+    rng.shuffle(edges)
+    return MultiGraph(graph.n, edges)
+
+
+ROBUST_HOSTS = [(generators.complete(13), False),
+                (generators.complete(15), True),
+                (_relabelled(generators.circulant(14, range(1, 7)), 5), False),
+                (_relabelled(generators.circulant(16, range(1, 8)), 6), False)]
+
+
+@pytest.mark.parametrize("host, forced", ROBUST_HOSTS)
+def test_robust_pieces_are_the_tree_rigid_ec_decomposition(host, forced):
+    # the paper's orientation at k = 1 takes the decomposition at (3, 1, 1)
+    res = robust_arc_strong(host, 1, force=True)
+    preset = packing.preset_tree_rigid_ec(host, 3, 1, 1, force=True)
+    assert res.ok and preset.ok
+    rigid, = preset.rigid_parts
+    assert res.detail["rigid_part"] == sorted(rigid)
+    assert res.detail["companion"] == sorted(preset.reinforced[0] - rigid)
+    assert res.detail["tree"] == sorted(preset.trees[0])
+    if not forced:
+        hyp = robust_arc_strong(host, 1).hypothesis
+        want = packing.preset_tree_rigid_ec(host, 3, 1, 1).hypothesis
+        assert (hyp.tag, hyp.ok, hyp.witness, hyp.aux) == \
+            (want.tag, want.ok, want.witness, want.aux)
 
 
 def _check_lowered(orient, values):

@@ -6,6 +6,7 @@ from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, mask_of, vertices_of
 from rigidpack.setfuncs import (
     lmn, const, vertex_weights, force_zero_on_ground, table_func, pebble_params,
+    with_overrides,
 )
 from rigidpack.sparsity import (
     PebbleState, pebble_basis, is_sparse, rank_and_rigid, rigid_components,
@@ -132,6 +133,40 @@ def test_rigid_components_against_oracle():
             for b in comps[i + 1:]:
                 assert bin(a & b).count("1") <= 1
         checked += 1
+
+
+def test_table_copies_take_the_exhaustive_path_to_the_pebble_answers():
+    # a table copy of lmn is outside the pebble range, so rigid_components
+    # and minimal_rigid_vertices run their exhaustive paths on it
+    rng = random.Random(31)
+    cases = 0
+    for _ in range(40):
+        n = rng.randrange(3, 7)
+        k, l = PARAMS[rng.randrange(4)]
+        f = lmn(n, k, l)
+        tab = table_func(n, {m: f.value(m) for m in range(1, 1 << n)})
+        assert pebble_params(tab) is None
+        host = oracle.random_multigraph(n, rng.randrange(1, 3 * n), rng)
+        g = host.subgraph(rank_and_rigid(host, f).basis)
+        assert rigid_components(g, tab) == rigid_components(g, f)
+        for x in range(n):
+            for y in range(x + 1, n):
+                assert minimal_rigid_vertices(g, tab, x, y) == \
+                    minimal_rigid_vertices(g, f, x, y)
+                cases += 1
+    assert cases > 100
+
+
+def test_rigid_set_subroutines_refuse_a_function_without_the_structure():
+    # lmn(4, 2, 3) with 0 on V breaks 2-intersecting supermodularity:
+    # f(012) + f(013) = 6 > f(01) + f(V) = 3
+    f = with_overrides(lmn(4, 2, 3), {0b1111: 0})
+    g = MultiGraph(4, [(0, 1)])
+    assert is_sparse(g, f).ok
+    with pytest.raises(ValueError, match="2-intersecting supermodular"):
+        rigid_components(g, f)
+    with pytest.raises(ValueError, match="2-intersecting supermodular"):
+        minimal_rigid_vertices(g, f, 0, 1)
 
 
 def test_minimal_rigid_and_exchange_examples():
