@@ -13,19 +13,18 @@ __version__ = "0.1.0"
 from .graph import MultiGraph, mask_of, vertices_of, INFINITY
 from .setfuncs import (
     SetFunc, lmn, const, zero, vertex_weights, table_func, with_overrides,
-    force_zero_on_ground, scaled, rooted_shift, halved_slack, rho_slack,
-    property_report, PropertyReport,
+    force_zero_on_ground, scaled, halved_slack, rho_slack, property_report,
+    PropertyReport,
 )
 from .sparsity import (
-    PebbleState, pebble_basis, is_sparse, rank_and_rigid,
-    rigid_components, minimal_rigid_vertices, exchange,
-    SparseResult, RigidResult,
+    PebbleState, is_sparse, rank_and_rigid, rigid_components,
+    minimal_rigid_vertices, exchange, SparseResult, RigidResult,
 )
 from .packing import (
     Packing, PackPart, StructureCertificate, HypothesisReport, PackOutcome,
     matroid_union_pack, structure_partition, decompose_p_rigid,
-    pack_partition_rigid, extract_rigid, preset_tree_rigid,
-    preset_tree_rigid_ec, preset_bipartite_degree, check_weakly_connected,
+    pack_partition_rigid, preset_tree_rigid, preset_tree_rigid_ec,
+    preset_bipartite_degree, check_weakly_connected,
     check_uniform_weakly_connected, check_rigid_necessary,
     check_rigid_sufficient, check_rigid_cut_consequences, check_pack_basic,
     check_pack_refined, check_pack_degree, violation_threshold,
@@ -39,15 +38,14 @@ from .orientation import (
 __all__ = [
     "MultiGraph", "mask_of", "vertices_of", "INFINITY",
     "SetFunc", "lmn", "const", "zero", "vertex_weights", "table_func",
-    "with_overrides", "force_zero_on_ground", "scaled", "rooted_shift",
-    "halved_slack", "rho_slack", "property_report", "PropertyReport",
-    "PebbleState", "pebble_basis", "is_sparse",
-    "rank_and_rigid", "rigid_components",
+    "with_overrides", "force_zero_on_ground", "scaled", "halved_slack",
+    "rho_slack", "property_report", "PropertyReport",
+    "PebbleState", "is_sparse", "rank_and_rigid", "rigid_components",
     "minimal_rigid_vertices", "exchange", "SparseResult", "RigidResult",
     "Packing", "PackPart", "StructureCertificate", "HypothesisReport",
     "PackOutcome", "matroid_union_pack", "structure_partition",
-    "decompose_p_rigid", "pack_partition_rigid", "extract_rigid",
-    "preset_tree_rigid", "preset_tree_rigid_ec", "preset_bipartite_degree",
+    "decompose_p_rigid", "pack_partition_rigid", "preset_tree_rigid",
+    "preset_tree_rigid_ec", "preset_bipartite_degree",
     "check_weakly_connected", "check_uniform_weakly_connected",
     "check_rigid_necessary", "check_rigid_sufficient",
     "check_rigid_cut_consequences", "check_pack_basic", "check_pack_refined",

@@ -47,12 +47,19 @@ def graph_from_record(data: dict, where: str = "<record>") -> tuple[MultiGraph, 
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError(f"{where}: graph file needs 'n' and 'edges'")
     names = data.get("vertex_names")
-    if names is not None:
-        index = {name: i for i, name in enumerate(names)}
-        edges = [(index[u], index[v]) for u, v in data["edges"]]
-    else:
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
-    graph = MultiGraph(int(data["n"]), edges)
+    try:
+        if names is not None:
+            index = {name: i for i, name in enumerate(names)}
+            if len(index) != len(names):
+                raise ValueError("'vertex_names' repeats a name")
+            edges = [(index[u], index[v]) for u, v in data["edges"]]
+        else:
+            edges = [(int(u), int(v)) for u, v in data["edges"]]
+        graph = MultiGraph(int(data["n"]), edges)
+    except KeyError as exc:
+        raise ValueError(f"{where}: an edge names the unknown vertex {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: malformed graph: {exc}") from None
     meta = {"name": data.get("name", "graph"), "vertex_names": names}
     return graph, meta
 
@@ -229,15 +236,13 @@ def _sparse(graph, params, seed, force) -> tuple[bool, dict]:
 
 def _rigid(graph, params, seed, force) -> tuple[bool, dict]:
     func, forbidden = parse_setfunc(params["func"], graph.n), set(params["forbid"])
+    hyp = packing.check_rigid_sufficient(graph, func, forbidden) if forbidden else None
+    rr = sparsity.rank_and_rigid(graph, func, forbidden)
     if not forbidden:
-        rr = sparsity.rank_and_rigid(graph, func)
         return rr.rigid, {"rank": rr.rank, "target": rr.target,
                           "edges": sorted(rr.basis)}
-    hyp = packing.check_rigid_sufficient(graph, func, forbidden)
-    ids = packing.extract_rigid(graph, func, forbidden)
-    target = max(func.rigid_target, 0)
-    ok = len(ids) == target and sparsity.is_sparse(graph.subgraph(ids), func).ok
-    return ok, {**_hypothesis_cert(hyp), "edges": sorted(ids), "target": target}
+    ok = rr.rigid and sparsity.is_sparse(graph.subgraph(rr.basis), func).ok
+    return ok, {**_hypothesis_cert(hyp), "edges": sorted(rr.basis), "target": rr.target}
 
 
 def _components(graph, params, seed, force) -> tuple[bool, dict]:
@@ -499,22 +504,28 @@ class MissingField(Exception):
     """A field a report's check reads is not in the report."""
 
 
-class _Params(dict):
-    """A report's params, whose missing ones raise `MissingField`."""
+class _Fields(dict):
+    """A report, or its params, whose missing fields raise `MissingField`."""
+    prefix = ""
 
     def __missing__(self, key):
-        raise MissingField(f"params.{key} is missing")
+        raise MissingField(f"{self.prefix}{key} is missing")
+
+
+class _Params(_Fields):
+    prefix = "params."
 
 
 def cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    graph, _ = graph_from_record(report["graph"], where=args.report)
-    sub, verdict = report["subcommand"], report["verdict"]
+        report = _Fields(json.load(fh))
+    sub, verdict = report.get("subcommand"), report.get("verdict")
     try:
-        failed = _reverify(sub, graph, _Params(report.get("params", {})),
-                           report.get("certificates", {}), verdict, report["seed"],
-                           report.get("force", False))
+        graph, _ = graph_from_record(report["graph"], where=args.report)
+        failed = _reverify(report["subcommand"], graph,
+                           _Params(report.get("params", {})),
+                           report.get("certificates", {}), report["verdict"],
+                           report["seed"], report.get("force", False))
     except MissingField as exc:
         failed = [str(exc)]
     result = f"MISMATCH (failed: {'; '.join(failed)})" if failed else "REPRODUCED"
@@ -652,20 +663,18 @@ def _recorded_hypothesis(sub, graph, params) -> packing.HypothesisReport:
 def _rigid_claims(graph, func, forbid, certs, verdict) -> list[str]:
     """The edges are a sparse set avoiding the forbidden edges, of the
     size of a maximum one, and the verdict says whether it is spanning."""
-    rank = len(packing.extract_rigid(graph, func, forbid)) if forbid else \
-        sparsity.rank_and_rigid(graph, func).rank
-    target = max(func.rigid_target, 0)
+    rr = sparsity.rank_and_rigid(graph, func, forbid)
     edges = certs["edges"]
     failed = []
     if set(edges) & set(forbid):
         failed.append("edges hold a forbidden edge")
     if not sparsity.is_sparse(graph.subgraph(edges), func).ok:
         failed.append("edges are not sparse")
-    if len(set(edges)) != len(edges) or len(edges) != rank:
-        failed.append(f"edges are not a maximum sparse set of {rank}")
-    if certs.get("rank", rank) != rank or certs["target"] != target:
+    if len(set(edges)) != len(edges) or len(edges) != rr.rank:
+        failed.append(f"edges are not a maximum sparse set of {rr.rank}")
+    if certs.get("rank", rr.rank) != rr.rank or certs["target"] != rr.target:
         failed.append("rank or target differs from the recomputed one")
-    if verdict != (rank == target):
+    if verdict != rr.rigid:
         failed.append("verdict")
     return failed
 

@@ -111,45 +111,6 @@ class MultiGraph:
                 c += 1
         return c
 
-    def boundary_minus(self, mask_a: int, mask_b: int) -> int:
-        """Edges with one end in A and the other outside A | B."""
-        if mask_a & mask_b:
-            raise ValueError("boundary_minus requires disjoint vertex sets")
-        out = self.full_mask & ~(mask_a | mask_b)
-        c = 0
-        for u, v in self.edges:
-            bu, bv = 1 << u, 1 << v
-            if (bu & mask_a and bv & out) or (bv & mask_a and bu & out):
-                c += 1
-        return c
-
-    def partition_cross(self, parts) -> int:
-        """Edges joining different parts of a partition of the vertex set."""
-        parts = tuple(parts)
-        self._check_partition(parts)
-        return self.collection_cross(parts)
-
-    def collection_cross(self, collection) -> int:
-        """Edges whose two ends lie together in no set of the collection."""
-        sets = tuple(collection)
-        c = 0
-        for u, v in self.edges:
-            pair = (1 << u) | (1 << v)
-            if not any(pair & ~s == 0 for s in sets):
-                c += 1
-        return c
-
-    def _check_partition(self, parts: tuple[int, ...]) -> None:
-        seen = 0
-        for p in parts:
-            if p == 0:
-                raise ValueError("partition contains an empty part")
-            if p & seen:
-                raise ValueError("partition parts overlap")
-            seen |= p
-        if seen != self.full_mask:
-            raise ValueError("partition does not cover the vertex set")
-
     # ------------------------------------------------------------------
     # dense subset tables (for exhaustive sweeps)
 
@@ -192,16 +153,6 @@ class MultiGraph:
         """Spanning subgraph keeping the given edge ids (in ascending id order)."""
         ids = sorted(set(edge_ids))
         return MultiGraph(self.n, [self.edges[i] for i in ids])
-
-    def induced_subgraph(self, mask: int) -> tuple["MultiGraph", list[int]]:
-        """Induced subgraph on a vertex set, relabelled; returns the vertex list."""
-        verts = vertices_of(mask)
-        if not verts:
-            raise ValueError("cannot induce on an empty vertex set")
-        pos = {v: i for i, v in enumerate(verts)}
-        edges = [(pos[u], pos[v]) for u, v in self.edges
-                 if (mask >> u) & 1 and (mask >> v) & 1]
-        return MultiGraph(len(verts), edges), verts
 
     def bipartition(self) -> tuple[int, int] | None:
         """A 2-colouring as two masks, or None if an odd cycle exists."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import MultiGraph
+from .graph import MultiGraph, vertices_of
 from .setfuncs import SetFunc
 
 
@@ -29,6 +29,64 @@ DEFAULT_BUDGET = OracleBudget()
 def _check(cond: bool, what: str) -> None:
     if not cond:
         raise ValueError(f"oracle budget exceeded: {what}")
+
+
+# ----------------------------------------------------------------------
+# direct edge counts, independent of the graph's subset tables
+
+
+def boundary_minus(graph: MultiGraph, mask_a: int, mask_b: int) -> int:
+    """Edges with one end in A and the other outside A | B."""
+    if mask_a & mask_b:
+        raise ValueError("boundary_minus requires disjoint vertex sets")
+    out = graph.full_mask & ~(mask_a | mask_b)
+    c = 0
+    for u, v in graph.edges:
+        bu, bv = 1 << u, 1 << v
+        if (bu & mask_a and bv & out) or (bv & mask_a and bu & out):
+            c += 1
+    return c
+
+
+def partition_cross(graph: MultiGraph, parts) -> int:
+    """Edges joining different parts of a partition of the vertex set."""
+    parts = tuple(parts)
+    _check_partition(graph, parts)
+    return collection_cross(graph, parts)
+
+
+def collection_cross(graph: MultiGraph, collection) -> int:
+    """Edges whose two ends lie together in no set of the collection."""
+    sets = tuple(collection)
+    c = 0
+    for u, v in graph.edges:
+        pair = (1 << u) | (1 << v)
+        if not any(pair & ~s == 0 for s in sets):
+            c += 1
+    return c
+
+
+def _check_partition(graph: MultiGraph, parts: tuple[int, ...]) -> None:
+    seen = 0
+    for p in parts:
+        if p == 0:
+            raise ValueError("partition contains an empty part")
+        if p & seen:
+            raise ValueError("partition parts overlap")
+        seen |= p
+    if seen != graph.full_mask:
+        raise ValueError("partition does not cover the vertex set")
+
+
+def induced_subgraph(graph: MultiGraph, mask: int) -> tuple[MultiGraph, list[int]]:
+    """Induced subgraph on a vertex set, relabelled; returns the vertex list."""
+    verts = vertices_of(mask)
+    if not verts:
+        raise ValueError("cannot induce on an empty vertex set")
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [(pos[u], pos[v]) for u, v in graph.edges
+             if (mask >> u) & 1 and (mask >> v) & 1]
+    return MultiGraph(len(verts), edges), verts
 
 
 # ----------------------------------------------------------------------
@@ -91,23 +149,15 @@ def bf_weakly_connected(graph: MultiGraph, ell_singletons, l_func: SetFunc,
     independent of the table-based engine path.
     """
     _check(graph.n <= budget.pair_n, f"pair sweep n={graph.n}")
-    full = graph.full_mask
     ell = list(ell_singletons)
-    edges = graph.edges
-    for union in range(1, full):
+    for union in range(1, graph.full_mask):
         b = union
         while True:
             a = union ^ b
             if a:
-                out = full & ~union
-                d = 0
-                for u, v in edges:
-                    bu, bv = (1 << u), (1 << v)
-                    if (bu & a and bv & out) or (bv & a and bu & out):
-                        d += 1
                 need = l_func.value(union) - sum(
                     ell[v] for v in range(graph.n) if (b >> v) & 1)
-                if d < need:
+                if boundary_minus(graph, a, b) < need:
                     return False, (a, b)
             if b == 0:
                 break

@@ -232,9 +232,6 @@ def smooth_orient(graph: MultiGraph, rng: random.Random | None = None) -> Orient
     orient = Orientation(graph, oriented.heads[:graph.m])
     if not orient.is_smooth():
         raise RuntimeError("smooth orientation failed its per-vertex check")
-    for v in range(graph.n):
-        if graph.degree(v) % 2 == 0 and orient.indegrees[v] != orient.outdegrees[v]:
-            raise RuntimeError("even-degree vertex left unbalanced")
     return orient
 
 
@@ -439,7 +436,7 @@ def odd_spanning_forest(graph: MultiGraph, m_param: int) -> OddForestResult:
         for comp in comps:
             verts = vertices_of(comp)
             forest |= _parity_tree(graph, range(graph.m),
-                                   verts[shift % len(verts)], [1] * graph.n)[0]
+                                   verts[shift % len(verts)], [1] * graph.n)
         forest = _reduce_degrees(graph, forest, targets)
         violation = _violation(graph, forest, targets)
         if best is None or violation < best_violation:
@@ -459,8 +456,7 @@ def odd_spanning_forest(graph: MultiGraph, m_param: int) -> OddForestResult:
 def _parity_tree(graph: MultiGraph, edge_ids, root: int, parity):
     """Edges of the breadth-first tree from root over edge_ids (adjacency in
     the order given) that give each reached vertex v a degree of parity
-    parity[v], chosen leaves first. Returns them with the number of
-    vertices reached."""
+    parity[v], chosen leaves first."""
     inc = [[] for _ in range(graph.n)]
     for eid in edge_ids:
         u, v = graph.edges[eid]
@@ -486,7 +482,7 @@ def _parity_tree(graph: MultiGraph, edge_ids, root: int, parity):
             deg[par] += 1
     if deg[root] % 2 != parity[root]:
         raise RuntimeError("parity fixing failed at the root; engine bug")
-    return kept, len(order)
+    return kept
 
 
 def _violation(graph, forest, targets) -> int:
@@ -640,16 +636,13 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
         raise RuntimeError(f"reinforced part is {lam}-edge-connected, "
                            f"{worst} after deleting a vertex")
     # a subforest of the tree matching gprime's degree parities
-    forest, reached = _parity_tree(graph, tree, 0,
-                                   [d % 2 for d in graph.subgraph(gprime).degrees])
-    if reached != graph.n:
-        raise RuntimeError("tree part does not span the graph")
+    forest = _parity_tree(graph, tree, 0,
+                          [d % 2 for d in graph.subgraph(gprime).degrees])
     h_ids = sorted(gprime | forest)
     hsub = graph.subgraph(h_ids)
     if any(d % 2 for d in hsub.degrees):
         raise RuntimeError("parity forest failed to make the union Eulerian")
-    if hsub.edge_connectivity() < 4 * k + 2:
-        raise RuntimeError("Eulerian union below 4k+2 edge connectivity")
+    # Eulerian cuts are even, so hsub, holding gprime, is (4k+2)-edge-connected
     orient_h = _robust_euler_search(hsub, k, seed, retries)
     if orient_h is None:
         return RobustResult(False, hypothesis=hyp,

@@ -28,7 +28,8 @@ from .graph import (MultiGraph, INFINITY, vertices_of, _mixed_cut,
 from .setfuncs import (
     SetFunc, lmn, zero, halved_slack, rho_slack, scaled, pebble_params,
 )
-from .sparsity import PebbleState, is_sparse, rank_and_rigid, _pebble_run
+from .sparsity import (PebbleState, is_sparse, rank_and_rigid, _pebble_run,
+                       _require_pebble_params)
 
 PAIR_SWEEP_BUDGET = 14
 
@@ -93,15 +94,6 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
                       forbidden=frozenset(blocked), closure=frozenset(dead))
     packing.verify()
     return packing
-
-
-def _require_pebble_params(func: SetFunc):
-    """(caps, ell) of a pebble-playable function; ValueError for any other."""
-    params = pebble_params(func)
-    if params is None:
-        raise ValueError(
-            f"set function {func.describe()} is outside the pebble range")
-    return params
 
 
 def _circuit_edges(host: MultiGraph, state: PebbleState, tight_mask: int) -> list[int]:
@@ -529,14 +521,6 @@ class PackOutcome:
     certificate: StructureCertificate | None = None
 
 
-def extract_rigid(graph: MultiGraph, ell: SetFunc, forbidden=()):
-    """Maximum sparse edge set avoiding the forbidden edges, with host ids."""
-    blocked = set(forbidden)
-    state, _ = _pebble_run(*_require_pebble_params(ell), graph.edges,
-                           [e for e in range(graph.m) if e not in blocked])
-    return frozenset(state.accepted)
-
-
 def pack_partition_rigid(graph: MultiGraph, l: SetFunc, ell: SetFunc,
                          forbidden=(), degree_mode: str = "none",
                          force: bool = False, k=None, rho=None) -> PackOutcome:
@@ -725,8 +709,9 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
         h_edges = outcome.packing.parts[-1].edges
     else:
         # a plain maximum rigid extraction; the claims check its degrees
-        h_edges = extract_rigid(graph, ell)
-        if len(h_edges) != max(ell.rigid_target, 0):
+        rr = rank_and_rigid(graph, ell)
+        h_edges = frozenset(rr.basis)
+        if not rr.rigid:
             return PresetResult(ok=False, hypothesis=hyp,
                                 union_edges=frozenset(), degree_bounds=(),
                                 checks={"packing": "rank-deficient"})

@@ -21,14 +21,13 @@ MAX_PROPERTY_GROUND = 16
 @dataclass(frozen=True)
 class SetFunc:
     ground: int
-    kind: str  # "lmn" | "const" | "weights" | "table" | "mod" | "shift"
+    kind: str  # "lmn" | "const" | "weights" | "table" | "mod"
     a: int = 0
     b: int = 0
     weights: tuple[int, ...] | None = None
     table: tuple[int, ...] | None = None
     base: "SetFunc | None" = None
     overrides: tuple[tuple[int, int], ...] = ()
-    shift: tuple[int, ...] | None = None
 
     def value(self, mask: int) -> int:
         if mask == 0:
@@ -49,14 +48,6 @@ class SetFunc:
                 if m == mask:
                     return val
             return self.base.value(mask)
-        if k == "shift":
-            s = 0
-            t = mask
-            while t:
-                bit = t & -t
-                s += self.shift[bit.bit_length() - 1]
-                t ^= bit
-            return self.base.value(mask) - s
         raise ValueError(f"unknown set function kind {k!r}")
 
     __call__ = value
@@ -97,8 +88,6 @@ class SetFunc:
         if k == "mod":
             ov = ";".join(f"{sorted(vertices_of(m))}={v}" for m, v in self.overrides)
             return f"mod({self.base.describe()};{ov})"
-        if k == "shift":
-            return f"shift({self.base.describe()})"
         return k
 
 
@@ -174,20 +163,6 @@ def scaled(f: SetFunc, p: int) -> SetFunc:
         return SetFunc(ground=f.ground, kind="mod", base=scaled(f.base, p),
                        overrides=tuple((m, p * v) for m, v in f.overrides))
     raise ValueError(f"cannot scale set function of kind {f.kind!r}")
-
-
-def rooted_shift(f: SetFunc, roots) -> SetFunc:
-    """f minus the modular extension of a per-vertex root vector.
-
-    The shift leaves sparsity capacities unchanged and zeroes the value on
-    the full vertex set whenever the roots sum to it.
-    """
-    r = tuple(int(x) for x in roots)
-    if len(r) != f.ground:
-        raise ValueError("root vector length must match the ground set")
-    if any(x < 0 for x in r):
-        raise ValueError("root values must be nonnegative")
-    return SetFunc(ground=f.ground, kind="shift", base=f, shift=r)
 
 
 # ----------------------------------------------------------------------
@@ -342,13 +317,8 @@ def pebble_params(f: SetFunc) -> tuple[tuple[int, ...], int] | None:
         if f.a < 0:
             return None
         return (f.a,) * f.ground, f.a
-    if f.kind == "weights":
-        if all(w >= 0 for w in f.weights):
-            return f.weights, 0
-        return None
-    if f.kind == "shift":
-        # modular shifts leave capacities unchanged
-        return pebble_params(f.base)
+    if f.kind == "weights" and all(w >= 0 for w in f.weights):
+        return f.weights, 0
     return None
 
 

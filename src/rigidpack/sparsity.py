@@ -188,14 +188,6 @@ class RigidResult:
     basis: tuple[int, ...]
 
 
-def pebble_basis(graph: MultiGraph, k: int, ell: int):
-    """Greedy basis of the uniform (k, ell) count matroid, ids ascending."""
-    if not 0 <= ell <= 2 * k - 1 and not (k == 0 and ell == 0):
-        raise ValueError(f"(k, ell) = ({k}, {ell}) outside the matroidal pebble range")
-    state, _ = _pebble_run((k,) * graph.n, ell, graph.edges)
-    return tuple(state.accepted), state
-
-
 def is_sparse(graph: MultiGraph, func: SetFunc) -> SparseResult:
     """Does every vertex set A satisfy e(A) <= sum_{v in A} f(v) - f(A)?
 
@@ -231,18 +223,30 @@ def is_sparse(graph: MultiGraph, func: SetFunc) -> SparseResult:
     return SparseResult(ok, witness)
 
 
-def rank_and_rigid(graph: MultiGraph, func: SetFunc) -> RigidResult:
-    """Maximum sparse subgraph size, rigidity verdict, and a tight witness."""
-    target = max(func.rigid_target, 0)
+def _require_pebble_params(func: SetFunc):
+    """(caps, ell) of a pebble-playable function; ValueError for any other."""
     params = pebble_params(func)
-    if params is not None:
-        state, _ = _pebble_run(*params, graph.edges)
-        basis = state.accepted
-        rank = len(basis)
+    if params is None:
+        raise ValueError(
+            f"set function {func.describe()} is outside the pebble range")
+    return params
+
+
+def rank_and_rigid(graph: MultiGraph, func: SetFunc, forbidden=()) -> RigidResult:
+    """A maximum sparse edge set avoiding the forbidden edges, its size, and
+    whether it is spanning rigid. Forbidden edges need a pebble-playable
+    function."""
+    target = max(func.rigid_target, 0)
+    if forbidden:
+        blocked = set(forbidden)
+        basis = _pebble_run(*_require_pebble_params(func), graph.edges,
+                            [e for e in range(graph.m) if e not in blocked])[0].accepted
+    elif (params := pebble_params(func)) is not None:
+        basis = _pebble_run(*params, graph.edges)[0].accepted
     else:
-        rank, basis = oracle.bf_rank(graph, func)
-    return RigidResult(rank=rank, target=target,
-                       rigid=rank == target, basis=tuple(basis))
+        basis = oracle.bf_rank(graph, func)[1]
+    return RigidResult(rank=len(basis), target=target,
+                       rigid=len(basis) == target, basis=tuple(basis))
 
 
 # ----------------------------------------------------------------------

@@ -717,9 +717,11 @@ def _unbalance_vertex_0(r):
     _reverse_arcs(r, out[:2])
 
 
-def _delete(section, key):
+def _delete(*path):
     def tamper(r):
-        del r[section][key]
+        for key in path[:-1]:
+            r = r[key]
+        del r[path[-1]]
     return tamper
 
 
@@ -846,6 +848,10 @@ def _drop_last_arc(r):
     ("pack-rho", _raise_eater_weight, "part functions are not the requested ones"),
     ("pack-rho", _delete("params", "k"), "params.k is missing"),
     ("pack-rho", _delete("params", "rho"), "params.rho is missing"),
+    ("sparse", _delete("graph"), "graph is missing"),
+    ("sparse", _delete("subcommand"), "subcommand is missing"),
+    ("sparse", _delete("verdict"), "verdict is missing"),
+    ("sparse", _delete("seed"), "seed is missing"),
     # a malformed certificate value is a MISMATCH, not an error exit
     ("smooth", _drop_last_arc, "certificates.arcs"),
     ("hakimi", _drop_last_arc, "certificates.arcs"),
@@ -1096,6 +1102,22 @@ def test_setfunc_tokens(tmp_path):
     assert t.value(0b11) == 1
     with pytest.raises(ValueError, match="unknown"):
         parse_setfunc("zzz:1", 3)
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"n": 3, "vertex_names": ["a", "b", "c"], "edges": [["a", "z"]]},
+     "an edge names the unknown vertex 'z'"),
+    ({"n": 3, "vertex_names": ["a", "b", "a"], "edges": [["a", "b"]]},
+     "'vertex_names' repeats a name"),
+    ({"n": 3, "edges": 5}, "malformed graph"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "malformed graph"),
+])
+def test_malformed_graph_files_are_usage_errors(tmp_path, capsys, record, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    code = main(["sparse", "--graph", str(path), "--func", "lmn:1,1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {path}: ") and message in err, err
 
 
 def test_vertex_named_graphs(tmp_path):

@@ -9,7 +9,8 @@ from rigidpack import oracle
 from rigidpack.oracle import (
     OracleBudget, bf_sparse, bf_rank, bf_rigid, bf_partition_connected,
     bf_edge_connected, bf_arc_connected, bf_matroid_axioms, bf_weakly_connected,
-    census, set_partitions, union_rank_bound, random_multigraph,
+    census, set_partitions, union_rank_bound, random_multigraph, boundary_minus,
+    partition_cross,
 )
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
@@ -45,7 +46,7 @@ def test_partition_connected_examples():
     ok, witness = bf_partition_connected(c4, lmn(4, 2, 2))
     assert not ok
     # the witness re-fails: crossing count under the needed total
-    cross = c4.partition_cross(witness)
+    cross = partition_cross(c4, witness)
     need = sum(lmn(4, 2, 2).value(p) for p in witness) - 2
     assert cross < need
 
@@ -87,7 +88,7 @@ def test_bf_weakly_connected_complete_graph():
     ok, pair = bf_weakly_connected(k5, [1] * 5, const(5, 5))
     assert not ok
     a, b = pair
-    assert k5.boundary_minus(a, b) < 5 - bin(b).count("1")
+    assert boundary_minus(k5, a, b) < 5 - bin(b).count("1")
 
 
 def test_matroid_axioms_on_rigidity_counts():
@@ -135,8 +136,8 @@ def test_rigid_implies_partition_connected_on_census():
 
 
 def test_bruteforce_rank_matches_pebble_on_census():
-    from rigidpack.sparsity import pebble_basis
+    from rigidpack.sparsity import rank_and_rigid
     for n in (2, 3, 4):
         for g in census(n):
             for k, l in [(1, 1), (2, 3)]:
-                assert bf_rank(g, lmn(n, k, l))[0] == len(pebble_basis(g, k, l)[0])
+                assert bf_rank(g, lmn(n, k, l))[0] == rank_and_rigid(g, lmn(n, k, l)).rank

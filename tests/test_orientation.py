@@ -10,7 +10,7 @@ from rigidpack.graph import (MultiGraph, INFINITY, mask_of, _flow_network,
                             _least_cut, _vertex_deleted_cuts)
 from rigidpack.setfuncs import (
     lmn, const, zero, force_zero_on_ground, table_func, vertex_weights,
-    with_overrides, rooted_shift,
+    with_overrides,
 )
 from rigidpack.sparsity import is_sparse
 from rigidpack.orientation import (
@@ -189,7 +189,7 @@ def test_verify_arc_matches_oracle():
 
 def _random_setfunc(n, rng):
     """A set function of a random kind, small enough for the oracles."""
-    kind = rng.choice(["lmn", "const", "weights", "table", "mod", "shift"])
+    kind = rng.choice(["lmn", "const", "weights", "table", "mod"])
     if kind == "lmn":
         a = rng.randrange(0, 4)
         return lmn(n, a, rng.randrange(0, 2 * a + 1))
@@ -202,10 +202,8 @@ def _random_setfunc(n, rng):
                               else rng.randrange(-1, 4) for m in range(1, 1 << n)})
     a = rng.randrange(1, 4)
     base = lmn(n, a, rng.randrange(0, 2 * a))
-    if kind == "mod":
-        mask = (1 << n) - 1 if rng.random() < 0.5 else rng.randrange(1, 1 << n)
-        return with_overrides(base, {mask: rng.randrange(0, 2 * a)})
-    return rooted_shift(base, [rng.randrange(0, a + 1) for _ in range(n)])
+    mask = (1 << n) - 1 if rng.random() < 0.5 else rng.randrange(1, 1 << n)
+    return with_overrides(base, {mask: rng.randrange(0, 2 * a)})
 
 
 def test_sparsity_decides_rooted_arc_connectivity():
@@ -236,7 +234,7 @@ def test_sparsity_decides_rooted_arc_connectivity():
         verdicts[sp.ok] += 1
         kinds.add(f.kind)
     assert min(verdicts.values()) > 50, verdicts
-    assert kinds == {"lmn", "const", "weights", "table", "mod", "shift"}
+    assert kinds == {"lmn", "const", "weights", "table", "mod"}
 
 
 def test_rigid_orientation_equivalence_examples():

@@ -16,9 +16,10 @@ from rigidpack.packing import (
     check_rigid_cut_consequences, check_pack_basic, check_pack_refined,
     check_pack_degree, violation_threshold, pack_partition_rigid,
     preset_tree_rigid, preset_tree_rigid_ec, preset_bipartite_degree,
-    extract_rigid, _apply_chain, _circuit_edges,
+    _apply_chain, _circuit_edges,
 )
 from rigidpack.sparsity import PebbleState, _pebble_run
+from rigidpack.oracle import boundary_minus, partition_cross
 
 
 def c4():
@@ -76,7 +77,7 @@ def test_tree_packing_matches_partition_condition():
         pk = matroid_union_pack(g, [lmn(n, 1, 1)] * m)
         full = all(p.full for p in pk.parts)
         cond = all(
-            g.partition_cross(parts) >= m * (len(parts) - 1)
+            partition_cross(g, parts) >= m * (len(parts) - 1)
             for parts in oracle.set_partitions(n))
         assert full == cond
 
@@ -397,7 +398,7 @@ def test_weakly_connected_check():
     assert not rep.ok
     a = mask_of(rep.witness["A"])
     b = mask_of(rep.witness["B"])
-    assert c4().boundary_minus(a, b) == rep.witness["lhs"]
+    assert boundary_minus(c4(), a, b) == rep.witness["lhs"]
     assert rep.witness["lhs"] < rep.witness["rhs"]
 
 
@@ -455,7 +456,7 @@ def test_uniform_weak_connectivity_matches_the_sweep(monkeypatch):
         w = rep.witness
         a, b = mask_of(w["A"]), mask_of(w["B"])
         assert a and not a & b and (a | b) != g.full_mask
-        assert g.boundary_minus(a, b) == w["lhs"] < w["rhs"] == conn - k * len(w["B"])
+        assert boundary_minus(g, a, b) == w["lhs"] < w["rhs"] == conn - k * len(w["B"])
         past_empty_b += b != 0
     # passing hosts whose vertex connectivity is below the demand, so that
     # the least cut must weigh removed vertices against edges, and glued
@@ -493,7 +494,7 @@ def _over_capacity(g, ell, mask):
 
 def _pair_witness(g, a, b, rhs):
     return {"A": vertices_of(a), "B": vertices_of(b),
-            "lhs": g.boundary_minus(a, b), "rhs": rhs}
+            "lhs": boundary_minus(g, a, b), "rhs": rhs}
 
 
 def _sum_over(weights, mask):
@@ -504,7 +505,7 @@ def ref_weakly_connected(g, ell_vec, l):
     for union, a, b in _pairs(g.n):
         if 0 < union < g.full_mask and a:
             rhs = l.value(union) - _sum_over(ell_vec, b)
-            if g.boundary_minus(a, b) < rhs:
+            if boundary_minus(g, a, b) < rhs:
                 return False, _pair_witness(g, a, b, rhs)
     return True, {}
 
@@ -514,7 +515,7 @@ def ref_rigid_necessary(g, ell):
     for union, a, b in _pairs(g.n):
         rhs = (ell.value(union) - _sum_over(ell.singletons, b)
                + ell.value(full ^ a) - ell.value(full))
-        if g.boundary_minus(a, b) < rhs:
+        if boundary_minus(g, a, b) < rhs:
             return False, _pair_witness(g, a, b, rhs)
     return True, {}
 
@@ -529,7 +530,7 @@ def ref_rigid_sufficient(g, ell, forbidden):
     for union, a, b in _pairs(g.n):
         if 0 < union < g.full_mask and _over_capacity(g, ell, union):
             rhs = 2 * ell.value(union) - _sum_over(ell.singletons, b)
-            if g.boundary_minus(a, b) < rhs:
+            if boundary_minus(g, a, b) < rhs:
                 return False, _pair_witness(g, a, b, rhs)
     return True, {}
 
@@ -542,7 +543,7 @@ def ref_pack_basic(g, l, ell):
         if 0 < union < g.full_mask and _over_capacity(g, ell, union):
             rhs = (2 * ell.value(union) - _sum_over(ell.singletons, b)
                    + (2 * l.value(union) if a else 0))
-            if g.boundary_minus(a, b) < rhs:
+            if boundary_minus(g, a, b) < rhs:
                 return False, _pair_witness(g, a, b, rhs)
     return True, {}
 
@@ -566,7 +567,7 @@ def ref_pack_refined(g, l, ell, phi, forbidden_count):
             else:
                 extra = l_u * (2 - phi)
             eps = eps_full if bin(union).count("1") == g.n - 1 else 0
-            lhs = g.boundary_minus(a, b) + eps
+            lhs = boundary_minus(g, a, b) + eps
             rhs = 2 * ell.value(union) - _sum_over(ell.singletons, b) + extra
             if lhs < rhs:
                 return False, {"A": vertices_of(a), "B": vertices_of(b),
@@ -588,7 +589,7 @@ def ref_pack_degree(g, l, ell, k, rho):
         if 0 < union < full and _over_capacity(g, ell, union):
             rhs = (k * ell.value(union) - k * Fraction(_sum_over(ell.singletons, b), 2)
                    + (k * l.value(union) if a else 0))
-            if g.boundary_minus(a, b) < rhs:
+            if boundary_minus(g, a, b) < rhs:
                 wit = _pair_witness(g, a, b, rhs)
                 wit["rhs"] = str(rhs)
                 return False, wit
@@ -703,7 +704,7 @@ def test_rigid_sufficient_and_extraction():
     ell = lmn(9, 2, 3)
     rep = check_rigid_sufficient(k9, ell, forbidden={0, 1, 2})
     assert rep.ok
-    ids = extract_rigid(k9, ell, forbidden={0, 1, 2})
+    ids = set(sparsity.rank_and_rigid(k9, ell, forbidden={0, 1, 2}).basis)
     assert len(ids) == 15 and not ids & {0, 1, 2}
     rep = check_rigid_sufficient(k9, ell, forbidden=set(range(4)))
     assert not rep.ok and rep.witness["check"] == "forbidden-size"

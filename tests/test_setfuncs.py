@@ -4,7 +4,7 @@ from rigidpack import generators
 from rigidpack.graph import MultiGraph, mask_of
 from rigidpack.setfuncs import (
     lmn, const, vertex_weights, table_func, with_overrides, scaled,
-    rooted_shift, force_zero_on_ground, halved_slack, rho_slack,
+    force_zero_on_ground, halved_slack, rho_slack,
     property_report, pebble_params, proper_pebble_params,
 )
 
@@ -47,14 +47,6 @@ def test_scaling_keeps_two_level_form():
     doubled = scaled(lmn(5, 1, 1), 2)
     assert doubled.kind == "lmn" and doubled.a == 2 and doubled.b == 2
     assert scaled(const(4, 3), 0).value(0b1111) == 0
-
-
-def test_rooted_shift_is_capacity_neutral():
-    f = lmn(4, 2, 3)
-    g = rooted_shift(f, [2, 1, 0, 0])
-    assert g.value(0b1111) == 3 - 3
-    for mask in range(1, 16):
-        assert g.cap(mask) == f.cap(mask)
 
 
 def test_property_report_tree_function():

@@ -9,7 +9,7 @@ from rigidpack.setfuncs import (
     with_overrides,
 )
 from rigidpack.sparsity import (
-    PebbleState, pebble_basis, is_sparse, rank_and_rigid, rigid_components,
+    PebbleState, is_sparse, rank_and_rigid, rigid_components,
     minimal_rigid_vertices, exchange, _check_internal_connectivity, _pebble_run,
 )
 
@@ -21,21 +21,25 @@ def triangle():
 
 
 def test_pebble_basis_examples():
-    basis, state = pebble_basis(triangle(), 2, 3)
-    assert basis == (0, 1, 2)
+    state, _ = _pebble_run((2,) * 3, 3, triangle().edges)
+    assert state.accepted == [0, 1, 2]
     state.check_invariant()
+    assert rank_and_rigid(triangle(), lmn(3, 2, 3)).basis == (0, 1, 2)
 
-    basis, _ = pebble_basis(generators.complete(4), 2, 3)
-    assert len(basis) == 5
+    assert len(rank_and_rigid(generators.complete(4), lmn(4, 2, 3)).basis) == 5
 
     c4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    basis, _ = pebble_basis(c4, 1, 1)
-    assert len(basis) == 3
+    assert len(rank_and_rigid(c4, lmn(4, 1, 1)).basis) == 3
 
 
 def test_pebble_rejects_nonmatroidal_range():
+    # without forbidden edges the exhaustive rank answers; with them, a
+    # function outside the pebble range is refused
+    assert pebble_params(lmn(3, 2, 4)) is None
+    assert rank_and_rigid(triangle(), lmn(3, 2, 4)).rank == oracle.bf_rank(
+        triangle(), lmn(3, 2, 4))[0]
     with pytest.raises(ValueError, match="pebble range"):
-        pebble_basis(triangle(), 2, 4)
+        rank_and_rigid(triangle(), lmn(3, 2, 4), forbidden={0})
 
 
 def test_basis_size_is_order_independent():
@@ -44,11 +48,11 @@ def test_basis_size_is_order_independent():
         n = rng.randrange(3, 8)
         g = oracle.random_multigraph(n, rng.randrange(2, 13), rng)
         k, l = PARAMS[rng.randrange(4)]
-        reference = len(pebble_basis(g, k, l)[0])
+        reference = rank_and_rigid(g, lmn(n, k, l)).rank
         perm = list(range(g.m))
         rng.shuffle(perm)
         shuffled = MultiGraph(g.n, [g.edges[i] for i in perm])
-        assert len(pebble_basis(shuffled, k, l)[0]) == reference
+        assert rank_and_rigid(shuffled, lmn(n, k, l)).rank == reference
 
 
 def test_is_sparse_examples():
@@ -97,6 +101,81 @@ def test_rank_matches_bruteforce():
         k, l = PARAMS[rng.randrange(4)]
         f = lmn(n, k, l)
         assert rank_and_rigid(g, f).rank == oracle.bf_rank(g, f)[0]
+
+
+def _reference_extract_rigid(graph, ell, forbidden=()):
+    """The former `packing.extract_rigid`: maximum sparse edge set avoiding
+    the forbidden edges, with host ids."""
+    params = pebble_params(ell)
+    if params is None:
+        raise ValueError(
+            f"set function {ell.describe()} is outside the pebble range")
+    blocked = set(forbidden)
+    state, _ = _pebble_run(*params, graph.edges,
+                           [e for e in range(graph.m) if e not in blocked])
+    return frozenset(state.accepted)
+
+
+def _reference_pebble_basis(graph, k, ell):
+    """The former `sparsity.pebble_basis`: greedy basis of the uniform
+    (k, ell) count matroid, ids ascending."""
+    if not 0 <= ell <= 2 * k - 1 and not (k == 0 and ell == 0):
+        raise ValueError(f"(k, ell) = ({k}, {ell}) outside the matroidal pebble range")
+    state, _ = _pebble_run((k,) * graph.n, ell, graph.edges)
+    return tuple(state.accepted), state
+
+
+def test_rank_and_rigid_answers_as_the_removed_rank_calls():
+    rng = random.Random(2203)
+    seen = {"lmn": 0, "const": 0, "weights": 0, "forbidden": 0, "rigid": 0,
+            "refused": 0}
+    for _ in range(2400):
+        n = rng.randrange(2, 10)
+        g = oracle.random_multigraph(n, rng.randrange(1, 4 * n), rng)
+        forbidden = set(rng.sample(range(g.m), rng.randrange(g.m + 1))) \
+            if rng.random() < 0.6 else set()
+        kind = rng.choice(["lmn", "const", "weights", "outside"])
+        if kind == "outside":
+            # no pebble game plays lmn(a, b) with b >= 2a
+            a = rng.randrange(0, 3)
+            f = lmn(n, a, rng.randrange(max(2 * a, 1), 2 * a + 3))
+            blocked = forbidden or {rng.randrange(g.m)}
+            with pytest.raises(ValueError) as ref:
+                _reference_extract_rigid(g, f, blocked)
+            with pytest.raises(ValueError, match="outside the pebble range") as new:
+                rank_and_rigid(g, f, blocked)
+            assert str(new.value) == str(ref.value)
+            seen["refused"] += 1
+            continue
+        if kind == "lmn":
+            k, l = rng.choice(PARAMS + [(0, 0), (1, 0), (2, 1), (3, 4)])
+            f = lmn(n, k, l)
+            basis, _ = _reference_pebble_basis(g, k, l)
+            assert rank_and_rigid(g, f).basis == basis
+        elif kind == "const":
+            f = const(n, rng.randrange(0, 4))
+        else:
+            f = vertex_weights([rng.randrange(0, 4) for _ in range(n)])
+        ref = _reference_extract_rigid(g, f, forbidden)
+        rr = rank_and_rigid(g, f, forbidden)
+        target = max(f.rigid_target, 0)
+        assert rr.basis == tuple(sorted(ref))
+        assert (rr.rank, rr.target, rr.rigid) == (len(ref), target, len(ref) == target)
+        seen[kind] += 1
+        seen["forbidden"] += bool(forbidden)
+        seen["rigid"] += rr.rigid
+    assert min(seen.values()) >= 200, seen
+
+
+def test_public_api_resolves_without_the_removed_names():
+    import rigidpack
+    for name in rigidpack.__all__:
+        assert getattr(rigidpack, name) is not None, name
+    for module, name in [(rigidpack, "extract_rigid"), (rigidpack.packing, "extract_rigid"),
+                         (rigidpack, "pebble_basis"), (rigidpack.sparsity, "pebble_basis"),
+                         (rigidpack, "rooted_shift"), (rigidpack.setfuncs, "rooted_shift")]:
+        assert not hasattr(module, name), name
+    assert not {"extract_rigid", "pebble_basis", "rooted_shift"} & set(rigidpack.__all__)
 
 
 def test_rigid_components_examples():
@@ -234,7 +313,7 @@ def test_table_function_sparsity_past_the_default_oracle_budget():
     f = lmn(8, 2, 3)
     tab = table_func(8, {m: f.value(m) for m in range(1, 256)})
     k8 = generators.complete(8)
-    tight = k8.subgraph(pebble_basis(k8, 2, 3)[0])
+    tight = k8.subgraph(rank_and_rigid(k8, f).basis)
     for g in (k8, tight):
         assert is_sparse(g, tab).ok == is_sparse(g, f).ok
     assert not is_sparse(k8, tab).ok and is_sparse(tight, tab).ok
@@ -245,7 +324,7 @@ def test_pebble_accounting_invariant():
     for _ in range(20):
         g = oracle.random_multigraph(6, rng.randrange(0, 14), rng)
         k, l = PARAMS[rng.randrange(4)]
-        _, state = pebble_basis(g, k, l)
+        state, _ = _pebble_run((k,) * 6, l, g.edges)
         state.check_invariant()
 
 
