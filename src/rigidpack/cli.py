@@ -46,15 +46,18 @@ def load_graph(path: str) -> tuple[MultiGraph, dict]:
 def graph_from_record(data: dict, where: str = "<record>") -> tuple[MultiGraph, dict]:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError(f"{where}: graph file needs 'n' and 'edges'")
-    names = data.get("vertex_names")
+    names, pairs = data.get("vertex_names"), data["edges"]
     try:
+        if not isinstance(names, (list, type(None))) or not isinstance(pairs, list) or any(
+                not isinstance(p, list) or len(p) != 2 for p in pairs):
+            raise ValueError("'edges' must be a list of [u, v] lists, 'vertex_names' a list")
         if names is not None:
             index = {name: i for i, name in enumerate(names)}
             if len(index) != len(names):
                 raise ValueError("'vertex_names' repeats a name")
-            edges = [(index[u], index[v]) for u, v in data["edges"]]
+            edges = [(index[u], index[v]) for u, v in pairs]
         else:
-            edges = [(int(u), int(v)) for u, v in data["edges"]]
+            edges = [(int(u), int(v)) for u, v in pairs]
         graph = MultiGraph(int(data["n"]), edges)
     except KeyError as exc:
         raise ValueError(f"{where}: an edge names the unknown vertex {exc}") from None
@@ -518,7 +521,10 @@ class _Params(_Fields):
 
 def cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        report = _Fields(json.load(fh))
+        report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ValueError(f"{args.report}: report must be a JSON object")
+    report = _Fields(report)
     sub, verdict = report.get("subcommand"), report.get("verdict")
     try:
         graph, _ = graph_from_record(report["graph"], where=args.report)

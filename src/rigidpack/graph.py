@@ -313,15 +313,26 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY):
     minimum, so the last flow that lowers it has a minimum cut (`_maxflow`),
     and its side is returned. The network may hold arcs outside `rest` at
     capacity 0: no search reaches their vertices.
+
+    Sink merging gates the flows (Hao & Orlin 1994): `_push` sends flow into
+    t from S, the root and earlier sinks (out of t for t -> r), on a residual
+    per direction; the flow runs only if the push, min(lambda(S, t), best),
+    is below best. If lambda(r, t) < best and f is the first sink on the sink
+    side X of a minimum r -> t cut, S misses X at f, so the push (and any
+    bound) at f is below best, and unless f = t the flow at f lowers best to
+    cut(X). So every flow that lowers best still runs, in the same order.
     """
     low = rest & -rest
     root = low.bit_length() - 1
     best, side = limit, None
+    ends, residual = {root}, ([], [])
     for t in vertices_of(rest ^ low):
-        for s, u in ((root, t), (t, root))[:1 + both_ways]:
-            flow, reached = _maxflow(net, s, u, best)
-            if reached is not None:
-                best, side = flow, reached
+        for d, (s, u) in enumerate(((root, t), (t, root))[:1 + both_ways]):
+            if best == INFINITY or _push(net, residual[d], t, ends, best, 1 - d) < best:
+                flow, reached = _maxflow(net, s, u, best)
+                if reached is not None:
+                    best, side = flow, reached
+        ends.add(t)
     return best, side
 
 
@@ -344,13 +355,14 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     the running minimum, and each flow i -> j, j > i, stops at it. A pair
     is skipped when its arc and one path i -> x -> j per common neighbour
     x, all disjoint, already carry the running minimum; the network waits
-    for the first pair that is not.
+    for the first pair that is not. Sinks j_in merge as in `_least_cut`.
     """
     n, mult = graph.n, graph.mult
     net, best, side = None, limit, None
     for i in range(n):
         if vcap * i >= best:
             break
+        residual, ends = [], {i + n}
         for j in range(i + 1, n):
             paths = mult[i][j] * ecap + sum(
                 min(a * ecap, vcap, b * ecap)
@@ -359,9 +371,11 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
                 if net is None:
                     net = _flow_network(2 * n, [(x, x + n, vcap) for x in range(n)] + [
                         (u + n, v, c * ecap) for u, v, c in graph._edge_arcs()])
-                flow, reached = _maxflow(net, i + n, j, best)
-                if reached is not None:
-                    best, side = flow, reached
+                if best == INFINITY or _push(net, residual, j, ends, best, 1) < best:
+                    flow, reached = _maxflow(net, i + n, j, best)
+                    if reached is not None:
+                        best, side = flow, reached
+            ends.add(j)
     return best, side
 
 
@@ -417,6 +431,43 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
                 yield v, best, side
 
     return min((flow for _, _, flow, _ in roots), default=INFINITY), lowered()
+
+
+def _push(net, residual, t: int, ends, limit, back: int) -> int:
+    """Push flow from the set `ends` into t (`back` 1: search backward from t)
+    or from t into `ends` (0) by shortest paths on `residual`, in place (it
+    takes `net`'s capacities when empty), up to `limit`; return the value."""
+    head, cap, out = net
+    if not residual:
+        residual.extend(cap)
+    flow = 0
+    while flow < limit:
+        via = [-1] * len(out)  # arc out of the vertex nearer t that reached it
+        via[t] = -2
+        queue, end = [t], None
+        for u in queue:
+            for a in out[u]:
+                w = head[a]
+                if residual[a ^ back] and via[w] == -1:
+                    via[w] = a
+                    queue.append(w)
+                    if w in ends:
+                        end = w
+                        break
+            if end is not None:
+                break
+        if end is None:
+            return flow
+        path = []
+        while end != t:
+            path.append(via[end] ^ back)
+            end = head[via[end] ^ 1]
+        bottleneck = min(residual[a] for a in path)
+        for a in path:
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
+        flow += bottleneck
+    return flow
 
 
 def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:

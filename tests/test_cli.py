@@ -1111,6 +1111,8 @@ def test_setfunc_tokens(tmp_path):
      "'vertex_names' repeats a name"),
     ({"n": 3, "edges": 5}, "malformed graph"),
     ({"n": 3, "edges": [[0, 1, 2]]}, "malformed graph"),
+    ({"n": 3, "edges": ["01", "12"]}, "malformed graph"),
+    ({"n": 3, "vertex_names": "abc", "edges": [["a", "b"]]}, "malformed graph"),
 ])
 def test_malformed_graph_files_are_usage_errors(tmp_path, capsys, record, message):
     path = tmp_path / "bad.json"
@@ -1118,6 +1120,18 @@ def test_malformed_graph_files_are_usage_errors(tmp_path, capsys, record, messag
     code = main(["sparse", "--graph", str(path), "--func", "lmn:1,1"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {path}: ") and message in err, err
+
+
+def test_verify_refuses_a_report_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("[1, 2]")
+    assert main(["verify", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: {path}: report must be a JSON object\n"
+    path.write_text("not json")
+    assert main(["verify", "--report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_vertex_named_graphs(tmp_path):

@@ -155,6 +155,93 @@ def test_maxflow_returns_a_min_cut_side():
                 assert graph._maxflow(net, s, t, flow) == (flow, None)
 
 
+def _reference_least_cut(net, rest, both_ways, limit=INFINITY):
+    """`graph._least_cut` before sink merging: every root flow runs."""
+    low = rest & -rest
+    root = low.bit_length() - 1
+    best, side = limit, None
+    for t in graph.vertices_of(rest ^ low):
+        for s, u in ((root, t), (t, root))[:1 + both_ways]:
+            flow, reached = graph._maxflow(net, s, u, best)
+            if reached is not None:
+                best, side = flow, reached
+    return best, side
+
+
+def _reference_mixed_cut(g, vcap, ecap, limit):
+    """`graph._mixed_cut` before sink merging: every pair the two-path
+    bound leaves open runs a flow."""
+    n, mult = g.n, g.mult
+    net, best, side = None, limit, None
+    for i in range(n):
+        if vcap * i >= best:
+            break
+        for j in range(i + 1, n):
+            paths = mult[i][j] * ecap + sum(
+                min(a * ecap, vcap, b * ecap)
+                for a, b in zip(mult[i], mult[j]) if a and b)
+            if paths < best:
+                if net is None:
+                    net = graph._flow_network(2 * n, [(x, x + n, vcap) for x in range(n)] + [
+                        (u + n, v, c * ecap) for u, v, c in g._edge_arcs()])
+                flow, reached = graph._maxflow(net, i + n, j, best)
+                if reached is not None:
+                    best, side = flow, reached
+    return best, side
+
+
+def test_sink_merging_keeps_values_and_sides(monkeypatch):
+    # the gated root-flow loops return the value and side of the ungated
+    # ones on symmetric networks and digraphs, multigraphs, networks with a
+    # vertex outside `rest`, and every limit, 5,000 networks each; they run
+    # fewer flows
+    calls = []
+    flow = graph._maxflow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(graph, "_maxflow", counted)
+    rng = random.Random(2323)
+    gated = ungated = 0
+    for case in range(10000):
+        n = rng.randrange(2, 12)
+        limit = rng.choice([1, 2, 3, 4, INFINITY])
+        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        if case % 2:
+            vcap, ecap = rng.randrange(0, 5), rng.randrange(1, 4)
+            calls.clear()
+            got = graph._mixed_cut(g, vcap, ecap, limit)
+            gated += len(calls)
+            calls.clear()
+            assert got == _reference_mixed_cut(g, vcap, ecap, limit)
+            ungated += len(calls)
+            continue
+        both_ways = rng.random() < 0.6
+        if both_ways:
+            arcs = [(u, v, rng.randrange(1, 4)) if rng.random() < 0.5
+                    else (v, u, rng.randrange(1, 4)) for u, v in g.edges]
+        else:
+            arcs = [(x, y, c) for u, v in g.edges
+                    for c in [rng.randrange(1, 4)] for x, y in ((u, v), (v, u))]
+        head, cap, out = graph._flow_network(n, arcs)
+        rest = g.full_mask
+        if n > 2 and rng.random() < 0.3:
+            v = rng.randrange(n)
+            rest ^= 1 << v
+            for a in out[v]:
+                cap[a] = cap[a ^ 1] = 0
+        net = (head, cap, out)
+        calls.clear()
+        got = graph._least_cut(net, rest, both_ways, limit)
+        gated += len(calls)
+        calls.clear()
+        assert got == _reference_least_cut(net, rest, both_ways, limit)
+        ungated += len(calls)
+    assert gated < ungated
+
+
 def test_vertex_connectivity_flow_count(monkeypatch):
     # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n flows
     calls = []
@@ -174,8 +261,39 @@ def test_vertex_connectivity_flow_count(monkeypatch):
 
 def test_mixed_cut_flow_count(monkeypatch):
     # the two-path bound skips every pair of K9 and K13 at their demands and
-    # of K12,12 under its degree limit; on two K40 sharing four vertices the
-    # root bound leaves at most ceil(conn / k) (n - 1) flows
+    # of K12,12 under its degree limit, so neither a flow nor a sink-merging
+    # push runs; on two K40 sharing four vertices the root bound leaves at
+    # most ceil(conn / k) (n - 1) flows
+    calls = []
+    pushes = []
+    flow, push = graph._maxflow, graph._push
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    def counted_push(*args):
+        pushes.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(graph, "_maxflow", counted)
+    monkeypatch.setattr(graph, "_push", counted_push)
+    assert packing.check_uniform_weakly_connected(generators.complete(9), 2, 8).ok
+    assert packing.check_uniform_weakly_connected(generators.complete(13), 3, 12).ok
+    assert generators.complete_bipartite(12, 12).vertex_connectivity() == 12
+    assert not calls and not pushes
+    glued = MultiGraph(76, sorted({(a, b) for group in (range(40), range(36, 76))
+                                   for a in group for b in group if a < b}))
+    for k, conn in (orientation.robust_demand(1), packing.tree_rigid_demand(2, 1, 1)):
+        calls.clear()
+        assert packing.check_uniform_weakly_connected(glued, k, conn).ok
+        assert len(calls) <= -(-conn // k) * (glued.n - 1)
+
+
+def test_sink_merging_flow_count(monkeypatch):
+    # on circulant(400, [1..4]) the pushes from the merged sinks reach the
+    # running minimum at every pair: no flow of the (2, 8) check runs (1,590
+    # without the gate), and edge connectivity runs only its first flow (399)
     calls = []
     flow = graph._maxflow
 
@@ -184,16 +302,11 @@ def test_mixed_cut_flow_count(monkeypatch):
         return flow(*args)
 
     monkeypatch.setattr(graph, "_maxflow", counted)
-    assert packing.check_uniform_weakly_connected(generators.complete(9), 2, 8).ok
-    assert packing.check_uniform_weakly_connected(generators.complete(13), 3, 12).ok
-    assert generators.complete_bipartite(12, 12).vertex_connectivity() == 12
+    host = generators.circulant(400, [1, 2, 3, 4])
+    assert graph._mixed_cut(host, 2, 1, 8) == (8, None)
     assert not calls
-    glued = MultiGraph(76, sorted({(a, b) for group in (range(40), range(36, 76))
-                                   for a in group for b in group if a < b}))
-    for k, conn in (orientation.robust_demand(1), packing.tree_rigid_demand(2, 1, 1)):
-        calls.clear()
-        assert packing.check_uniform_weakly_connected(glued, k, conn).ok
-        assert len(calls) <= -(-conn // k) * (glued.n - 1)
+    assert host.edge_connectivity() == 8
+    assert len(calls) <= 1
 
 
 def test_essential_edge_connectivity_flow_count(monkeypatch):
