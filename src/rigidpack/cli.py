@@ -33,14 +33,19 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_graph(path: str) -> tuple[MultiGraph, dict]:
+def _load_json(path: str, kind: str):
+    """The JSON value in a `kind` file; a ValueError naming the file and
+    the place of the first fault when it is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid graph file at line {exc.lineno}, "
+            raise ValueError(f"{path}: invalid {kind} file at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from None
-    return graph_from_record(data, where=path)
+
+
+def load_graph(path: str) -> tuple[MultiGraph, dict]:
+    return graph_from_record(_load_json(path, "graph"), where=path)
 
 
 def graph_from_record(data: dict, where: str = "<record>") -> tuple[MultiGraph, dict]:
@@ -520,8 +525,7 @@ class _Params(_Fields):
 
 
 def cmd_verify(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = _load_json(args.report, "report")
     if not isinstance(report, dict):
         raise ValueError(f"{args.report}: report must be a JSON object")
     report = _Fields(report)

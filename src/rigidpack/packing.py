@@ -79,7 +79,7 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     searches reached, the rank certificate `structure_partition` reports.
     """
     funcs = list(funcs)
-    states = [PebbleState.fresh(*_require_pebble_params(f)) for f in funcs]
+    states = [PebbleState(*_require_pebble_params(f)) for f in funcs]
     blocked = set(forbidden)
     dead: set[int] = set()
     inside = [[0] * host.n for _ in funcs]
@@ -96,24 +96,16 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     return packing
 
 
-def _circuit_edges(host: MultiGraph, state: PebbleState, tight_mask: int) -> list[int]:
-    """Accepted edges of a pebble state inside a tight vertex set, ascending."""
-    edges = host.edges
-    out = []
-    for eid in state.accepted:
-        u, v = edges[eid]
-        if (tight_mask >> u) & 1 and (tight_mask >> v) & 1:
-            out.append(eid)
-    return sorted(out)
-
-
 def _augment(host: MultiGraph, states, eid: int, dead: set[int],
              inside: list[list[int]]) -> bool:
     """Breadth-first replacement search; applies the chain on success.
 
     `parent[y] = (x, i)` says that y sits in part i, so it is the record
     of which part owns each edge reached: the queue carries every edge with
-    its part (None for `eid`), and the chain walks `parent` back.
+    its part (None for `eid`), and the chain walks `parent` back. A
+    blocked probe of x's ends in part i returns R, the minimal tight set
+    of part i holding them; x's circuit in part i is that part's edges
+    inside R, which `PebbleState.tight_edges` reads off R's arcs.
 
     Edges in `dead` are never enqueued, and a failed search adds its
     visited set to `dead`. This prunes nothing a search could use. After
@@ -157,9 +149,9 @@ def _augment(host: MultiGraph, states, eid: int, dead: set[int],
             if res is None:
                 _apply_chain(host, states, parent, x, i)
                 return True
-            for w in vertices_of(res):
+            for w in state.reached:
                 inside[i][w] |= res
-            for y in _circuit_edges(host, state, res):
+            for y in state.tight_edges():
                 if y not in visited and y not in dead:
                     visited.add(y)
                     parent[y] = (x, i)
@@ -179,7 +171,7 @@ def _apply_chain(host: MultiGraph, states, parent, last: int,
     while moves[-1][0] in parent:
         moves.append(parent[moves[-1][0]])
     for edge, _ in moves[:-1]:
-        states[parent[edge][1]].delete(edge, *host.edges[edge])
+        states[parent[edge][1]].delete(edge)
     for edge, target in moves:
         if states[target].insert(edge, *host.edges[edge]) is not None:
             raise RuntimeError(

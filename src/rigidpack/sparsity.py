@@ -16,16 +16,20 @@ step needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import MultiGraph, vertices_of
 from .setfuncs import SetFunc, pebble_params, proper_pebble_params
 from . import oracle
 
 
-@dataclass
 class PebbleState:
     """A live pebble game: accepted edges as arcs, free pebbles per vertex.
+
+    Each arc is its edge's id: out[v] lists the accepted edges whose arc
+    leaves v, and the arc of edge e from v points to ends_xor[e] ^ v, the
+    other end. `ends` maps each accepted id to the edge's two ends, in the
+    order the edges were accepted, which is the order of `accepted`.
 
     Only `insert`, `delete` and `gather` change it, and each keeps
     pebbles[v] + len(out[v]) == caps[v]. No answer depends on the arcs'
@@ -36,71 +40,113 @@ class PebbleState:
       caps(R) - e(R) = ell, so R is tight.
     - Any tight T that holds x and y has at least those ell pebbles, so no
       arc leaves T and T contains R: R is the unique minimal tight set.
+    - As R is out-closed, the accepted edges inside R are exactly the arcs
+      whose tail is in R: each such arc ends in R, and an edge inside R
+      has its tail there. `tight_edges` reads them off R's arcs, so a
+      circuit costs e(R), not a pass over every accepted edge.
     - Nor does T hold any other pebble, so no vertex of T reaches a spare
       pebble. The vertices that reach none form an out-closed set with
       ell pebbles: the unique maximal tight set, `max_tight_pair`'s answer.
     """
 
-    caps: tuple[int, ...]
-    ell: int
-    pebbles: list[int]
-    out: list[list[int]]
-    accepted: list[int] = field(default_factory=list)
+    __slots__ = ("caps", "ell", "pebbles", "out", "ends_xor", "ends",
+                 "reached", "_mark", "_parent", "_stamp")
 
-    @classmethod
-    def fresh(cls, caps, ell: int) -> "PebbleState":
-        caps = tuple(caps)
-        return cls(caps=caps, ell=ell, pebbles=list(caps),
-                   out=[[] for _ in caps])
+    def __init__(self, caps, ell: int):
+        self.caps = caps = tuple(caps)
+        self.ell = ell
+        self.pebbles = list(caps)
+        self.out: list[list[int]] = [[] for _ in caps]
+        self.ends_xor: dict[int, int] = {}
+        self.ends: dict[int, tuple[int, int]] = {}
+        # the vertices of R after a failed gather
+        self.reached: list[int] = []
+        # gather's search: v is reached when _mark[v] is the current
+        # stamp, along the arc (edge id) _parent[v]; -1 at x and y
+        self._mark = [0] * len(caps)
+        self._parent = [0] * len(caps)
+        self._stamp = 0
+
+    @property
+    def accepted(self) -> list[int]:
+        """The accepted edge ids, in the order they were accepted."""
+        return list(self.ends)
 
     def check_invariant(self) -> None:
-        total = sum(self.pebbles) + len(self.accepted)
+        """Raise unless the pebbles and arcs account for the capacities and
+        the arcs are the accepted edges, each joining its edge's ends."""
+        total = sum(self.pebbles) + len(self.ends)
         if total != sum(self.caps):
             raise RuntimeError("pebble accounting broken: "
                                f"{total} != {sum(self.caps)}")
         for v, p in enumerate(self.pebbles):
             if p + len(self.out[v]) != self.caps[v]:
                 raise RuntimeError(f"pebble/out mismatch at vertex {v}")
+        if sorted(e for arcs in self.out for e in arcs) != sorted(self.ends) or \
+                self.ends_xor.keys() != self.ends.keys():
+            raise RuntimeError("arc ids are not the accepted edges")
+        for v, arcs in enumerate(self.out):
+            for e in arcs:
+                if sorted((v, self.ends_xor[e] ^ v)) != sorted(self.ends[e]):
+                    raise RuntimeError(f"the arc of edge {e} from {v} does not "
+                                       "join the edge's ends")
 
     # ------------------------------------------------------------------
 
     def gather(self, x: int, y: int):
         """Try to collect ell+1 pebbles on {x, y}.
 
-        Returns None on success. On failure returns the mask of vertices
-        reachable from {x, y} along acceptance arcs: the minimal tight set
-        containing both endpoints.
+        Returns None on success, at once when x and y already hold them.
+        On failure returns the mask of R, the vertices reachable from
+        {x, y} along acceptance arcs: the minimal tight set containing
+        both endpoints, and `reached` lists R's vertices.
         """
-        need = self.ell + 1
         peb = self.pebbles
-        out = self.out
+        need = self.ell + 1
+        if peb[x] + peb[y] >= need:
+            return None
+        out, ends_xor = self.out, self.ends_xor
+        mark, parent = self._mark, self._parent
+        stamp = self._stamp
         while peb[x] + peb[y] < need:
-            # DFS from both endpoints for a free pebble
-            parent = {x: -1, y: -1}
-            stack = [y, x]  # x explored first
+            # breadth-first from both endpoints (x's arcs first) for a
+            # free pebble; the queue holds every vertex reached without one
+            stamp += 1
+            mark[x] = mark[y] = stamp
+            parent[x] = parent[y] = -1
+            reached = [x, y] if x != y else [x]
             found = -1
-            while stack:
-                u = stack.pop()
-                for w in out[u]:
-                    if w in parent:
-                        continue
-                    parent[w] = u
-                    if peb[w] > 0:
-                        found = w
-                        stack = []
-                        break
-                    stack.append(w)
+            for u in reached:
+                for e in out[u]:
+                    w = ends_xor[e] ^ u
+                    if mark[w] != stamp:
+                        mark[w] = stamp
+                        parent[w] = e
+                        if peb[w]:
+                            found = w
+                            break
+                        reached.append(w)
+                if found >= 0:
+                    break
             if found < 0:
-                return sum(1 << v for v in parent)
+                self._stamp = stamp
+                self.reached = reached
+                mask = 0
+                for v in reached:
+                    mask |= 1 << v
+                return mask
             # reverse the path from the root to the pebble
             peb[found] -= 1
             w = found
-            while parent[w] != -1:
-                u = parent[w]
-                out[u].remove(w)
-                out[w].append(u)
+            e = parent[w]
+            while e != -1:
+                u = ends_xor[e] ^ w
+                out[u].remove(e)
+                out[w].append(e)
                 w = u
+                e = parent[w]
             peb[w] += 1
+        self._stamp = stamp
         return None
 
     def insert(self, eid: int, x: int, y: int):
@@ -109,18 +155,19 @@ class PebbleState:
         if blocked is not None:
             return blocked
         tail = x if self.pebbles[x] > 0 else y
-        head = y if tail == x else x
         self.pebbles[tail] -= 1
-        self.out[tail].append(head)
-        self.accepted.append(eid)
+        self.out[tail].append(eid)
+        self.ends_xor[eid] = x ^ y
+        self.ends[eid] = (x, y)
         return None
 
-    def delete(self, eid: int, x: int, y: int) -> None:
-        """Drop accepted edge eid with ends x, y: remove one arc between
-        them, in either direction, and return its pebble to its tail."""
-        self.accepted.remove(eid)
-        tail, head = (x, y) if y in self.out[x] else (y, x)
-        self.out[tail].remove(head)
+    def delete(self, eid: int) -> None:
+        """Drop accepted edge eid: remove the edge's own arc, whichever way
+        it points, and return its pebble to its tail."""
+        x, y = self.ends.pop(eid)
+        del self.ends_xor[eid]
+        tail = x if eid in self.out[x] else y
+        self.out[tail].remove(eid)
         self.pebbles[tail] += 1
 
     def probe_pair(self, x: int, y: int):
@@ -128,6 +175,13 @@ class PebbleState:
         else the minimal tight set containing x and y. The accepted edges
         stay as they are; only pebbles move."""
         return self.gather(x, y)
+
+    def tight_edges(self) -> list[int]:
+        """Accepted edges inside the tight set R the last failed gather
+        returned, ascending: the ids of the arcs whose tail is in R. Valid
+        until the next gather, insert or delete moves an arc."""
+        out = self.out
+        return sorted([e for v in self.reached for e in out[v]])
 
     def max_tight_pair(self, x: int, y: int):
         """Maximal tight set containing x and y, or None if no tight set does.
@@ -140,9 +194,9 @@ class PebbleState:
             return None
         n = len(self.caps)
         rev = [[] for _ in range(n)]
-        for a in range(n):
-            for b in self.out[a]:
-                rev[b].append(a)
+        for a, arcs in enumerate(self.out):
+            for e in arcs:
+                rev[self.ends_xor[e] ^ a].append(a)
         stack = [w for w in range(n) if w not in (x, y) and self.pebbles[w] > 0]
         bad = set(stack)
         while stack:
@@ -161,7 +215,7 @@ def _pebble_run(caps, ell: int, edges, ids=None, strict: bool = False):
     rejected edge and rejected is (edge id, blocking mask); otherwise it
     is None.
     """
-    state = PebbleState.fresh(caps, ell)
+    state = PebbleState(caps, ell)
     for eid in range(len(edges)) if ids is None else ids:
         u, v = edges[eid]
         blocked = state.insert(eid, u, v)

@@ -1129,9 +1129,20 @@ def test_verify_refuses_a_report_that_is_not_an_object(tmp_path, capsys):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == f"error: {path}: report must be a JSON object\n"
+
+
+def test_verify_names_a_report_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "r.json"
     path.write_text("not json")
     assert main(["verify", "--report", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (f"error: {path}: invalid report file at line 1, "
+                            "column 1: Expecting value\n")
+    path.write_text('{"subcommand": "sparse",\n "verdict": tru}')
+    assert main(["verify", "--report", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: invalid report file at "
+                                       "line 2, column 13: Expecting value\n")
 
 
 def test_vertex_named_graphs(tmp_path):

@@ -16,7 +16,7 @@ from rigidpack.packing import (
     check_rigid_cut_consequences, check_pack_basic, check_pack_refined,
     check_pack_degree, violation_threshold, pack_partition_rigid,
     preset_tree_rigid, preset_tree_rigid_ec, preset_bipartite_degree,
-    _apply_chain, _circuit_edges,
+    _apply_chain,
 )
 from rigidpack.sparsity import PebbleState, _pebble_run
 from rigidpack.oracle import boundary_minus, partition_cross
@@ -82,6 +82,14 @@ def test_tree_packing_matches_partition_condition():
         assert full == cond
 
 
+def _scan_circuit_edges(host, state, tight_mask):
+    """Accepted edges of a pebble state inside a tight vertex set, ascending,
+    found by scanning every accepted edge."""
+    return sorted(eid for eid in state.accepted
+                  if (tight_mask >> host.edges[eid][0]) & 1
+                  and (tight_mask >> host.edges[eid][1]) & 1)
+
+
 def _reference_union_pack(host, funcs, forbidden=(), prune=True):
     """Reference matroid union that probes every pair it reaches. Without
     `prune` every search explores everything it reaches; with it the edges
@@ -89,7 +97,7 @@ def _reference_union_pack(host, funcs, forbidden=(), prune=True):
     for lying inside a tight set found earlier.
 
     Returns (part edge sets, uncovered, closure)."""
-    states = [PebbleState.fresh(*pebble_params(f)) for f in funcs]
+    states = [PebbleState(*pebble_params(f)) for f in funcs]
     dead = set()
 
     def augment(eid):
@@ -106,7 +114,7 @@ def _reference_union_pack(host, funcs, forbidden=(), prune=True):
                 if res is None:
                     _apply_chain(host, states, parent, x, i)
                     return
-                for y in _circuit_edges(host, state, res):
+                for y in _scan_circuit_edges(host, state, res):
                     if y not in visited and y not in dead:
                         visited.add(y)
                         parent[y] = (x, i)
@@ -232,6 +240,60 @@ def test_union_pass_runs_no_fresh_pebble_game(monkeypatch):
     assert in_pass == calls[0] == 2
 
 
+def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
+    # reading circuits off the tight set's arcs changes the cost of a
+    # search, not the searches: these are the counts the scan-based
+    # circuits gave on the same host
+    probes = _counting_probes(monkeypatch)
+    runs = [0]
+    run = sparsity._pebble_run
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sparsity, "_pebble_run", counted)
+    monkeypatch.setattr(packing, "_pebble_run", counted)
+    perm = list(range(40))
+    random.Random(24).shuffle(perm)
+    host = MultiGraph(40, [(perm[u], perm[v]) for u, v in
+                           generators.circulant(40, [1, 2, 3, 5, 8]).edges])
+    pk = matroid_union_pack(host, [lmn(40, 2, 3)] * 2)
+    assert (pk.covered(), len(pk.uncovered)) == (154, 46)
+    assert (probes[0], runs[0]) == (388, 2)
+
+
+def test_tight_edges_match_a_scan_of_the_accepted_edges():
+    # after every blocked insert or probe, the circuit read off the tight
+    # set's arcs is the scan of every accepted edge, and `reached` is the
+    # tight set's vertex list
+    rng = random.Random(53)
+    probes = 0
+    while probes < 5000:
+        n, k = rng.randrange(2, 10), rng.randrange(1, 3)
+        ell = rng.randrange(0, 2 * k)
+        host = oracle.random_multigraph(n, rng.randrange(1, 4 * n), rng)
+        state = PebbleState([k] * n, ell)
+        for _ in range(rng.randrange(10, 40)):
+            step = rng.random()
+            if step < 0.2 and state.accepted:
+                eid = rng.choice(state.accepted)
+                state.delete(eid)
+                continue
+            if step < 0.6:
+                eid = rng.randrange(host.m)
+                if eid in state.accepted:
+                    continue
+                mask = state.insert(eid, *host.edges[eid])
+            else:
+                mask = state.probe_pair(*rng.sample(range(n), 2))
+                probes += mask is not None
+            if mask is not None:
+                assert state.tight_edges() == _scan_circuit_edges(host, state, mask)
+                assert sorted(state.reached) == vertices_of(mask)
+        state.check_invariant()
+
+
 def _structure_claims(pk, cert):
     return structure_claims(pk.host, [(p.func, p.edges, p.target, p.full)
                                       for p in pk.parts],
@@ -293,7 +355,7 @@ def _reference_closure(pk):
             q = state.probe_pair(u, v)
             if q is None:
                 continue
-            for y in _circuit_edges(host, state, q):
+            for y in _scan_circuit_edges(host, state, q):
                 if y not in released:
                     released.add(y)
                     pending.append(y)

@@ -349,12 +349,12 @@ def test_live_state_answers_as_a_fresh_run():
         n = rng.randrange(2, 9)
         caps, ell = _random_pebble_params(n, rng)
         g = oracle.random_multigraph(n, rng.randrange(1, 3 * n), rng)
-        state = PebbleState.fresh(caps, ell)
+        state = PebbleState(caps, ell)
         for _ in range(rng.randrange(5, 30)):
             step = rng.random()
             if step < 0.3 and state.accepted:
                 eid = rng.choice(state.accepted)
-                state.delete(eid, *g.edges[eid])
+                state.delete(eid)
             elif step < 0.8:
                 eid = rng.randrange(g.m)
                 if eid in state.accepted:
