@@ -270,12 +270,13 @@ class MultiGraph:
             best = min(best, _maxflow((head, tied, out), n, n + 1, best)[0])
         return best
 
-    def vertex_connectivity(self) -> int:
-        """Vertex connectivity (n-1 if complete): `_mixed_cut` with unit
-        vertex arcs and edge arcs of capacity n, which no cut below n
-        crosses. Its limit is the fewest distinct neighbours of a vertex,
-        which separate it from the rest or are all of the rest."""
-        limit = min(sum(map(bool, row)) for row in self.mult)
+    def vertex_connectivity(self, limit=INFINITY) -> int:
+        """Vertex connectivity (n-1 if complete), or `limit` if lower:
+        `_mixed_cut` with unit vertex arcs and edge arcs of capacity n,
+        which no cut below n crosses, capped also by the fewest distinct
+        neighbours of a vertex, which separate it from the rest or are all
+        of the rest."""
+        limit = min(limit, min(sum(map(bool, row)) for row in self.mult))
         return _mixed_cut(self, 1, self.n, limit)[0]
 
 
@@ -355,19 +356,23 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     the running minimum, and each flow i -> j, j > i, stops at it. A pair
     is skipped when its arc and one path i -> x -> j per common neighbour
     x, all disjoint, already carry the running minimum; the network waits
-    for the first pair that is not. Sinks j_in merge as in `_least_cut`.
+    for the first pair that is not. A path carries min(a ecap, vcap, b ecap)
+    >= min(vcap, ecap) for multiplicities a, b >= 1, so the bound counts
+    common neighbours on neighbour masks; the two are equal for both callers
+    (`vertex_connectivity` has ecap = n >= vcap = 1, and
+    `check_uniform_weakly_connected` takes only simple graphs). Sinks j_in
+    merge as in `_least_cut`.
     """
     n, mult = graph.n, graph.mult
+    near = [mask_of(row) for row in graph.adjacency]
+    two = min(vcap, ecap)
     net, best, side = None, limit, None
     for i in range(n):
         if vcap * i >= best:
             break
         residual, ends = [], {i + n}
         for j in range(i + 1, n):
-            paths = mult[i][j] * ecap + sum(
-                min(a * ecap, vcap, b * ecap)
-                for a, b in zip(mult[i], mult[j]) if a and b)
-            if paths < best:
+            if mult[i][j] * ecap + two * (near[i] & near[j]).bit_count() < best:
                 if net is None:
                     net = _flow_network(2 * n, [(x, x + n, vcap) for x in range(n)] + [
                         (u + n, v, c * ecap) for u, v, c in graph._edge_arcs()])
@@ -435,8 +440,19 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
 
 def _push(net, residual, t: int, ends, limit, back: int) -> int:
     """Push flow from the set `ends` into t (`back` 1: search backward from t)
-    or from t into `ends` (0) by shortest paths on `residual`, in place (it
-    takes `net`'s capacities when empty), up to `limit`; return the value."""
+    or from t into `ends` (0) on `residual`, in place (it takes `net`'s
+    capacities when empty), up to `limit`; return the value.
+
+    Each pass searches from t. A vertex it reaches is in the subtree of the
+    first arc out of t on its tree path; vertices of `ends` are hits, never
+    searched from. A subtree stops at its first hit, and the pass once the
+    hits reach `limit` less the flow so far; then each hit's tree path
+    carries its own bottleneck (distinct subtrees share no arc). A pass with
+    no hit pruned nothing, so no path is left. The gates read only whether
+    the value, min(lambda(ends, t), limit) whatever paths carry it, is below
+    `limit`; earlier pushes on `residual` had both ends in `ends`, so every
+    cut between `ends` and t keeps its capacity there.
+    """
     head, cap, out = net
     if not residual:
         residual.extend(cap)
@@ -444,29 +460,41 @@ def _push(net, residual, t: int, ends, limit, back: int) -> int:
     while flow < limit:
         via = [-1] * len(out)  # arc out of the vertex nearer t that reached it
         via[t] = -2
-        queue, end = [t], None
+        tree = via[:]  # first arc out of t on the vertex's tree path
+        queue, hits, spent, need = [t], [], set(), limit - flow
         for u in queue:
+            sub = tree[u]
+            if sub in spent:
+                continue
             for a in out[u]:
-                w = head[a]
-                if residual[a ^ back] and via[w] == -1:
-                    via[w] = a
-                    queue.append(w)
+                if residual[a ^ back]:
+                    w = head[a]
                     if w in ends:
-                        end = w
-                        break
-            if end is not None:
+                        hits.append(a)
+                        if u != t:
+                            spent.add(sub)
+                            break
+                    elif via[w] == -1:
+                        via[w] = a
+                        tree[w] = a if u == t else sub
+                        queue.append(w)
+            if len(hits) >= need:
                 break
-        if end is None:
+        if not hits:
             return flow
-        path = []
-        while end != t:
-            path.append(via[end] ^ back)
-            end = head[via[end] ^ 1]
-        bottleneck = min(residual[a] for a in path)
-        for a in path:
-            residual[a] -= bottleneck
-            residual[a ^ 1] += bottleneck
-        flow += bottleneck
+        for a in hits:
+            path, v = [a ^ back], head[a ^ 1]
+            while v != t:
+                path.append(via[v] ^ back)
+                v = head[via[v] ^ 1]
+            bottleneck = residual[path[0]]
+            for b in path:
+                if residual[b] < bottleneck:
+                    bottleneck = residual[b]
+            for b in path:
+                residual[b] -= bottleneck
+                residual[b ^ 1] += bottleneck
+            flow += bottleneck
     return flow
 
 

@@ -728,7 +728,7 @@ def check_bipartite_connectivity(graph: MultiGraph, k) -> HypothesisReport:
 
 
 def _is_two_connected(graph: MultiGraph) -> bool:
-    return graph.n >= 3 and graph.vertex_connectivity() >= 2
+    return graph.n >= 3 and graph.vertex_connectivity(2) >= 2
 
 
 def check_uniform_weakly_connected(graph, k: int, conn: int) -> HypothesisReport:

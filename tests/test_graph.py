@@ -124,7 +124,11 @@ def test_flow_paths_match_sweeps():
     assert sum(not g.is_connected() for g in graphs) >= 50
     assert sum(len(set(g.edges)) < g.m for g in graphs) >= 50
     for g in graphs:
-        assert g.vertex_connectivity() == _bf_vertex_connectivity(g)
+        kappa = _bf_vertex_connectivity(g)
+        assert g.vertex_connectivity() == kappa
+        # a limit caps the value: min(kappa, limit)
+        for limit in (1, 2, 3, 4, INFINITY):
+            assert g.vertex_connectivity(limit) == min(kappa, limit)
         two_connected = g.n >= 3 and g.is_connected() and all(
             g.delete_vertex(v).is_connected() for v in range(g.n))
         assert packing._is_two_connected(g) == two_connected
@@ -242,21 +246,132 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
     assert gated < ungated
 
 
+def _reference_push(net, residual, t, ends, limit, back):
+    """`graph._push` before per-subtree passes: one shortest path per
+    search."""
+    head, cap, out = net
+    if not residual:
+        residual.extend(cap)
+    flow = 0
+    while flow < limit:
+        via = [-1] * len(out)
+        via[t] = -2
+        queue, end = [t], None
+        for u in queue:
+            for a in out[u]:
+                w = head[a]
+                if residual[a ^ back] and via[w] == -1:
+                    via[w] = a
+                    queue.append(w)
+                    if w in ends:
+                        end = w
+                        break
+            if end is not None:
+                break
+        if end is None:
+            return flow
+        path = []
+        while end != t:
+            path.append(via[end] ^ back)
+            end = head[via[end] ^ 1]
+        bottleneck = min(residual[a] for a in path)
+        for a in path:
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
+        flow += bottleneck
+    return flow
+
+
+def _push_network(rng):
+    """A symmetric network, a digraph or a split network on a random
+    multigraph with 2-11 vertices."""
+    n = rng.randrange(2, 12)
+    g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+    kind = rng.randrange(3)
+    if kind == 0:
+        arcs = [(x, y, c) for u, v in g.edges
+                for c in [rng.randrange(1, 4)] for x, y in ((u, v), (v, u))]
+    elif kind == 1:
+        arcs = [(u, v, rng.randrange(1, 4)) if rng.random() < 0.5
+                else (v, u, rng.randrange(1, 4)) for u, v in g.edges]
+    else:
+        vcap, ecap = rng.randrange(0, 5), rng.randrange(1, 4)
+        arcs = [(x, x + n, vcap) for x in range(n)] + [
+            (u + n, v, c * ecap) for u, v, c in g._edge_arcs()]
+        n *= 2
+    return graph._flow_network(n, arcs)
+
+
+def _push_ends(rng, size):
+    t = rng.randrange(size)
+    others = [v for v in range(size) if v != t]
+    return t, set(rng.sample(others, rng.randrange(1, len(others) + 1)))
+
+
+def _net_out(net, residual):
+    head, cap, out = net
+    return [sum(cap[a] - residual[a] for a in arcs) for arcs in out]
+
+
+def test_push_matches_single_path_push():
+    # on residuals left by up to three earlier pushes of either routine,
+    # the per-subtree push gives the same answer to the gate as the
+    # single-path one and the same value below the limit, and it leaves a
+    # flow of its value from `ends` into t (out of t into `ends`)
+    rng = random.Random(2525)
+    below = 0
+    for _ in range(6000):
+        net = _push_network(rng)
+        size = len(net[2])
+        residual = []
+        for _ in range(rng.randrange(4)):
+            t, ends = _push_ends(rng, size)
+            rng.choice((graph._push, _reference_push))(
+                net, residual, t, ends, rng.choice([1, 2, 3, 4, INFINITY]),
+                rng.randrange(2))
+        t, ends = _push_ends(rng, size)
+        limit, back = rng.randrange(1, 5), rng.randrange(2)
+        new, ref = residual[:], residual[:]
+        got = graph._push(net, new, t, ends, limit, back)
+        want = _reference_push(net, ref, t, ends, limit, back)
+        assert (got < limit) == (want < limit)
+        if want < limit:
+            assert got == want
+            below += 1
+        cap = net[1]
+        assert all(r >= 0 for r in new)
+        assert all(new[a] + new[a ^ 1] == cap[a] + cap[a ^ 1]
+                   for a in range(0, len(cap), 2))
+        sent = [b - a for a, b in zip(_net_out(net, residual or cap),
+                                     _net_out(net, new))]
+        assert sent[t] == (got if back == 0 else -got)
+        assert all(not sent[v] for v in range(size) if v != t and v not in ends)
+    assert below >= 1000
+
+
 def test_vertex_connectivity_flow_count(monkeypatch):
-    # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n flows
-    calls = []
-    flow = graph._maxflow
+    # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n flows.
+    # The gate pushes at the same pairs and runs the same flows (none) as
+    # with single-path pushes: a push's paths change only its cost
+    calls, pushes = [], []
+    flow, push = graph._maxflow, graph._push
 
     def counted(*args):
         calls.append(args)
         return flow(*args)
 
+    def counted_push(*args):
+        pushes.append(args)
+        return push(*args)
+
     monkeypatch.setattr(graph, "_maxflow", counted)
-    assert generators.circulant(36, [1, 2, 3]).vertex_connectivity() == 6
-    assert len(calls) <= 7 * 36
-    calls.clear()
-    assert generators.circulant(80, [1, 2, 3]).vertex_connectivity() == 6
-    assert len(calls) <= 560
+    monkeypatch.setattr(graph, "_push", counted_push)
+    for n, bound, pinned in ((36, 7 * 36, 171), (80, 560, 435)):
+        calls.clear()
+        pushes.clear()
+        assert generators.circulant(n, [1, 2, 3]).vertex_connectivity() == 6
+        assert len(calls) <= bound
+        assert (len(pushes), len(calls)) == (pinned, 0)
 
 
 def test_mixed_cut_flow_count(monkeypatch):
