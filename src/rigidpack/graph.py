@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 INFINITY = float("inf")
 
@@ -103,14 +104,6 @@ class MultiGraph:
         """Number of edges with both ends inside `mask`."""
         return sum(1 for u, v in self.edges if (1 << u) & mask and (1 << v) & mask)
 
-    def boundary(self, mask: int) -> int:
-        """Number of edges with exactly one end inside `mask`."""
-        c = 0
-        for u, v in self.edges:
-            if ((1 << u) & mask != 0) != ((1 << v) & mask != 0):
-                c += 1
-        return c
-
     # ------------------------------------------------------------------
     # dense subset tables (for exhaustive sweeps)
 
@@ -172,14 +165,6 @@ class MultiGraph:
                         return None
         a = mask_of(v for v in range(self.n) if colour[v] == 0)
         return a, self.full_mask & ~a
-
-    def delete_vertex(self, v: int) -> "MultiGraph":
-        """Graph minus one vertex, remaining vertices relabelled downward."""
-        mapping = [w if w < v else w - 1 for w in range(self.n)]
-        edges = [(mapping[a], mapping[b]) for a, b in self.edges if v not in (a, b)]
-        if self.n == 1:
-            raise ValueError("cannot delete the only vertex")
-        return MultiGraph(self.n - 1, edges)
 
     # ------------------------------------------------------------------
     # connectivity
@@ -298,7 +283,8 @@ def _flow_network(size: int, arcs):
     return head, cap, out
 
 
-def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY):
+def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
+               floor=lambda t, d: 0):
     """The least cut of a `_flow_network` restricted to the vertex set
     `rest`, or `limit` if that is lower, with the source side of a flow
     reaching it as a mask (None if no cut is below `limit`). A cut is the
@@ -318,9 +304,11 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY):
     Sink merging gates the flows (Hao & Orlin 1994): `_push` sends flow into
     t from S, the root and earlier sinks (out of t for t -> r), on a residual
     per direction; the flow runs only if the push, min(lambda(S, t), best),
-    is below best. If lambda(r, t) < best and f is the first sink on the sink
-    side X of a minimum r -> t cut, S misses X at f, so the push (and any
-    bound) at f is below best, and unless f = t the flow at f lowers best to
+    is below best. Before it, a pair is skipped if `floor(t, d)`, a lower
+    bound on lambda(S, t) (lambda(t, S) for d = 1) that the caller knows,
+    reaches best. If lambda(r, t) < best and f is the first sink on the sink
+    side X of a minimum r -> t cut, S misses X at f, so the floor and the
+    push at f are below best, and unless f = t the flow at f lowers best to
     cut(X). So every flow that lowers best still runs, in the same order.
     """
     low = rest & -rest
@@ -329,7 +317,8 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY):
     ends, residual = {root}, ([], [])
     for t in vertices_of(rest ^ low):
         for d, (s, u) in enumerate(((root, t), (t, root))[:1 + both_ways]):
-            if best == INFINITY or _push(net, residual[d], t, ends, best, 1 - d) < best:
+            if floor(t, d) < best and (
+                    best == INFINITY or _push(net, residual[d], t, ends, best, 1 - d) < best):
                 flow, reached = _maxflow(net, s, u, best)
                 if reached is not None:
                     best, side = flow, reached
@@ -393,27 +382,45 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
     reaching it. So the first entry is the first v below `limit`, and the
     least entry is the least cut minus a vertex (INFINITY if none).
 
-    The network minus 0 is `_least_cut` with root 1. For v > 0, each root
-    flow runs once on the whole network, uncapped, with value F and in(v)
-    the flow on the arcs entering v. Split into paths and cycles (Ford &
-    Fulkerson 1956), its paths avoiding v stay in the network minus v and
-    each path through v brings at least one unit into v, so the same flow
-    minus v is at least F - in(v). It runs, capped at the running
-    minimum, only when that bound is below it: a skipped flow cannot lower
-    it, so values are exact and the flows that run keep their order. A
-    deleted vertex keeps its arcs at capacity 0, so all flows share one
-    arc list.
+    `whole` is `_least_cut` with root 0, except that its first flow runs
+    uncapped and each push runs on a fresh copy of the capacities. Each
+    pair t, d records the value P of that flow or push and thru(v), its
+    total on the arcs leaving v (entering v for t -> 0). A search stops at
+    the first vertex of the merged set S it meets, so each path of the flow
+    (Ford & Fulkerson 1956) meets S only at its start (end). Deleting v
+    removes only the paths that start (end) at v or pass through it, which
+    carry at most thru(v), so the cut between S - v and t in the network
+    minus v is at least P - thru(v). (A push on a residual shared between
+    sinks may cancel flow inside S, and then bounds nothing.)
+
+    The network minus v is `_least_cut` on the other vertices, with the
+    same sinks and sets S - v and P - thru(v) as each pair's floor. That
+    is exact: if the flow at t lowers the running minimum best, the first
+    sink f on the sink side X of its minimum cut has S - v disjoint from X,
+    so the floor and the push at f are at most cut(X) < best and the flow
+    at f runs, lowering best unless f = t. So every flow that lowers best
+    runs, in the same order and with the same side. A deleted vertex keeps
+    its arcs at capacity 0, so all flows share one arc list.
     """
     net = _flow_network(n, arcs)
     head, cap, out = net
-    roots = []
+    tails, heads = head[1::2], head[::2]  # of the arcs 2i
+    whole, merged, bound = INFINITY, {0}, {}
     for t in range(1, n):
-        for s, u in ((0, t), (t, 0))[:1 + both_ways]:
-            flow, _, left = _augmenting_paths(net, s, u)
-            into = [0] * n
-            for h, f in zip(head[::2], left[1::2]):
-                into[h] += f
-            roots.append((s, u, flow, into))
+        for d, (s, u) in enumerate(((0, t), (t, 0))[:1 + both_ways]):
+            if whole == INFINITY:
+                flow, _, left = _augmenting_paths(net, s, u)
+                whole = flow
+            else:
+                left = []
+                flow = _push(net, left, t, merged, whole, 1 - d)
+                if flow < whole:
+                    whole = min(whole, _maxflow(net, s, u, whole)[0])
+            thru, flows = [0] * n, left[1::2]
+            for x, f in zip(compress((tails, heads)[d], flows), filter(None, flows)):
+                thru[x] += f
+            bound[t, d] = flow, thru
+        merged.add(t)
 
     def lowered():
         worst = limit
@@ -421,21 +428,14 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
             deleted = cap[:]
             for a in out[v]:
                 deleted[a] = deleted[a ^ 1] = 0
-            minus = (head, deleted, out)
-            if v == 0:
-                best, side = _least_cut(minus, (1 << n) - 2, both_ways, worst)
-            else:
-                best, side = worst, None
-                for s, t, flow, into in roots:
-                    if v not in (s, t) and flow - into[v] < best:
-                        value, reached = _maxflow(minus, s, t, best)
-                        if reached is not None:
-                            best, side = value, reached
+            best, side = _least_cut(
+                (head, deleted, out), ((1 << n) - 1) ^ (1 << v), both_ways, worst,
+                lambda t, d: bound[t, d][0] - bound[t, d][1][v])
             if side is not None:
                 worst = best
                 yield v, best, side
 
-    return min((flow for _, _, flow, _ in roots), default=INFINITY), lowered()
+    return whole, lowered()
 
 
 def _push(net, residual, t: int, ends, limit, back: int) -> int:

@@ -71,8 +71,13 @@ class SetFunc:
 
     @cached_property
     def rigid_target(self) -> int:
-        """Edge count of a tight spanning sparse subgraph."""
-        full = (1 << self.ground) - 1
+        """Edge count of a tight spanning sparse subgraph: cap(full set)."""
+        n = self.ground
+        if self.kind == "lmn":
+            return self.a * n - self.b if n > 1 else 0
+        if self.kind == "const":
+            return self.a * max(n - 1, 0)
+        full = (1 << n) - 1
         return self.sum_singletons(full) - self.value(full)
 
     def describe(self) -> str:
@@ -223,14 +228,6 @@ class PropertyReport:
     intersecting_supermodular: bool
     two_intersecting_supermodular: bool
     counterexamples: dict = field(compare=False, default_factory=dict)
-
-    @property
-    def least_intersecting_c(self) -> int | None:
-        if self.intersecting_supermodular:
-            return 1
-        if self.two_intersecting_supermodular:
-            return 2
-        return None
 
 
 def property_report(f: SetFunc) -> PropertyReport:

@@ -10,6 +10,8 @@ from rigidpack.oracle import (
     boundary_minus, collection_cross, induced_subgraph, partition_cross,
 )
 
+from helpers import delete_vertex
+
 
 def c4():
     return MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -130,13 +132,13 @@ def test_flow_paths_match_sweeps():
         for limit in (1, 2, 3, 4, INFINITY):
             assert g.vertex_connectivity(limit) == min(kappa, limit)
         two_connected = g.n >= 3 and g.is_connected() and all(
-            g.delete_vertex(v).is_connected() for v in range(g.n))
+            delete_vertex(g, v).is_connected() for v in range(g.n))
         assert packing._is_two_connected(g) == two_connected
         if g.n >= 2:
-            cut = min(g.boundary(a) for a in range(1, g.full_mask))
+            cut = min(boundary_minus(g, a, 0) for a in range(1, g.full_mask))
             assert g.edge_connectivity() == cut
         full = g.full_mask
-        essential = min((g.boundary(a) for a in range(1, full)
+        essential = min((boundary_minus(g, a, 0) for a in range(1, full)
                          if g.induced(a) >= 1 and g.induced(full ^ a) >= 1),
                         default=INFINITY)
         assert g.essential_edge_connectivity() == essential
@@ -154,7 +156,7 @@ def test_maxflow_returns_a_min_cut_side():
                     continue
                 flow, side = graph._maxflow(net, s, t)
                 assert (side >> s) & 1 and not (side >> t) & 1
-                assert g.boundary(side) == flow
+                assert boundary_minus(g, side, 0) == flow
                 assert graph._maxflow(net, s, t, flow + 1) == (flow, side)
                 assert graph._maxflow(net, s, t, flow) == (flow, None)
 
@@ -442,6 +444,69 @@ def test_essential_edge_connectivity_flow_count(monkeypatch):
     assert res.ok and res.checks["rigid_0_cuts"] is True
 
 
+def _reference_vertex_deleted_cuts(n, arcs, both_ways, limit=INFINITY):
+    """`graph._vertex_deleted_cuts` before sink merging: one uncapped root
+    flow per vertex and direction, and the G - v flows its bound leaves."""
+    net = graph._flow_network(n, arcs)
+    head, cap, out = net
+    roots = []
+    for t in range(1, n):
+        for s, u in ((0, t), (t, 0))[:1 + both_ways]:
+            flow, _, left = graph._augmenting_paths(net, s, u)
+            into = [0] * n
+            for h, f in zip(head[::2], left[1::2]):
+                into[h] += f
+            roots.append((s, u, flow, into))
+
+    def lowered():
+        worst = limit
+        for v in range(n):
+            deleted = cap[:]
+            for a in out[v]:
+                deleted[a] = deleted[a ^ 1] = 0
+            minus = (head, deleted, out)
+            if v == 0:
+                best, side = graph._least_cut(minus, (1 << n) - 2, both_ways, worst)
+            else:
+                best, side = worst, None
+                for s, t, flow, into in roots:
+                    if v not in (s, t) and flow - into[v] < best:
+                        value, reached = graph._maxflow(minus, s, t, best)
+                        if reached is not None:
+                            best, side = value, reached
+            if side is not None:
+                worst = best
+                yield v, best, side
+
+    return min((flow for _, _, flow, _ in roots), default=INFINITY), lowered()
+
+
+def test_vertex_deleted_cuts_match_uncapped_root_flows():
+    # the same least cut and the same lowered entries, sides included, as
+    # with uncapped root flows, on 6,000 digraphs and symmetric multigraphs
+    # (parallel arcs, capacities 1-3) with 1-10 vertices and every limit
+    rng = random.Random(2626)
+    lowering = parallel = 0
+    for _ in range(6000):
+        n = rng.randrange(1, 11)
+        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n) if n > 1 else 0, rng)
+        both_ways = rng.random() < 0.5
+        if both_ways:
+            arcs = [(u, v, rng.randrange(1, 4)) if rng.random() < 0.5
+                    else (v, u, rng.randrange(1, 4)) for u, v in g.edges]
+        else:
+            arcs = [(x, y, c) for u, v in g.edges
+                    for c in [rng.randrange(1, 4)] for x, y in ((u, v), (v, u))]
+        limit = rng.choice([1, 2, 3, 4, INFINITY])
+        whole, lowered = graph._vertex_deleted_cuts(n, arcs, both_ways, limit)
+        want, ref = _reference_vertex_deleted_cuts(n, arcs, both_ways, limit)
+        got = list(lowered)
+        assert (whole, got) == (want, list(ref))
+        lowering += len(got) > 1
+        parallel += not both_ways and len(set(g.edges)) < g.m
+    assert lowering >= 500 and parallel >= 1000
+
+
 def _hub(rng):
     """Two cliques sharing one vertex, relabelled at random: every flow
     between them runs through the shared vertex, whose deletion
@@ -461,9 +526,9 @@ def _dense(rng):
 
 
 def test_vertex_deleted_cuts_match_per_vertex_flows():
-    # _cut_profile and robust_claims skip the G - v flows that the root
-    # flows' bound F - in(v) rules out; the values must equal a fresh
-    # min cut of every G - v
+    # _cut_profile and robust_claims skip the G - v pairs whose bound
+    # P - thru(v) from the whole network's sink-merging pushes reaches the
+    # running minimum; the values must equal a fresh min cut of every G - v
     rng = random.Random(1414)
     hosts = [MultiGraph(1, []), MultiGraph(2, [(0, 1)]),
              MultiGraph(2, [(0, 1), (1, 0), (0, 1)]),
@@ -475,7 +540,7 @@ def test_vertex_deleted_cuts_match_per_vertex_flows():
         if g.n == 1:
             assert packing._cut_profile(g) == (INFINITY, INFINITY)
         else:
-            per_vertex = min(g.delete_vertex(v).edge_connectivity()
+            per_vertex = min(delete_vertex(g, v).edge_connectivity()
                              for v in range(g.n))
             assert packing._cut_profile(g) == (g.edge_connectivity(), per_vertex)
             deleted_zero += per_vertex == 0
@@ -508,32 +573,54 @@ def _augmenting_path_calls(monkeypatch):
 
 
 def test_robust_claims_flow_count(monkeypatch):
-    # one flow each way per vertex t > 0, and only the G - v flows their
-    # bound leaves open; a fresh min cut of every G - v ran 418 flows here
+    # the whole network's first flow and one G - v flow run; every other
+    # pair is settled by its bound or its push. A fresh min cut of every
+    # G - v ran 418 flows here
     orient = orientation.robust_arc_strong(generators.complete(15), 1,
                                            force=True).orientation
     calls = _augmenting_path_calls(monkeypatch)
     failed, checks = orientation.robust_claims(orient, 1)
     assert not failed
     assert checks == {"arc_strong": 7, "vertex_deleted_arc_strong": 6}
-    assert len(calls) <= 418 // 4
+    assert len(calls) <= 2
+
+
+def test_robust_claims_flow_count_on_circulant(monkeypatch):
+    # 2 of the 79,598 sink pairs of the whole network and the G - v run a
+    # flow; a bound or a push settles the rest
+    res = orientation.robust_arc_strong(generators.circulant(200, range(1, 9)), 1)
+    assert res.ok
+    calls = _augmenting_path_calls(monkeypatch)
+    pushes = []
+    push = graph._push
+
+    def counted_push(*args):
+        pushes.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(graph, "_push", counted_push)
+    failed, checks = orientation.robust_claims(res.orientation, 1)
+    assert not failed
+    assert checks == {"arc_strong": 8, "vertex_deleted_arc_strong": 7}
+    assert len(calls) <= 4
+    assert len(pushes) == 1102
 
 
 def test_robust_construction_flow_count(monkeypatch):
-    # each repair pass finds the first deficient vertex from one set of
-    # root flows; a fresh min cut per vertex and pass ran 518 flows here
+    # each repair pass finds the first deficient vertex from one whole
+    # pass; a fresh min cut per vertex and pass ran 518 flows here
     calls = _augmenting_path_calls(monkeypatch)
     assert orientation.robust_arc_strong(generators.complete(15), 1,
                                          force=True).ok
-    assert len(calls) <= 259
+    assert len(calls) <= 9
 
 
 def test_tree_rigid_flow_count(monkeypatch):
     # the self-check's edge connectivity and vertex-deleted cuts share one
-    # set of root flows; a fresh min cut per G - v ran 84 flows here
+    # whole pass; a fresh min cut per G - v ran 84 flows here
     calls = _augmenting_path_calls(monkeypatch)
     assert packing.preset_tree_rigid(generators.complete(9), 2, 1, 1).ok
-    assert len(calls) <= 42
+    assert len(calls) <= 14
 
 
 def test_bipartition():
@@ -554,7 +641,7 @@ def test_cut_identity_exhaustive():
         etab = g.induced_table
         for a in range(1 << 5):
             comp = g.full_mask ^ a
-            assert etab[a] + etab[comp] + g.boundary(a) == g.m
+            assert etab[a] + etab[comp] + boundary_minus(g, a, 0) == g.m
 
 
 def test_boundary_minus_against_enumeration():
@@ -579,7 +666,7 @@ def test_edge_connectivity_equals_min_cut_oracle():
     for _ in range(40):
         n = rng.randrange(2, 8)
         g = oracle.random_multigraph(n, rng.randrange(n - 1, 2 * n + 3), rng)
-        best = min(g.boundary(a) for a in range(1, g.full_mask))
+        best = min(boundary_minus(g, a, 0) for a in range(1, g.full_mask))
         assert g.edge_connectivity() == best
         assert (best == 0) == (not g.is_connected())
         # a limit caps the value: min(lambda, limit) for every limit

@@ -21,6 +21,8 @@ from rigidpack.packing import (
 from rigidpack.sparsity import PebbleState, _pebble_run
 from rigidpack.oracle import boundary_minus, partition_cross
 
+from helpers import delete_vertex
+
 
 def c4():
     return MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -732,7 +734,7 @@ def test_rigid_cut_consequences():
 
 def _ref_rigid_cut_consequences(g, k):
     """(ok, witness, aux) of the rigid-cuts check with a fresh min cut of
-    every G - v: the reference for the shared root flows."""
+    every G - v: the reference for `_vertex_deleted_cuts`."""
     aux = {"edge_connectivity": g.edge_connectivity()}
     if aux["edge_connectivity"] < k:
         return False, {"check": "edge", "value": aux["edge_connectivity"]}, aux
@@ -740,7 +742,7 @@ def _ref_rigid_cut_consequences(g, k):
     if aux["essential"] < 2 * k - 1:
         return False, {"check": "essential", "value": aux["essential"]}, aux
     for v in range(g.n):
-        lam_v = g.delete_vertex(v).edge_connectivity(k - 1)
+        lam_v = delete_vertex(g, v).edge_connectivity(k - 1)
         if lam_v < k - 1:
             return False, {"check": "vertex-deleted", "vertex": v,
                            "value": lam_v}, aux

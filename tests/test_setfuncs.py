@@ -25,6 +25,23 @@ def test_weights_eval():
     assert w.cap(0b011) == 3
 
 
+def test_rigid_target_is_cap_of_full_set():
+    # the closed forms of lmn and const, and the general sum for the
+    # other kinds, against sum_singletons(full) - value(full)
+    funcs = []
+    for n in range(7):
+        funcs += [lmn(n, a, b) for a in range(-1, 4) for b in range(-2, 6)]
+        funcs += [const(n, c) for c in range(-2, 4)]
+        funcs.append(vertex_weights(range(n)))
+        if n >= 1:
+            funcs.append(table_func(n, {m: m % 5 - 1 for m in range(1, 1 << n)}))
+            funcs.append(with_overrides(lmn(n, 2, 3), {(1 << n) - 1: 1}))
+    assert {f.kind for f in funcs} == {"lmn", "const", "weights", "table", "mod"}
+    for f in funcs:
+        full = (1 << f.ground) - 1
+        assert f.rigid_target == f.sum_singletons(full) - f.value(full)
+
+
 def test_table_requires_all_entries():
     with pytest.raises(ValueError, match="missing"):
         table_func(2, {0b01: 1})
@@ -55,7 +72,7 @@ def test_property_report_tree_function():
     assert rep.subadditive
     assert rep.nonincreasing
     assert rep.weakly_subadditive
-    assert rep.least_intersecting_c == 1
+    assert rep.two_intersecting_supermodular
 
 
 def test_property_report_rigidity_function():
@@ -63,7 +80,6 @@ def test_property_report_rigidity_function():
     assert rep.two_intersecting_supermodular
     assert not rep.intersecting_supermodular
     assert rep.weakly_subadditive
-    assert rep.least_intersecting_c == 2
     # the counterexample replays through eval
     a, b = rep.counterexamples["intersecting_supermodular"]
     f = lmn(5, 2, 3)
