@@ -80,12 +80,18 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     """
     funcs = list(funcs)
     states = [PebbleState(*_require_pebble_params(f)) for f in funcs]
+    filled = [sum(state.caps) - state.ell for state in states]
     blocked = set(forbidden)
     dead: set[int] = set()
     inside = [[0] * host.n for _ in funcs]
+    kept = [row[:] for row in inside]
     for eid in range(host.m):
-        if eid not in blocked and _augment(host, states, eid, dead, inside):
-            inside = [[0] * host.n for _ in funcs]
+        if eid in blocked:
+            continue
+        if _augment(host, states, filled, eid, dead, inside):
+            inside = [row[:] for row in kept]
+        else:
+            kept = [row[:] for row in inside]
     parts = tuple(PackPart(func=f, edges=frozenset(state.accepted),
                            target=max(f.rigid_target, 0))
                   for f, state in zip(funcs, states))
@@ -96,8 +102,8 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     return packing
 
 
-def _augment(host: MultiGraph, states, eid: int, dead: set[int],
-             inside: list[list[int]]) -> bool:
+def _augment(host: MultiGraph, states, filled: list[int], eid: int,
+             dead: set[int], inside: list[list[int]]) -> bool:
     """Breadth-first replacement search; applies the chain on success.
 
     `parent[y] = (x, i)` says that y sits in part i, so it is the record
@@ -125,16 +131,32 @@ def _augment(host: MultiGraph, states, eid: int, dead: set[int],
     `matroid_union_pack` returns as the packing's closure.
 
     `inside[i][w]` is the union of the tight sets of part i that blocked
-    probes returned while holding w; the caller zeroes it after every
-    applied chain. The probe of an edge uv in part i is skipped when u and
-    v lie together in one such set M. This prunes nothing either. No chain
-    has changed part i since M was found, so M is still tight: the probe
-    would be blocked, and its minimal tight set would lie in M. Every
-    part-i edge inside M was visited or dead once M was found, so it is
-    visited in this search or dead from an earlier failed one, and the
-    probe would enqueue nothing. Probes only move pebbles, and acceptance
-    and minimal tight sets depend only on the accepted edges, so no later
-    answer changes and the packing is the same.
+    probes returned while holding w. The caller resets it after every
+    applied chain to what it held after the last failed search. The probe
+    of an edge uv in part i is skipped when u and v lie together in one
+    such set M. This prunes nothing either, whether M was found in this
+    search or in an earlier failed one:
+    - Found in this search: no chain has changed part i since, so M is
+      still tight and holds the same part-i edges, each visited or dead
+      once M was found.
+    - Found in a failed search: every part-i edge inside M was visited
+      in it, or dead before, so it is dead now. Chains never touch dead
+      edges, and an insert into part i inside M would make the tight M
+      overfull. So M stays tight with the same part-i edges inside it.
+    Either way the probe would be blocked, its minimal tight set would lie
+    in M, and it would enqueue nothing. Probes only move pebbles, and
+    acceptance and minimal tight sets depend only on the accepted edges,
+    so no later answer changes and the packing is the same.
+
+    Each dequeued edge first asks the parts, in order, for a direct
+    insert only. A part with at most ell free pebbles blocks every gather,
+    so it is not probed in that pass: part i is such a part once it has
+    accepted `filled[i]` = sum(caps) - ell edges. Only when no part takes the edge are
+    those parts probed, and every blocked part's circuit read and enqueued
+    in part order. The first part that takes the edge is the one the
+    probes in plain part order would find, and each part's R, hence its
+    circuit and the queue order, depends only on its accepted edges,
+    which no probe changes.
     """
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}
@@ -142,13 +164,21 @@ def _augment(host: MultiGraph, states, eid: int, dead: set[int],
     while queue:
         x, own = queue.popleft()
         u, v = host.edges[x]
+        blocked = []
         for i, state in enumerate(states):
             if i == own or (inside[i][u] >> v) & 1:
                 continue
-            res = state.probe_pair(u, v)
-            if res is None:
+            if len(state.ends) >= filled[i]:
+                blocked.append((i, None))
+            elif (res := state.probe_pair(u, v)) is None:
                 _apply_chain(host, states, parent, x, i)
                 return True
+            else:
+                blocked.append((i, res))
+        for i, res in blocked:
+            state = states[i]
+            if res is None:
+                res = state.probe_pair(u, v)
             for w in state.reached:
                 inside[i][w] |= res
             for y in state.tight_edges():

@@ -32,7 +32,9 @@ class PebbleState:
     order the edges were accepted, which is the order of `accepted`.
 
     Only `insert`, `delete` and `gather` change it, and each keeps
-    pebbles[v] + len(out[v]) == caps[v]. No answer depends on the arcs'
+    pebbles[v] + len(out[v]) == caps[v], so the free pebbles number
+    sum(caps) - len(ends); gather only moves them, so a state with at most
+    ell free pebbles blocks every gather. No answer depends on the arcs'
     directions, so nothing is ever restored or rebuilt:
     - Acceptance is exactly independence.
     - A failed gather leaves R, the set reachable from {x, y}, out-closed
@@ -73,13 +75,16 @@ class PebbleState:
         return list(self.ends)
 
     def check_invariant(self) -> None:
-        """Raise unless the pebbles and arcs account for the capacities and
-        the arcs are the accepted edges, each joining its edge's ends."""
+        """Raise unless the pebbles and arcs account for the capacities, no
+        vertex holds a negative count, and the arcs are the accepted edges,
+        each joining its edge's ends."""
         total = sum(self.pebbles) + len(self.ends)
         if total != sum(self.caps):
             raise RuntimeError("pebble accounting broken: "
                                f"{total} != {sum(self.caps)}")
         for v, p in enumerate(self.pebbles):
+            if p < 0:
+                raise RuntimeError(f"negative pebble count at vertex {v}")
             if p + len(self.out[v]) != self.caps[v]:
                 raise RuntimeError(f"pebble/out mismatch at vertex {v}")
         if sorted(e for arcs in self.out for e in arcs) != sorted(self.ends) or \

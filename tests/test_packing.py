@@ -16,7 +16,7 @@ from rigidpack.packing import (
     check_rigid_cut_consequences, check_pack_basic, check_pack_refined,
     check_pack_degree, violation_threshold, pack_partition_rigid,
     preset_tree_rigid, preset_tree_rigid_ec, preset_bipartite_degree,
-    _apply_chain,
+    partition_rigid_funcs, _apply_chain, _augment,
 )
 from rigidpack.sparsity import PebbleState, _pebble_run
 from rigidpack.oracle import boundary_minus, partition_cross
@@ -187,13 +187,16 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
 def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
     # without pruning, every failed search re-probes all the edges earlier
     # failed searches reached: 5,331 / 15,575 / 17,971 probes here; with it
-    # but without skipping pairs inside known tight sets, 481 / 1,055 / 961
+    # but without skipping pairs inside known tight sets, 481 / 1,055 / 961;
+    # with the skip, but probing full parts before a later part's direct
+    # insert and forgetting every tight set after each applied chain,
+    # 388 / 875 / 788
     calls = _counting_probes(monkeypatch)
     host = generators.circulant(n, [1, 2, 3, 5, 8])
     pk = matroid_union_pack(host, [lmn(n, k, l) for k, l in funcs])
     assert pk.uncovered
     assert calls[0] <= 2 * host.m * len(funcs)
-    assert calls[0] == {(40, 2): 388, (40, 4): 875, (80, 2): 788}[n, len(funcs)]
+    assert calls[0] == {(40, 2): 371, (40, 4): 825, (80, 2): 771}[n, len(funcs)]
 
 
 def test_tight_set_skip_matches_the_unskipped_search(monkeypatch):
@@ -244,8 +247,10 @@ def test_union_pass_runs_no_fresh_pebble_game(monkeypatch):
 
 def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
     # reading circuits off the tight set's arcs changes the cost of a
-    # search, not the searches: these are the counts the scan-based
-    # circuits gave on the same host
+    # search, not the searches: the scan-based circuits gave 388 probes on
+    # the same host. Asking every part for a direct insert before probing
+    # a full one, and keeping the tight sets of failed searches across
+    # applied chains, bring that to 371
     probes = _counting_probes(monkeypatch)
     runs = [0]
     run = sparsity._pebble_run
@@ -262,7 +267,128 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
                            generators.circulant(40, [1, 2, 3, 5, 8]).edges])
     pk = matroid_union_pack(host, [lmn(40, 2, 3)] * 2)
     assert (pk.covered(), len(pk.uncovered)) == (154, 46)
-    assert (probes[0], runs[0]) == (388, 2)
+    assert (probes[0], runs[0]) == (371, 2)
+
+
+def _core_ring(core, ring, offsets, rng=None):
+    """K_core joined by two edges to the circulant ring on `ring` further
+    vertices with the given offsets; with rng, its vertices are relabelled
+    and its edges reordered at random."""
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    edges += [(core + i, core + (i + off) % ring) for off in offsets for i in range(ring)]
+    edges += [(0, core), (1, core + ring // 2)]
+    if rng is not None:
+        perm = list(range(core + ring))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(edges)
+    return MultiGraph(core + ring, edges)
+
+
+def test_halved_parts_match_the_reference_search(monkeypatch):
+    # with the halved mode's degree eater first, a part is often full when
+    # a later part takes an edge directly. Asking every part for a direct
+    # insert before probing a full one, and keeping the tight sets of
+    # failed searches across applied chains, changes no part, uncovered
+    # edge or closure, and never adds a probe
+    calls = _counting_probes(monkeypatch)
+    waited = [0]
+
+    def counted(host, states, parent, last, free_part):
+        waited[0] += any(sum(s.pebbles) <= s.ell for s in states[:free_part])
+        _apply_chain(host, states, parent, last, free_part)
+
+    monkeypatch.setattr(packing, "_apply_chain", counted)
+    rng = random.Random(61)
+    pool = [(1, 1), (1, 0), (2, 3), (2, 2)]
+    hosts = rings = fewer = 0
+    while hosts < 1000:
+        ring = rng.random() < 0.4
+        if ring:
+            g = _core_ring(rng.randrange(5, 9), rng.randrange(6, 12),
+                           rng.choice([[1, 2], [1, 3], [1, 2, 3]]), rng)
+        else:
+            n = rng.randrange(4, 9)
+            g = oracle.random_multigraph(n, rng.randrange(3 * n, 7 * n), rng)
+        try:
+            funcs = partition_rigid_funcs(g, lmn(g.n, *rng.choice(pool)),
+                                          lmn(g.n, *rng.choice(pool)), "halved")
+        except ValueError:
+            continue
+        forbidden = set(rng.sample(range(g.m), rng.randrange(0, g.m // 4 + 1)))
+        start = calls[0]
+        pk = matroid_union_pack(g, funcs, forbidden)
+        middle = calls[0]
+        parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden)
+        assert [p.edges for p in pk.parts] == parts
+        assert (pk.uncovered, pk.closure) == (uncovered, closure)
+        assert middle - start <= calls[0] - middle
+        fewer += middle - start < calls[0] - middle
+        rings += ring and not all(p.full for p in pk.parts)
+        hosts += 1
+    assert rings >= 150 and fewer >= 900 and waited[0] >= 10000, \
+        (rings, fewer, waited[0])
+
+
+def test_full_parts_wait_for_the_direct_inserts(monkeypatch):
+    # rigid_factor's halved parts on a 6-regular circulant: the degree
+    # eater fills first, and the search that asks the parts in plain order
+    # probes it for edges a later part then takes directly. The engine
+    # never probes a part with no spare pebble for such an edge
+    log = []
+    probe = PebbleState.probe_pair
+
+    def logged(self, x, y):
+        res = probe(self, x, y)
+        log.append(((x, y), sum(self.pebbles) <= self.ell, res is None))
+        return res
+
+    def full_probes_before_a_direct_insert():
+        count = 0
+        for j, (pair, _, took) in enumerate(log):
+            i = j
+            while took and i and log[i - 1][0] == pair and not log[i - 1][2]:
+                i -= 1
+                count += log[i][1]
+        return count
+
+    monkeypatch.setattr(PebbleState, "probe_pair", logged)
+    host = generators.circulant(24, [1, 2, 3])
+    funcs = partition_rigid_funcs(host, lmn(24, 1, 1), lmn(24, 1, 1), "halved")
+    pk = matroid_union_pack(host, funcs)
+    engine, log[:] = full_probes_before_a_direct_insert(), []
+    parts, uncovered, _ = _reference_union_pack(host, funcs)
+    assert [p.edges for p in pk.parts] == parts and pk.uncovered == uncovered
+    assert (engine, full_probes_before_a_direct_insert()) == (0, 10)
+
+
+def _probes_forgetting_tight_sets(host, funcs, calls):
+    """Probes of the union pass, and its parts, when every applied chain
+    forgets every tight set found so far, failed searches' included."""
+    states = [PebbleState(*pebble_params(f)) for f in funcs]
+    filled = [sum(s.caps) - s.ell for s in states]
+    dead = set()
+    inside = [[0] * host.n for _ in funcs]
+    start = calls[0]
+    for eid in range(host.m):
+        if _augment(host, states, filled, eid, dead, inside):
+            inside = [[0] * host.n for _ in funcs]
+    return calls[0] - start, [frozenset(s.accepted) for s in states]
+
+
+def test_kept_tight_sets_save_probes_on_a_deficient_host(monkeypatch):
+    # K16 joined by two edges to the ring C24(1, 2), relabelled and
+    # reordered so that failed searches in the core and chains in the ring
+    # alternate: the tight sets failed searches found stay skipped after
+    # later chains
+    calls = _counting_probes(monkeypatch)
+    host = _core_ring(16, 24, [1, 2], random.Random(0))
+    funcs = [lmn(host.n, 1, 1), lmn(host.n, 2, 3)]
+    pk = matroid_union_pack(host, funcs)
+    kept = calls[0]
+    forgetting, parts = _probes_forgetting_tight_sets(host, funcs, calls)
+    assert [p.edges for p in pk.parts] == parts and pk.uncovered
+    assert (kept, forgetting) == (200, 284)
 
 
 def test_tight_edges_match_a_scan_of_the_accepted_edges():
@@ -393,10 +519,7 @@ def test_rank_certificate_on_every_deficient_packing():
 def test_structure_partition_searches_nothing_again(monkeypatch):
     # K12 joined by two edges to the circulant ring C16(1, 3): the
     # certificate is the union pass's own closure, so no part is probed
-    core, ring = 12, 16
-    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
-    edges += [(core + i, core + (i + off) % ring) for off in (1, 3) for i in range(ring)]
-    host = MultiGraph(core + ring, edges + [(0, core), (1, core + ring // 2)])
+    host = _core_ring(12, 16, [1, 3])
     pk = matroid_union_pack(host, [lmn(host.n, 1, 1), lmn(host.n, 2, 3)])
     assert not all(p.full for p in pk.parts)
     calls = _counting_probes(monkeypatch)

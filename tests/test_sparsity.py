@@ -376,3 +376,17 @@ def test_live_state_answers_as_a_fresh_run():
             state.check_invariant()
             steps += 1
     assert steps > 1000
+
+
+def test_invariant_check_rejects_a_negative_pebble_count():
+    # two parallel edges on (1, 1) capacities with deficit 0, one arc from
+    # each end; turning the arc at vertex 1 round leaves vertex 0 with -1
+    # pebbles, though each vertex's pebbles and arcs still add up to its
+    # capacity and the total is right
+    state, _ = _pebble_run((1, 1), 0, [(0, 1), (0, 1)])
+    assert state.accepted == [0, 1] and state.out == [[0], [1]]
+    state.check_invariant()
+    state.out = [[0, 1], []]
+    state.pebbles = [-1, 1]
+    with pytest.raises(RuntimeError, match="negative pebble count at vertex 0"):
+        state.check_invariant()
