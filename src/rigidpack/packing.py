@@ -22,6 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .graph import (MultiGraph, INFINITY, vertices_of, _mixed_cut,
                     _vertex_deleted_cuts)
@@ -51,11 +52,18 @@ class PackPart:
 
 @dataclass(frozen=True)
 class Packing:
+    """`_closure` is F (see `_augment`) or, when the union pass stopped as
+    every part was filled, the searches it left: the same calls on the same
+    states, run once, on the first read of `closure`."""
     host: MultiGraph
     parts: tuple[PackPart, ...]
     uncovered: frozenset[int]
     forbidden: frozenset[int]
-    closure: frozenset[int] = frozenset()
+    _closure: object = field(default=frozenset(), compare=False, repr=False)
+
+    @cached_property
+    def closure(self) -> frozenset[int]:
+        return self._closure() if callable(self._closure) else self._closure
 
     def covered(self) -> int:
         return sum(len(p.edges) for p in self.parts)
@@ -77,6 +85,9 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     Edges are attempted in ascending id order; a valid (possibly deficient)
     packing is always returned. Its closure is the set of edges the failed
     searches reached, the rank certificate `structure_partition` reports.
+    Once every part i holds `filled[i]` edges, filled parts block every
+    gather and no search can augment, so the pass stops; reading the closure
+    runs the searches left: the same `_augment` calls on the same states.
     """
     funcs = list(funcs)
     states = [PebbleState(*_require_pebble_params(f)) for f in funcs]
@@ -85,10 +96,9 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     dead: set[int] = set()
     inside = [[0] * host.n for _ in funcs]
     kept = [row[:] for row in inside]
-    for eid in range(host.m):
-        if eid in blocked:
-            continue
-        if _augment(host, states, filled, eid, dead, inside):
+    rest = deque(eid for eid in range(host.m) if eid not in blocked)
+    while rest and any(len(s.ends) < f for s, f in zip(states, filled)):
+        if _augment(host, states, filled, rest.popleft(), dead, inside):
             inside = [row[:] for row in kept]
         else:
             kept = [row[:] for row in inside]
@@ -96,8 +106,15 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
                            target=max(f.rigid_target, 0))
                   for f, state in zip(funcs, states))
     uncovered = frozenset(range(host.m)).difference(*(p.edges for p in parts))
-    packing = Packing(host=host, parts=parts, uncovered=uncovered,
-                      forbidden=frozenset(blocked), closure=frozenset(dead))
+
+    def searches_left() -> frozenset[int]:
+        for eid in rest:
+            if _augment(host, states, filled, eid, dead, inside):
+                raise RuntimeError(f"deferred search of edge {eid} augmented")
+        return frozenset(dead)
+
+    packing = Packing(host, parts, uncovered, frozenset(blocked),
+                      searches_left if rest else frozenset(dead))
     packing.verify()
     return packing
 
@@ -151,12 +168,14 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
     Each dequeued edge first asks the parts, in order, for a direct
     insert only. A part with at most ell free pebbles blocks every gather,
     so it is not probed in that pass: part i is such a part once it has
-    accepted `filled[i]` = sum(caps) - ell edges. Only when no part takes the edge are
-    those parts probed, and every blocked part's circuit read and enqueued
-    in part order. The first part that takes the edge is the one the
-    probes in plain part order would find, and each part's R, hence its
-    circuit and the queue order, depends only on its accepted edges,
-    which no probe changes.
+    accepted `filled[i]` = sum(caps) - ell edges. Once every part is, no
+    search can augment, so `matroid_union_pack` stops and runs the searches
+    left, these same calls on the same states, only when F is read. Only
+    when no part takes the edge are the filled parts probed, and every
+    blocked part's circuit read and enqueued in part order. The first part
+    that takes the edge is the one the probes in plain part order would
+    find, and each part's R, hence its circuit and the queue order,
+    depends only on its accepted edges, which no probe changes.
     """
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}

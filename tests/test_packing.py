@@ -190,13 +190,20 @@ def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
     # but without skipping pairs inside known tight sets, 481 / 1,055 / 961;
     # with the skip, but probing full parts before a later part's direct
     # insert and forgetting every tight set after each applied chain,
-    # 388 / 875 / 788
+    # 388 / 875 / 788. The pass stops once every part is filled, and the
+    # searches it leaves run when the closure is first read: 320 / 702 /
+    # 720 probes, then 371 / 825 / 771 in all, as when the pass ran them
     calls = _counting_probes(monkeypatch)
     host = generators.circulant(n, [1, 2, 3, 5, 8])
     pk = matroid_union_pack(host, [lmn(n, k, l) for k, l in funcs])
     assert pk.uncovered
+    assert calls[0] == {(40, 2): 320, (40, 4): 702, (80, 2): 720}[n, len(funcs)]
+    pk.closure
     assert calls[0] <= 2 * host.m * len(funcs)
     assert calls[0] == {(40, 2): 371, (40, 4): 825, (80, 2): 771}[n, len(funcs)]
+    total = calls[0]
+    pk.closure
+    assert calls[0] == total
 
 
 def test_tight_set_skip_matches_the_unskipped_search(monkeypatch):
@@ -217,6 +224,7 @@ def test_tight_set_skip_matches_the_unskipped_search(monkeypatch):
         forbidden = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
         start = calls[0]
         pk = matroid_union_pack(g, funcs, forbidden)
+        pk.closure  # runs the searches a filled pass left, on the engine's side
         middle = calls[0]
         parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden)
         assert [p.edges for p in pk.parts] == parts
@@ -250,7 +258,8 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
     # search, not the searches: the scan-based circuits gave 388 probes on
     # the same host. Asking every part for a direct insert before probing
     # a full one, and keeping the tight sets of failed searches across
-    # applied chains, bring that to 371
+    # applied chains, bring that to 371; stopping the pass once every part
+    # is filled leaves 320, and reading the closure runs the other 51
     probes = _counting_probes(monkeypatch)
     runs = [0]
     run = sparsity._pebble_run
@@ -267,6 +276,8 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
                            generators.circulant(40, [1, 2, 3, 5, 8]).edges])
     pk = matroid_union_pack(host, [lmn(40, 2, 3)] * 2)
     assert (pk.covered(), len(pk.uncovered)) == (154, 46)
+    assert (probes[0], runs[0]) == (320, 2)
+    pk.closure
     assert (probes[0], runs[0]) == (371, 2)
 
 
@@ -318,6 +329,7 @@ def test_halved_parts_match_the_reference_search(monkeypatch):
         forbidden = set(rng.sample(range(g.m), rng.randrange(0, g.m // 4 + 1)))
         start = calls[0]
         pk = matroid_union_pack(g, funcs, forbidden)
+        pk.closure  # runs the searches a filled pass left, on the engine's side
         middle = calls[0]
         parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden)
         assert [p.edges for p in pk.parts] == parts
@@ -526,6 +538,88 @@ def test_structure_partition_searches_nothing_again(monkeypatch):
     cert = structure_partition(pk)
     assert calls[0] == 0
     assert cert.closure == pk.closure and _structure_claims(pk, cert) == []
+
+
+def test_structure_partition_of_a_filled_packing():
+    # every part of two (2,3)-sparse parts on circulant(40) fills while
+    # edges are left uncovered; the certificate reads the deferred closure
+    host = generators.circulant(40, [1, 2, 3, 5, 8])
+    pk = matroid_union_pack(host, [lmn(40, 2, 3)] * 2)
+    assert all(p.full for p in pk.parts) and pk.uncovered
+    cert = structure_partition(pk)
+    assert _structure_claims(pk, cert) == []
+    assert cert.closure == pk.closure == _reference_closure(pk)
+    assert pk.closure == _reference_union_pack(host, [lmn(40, 2, 3)] * 2)[2]
+
+
+def test_parts_filled_from_the_start_run_no_search(monkeypatch):
+    # with sum(caps) <= ell no part takes an edge, so the pass searches
+    # nothing; the closure runs one search per usable edge when read
+    searches = [0]
+
+    def counted(*args):
+        searches[0] += 1
+        return _augment(*args)
+
+    monkeypatch.setattr(packing, "_augment", counted)
+    k5 = generators.complete(5)
+    for host, funcs, forbidden in [
+            (MultiGraph(1, []), [lmn(1, 1, 1)], set()),
+            (k5, [lmn(5, 0, 0)], {3}),
+            (k5, [vertex_weights([0] * 5), lmn(5, 0, 0)], set())]:
+        searches[0] = 0
+        pk = matroid_union_pack(host, funcs, forbidden)
+        assert searches[0] == 0
+        parts, uncovered, closure = _reference_union_pack(host, funcs, forbidden)
+        assert [p.edges for p in pk.parts] == parts and pk.uncovered == uncovered
+        assert pk.closure == closure == uncovered - forbidden
+        assert searches[0] == len(closure)
+
+
+def test_a_deferred_search_that_augments_raises(monkeypatch):
+    # a search after every part is filled cannot augment; if one does, the
+    # engine is broken and reading the closure names the edge
+    pk = matroid_union_pack(generators.circulant(40, [1, 2, 3, 5, 8]),
+                            [lmn(40, 2, 3)] * 2)
+    tried = []
+
+    def augmenting(host, states, filled, eid, dead, inside):
+        tried.append(eid)
+        return True
+
+    monkeypatch.setattr(packing, "_augment", augmenting)
+    with pytest.raises(RuntimeError) as failure:
+        pk.closure
+    assert len(tried) == 1 and tried[0] in pk.uncovered
+    assert str(failure.value) == f"deferred search of edge {tried[0]} augmented"
+
+
+def test_splits_and_decompositions_match_the_reference_search(monkeypatch):
+    # `decompose_p_rigid` and the multi-part `_split_all` packings fill
+    # their parts, so their passes may stop early; parts and leftovers are
+    # those of the search that runs every edge
+    for graph, ell, p in [(generators.complete(4), lmn(4, 1, 1), 2),
+                          (c4(), lmn(4, 1, 1), 1),
+                          (generators.complete(5), lmn(5, 1, 1), 2),
+                          (generators.complete(12), lmn(12, 2, 3), 3)]:
+        dec = decompose_p_rigid(graph, ell, p)
+        parts, uncovered, _ = _reference_union_pack(graph, [ell] * p)
+        assert (dec.parts, dec.leftover) == (tuple(parts), uncovered)
+    splits = []
+    split = packing._split_all
+
+    def logged(graph, edge_ids, funcs):
+        splits.append((graph, set(edge_ids), funcs, split(graph, edge_ids, funcs)))
+        return splits[-1][-1]
+
+    monkeypatch.setattr(packing, "_split_all", logged)
+    assert preset_tree_rigid_ec(generators.complete(9), 2, 1, 1).ok
+    assert preset_tree_rigid_ec(generators.complete(13), 3, 1, 1, force=True).ok
+    many = [case for case in splits if len(case[2]) > 1]
+    for graph, ids, funcs, pieces in many:
+        parts, _, _ = _reference_union_pack(graph, funcs, set(range(graph.m)) - ids)
+        assert pieces == tuple(parts)
+    assert len(many) == 2
 
 
 def test_structure_claims_name_a_broken_certificate():
