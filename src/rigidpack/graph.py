@@ -342,34 +342,50 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     A, B, which costs at least vcap i, the flow from i to a vertex outside
     A | B (if i is in A) or of A (if not; the network is symmetric) reaches
     it, and that vertex is higher than i. So roots stop once vcap i reaches
-    the running minimum, and each flow i -> j, j > i, stops at it. A pair
-    is skipped when its arc and one path i -> x -> j per common neighbour
-    x, all disjoint, already carry the running minimum; the network waits
-    for the first pair that is not. A path carries min(a ecap, vcap, b ecap)
-    >= min(vcap, ecap) for multiplicities a, b >= 1, so the bound counts
-    common neighbours on neighbour masks; the two are equal for both callers
-    (`vertex_connectivity` has ecap = n >= vcap = 1, and
-    `check_uniform_weakly_connected` takes only simple graphs). Sinks j_in
-    merge as in `_least_cut`.
+    the running minimum best, and each flow i -> j, j > i, stops at it.
+
+    Root i gates its pairs on the network minus 0..i-1 (their vertex arcs,
+    arcs 2x, at capacity 0) against rest = best - vcap i. Sinks j_in merge
+    as in `_least_cut`, into a set S with i_out, and a pair is skipped when
+    its arc, a path t_in -> t_out -> j_in per merged sink t next to j and a
+    path i_out -> x_in -> x_out -> j_in per other common neighbour x > i,
+    which share no arc, already carry rest, or else when the push from S into
+    j_in on the root's residual reaches rest; the network waits for the
+    first pair that is neither. A path carries at least min(vcap, ecap), as
+    multiplicities are at least 1, so the bound is a popcount on neighbour
+    masks. It is exact: let (i, j) be the first pair whose uncapped flow
+    is the final minimum k < limit, and (A, B) a minimum cut of it. Each
+    u < i is in B, as pair (u, j) would reach k earlier if u were in A, and
+    pair (u, i) if u were outside A | B (swap A and the third side). Each
+    sink t between i and j is in A | B, or pair (i, t) would reach k
+    earlier. So S is on the source side, the cut costs k - vcap i in the
+    network minus 0..i-1, below rest as best > k, and the flow (i, j) runs;
+    below its cap a flow's value and side do not depend on the cap.
     """
     n, mult = graph.n, graph.mult
     near = [mask_of(row) for row in graph.adjacency]
-    two = min(vcap, ecap)
+    per_path = min(vcap, ecap)
     net, best, side = None, limit, None
     for i in range(n):
         if vcap * i >= best:
             break
-        residual, ends = [], {i + n}
+        residual, ends, merged = [], {i + n}, 0
         for j in range(i + 1, n):
-            if mult[i][j] * ecap + two * (near[i] & near[j]).bit_count() < best:
+            rest = best - vcap * i
+            middles = ((near[i] | merged) & near[j]) >> i
+            if mult[i][j] * ecap + per_path * middles.bit_count() < rest:
                 if net is None:
                     net = _flow_network(2 * n, [(x, x + n, vcap) for x in range(n)] + [
                         (u + n, v, c * ecap) for u, v, c in graph._edge_arcs()])
-                if best == INFINITY or _push(net, residual, j, ends, best, 1) < best:
+                if not residual:
+                    residual += net[1]
+                    residual[:2 * i:2] = [0] * i
+                if best == INFINITY or _push(net, residual, j, ends, rest, 1) < rest:
                     flow, reached = _maxflow(net, i + n, j, best)
                     if reached is not None:
                         best, side = flow, reached
             ends.add(j)
+            merged |= 1 << j
     return best, side
 
 

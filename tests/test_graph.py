@@ -353,8 +353,9 @@ def test_push_matches_single_path_push():
 
 def test_vertex_connectivity_flow_count(monkeypatch):
     # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n flows.
-    # The gate pushes at the same pairs and runs the same flows (none) as
-    # with single-path pushes: a push's paths change only its cost
+    # Root i gates on the network minus 0..i-1 against best - i (vcap = 1),
+    # and its pair bound counts the merged sinks next to j as paths: half
+    # the pushes of the gate on the whole network (171 and 435), no flow
     calls, pushes = [], []
     flow, push = graph._maxflow, graph._push
 
@@ -368,7 +369,7 @@ def test_vertex_connectivity_flow_count(monkeypatch):
 
     monkeypatch.setattr(graph, "_maxflow", counted)
     monkeypatch.setattr(graph, "_push", counted_push)
-    for n, bound, pinned in ((36, 7 * 36, 171), (80, 560, 435)):
+    for n, bound, pinned in ((36, 7 * 36, 81), (80, 560, 213)):
         calls.clear()
         pushes.clear()
         assert generators.circulant(n, [1, 2, 3]).vertex_connectivity() == 6
@@ -377,10 +378,11 @@ def test_vertex_connectivity_flow_count(monkeypatch):
 
 
 def test_mixed_cut_flow_count(monkeypatch):
-    # the two-path bound skips every pair of K9 and K13 at their demands and
+    # the pair bound skips every pair of K9 and K13 at their demands and
     # of K12,12 under its degree limit, so neither a flow nor a sink-merging
     # push runs; on two K40 sharing four vertices the root bound leaves at
-    # most ceil(conn / k) (n - 1) flows
+    # most ceil(conn / k) (n - 1) flows, and the restricted gate pushes at
+    # 15 and 6 pairs (144 each on the whole network)
     calls = []
     pushes = []
     flow, push = graph._maxflow, graph._push
@@ -401,29 +403,92 @@ def test_mixed_cut_flow_count(monkeypatch):
     assert not calls and not pushes
     glued = MultiGraph(76, sorted({(a, b) for group in (range(40), range(36, 76))
                                    for a in group for b in group if a < b}))
-    for k, conn in (orientation.robust_demand(1), packing.tree_rigid_demand(2, 1, 1)):
+    for (k, conn), pinned in ((orientation.robust_demand(1), 15),
+                              (packing.tree_rigid_demand(2, 1, 1), 6)):
         calls.clear()
+        pushes.clear()
         assert packing.check_uniform_weakly_connected(glued, k, conn).ok
         assert len(calls) <= -(-conn // k) * (glued.n - 1)
+        assert len(pushes) == pinned
 
 
 def test_sink_merging_flow_count(monkeypatch):
     # on circulant(400, [1..4]) the pushes from the merged sinks reach the
     # running minimum at every pair: no flow of the (2, 8) check runs (1,590
-    # without the gate), and edge connectivity runs only its first flow (399)
+    # without the gate) after 785 pushes (1,590 on the whole network), and
+    # edge connectivity runs only its first flow (399)
     calls = []
-    flow = graph._maxflow
+    pushes = []
+    flow, push = graph._maxflow, graph._push
 
     def counted(*args):
         calls.append(args)
         return flow(*args)
 
+    def counted_push(*args):
+        pushes.append(args)
+        return push(*args)
+
     monkeypatch.setattr(graph, "_maxflow", counted)
+    monkeypatch.setattr(graph, "_push", counted_push)
     host = generators.circulant(400, [1, 2, 3, 4])
     assert graph._mixed_cut(host, 2, 1, 8) == (8, None)
-    assert not calls
+    assert not calls and len(pushes) == 785
     assert host.edge_connectivity() == 8
     assert len(calls) <= 1
+
+
+def _structured_host(rng):
+    """A relabelled circulant, two cliques glued on 1-3 vertices, a K_{a,b}
+    or a random multigraph on at most 30 vertices, with about a tenth of
+    its edges dropped."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        n = rng.randrange(4, 31)
+        g = generators.circulant(n, rng.sample(range(1, n // 2 + 1),
+                                               rng.randrange(1, min(4, n // 2) + 1)))
+    elif kind == 1:
+        shared = rng.randrange(1, 4)
+        a, b = rng.randrange(shared + 1, 16), rng.randrange(shared + 1, 16)
+        n = a + b - shared
+        g = MultiGraph(n, sorted({(u, v) for group in (range(a), range(a - shared, n))
+                                  for u in group for v in group if u < v}))
+    elif kind == 2:
+        g = generators.complete_bipartite(rng.randrange(1, 13), rng.randrange(1, 13))
+    else:
+        g = oracle.random_multigraph(rng.randrange(2, 31), rng.randrange(0, 90), rng)
+    n = g.n
+    relabel = rng.sample(range(n), n)
+    return MultiGraph(n, [(relabel[u], relabel[v]) for u, v in g.edges
+                          if rng.random() >= 0.1])
+
+
+def test_mixed_cut_matches_the_reference_on_structured_hosts():
+    # the root gates on the network minus the earlier roots and the pair
+    # bound with merged sinks keep every value and side, and every witness
+    # of a failing uniform weak check
+    rng = random.Random(2929)
+    sides = failing = 0
+    for _ in range(520):
+        g = _structured_host(rng)
+        n = g.n
+        vcap, ecap = rng.choice([(1, n), (1, 1), (2, 1), (3, 1),
+                                 (rng.randrange(0, 5), rng.randrange(1, 4))])
+        limit = rng.choice([INFINITY, INFINITY, rng.randrange(1, 3 * n)])
+        got = graph._mixed_cut(g, vcap, ecap, limit)
+        want = _reference_mixed_cut(g, vcap, ecap, limit)
+        assert got == want
+        sides += want[1] is not None
+        if ecap == 1 and limit != INFINITY and max(map(max, g.mult)) <= 1:
+            report = packing.check_uniform_weakly_connected(g, vcap, limit)
+            assert report.ok == (want[1] is None)
+            if not report.ok:
+                a = want[1] >> n
+                b = want[1] & g.full_mask & ~a
+                assert (report.witness["A"], report.witness["B"], report.witness["lhs"]) == (
+                    graph.vertices_of(a), graph.vertices_of(b), want[0] - vcap * b.bit_count())
+                failing += 1
+    assert sides >= 400 and failing >= 20
 
 
 def test_essential_edge_connectivity_flow_count(monkeypatch):
