@@ -648,8 +648,10 @@ def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
 
 
 def _recorded_hypothesis(sub, graph, params) -> packing.HypothesisReport:
-    """The check whose result a `pack`, `rigid` or `orient` report records
-    as its hypothesis, run from the report's params as the engine ran it."""
+    """The check whose result a `pack` or `rigid` report that built a
+    certificate records as its hypothesis, run from the report's params as
+    the engine ran it. An orientation records one only when it fails, and
+    then has no certificate: its runner decides it again."""
     preset = params.get("preset")
     if preset == "bipartite-degree":
         return packing.check_bipartite_connectivity(graph, Fraction(params["k"]))
@@ -659,15 +661,10 @@ def _recorded_hypothesis(sub, graph, params) -> packing.HypothesisReport:
     if sub == "rigid":
         return packing.check_rigid_sufficient(
             graph, parse_setfunc(params["func"], graph.n), params["forbid"])
-    if sub == "orient" and params["mode"] == "robust":
-        return packing.check_uniform_weakly_connected(
-            graph, *orientation.robust_demand(params["k"]))
     l, ell = (parse_setfunc(params[key], graph.n) for key in ("l", "ell"))
-    if sub == "pack":
-        return packing.check_pack_hypothesis(graph, l, ell, params["forbid"],
-                                             params["mode"], params.get("k"),
-                                             params.get("rho"))
-    return packing.check_pack_basic(graph, l, ell)  # orient --mode packed
+    return packing.check_pack_hypothesis(graph, l, ell, params["forbid"],
+                                         params["mode"], params.get("k"),
+                                         params.get("rho"))
 
 
 def _rigid_claims(graph, func, forbid, certs, verdict) -> list[str]:

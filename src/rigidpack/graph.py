@@ -285,10 +285,12 @@ def _flow_network(size: int, arcs):
 
 def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
                floor=lambda t, d: 0):
-    """The least cut of a `_flow_network` restricted to the vertex set
-    `rest`, or `limit` if that is lower, with the source side of a flow
-    reaching it as a mask (None if no cut is below `limit`). A cut is the
-    capacity of the arcs entering a proper nonempty subset A of `rest`.
+    """The least cut of a `_flow_network` between the vertices of `rest`,
+    or `limit` if that is lower, with the source side of a flow reaching it
+    as a mask (None if no cut is below `limit`). A cut is the capacity of
+    the arcs entering a vertex set A that holds some but not all of `rest`;
+    other vertices may lie on either side (with their arcs at capacity 0,
+    they never matter).
 
     Let r be the lowest vertex of `rest`. A either holds some t but not r,
     and takes at least the r -> t flow, or holds r and misses some t, and
@@ -298,28 +300,28 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
     1975); a symmetric network, such as `_edge_arcs`, needs only r -> t,
     as its flows are the same both ways. Each flow stops at the running
     minimum, so the last flow that lowers it has a minimum cut (`_maxflow`),
-    and its side is returned. The network may hold arcs outside `rest` at
-    capacity 0: no search reaches their vertices.
+    and its side is returned.
 
     Sink merging gates the flows (Hao & Orlin 1994): `_push` sends flow into
     t from S, the root and earlier sinks (out of t for t -> r), on a residual
     per direction; the flow runs only if the push, min(lambda(S, t), best),
     is below best. Before it, a pair is skipped if `floor(t, d)`, a lower
     bound on lambda(S, t) (lambda(t, S) for d = 1) that the caller knows,
-    reaches best. If lambda(r, t) < best and f is the first sink on the sink
-    side X of a minimum r -> t cut, S misses X at f, so the floor and the
-    push at f are below best, and unless f = t the flow at f lowers best to
-    cut(X). So every flow that lowers best still runs, in the same order.
+    reaches best. This is exact: if a flow would lower best, let f be the
+    first sink on the sink side X of its minimum cut. S misses X at f, so
+    the floor and the push at f are at most cut(X) < best, and unless f = t
+    the flow at f lowers best to cut(X). So every flow that lowers best
+    still runs, in the same order, with the same value and side.
     """
     low = rest & -rest
     root = low.bit_length() - 1
     best, side = limit, None
-    ends, residual = {root}, ([], [])
+    ends, residual, directions = {root}, ([], []), range(1 + both_ways)
     for t in vertices_of(rest ^ low):
-        for d, (s, u) in enumerate(((root, t), (t, root))[:1 + both_ways]):
+        for d in directions:
             if floor(t, d) < best and (
                     best == INFINITY or _push(net, residual[d], t, ends, best, 1 - d) < best):
-                flow, reached = _maxflow(net, s, u, best)
+                flow, reached = _maxflow(net, (root, t)[d], (t, root)[d], best)
                 if reached is not None:
                     best, side = flow, reached
         ends.add(t)
@@ -332,60 +334,58 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     Harary 1967), or `limit` if lower, with the source side of a flow
     reaching it as a split-network mask (None if no cut is below `limit`).
 
-    The split network has x_in = x, x_out = x + n, an arc x_in -> x_out of
-    capacity vcap and an arc u_out -> v_in of capacity mult(u, v) ecap. On
-    the least source side of a minimum s_out -> t_in cut, A is the vertices
-    whose out-copy is on it and B those whose in-copy alone is, s is in A, t
-    outside A | B, and the cut costs exactly vcap |B| + ecap d_{G-B}(A).
+    The split network has x_out = x, x_in = x + n, an arc x_in -> x_out of
+    capacity vcap (arc 2x) and an arc u_out -> v_in of capacity
+    mult(u, v) ecap. On the least source side of a minimum s_out -> t_in
+    cut, A is the vertices whose out-copy is on it and B those whose in-copy
+    alone is, s is in A, t outside A | B, and the cut costs exactly
+    vcap |B| + ecap d_{G-B}(A).
 
     Even's bound (1975): with i the lowest vertex outside B of an optimal
     A, B, which costs at least vcap i, the flow from i to a vertex outside
     A | B (if i is in A) or of A (if not; the network is symmetric) reaches
     it, and that vertex is higher than i. So roots stop once vcap i reaches
-    the running minimum best, and each flow i -> j, j > i, stops at it.
+    the running minimum best, and root i is `_least_cut` of
+    rest = {i_out} | {j_in : j > i} on the network minus 0..i-1 (their
+    vertex arcs at capacity 0), below best - vcap i, plus vcap i. Deleting
+    i vertex arcs lowers a cut by at most vcap i, so no root reports less
+    than the minimum k. If (i, j) is the first pair whose flow is k < limit,
+    every minimum cut (A, B) of it has each u < i in B, as pair (u, j)
+    would reach k earlier if u were in A, and pair (u, i) if u were outside
+    A | B (swap A and the third side). So in the network minus 0..i-1 the
+    pair reaches k - vcap i with the same minimum cuts, and the same least
+    side, and no earlier pair reaches k.
 
-    Root i gates its pairs on the network minus 0..i-1 (their vertex arcs,
-    arcs 2x, at capacity 0) against rest = best - vcap i. Sinks j_in merge
-    as in `_least_cut`, into a set S with i_out, and a pair is skipped when
-    its arc, a path t_in -> t_out -> j_in per merged sink t next to j and a
-    path i_out -> x_in -> x_out -> j_in per other common neighbour x > i,
-    which share no arc, already carry rest, or else when the push from S into
-    j_in on the root's residual reaches rest; the network waits for the
-    first pair that is neither. A path carries at least min(vcap, ecap), as
-    multiplicities are at least 1, so the bound is a popcount on neighbour
-    masks. It is exact: let (i, j) be the first pair whose uncapped flow
-    is the final minimum k < limit, and (A, B) a minimum cut of it. Each
-    u < i is in B, as pair (u, j) would reach k earlier if u were in A, and
-    pair (u, i) if u were outside A | B (swap A and the third side). Each
-    sink t between i and j is in A | B, or pair (i, t) would reach k
-    earlier. So S is on the source side, the cut costs k - vcap i in the
-    network minus 0..i-1, below rest as best > k, and the flow (i, j) runs;
-    below its cap a flow's value and side do not depend on the cap.
+    Root i's floor for sink j_in counts arc-disjoint paths into it from
+    i_out and the merged sinks: its arc from i_out, a path t_in -> t_out ->
+    j_in per merged sink t next to j, and i_out -> x_in -> x_out -> j_in
+    per other common neighbour x > i. Each carries at least min(vcap, ecap),
+    as multiplicities are at least 1, so the floor is a popcount on
+    neighbour masks, and the network is built at the first root with a
+    floor below best - vcap i.
     """
     n, mult = graph.n, graph.mult
     near = [mask_of(row) for row in graph.adjacency]
     per_path = min(vcap, ecap)
     net, best, side = None, limit, None
     for i in range(n):
-        if vcap * i >= best:
+        room = best - vcap * i
+        if room <= 0:
             break
-        residual, ends, merged = [], {i + n}, 0
-        for j in range(i + 1, n):
-            rest = best - vcap * i
-            middles = ((near[i] | merged) & near[j]) >> i
-            if mult[i][j] * ecap + per_path * middles.bit_count() < rest:
-                if net is None:
-                    net = _flow_network(2 * n, [(x, x + n, vcap) for x in range(n)] + [
-                        (u + n, v, c * ecap) for u, v, c in graph._edge_arcs()])
-                if not residual:
-                    residual += net[1]
-                    residual[:2 * i:2] = [0] * i
-                if best == INFINITY or _push(net, residual, j, ends, rest, 1) < rest:
-                    flow, reached = _maxflow(net, i + n, j, best)
-                    if reached is not None:
-                        best, side = flow, reached
-            ends.add(j)
-            merged |= 1 << j
+        row, left = mult[i], near[i] >> i
+        floors = [row[j] * ecap + per_path * (
+            (left | (1 << j - i) - 2) & (near[j] >> i)).bit_count() for j in range(i + 1, n)]
+        if net is None:
+            if min(floors, default=INFINITY) >= room:
+                continue
+            net = _flow_network(2 * n, [(x + n, x, vcap) for x in range(n)] + [
+                (u, v + n, c * ecap) for u, v, c in graph._edge_arcs()])
+        net[1][:2 * i:2] = [0] * i
+        first = n + i + 1
+        value, reached = _least_cut(net, (1 << i) | (1 << 2 * n) - (1 << first), False,
+                                    room, lambda t, d: floors[t - first])
+        if reached is not None:
+            best, side = value + vcap * i, reached
     return best, side
 
 
@@ -410,13 +410,9 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
     sinks may cancel flow inside S, and then bounds nothing.)
 
     The network minus v is `_least_cut` on the other vertices, with the
-    same sinks and sets S - v and P - thru(v) as each pair's floor. That
-    is exact: if the flow at t lowers the running minimum best, the first
-    sink f on the sink side X of its minimum cut has S - v disjoint from X,
-    so the floor and the push at f are at most cut(X) < best and the flow
-    at f runs, lowering best unless f = t. So every flow that lowers best
-    runs, in the same order and with the same side. A deleted vertex keeps
-    its arcs at capacity 0, so all flows share one arc list.
+    same sinks and sets S - v, and P - thru(v) is each pair's floor, exact
+    as `_least_cut` shows. A deleted vertex keeps its arcs at capacity 0,
+    so all flows share one arc list.
     """
     net = _flow_network(n, arcs)
     head, cap, out = net

@@ -796,8 +796,8 @@ def check_uniform_weakly_connected(graph, k: int, conn: int) -> HypothesisReport
     value, side = _mixed_cut(graph, k, 1, conn)
     if side is None:
         return HypothesisReport("weakly-connected", True)
-    a = side >> graph.n
-    b = side & graph.full_mask & ~a
+    a = side & graph.full_mask
+    b = (side >> graph.n) & ~a
     used = k * b.bit_count()
     return HypothesisReport("weakly-connected", False, witness={
         "A": vertices_of(a), "B": vertices_of(b), "lhs": value - used,

@@ -9,7 +9,9 @@ import pytest
 from rigidpack.cli import (
     RUNNERS, main, canonical_dumps, graph_from_record, load_graph, parse_setfunc,
 )
-from rigidpack.generators import circulant, complete, complete_bipartite
+from rigidpack.generators import (
+    circulant, complete, complete_bipartite, doubled, random_simple,
+)
 from rigidpack.graph import MultiGraph
 from rigidpack.setfuncs import lmn
 from rigidpack.sparsity import is_sparse
@@ -105,6 +107,30 @@ def test_gen_is_deterministic(capsys):
 def test_gen_rejects_impossible_params(capsys):
     code = main(["gen", "--family", "random-regular", "--n", "5", "--r", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, name, want", [
+    (["complete-bipartite", "--a", "2", "--b", "3"], "K2_3", complete_bipartite(2, 3)),
+    (["circulant", "--n", "8", "--offsets", "1", "4"], "C8(1,4)", circulant(8, [1, 4])),
+    (["random-simple", "--n", "7", "--m", "9", "--seed", "3"], "G7_9_s3",
+     random_simple(7, 9, 3)),
+])
+def test_gen_families(capsys, argv, name, want):
+    code, out = run(capsys, "gen", "--family", *argv)
+    assert code == 0
+    assert json.loads(out) == {"name": name, "n": want.n,
+                               "edges": [list(e) for e in want.edges]}
+
+
+def test_gen_doubled_writes_to_out(tmp_path, capsys, c4):
+    out = tmp_path / "doubled.json"
+    code, printed = run(capsys, "gen", "--family", "doubled", "--base", c4,
+                        "--mult", "3", "--out", str(out))
+    assert code == 0 and printed == ""
+    graph, meta = load_graph(str(out))
+    assert meta["name"] == "c4x3"
+    assert graph.edges == doubled(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 3).edges
+    assert main(["gen", "--family", "doubled", "--base", c4, "--mult", "0"]) == 2
 
 
 def test_canonical_round_trip(tmp_path, capsys):
@@ -416,7 +442,30 @@ REPORTS = {
                                 "--l", "lmn:1,1"], 0),
     "pack-basic": ("k9", ["hypothesis", "--check", "pack-basic", "--l", "lmn:1,1",
                           "--ell", "lmn:2,3"], 0),
+    "rigid-sufficient": ("k9", ["hypothesis", "--check", "rigid-sufficient",
+                                "--ell", "lmn:2,3"], 0),
+    # the refined check fails on K6 at its degree condition, at vertex 0
+    "pack-refined": ("k6", ["hypothesis", "--check", "pack-refined", "--l", "lmn:1,1",
+                            "--ell", "lmn:2,3"], 1),
+    "pack-degree": ("k9", ["hypothesis", "--check", "pack-degree", "--l", "lmn:1,1",
+                           "--ell", "lmn:1,1", "--k", "3", "--rho", ",".join(["9"] * 9)], 0),
+    # with rho = 1, six vertices of K9 induce 15 edges, more than
+    # rho(S) + 3 (l(V) + ell(V)) = 12: the density condition fails
+    "pack-degree-density": ("k9", ["hypothesis", "--check", "pack-degree", "--l",
+                                   "lmn:1,1", "--ell", "lmn:1,1", "--k", "3",
+                                   "--rho", ",".join(["1"] * 9)], 1),
     "oracle-rank": ("k6", ["oracle", "--what", "rank", "--func", "lmn:2,3"], 0),
+    "oracle-rigid": ("c4", ["oracle", "--what", "rigid", "--func", "lmn:2,3"], 1),
+    "oracle-partition-connected": ("k4", ["oracle", "--what", "partition-connected",
+                                          "--func", "lmn:1,1"], 0),
+    "oracle-partition-cut": ("c4", ["oracle", "--what", "partition-connected",
+                                    "--func", "lmn:2,3"], 1),
+    "oracle-edge-connected": ("c4", ["oracle", "--what", "edge-connected",
+                                     "--func", "lmn:2,3"], 1),
+    "oracle-matroid-axioms": ("k4", ["oracle", "--what", "matroid-axioms",
+                                     "--func", "lmn:2,3"], 0),
+    "oracle-weakly-connected": ("c4", ["oracle", "--what", "weakly-connected",
+                                       "--func", "lmn:2,3", "--ell-vec", "1,1,1,1"], 1),
     "oracle-census": ("k4", ["oracle", "--what", "census", "--census-n", "4"], 0),
     # degree 5 is below 2 ell(v) + 2 l(v) = 8: exit 2, nothing is built
     "pack-hypothesis": ("k6", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
@@ -815,6 +864,14 @@ def _drop_last_arc(r):
     ("rigid-cuts-vertex", _move_witness_vertex, "witness"),
     ("weakly-connected", _flip_verdict, "verdict"),
     ("oracle-rank", _flip_verdict_raise_rank, "rank"),
+    ("oracle-rigid", _flip_verdict_raise_rank, "rank"),
+    ("oracle-edge-connected", _inject("witness", [0]), "witness"),
+    ("oracle-partition-cut", _inject("witness", [[0, 1, 2], [3]]), "witness"),
+    ("oracle-matroid-axioms", _inject("detail", ["exchange"]), "detail"),
+    ("oracle-weakly-connected", _inject("witness", None), "witness"),
+    ("pack-degree-density", _inject("witness", {}), "witness"),
+    ("pack-refined", _inject("aux", {}), "aux"),
+    ("rigid-sufficient", _flip_verdict, "verdict"),
     ("pack-hypothesis", _flip_hypothesis_ok, "hypothesis verdict"),
     ("rigid-forbid", _flip_hypothesis_ok, "hypothesis verdict"),
     ("pack-forbidden-size", _flip_hypothesis_ok, "hypothesis verdict"),

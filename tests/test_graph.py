@@ -10,7 +10,7 @@ from rigidpack.oracle import (
     boundary_minus, collection_cross, induced_subgraph, partition_cross,
 )
 
-from helpers import delete_vertex
+from helpers import counting, delete_vertex
 
 
 def c4():
@@ -188,9 +188,9 @@ def _reference_mixed_cut(g, vcap, ecap, limit):
                 for a, b in zip(mult[i], mult[j]) if a and b)
             if paths < best:
                 if net is None:
-                    net = graph._flow_network(2 * n, [(x, x + n, vcap) for x in range(n)] + [
-                        (u + n, v, c * ecap) for u, v, c in g._edge_arcs()])
-                flow, reached = graph._maxflow(net, i + n, j, best)
+                    net = graph._flow_network(2 * n, [(x + n, x, vcap) for x in range(n)] + [
+                        (u, v + n, c * ecap) for u, v, c in g._edge_arcs()])
+                flow, reached = graph._maxflow(net, i, j + n, best)
                 if reached is not None:
                     best, side = flow, reached
     return best, side
@@ -200,17 +200,11 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
     # the gated root-flow loops return the value and side of the ungated
     # ones on symmetric networks and digraphs, multigraphs, networks with a
     # vertex outside `rest`, and every limit, 5,000 networks each; they run
-    # fewer flows
-    calls = []
-    flow = graph._maxflow
-
-    def counted(*args):
-        calls.append(args)
-        return flow(*args)
-
-    monkeypatch.setattr(graph, "_maxflow", counted)
+    # fewer flows. At least 50 mixed-cut minima come from a root i > 0 with
+    # vcap > 0, which runs on the network minus 0..i-1 and adds vcap i
+    calls = counting(monkeypatch, graph, "_maxflow")
     rng = random.Random(2323)
-    gated = ungated = 0
+    gated = ungated = offset = 0
     for case in range(10000):
         n = rng.randrange(2, 12)
         limit = rng.choice([1, 2, 3, 4, INFINITY])
@@ -223,6 +217,9 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
             calls.clear()
             assert got == _reference_mixed_cut(g, vcap, ecap, limit)
             ungated += len(calls)
+            if got[1] is not None and vcap:
+                a = got[1] & g.full_mask
+                offset += a & -a > 1
             continue
         both_ways = rng.random() < 0.6
         if both_ways:
@@ -246,6 +243,7 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
         assert got == _reference_least_cut(net, rest, both_ways, limit)
         ungated += len(calls)
     assert gated < ungated
+    assert offset >= 50, offset
 
 
 def _reference_push(net, residual, t, ends, limit, back):
@@ -356,19 +354,8 @@ def test_vertex_connectivity_flow_count(monkeypatch):
     # Root i gates on the network minus 0..i-1 against best - i (vcap = 1),
     # and its pair bound counts the merged sinks next to j as paths: half
     # the pushes of the gate on the whole network (171 and 435), no flow
-    calls, pushes = [], []
-    flow, push = graph._maxflow, graph._push
-
-    def counted(*args):
-        calls.append(args)
-        return flow(*args)
-
-    def counted_push(*args):
-        pushes.append(args)
-        return push(*args)
-
-    monkeypatch.setattr(graph, "_maxflow", counted)
-    monkeypatch.setattr(graph, "_push", counted_push)
+    calls = counting(monkeypatch, graph, "_maxflow")
+    pushes = counting(monkeypatch, graph, "_push")
     for n, bound, pinned in ((36, 7 * 36, 81), (80, 560, 213)):
         calls.clear()
         pushes.clear()
@@ -383,20 +370,8 @@ def test_mixed_cut_flow_count(monkeypatch):
     # push runs; on two K40 sharing four vertices the root bound leaves at
     # most ceil(conn / k) (n - 1) flows, and the restricted gate pushes at
     # 15 and 6 pairs (144 each on the whole network)
-    calls = []
-    pushes = []
-    flow, push = graph._maxflow, graph._push
-
-    def counted(*args):
-        calls.append(args)
-        return flow(*args)
-
-    def counted_push(*args):
-        pushes.append(args)
-        return push(*args)
-
-    monkeypatch.setattr(graph, "_maxflow", counted)
-    monkeypatch.setattr(graph, "_push", counted_push)
+    calls = counting(monkeypatch, graph, "_maxflow")
+    pushes = counting(monkeypatch, graph, "_push")
     assert packing.check_uniform_weakly_connected(generators.complete(9), 2, 8).ok
     assert packing.check_uniform_weakly_connected(generators.complete(13), 3, 12).ok
     assert generators.complete_bipartite(12, 12).vertex_connectivity() == 12
@@ -417,20 +392,8 @@ def test_sink_merging_flow_count(monkeypatch):
     # running minimum at every pair: no flow of the (2, 8) check runs (1,590
     # without the gate) after 785 pushes (1,590 on the whole network), and
     # edge connectivity runs only its first flow (399)
-    calls = []
-    pushes = []
-    flow, push = graph._maxflow, graph._push
-
-    def counted(*args):
-        calls.append(args)
-        return flow(*args)
-
-    def counted_push(*args):
-        pushes.append(args)
-        return push(*args)
-
-    monkeypatch.setattr(graph, "_maxflow", counted)
-    monkeypatch.setattr(graph, "_push", counted_push)
+    calls = counting(monkeypatch, graph, "_maxflow")
+    pushes = counting(monkeypatch, graph, "_push")
     host = generators.circulant(400, [1, 2, 3, 4])
     assert graph._mixed_cut(host, 2, 1, 8) == (8, None)
     assert not calls and len(pushes) == 785
@@ -483,8 +446,8 @@ def test_mixed_cut_matches_the_reference_on_structured_hosts():
             report = packing.check_uniform_weakly_connected(g, vcap, limit)
             assert report.ok == (want[1] is None)
             if not report.ok:
-                a = want[1] >> n
-                b = want[1] & g.full_mask & ~a
+                a = want[1] & g.full_mask
+                b = (want[1] >> n) & ~a
                 assert (report.witness["A"], report.witness["B"], report.witness["lhs"]) == (
                     graph.vertices_of(a), graph.vertices_of(b), want[0] - vcap * b.bit_count())
                 failing += 1
@@ -495,14 +458,7 @@ def test_essential_edge_connectivity_flow_count(monkeypatch):
     # at most m flows for the edges disjoint from ab and deg(a) deg(b) for
     # the pairs of neighbours; forced tree-rigid on K20 checks a 20-vertex
     # rigid part
-    calls = []
-    flow = graph._maxflow
-
-    def counted(*args):
-        calls.append(args)
-        return flow(*args)
-
-    monkeypatch.setattr(graph, "_maxflow", counted)
+    calls = counting(monkeypatch, graph, "_maxflow")
     assert generators.complete(23).essential_edge_connectivity() == 42
     assert len(calls) <= 253 + 22 * 22
     res = packing.preset_tree_rigid(generators.complete(20), 2, 1, 1, force=True)
@@ -625,25 +581,13 @@ def _deleted_arc_strong(orient, v):
     return graph._least_cut(net, orient.host.full_mask ^ (1 << v), True)[0]
 
 
-def _augmenting_path_calls(monkeypatch):
-    calls = []
-    flow = graph._augmenting_paths
-
-    def counted(*args):
-        calls.append(args)
-        return flow(*args)
-
-    monkeypatch.setattr(graph, "_augmenting_paths", counted)
-    return calls
-
-
 def test_robust_claims_flow_count(monkeypatch):
     # the whole network's first flow and one G - v flow run; every other
     # pair is settled by its bound or its push. A fresh min cut of every
     # G - v ran 418 flows here
     orient = orientation.robust_arc_strong(generators.complete(15), 1,
                                            force=True).orientation
-    calls = _augmenting_path_calls(monkeypatch)
+    calls = counting(monkeypatch, graph, "_augmenting_paths")
     failed, checks = orientation.robust_claims(orient, 1)
     assert not failed
     assert checks == {"arc_strong": 7, "vertex_deleted_arc_strong": 6}
@@ -655,15 +599,8 @@ def test_robust_claims_flow_count_on_circulant(monkeypatch):
     # flow; a bound or a push settles the rest
     res = orientation.robust_arc_strong(generators.circulant(200, range(1, 9)), 1)
     assert res.ok
-    calls = _augmenting_path_calls(monkeypatch)
-    pushes = []
-    push = graph._push
-
-    def counted_push(*args):
-        pushes.append(args)
-        return push(*args)
-
-    monkeypatch.setattr(graph, "_push", counted_push)
+    calls = counting(monkeypatch, graph, "_augmenting_paths")
+    pushes = counting(monkeypatch, graph, "_push")
     failed, checks = orientation.robust_claims(res.orientation, 1)
     assert not failed
     assert checks == {"arc_strong": 8, "vertex_deleted_arc_strong": 7}
@@ -674,7 +611,7 @@ def test_robust_claims_flow_count_on_circulant(monkeypatch):
 def test_robust_construction_flow_count(monkeypatch):
     # each repair pass finds the first deficient vertex from one whole
     # pass; a fresh min cut per vertex and pass ran 518 flows here
-    calls = _augmenting_path_calls(monkeypatch)
+    calls = counting(monkeypatch, graph, "_augmenting_paths")
     assert orientation.robust_arc_strong(generators.complete(15), 1,
                                          force=True).ok
     assert len(calls) <= 9
@@ -683,7 +620,7 @@ def test_robust_construction_flow_count(monkeypatch):
 def test_tree_rigid_flow_count(monkeypatch):
     # the self-check's edge connectivity and vertex-deleted cuts share one
     # whole pass; a fresh min cut per G - v ran 84 flows here
-    calls = _augmenting_path_calls(monkeypatch)
+    calls = counting(monkeypatch, graph, "_augmenting_paths")
     assert packing.preset_tree_rigid(generators.complete(9), 2, 1, 1).ok
     assert len(calls) <= 14
 

@@ -21,7 +21,7 @@ from rigidpack.packing import (
 from rigidpack.sparsity import PebbleState, _pebble_run
 from rigidpack.oracle import boundary_minus, partition_cross
 
-from helpers import delete_vertex
+from helpers import counting, delete_vertex
 
 
 def c4():
@@ -131,23 +131,11 @@ def _reference_union_pack(host, funcs, forbidden=(), prune=True):
     return parts, frozenset(range(host.m)).difference(*parts), frozenset(dead)
 
 
-def _counting_probes(monkeypatch):
-    calls = [0]
-    probe = PebbleState.probe_pair
-
-    def counted(self, x, y):
-        calls[0] += 1
-        return probe(self, x, y)
-
-    monkeypatch.setattr(PebbleState, "probe_pair", counted)
-    return calls
-
-
 def test_union_pruning_matches_unpruned_search(monkeypatch):
     # dropping the edges of failed searches changes no part and no
     # uncovered edge; on small hosts the packing also meets Edmonds' bound.
     # Pruning needs dense hosts: two failed searches must share edges.
-    calls = _counting_probes(monkeypatch)
+    calls = counting(monkeypatch, PebbleState, "probe_pair")
     rng = random.Random(31)
     pool = [(1, 1), (2, 3), (2, 2), (1, 0), (3, 5)]
     bounded = pruned = 0
@@ -163,12 +151,12 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
         if rng.random() >= 0.5:
             # a drawn set of allowed edges forbids every other edge
             forbidden |= set(range(m)) - set(rng.sample(range(m), rng.randrange(0, m + 1)))
-        start = calls[0]
+        start = len(calls)
         pk = matroid_union_pack(g, funcs, forbidden)
-        middle = calls[0]
+        middle = len(calls)
         parts, uncovered, _ = _reference_union_pack(g, funcs, forbidden,
                                                     prune=False)
-        pruned += middle - start < calls[0] - middle
+        pruned += middle - start < len(calls) - middle
         assert [p.edges for p in pk.parts] == parts
         assert pk.uncovered == uncovered
         if n <= 6:
@@ -193,24 +181,24 @@ def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
     # 388 / 875 / 788. The pass stops once every part is filled, and the
     # searches it leaves run when the closure is first read: 320 / 702 /
     # 720 probes, then 371 / 825 / 771 in all, as when the pass ran them
-    calls = _counting_probes(monkeypatch)
+    calls = counting(monkeypatch, PebbleState, "probe_pair")
     host = generators.circulant(n, [1, 2, 3, 5, 8])
     pk = matroid_union_pack(host, [lmn(n, k, l) for k, l in funcs])
     assert pk.uncovered
-    assert calls[0] == {(40, 2): 320, (40, 4): 702, (80, 2): 720}[n, len(funcs)]
+    assert len(calls) == {(40, 2): 320, (40, 4): 702, (80, 2): 720}[n, len(funcs)]
     pk.closure
-    assert calls[0] <= 2 * host.m * len(funcs)
-    assert calls[0] == {(40, 2): 371, (40, 4): 825, (80, 2): 771}[n, len(funcs)]
-    total = calls[0]
+    assert len(calls) <= 2 * host.m * len(funcs)
+    assert len(calls) == {(40, 2): 371, (40, 4): 825, (80, 2): 771}[n, len(funcs)]
+    total = len(calls)
     pk.closure
-    assert calls[0] == total
+    assert len(calls) == total
 
 
 def test_tight_set_skip_matches_the_unskipped_search(monkeypatch):
     # a probe whose pair lies in a tight set found since the last applied
     # chain is skipped: no part, uncovered edge or closure changes, and the
     # engine never probes more than the search that asks every pair
-    calls = _counting_probes(monkeypatch)
+    calls = counting(monkeypatch, PebbleState, "probe_pair")
     rng = random.Random(47)
     fewer = 0
     for _ in range(1500):
@@ -222,35 +210,34 @@ def test_tight_set_skip_matches_the_unskipped_search(monkeypatch):
         g = oracle.random_multigraph(n, m, rng)
         funcs = [_random_pebble_func(n, rng) for _ in range(rng.randrange(1, 4))]
         forbidden = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
-        start = calls[0]
+        start = len(calls)
         pk = matroid_union_pack(g, funcs, forbidden)
         pk.closure  # runs the searches a filled pass left, on the engine's side
-        middle = calls[0]
+        middle = len(calls)
         parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden)
         assert [p.edges for p in pk.parts] == parts
         assert (pk.uncovered, pk.closure) == (uncovered, closure)
-        assert middle - start <= calls[0] - middle
-        fewer += middle - start < calls[0] - middle
+        assert middle - start <= len(calls) - middle
+        fewer += middle - start < len(calls) - middle
     assert fewer >= 1000, fewer
+
+
+def _counting_pebble_runs(monkeypatch):
+    runs = counting(monkeypatch, sparsity, "_pebble_run")
+    monkeypatch.setattr(packing, "_pebble_run", sparsity._pebble_run)
+    return runs
 
 
 def test_union_pass_runs_no_fresh_pebble_game(monkeypatch):
     # parts change in place; the only fresh pebble runs are the final
     # Packing.verify's sparsity check of each part
-    calls = [0]
-    run = sparsity._pebble_run
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(sparsity, "_pebble_run", counted)
-    monkeypatch.setattr(packing, "_pebble_run", counted)
+    calls = _counting_pebble_runs(monkeypatch)
     pk = matroid_union_pack(generators.circulant(40, [1, 2, 3, 5, 8]),
                             [lmn(40, 2, 3)] * 2)
-    in_pass, calls[0] = calls[0], 0
+    in_pass = len(calls)
+    calls.clear()
     pk.verify()
-    assert in_pass == calls[0] == 2
+    assert in_pass == len(calls) == 2
 
 
 def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
@@ -260,25 +247,17 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
     # a full one, and keeping the tight sets of failed searches across
     # applied chains, bring that to 371; stopping the pass once every part
     # is filled leaves 320, and reading the closure runs the other 51
-    probes = _counting_probes(monkeypatch)
-    runs = [0]
-    run = sparsity._pebble_run
-
-    def counted(*args, **kwargs):
-        runs[0] += 1
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(sparsity, "_pebble_run", counted)
-    monkeypatch.setattr(packing, "_pebble_run", counted)
+    probes = counting(monkeypatch, PebbleState, "probe_pair")
+    runs = _counting_pebble_runs(monkeypatch)
     perm = list(range(40))
     random.Random(24).shuffle(perm)
     host = MultiGraph(40, [(perm[u], perm[v]) for u, v in
                            generators.circulant(40, [1, 2, 3, 5, 8]).edges])
     pk = matroid_union_pack(host, [lmn(40, 2, 3)] * 2)
     assert (pk.covered(), len(pk.uncovered)) == (154, 46)
-    assert (probes[0], runs[0]) == (320, 2)
+    assert (len(probes), len(runs)) == (320, 2)
     pk.closure
-    assert (probes[0], runs[0]) == (371, 2)
+    assert (len(probes), len(runs)) == (371, 2)
 
 
 def _core_ring(core, ring, offsets, rng=None):
@@ -302,7 +281,7 @@ def test_halved_parts_match_the_reference_search(monkeypatch):
     # insert before probing a full one, and keeping the tight sets of
     # failed searches across applied chains, changes no part, uncovered
     # edge or closure, and never adds a probe
-    calls = _counting_probes(monkeypatch)
+    calls = counting(monkeypatch, PebbleState, "probe_pair")
     waited = [0]
 
     def counted(host, states, parent, last, free_part):
@@ -327,15 +306,15 @@ def test_halved_parts_match_the_reference_search(monkeypatch):
         except ValueError:
             continue
         forbidden = set(rng.sample(range(g.m), rng.randrange(0, g.m // 4 + 1)))
-        start = calls[0]
+        start = len(calls)
         pk = matroid_union_pack(g, funcs, forbidden)
         pk.closure  # runs the searches a filled pass left, on the engine's side
-        middle = calls[0]
+        middle = len(calls)
         parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden)
         assert [p.edges for p in pk.parts] == parts
         assert (pk.uncovered, pk.closure) == (uncovered, closure)
-        assert middle - start <= calls[0] - middle
-        fewer += middle - start < calls[0] - middle
+        assert middle - start <= len(calls) - middle
+        fewer += middle - start < len(calls) - middle
         rings += ring and not all(p.full for p in pk.parts)
         hosts += 1
     assert rings >= 150 and fewer >= 900 and waited[0] >= 10000, \
@@ -381,11 +360,11 @@ def _probes_forgetting_tight_sets(host, funcs, calls):
     filled = [sum(s.caps) - s.ell for s in states]
     dead = set()
     inside = [[0] * host.n for _ in funcs]
-    start = calls[0]
+    start = len(calls)
     for eid in range(host.m):
         if _augment(host, states, filled, eid, dead, inside):
             inside = [[0] * host.n for _ in funcs]
-    return calls[0] - start, [frozenset(s.accepted) for s in states]
+    return len(calls) - start, [frozenset(s.accepted) for s in states]
 
 
 def test_kept_tight_sets_save_probes_on_a_deficient_host(monkeypatch):
@@ -393,11 +372,11 @@ def test_kept_tight_sets_save_probes_on_a_deficient_host(monkeypatch):
     # reordered so that failed searches in the core and chains in the ring
     # alternate: the tight sets failed searches found stay skipped after
     # later chains
-    calls = _counting_probes(monkeypatch)
+    calls = counting(monkeypatch, PebbleState, "probe_pair")
     host = _core_ring(16, 24, [1, 2], random.Random(0))
     funcs = [lmn(host.n, 1, 1), lmn(host.n, 2, 3)]
     pk = matroid_union_pack(host, funcs)
-    kept = calls[0]
+    kept = len(calls)
     forgetting, parts = _probes_forgetting_tight_sets(host, funcs, calls)
     assert [p.edges for p in pk.parts] == parts and pk.uncovered
     assert (kept, forgetting) == (200, 284)
@@ -534,9 +513,9 @@ def test_structure_partition_searches_nothing_again(monkeypatch):
     host = _core_ring(12, 16, [1, 3])
     pk = matroid_union_pack(host, [lmn(host.n, 1, 1), lmn(host.n, 2, 3)])
     assert not all(p.full for p in pk.parts)
-    calls = _counting_probes(monkeypatch)
+    calls = counting(monkeypatch, PebbleState, "probe_pair")
     cert = structure_partition(pk)
-    assert calls[0] == 0
+    assert len(calls) == 0
     assert cert.closure == pk.closure and _structure_claims(pk, cert) == []
 
 
@@ -555,25 +534,19 @@ def test_structure_partition_of_a_filled_packing():
 def test_parts_filled_from_the_start_run_no_search(monkeypatch):
     # with sum(caps) <= ell no part takes an edge, so the pass searches
     # nothing; the closure runs one search per usable edge when read
-    searches = [0]
-
-    def counted(*args):
-        searches[0] += 1
-        return _augment(*args)
-
-    monkeypatch.setattr(packing, "_augment", counted)
+    searches = counting(monkeypatch, packing, "_augment")
     k5 = generators.complete(5)
     for host, funcs, forbidden in [
             (MultiGraph(1, []), [lmn(1, 1, 1)], set()),
             (k5, [lmn(5, 0, 0)], {3}),
             (k5, [vertex_weights([0] * 5), lmn(5, 0, 0)], set())]:
-        searches[0] = 0
+        searches.clear()
         pk = matroid_union_pack(host, funcs, forbidden)
-        assert searches[0] == 0
+        assert len(searches) == 0
         parts, uncovered, closure = _reference_union_pack(host, funcs, forbidden)
         assert [p.edges for p in pk.parts] == parts and pk.uncovered == uncovered
         assert pk.closure == closure == uncovered - forbidden
-        assert searches[0] == len(closure)
+        assert len(searches) == len(closure)
 
 
 def test_a_deferred_search_that_augments_raises(monkeypatch):
