@@ -619,6 +619,17 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
     the remainder is oriented smoothly. All three properties are verified
     on the final orientation; an exhausted retry budget reports failure
     rather than returning unverified output.
+
+    The reinforced part gprime needs no cut check of its own. The packing's
+    `verify` and `_split_all` have proved the rigid part tight (K, 2K-1)
+    and the companion tight (K-1, 0), with K = 2k+1, so gprime is
+    (2K-1 = 4k+1)-edge-connected and (K-1 = 2k)-edge-connected after
+    deleting any vertex. On n >= 3 vertices the rigid part alone gives
+    every cut with two vertices or more on each side 2K-1 edges, every
+    single vertex K and every G - v cut K-1 (see
+    `packing.tree_rigid_claims`), and a single vertex has K-1 more in the
+    companion, whose (K-1)n edges include at most (K-1)(n-1) that avoid
+    it. On two vertices gprime is 1 + 2(K-1) parallel edges.
     """
     if k < 1:
         raise ValueError("robustness level must be at least 1")
@@ -631,10 +642,6 @@ def robust_arc_strong(graph: MultiGraph, k: int, seed: int = 0,
         return RobustResult(False, hypothesis=hyp,
                             detail={"packing": "deficient"})
     _, (tree,), (rigid,), (gprime,) = built
-    lam, worst = packmod._cut_profile(graph.subgraph(gprime))
-    if lam < 4 * k + 1 or worst < 2 * k:
-        raise RuntimeError(f"reinforced part is {lam}-edge-connected, "
-                           f"{worst} after deleting a vertex")
     # a subforest of the tree matching gprime's degree parities
     forest = _parity_tree(graph, tree, 0,
                           [d % 2 for d in graph.subgraph(gprime).degrees])

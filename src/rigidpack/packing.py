@@ -674,6 +674,8 @@ def tree_rigid_demand(k: int, p: int, m: int) -> tuple[int, int]:
 def _tree_rigid_preset(graph, k, p, m, force, reinforce) -> PresetResult:
     if k < 2:
         raise ValueError("rigid presets need k >= 2")
+    if graph.n < 3:
+        raise ValueError("rigid presets need a graph of at least 3 vertices")
     hyp = None if force else \
         check_uniform_weakly_connected(graph, *tree_rigid_demand(k, p, m))
     if hyp is not None and not hyp.ok:
@@ -722,6 +724,8 @@ def preset_bipartite_degree(graph: MultiGraph, k, side_mask: int,
     kf = Fraction(k)
     if kf <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    if graph.n < 3:
+        raise ValueError("rigid presets need a graph of at least 3 vertices")
     if graph.bipartition() is None:
         raise ValueError("graph is not bipartite")
     for u, v in graph.edges:
@@ -774,10 +778,6 @@ def check_bipartite_connectivity(graph: MultiGraph, k) -> HypothesisReport:
     return HypothesisReport("bipartite-degree", ok,
                             witness={} if ok else {"vertex_connectivity": kappa},
                             aux={"vertex_connectivity": kappa})
-
-
-def _is_two_connected(graph: MultiGraph) -> bool:
-    return graph.n >= 3 and graph.vertex_connectivity(2) >= 2
 
 
 def check_uniform_weakly_connected(graph, k: int, conn: int) -> HypothesisReport:
@@ -938,7 +938,18 @@ def tree_rigid_claims(graph: MultiGraph, k: int, p: int, m: int, trees,
     -ec); each rigid part lies inside its reinforced part; and the checks
     hold: cut consequences on each rigid part, each reinforced part
     (2k-1)-edge-connected, and (k-1)-edge-connected after deleting any
-    vertex. Returns the failed claims and the checks."""
+    vertex. Returns the failed claims and the checks.
+
+    For k >= 1 a tight part on n >= 3 vertices passes the cut
+    consequences, so `rigid_{i}_cuts` runs `check_rigid_cut_consequences`
+    only when the part is not tight, or n < 3 or k < 1, where it raises.
+    With |E| = kn - 2k + 1 and i(X) <= k|X| - 2k + 1 on every X of two or
+    more vertices: across a cut (A, B), |E| = i(A) + i(B) + d(A), so d(A)
+    >= 2k - 1 when both sides have two vertices or more and d(A) >= k when
+    A is one vertex; after deleting v, |E| = i(A + v) + i(B + v) +
+    d_{G-v}(A), so d_{G-v}(A) >= k - 1. The reinforced parts' exact values
+    are recorded, and no claim implies them, so `_cut_profile` computes
+    them."""
     failed = []
     pieces = list(trees) + list(rigid_parts if reinforced is None else reinforced)
     if len(trees) != m or len(rigid_parts) != p or len(pieces) != m + p:
@@ -950,9 +961,11 @@ def tree_rigid_claims(graph: MultiGraph, k: int, p: int, m: int, trees,
     ell = lmn(graph.n, k, 2 * k - 1)
     for i, ids in enumerate(rigid_parts):
         sub = graph.subgraph(ids)
-        if len(set(ids)) != ell.rigid_target or not is_sparse(sub, ell).ok:
+        tight = len(set(ids)) == ell.rigid_target and is_sparse(sub, ell).ok
+        if not tight:
             failed.append(f"rigid part {i} is not tight and ({k}, {2 * k - 1})-sparse")
-        checks[f"rigid_{i}_cuts"] = check_rigid_cut_consequences(sub, k).ok
+        checks[f"rigid_{i}_cuts"] = tight and graph.n >= 3 and k >= 1 or \
+            check_rigid_cut_consequences(sub, k).ok
         if not checks[f"rigid_{i}_cuts"]:
             failed.append(f"rigid part {i} fails the cut consequences")
     every = sorted(e for ids in pieces for e in ids)
@@ -985,19 +998,26 @@ def bipartite_claims(graph: MultiGraph, k, side_mask: int, rigid_parts, union,
                      bounds):
     """Claims of a bipartite-degree preset: one tight (2,3)-sparse part
     equal to the union, side degrees within ceil(d(v)/k) + 2, and the part
-    2-connected. Returns the failed claims and the checks."""
+    2-connected. Returns the failed claims and the checks.
+
+    A tight part on n >= 3 vertices is 2-connected, so `two_connected`
+    computes the vertex connectivity only when the part is not tight. Were
+    G - v disconnected for some v (a disconnected G on three vertices or
+    more has such a v), with sides A and B, then |E| = i(A + v) + i(B + v)
+    <= 2(n + 1) - 6 = 2n - 4, short of the 2n - 3 edges of a tight part."""
     failed = [] if len(rigid_parts) == 1 else ["not exactly one rigid part"]
     part = rigid_parts[0] if rigid_parts else ()
     ell = lmn(graph.n, 2, 3)
     sub = graph.subgraph(part)
-    if len(set(part)) != ell.rigid_target or not is_sparse(sub, ell).ok:
+    tight = len(set(part)) == ell.rigid_target and is_sparse(sub, ell).ok
+    if not tight:
         failed.append("rigid part is not tight and (2, 3)-sparse")
     if sorted(union) != sorted(part):
         failed.append("union is not the rigid part")
     quoted = [math.ceil(Fraction(d) / Fraction(k)) + 2 for d in graph.degrees]
     failed += _degree_claims(graph, part, quoted, bounds, "ceil(d(v)/k) + 2",
                              side_mask)
-    checks = {"two_connected": _is_two_connected(sub)}
+    checks = {"two_connected": graph.n >= 3 and (tight or sub.vertex_connectivity(2) >= 2)}
     if not checks["two_connected"]:
         failed.append("rigid part is not 2-connected")
     return failed, checks

@@ -240,6 +240,18 @@ def test_criterion_06_rigid_witness_cut_conditions():
     rr = rank_and_rigid(k13, lmn(13, 3, 5))
     assert rr.rigid
     witnesses.append((k13.subgraph(rr.basis), 3))
+    # every census graph on three vertices or more that is itself tight
+    # (k, 2k - 1)-sparse: the claims take its cut consequences, and for
+    # k = 2 its 2-connectivity, from that tightness
+    census = 0
+    for g in _census_all():
+        for k in (1, 2, 3):
+            ell = lmn(g.n, k, 2 * k - 1)
+            if g.n >= 3 and g.m == ell.rigid_target and is_sparse(g, ell).ok:
+                witnesses.append((g, k))
+                assert k != 2 or g.vertex_connectivity(2) >= 2
+                census += 1
+    assert census > 5000
 
     for sub, k in witnesses:
         rep = check_rigid_cut_consequences(sub, k)

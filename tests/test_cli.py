@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from rigidpack import packing
 from rigidpack.cli import (
     RUNNERS, main, canonical_dumps, graph_from_record, load_graph, parse_setfunc,
 )
@@ -15,6 +16,8 @@ from rigidpack.generators import (
 from rigidpack.graph import MultiGraph
 from rigidpack.setfuncs import lmn
 from rigidpack.sparsity import is_sparse
+
+from helpers import counting
 
 
 def write_graph(tmp_path, name, n, edges):
@@ -260,6 +263,22 @@ def test_tree_rigid_preset_without_k_int_is_a_usage_error(capsys, k9, preset):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {preset} needs --k-int\n"
+
+
+@pytest.mark.parametrize("graph, argv", [
+    (complete_bipartite(1, 1), ["--preset", "bipartite-degree", "--k", "1",
+                                "--side", "0"]),
+    (MultiGraph(2, [(0, 1)] * 12), ["--preset", "tree-rigid", *TREE_RIGID]),
+    (MultiGraph(2, [(0, 1)] * 12), ["--preset", "tree-rigid-ec", *TREE_RIGID]),
+])
+def test_presets_on_under_three_vertices_are_usage_errors(tmp_path, capsys, graph,
+                                                          argv):
+    # rejected before the hypothesis or the build, forced or not
+    path = write_graph(tmp_path, "tiny", graph.n, graph.edges)
+    for force in ([], ["--force"]):
+        assert main([*force, "pack", "--graph", path, *argv]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: rigid presets need a graph of at least 3 vertices\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -961,6 +980,31 @@ def test_verify_reruns_a_failed_hypothesis(tmp_path, capsys, reports, name):
     path.write_text(json.dumps(report))
     vcode, vout = run(capsys, "verify", "--report", str(path))
     assert vcode == 0 and "REPRODUCED" in vout, vout
+
+
+@pytest.mark.parametrize("name", ["tree-rigid", "tree-rigid-ec", "bipartite-degree",
+                                  "robust"])
+def test_certified_runs_compute_no_implied_cut_check(tmp_path, capsys, monkeypatch,
+                                                     name):
+    # tightness proves the rigid parts' cut consequences and 2-connectivity,
+    # and the robust reinforced part's cuts, so neither the run nor its
+    # verify computes an essential cut; only the recorded reinforced values
+    # of tree-rigid-ec are computed, once by each
+    essential = counting(monkeypatch, MultiGraph, "essential_edge_connectivity")
+    cut_checks = counting(monkeypatch, packing, "check_rigid_cut_consequences")
+    profiles = counting(monkeypatch, packing, "_cut_profile")
+    graph_name, argv, _ = REPORTS[name]
+    g = GRAPHS[graph_name]
+    path = write_graph(tmp_path, graph_name, g.n, g.edges)
+    code, out = run(capsys, "--format", "structured", argv[0], "--graph", path,
+                    *argv[1:])
+    assert code == 0, out
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    vcode, vout = run(capsys, "verify", "--report", str(report))
+    assert vcode == 0 and "REPRODUCED" in vout, vout
+    assert essential == cut_checks == []
+    assert len(profiles) == (2 if name == "tree-rigid-ec" else 0)
 
 
 @pytest.mark.parametrize("name, verdict, witness", [

@@ -133,7 +133,7 @@ def test_flow_paths_match_sweeps():
             assert g.vertex_connectivity(limit) == min(kappa, limit)
         two_connected = g.n >= 3 and g.is_connected() and all(
             delete_vertex(g, v).is_connected() for v in range(g.n))
-        assert packing._is_two_connected(g) == two_connected
+        assert (g.n >= 3 and g.vertex_connectivity(2) >= 2) == two_connected
         if g.n >= 2:
             cut = min(boundary_minus(g, a, 0) for a in range(1, g.full_mask))
             assert g.edge_connectivity() == cut
@@ -456,13 +456,17 @@ def test_mixed_cut_matches_the_reference_on_structured_hosts():
 
 def test_essential_edge_connectivity_flow_count(monkeypatch):
     # at most m flows for the edges disjoint from ab and deg(a) deg(b) for
-    # the pairs of neighbours; forced tree-rigid on K20 checks a 20-vertex
-    # rigid part
+    # the pairs of neighbours; the 20-vertex rigid part of forced tree-rigid
+    # on K20, whose claims take its cut consequences from its tightness,
+    # goes through the essential cut directly
     calls = counting(monkeypatch, graph, "_maxflow")
     assert generators.complete(23).essential_edge_connectivity() == 42
     assert len(calls) <= 253 + 22 * 22
-    res = packing.preset_tree_rigid(generators.complete(20), 2, 1, 1, force=True)
+    k20 = generators.complete(20)
+    res = packing.preset_tree_rigid(k20, 2, 1, 1, force=True)
     assert res.ok and res.checks["rigid_0_cuts"] is True
+    rep = packing.check_rigid_cut_consequences(k20.subgraph(res.rigid_parts[0]), 2)
+    assert rep.ok and rep.aux["essential"] >= 3
 
 
 def _reference_vertex_deleted_cuts(n, arcs, both_ways, limit=INFINITY):

@@ -940,17 +940,37 @@ def _ref_rigid_cut_consequences(g, k):
 
 
 def test_rigid_cut_consequences_match_per_vertex_min_cuts():
+    # each host's maximum (k, 2k - 1)-sparse set, when tight, is an input too,
+    # and must pass: the claims take its cut consequences, and for k = 2 its
+    # 2-connectivity, from its tightness. So must each tight (k, 2k - 1) part
+    # joined to an edge-disjoint tight (k - 1, 0) one reach 2k - 1 and k - 1,
+    # the reinforced part's bounds that the robust search takes from it.
     rng = random.Random(1515)
     outcomes = Counter()
     for _ in range(420):
         n = rng.randrange(3, 10)
         g = oracle.random_multigraph(n, rng.randrange(n, 5 * n), rng)
         for k in (1, 2, 3):
-            rep = check_rigid_cut_consequences(g, k)
-            assert (rep.ok, rep.witness, rep.aux) == _ref_rigid_cut_consequences(g, k)
-            outcomes[rep.witness.get("check", "pass")] += 1
+            ell = lmn(n, k, 2 * k - 1)
+            rr = sparsity.rank_and_rigid(g, ell)
+            tight = g.subgraph(rr.basis)
+            for h in (g, tight) if rr.rigid else (g,):
+                rep = check_rigid_cut_consequences(h, k)
+                assert (rep.ok, rep.witness, rep.aux) == _ref_rigid_cut_consequences(h, k)
+                outcomes[rep.witness.get("check", "pass")] += 1
+                if h is tight:
+                    assert rep.ok and (k != 2 or h.vertex_connectivity(2) >= 2)
+                    outcomes[f"tight-{k}"] += 1
+            pk = matroid_union_pack(g, [ell, lmn(n, k - 1, 0)])
+            if all(p.full for p in pk.parts):
+                joined = g.subgraph(pk.parts[0].edges | pk.parts[1].edges)
+                lam, worst = packing._cut_profile(joined)
+                assert lam >= 2 * k - 1 and worst >= k - 1
+                outcomes[f"joined-{k}"] += 1
     assert min(outcomes[c] for c in ("edge", "essential", "vertex-deleted",
                                      "pass")) >= 20
+    assert min(outcomes[f"{kind}-{k}"] for kind in ("tight", "joined")
+               for k in (1, 2, 3)) >= 20, outcomes
 
 
 def test_rigid_sufficient_and_extraction():
@@ -1029,6 +1049,35 @@ def test_bipartite_preset_between_one_and_two():
             failed, checks = packing.bipartite_claims(
                 g, k, side, res.rigid_parts, res.union_edges, res.degree_bounds)
             assert failed == [] and checks["two_connected"]
+
+
+def test_claims_compute_the_implied_checks_only_off_tightness(monkeypatch):
+    # tight parts prove their cut consequences and 2-connectivity; one edge
+    # short, the claims name the part and fall back to computing them
+    k9, k66 = generators.complete(9), generators.complete_bipartite(6, 6)
+    side = mask_of(range(6))
+    tree = preset_tree_rigid(k9, 2, 1, 1)
+    bip = preset_bipartite_degree(k66, 1, side)
+    cuts = counting(monkeypatch, packing, "check_rigid_cut_consequences")
+    kappa = counting(monkeypatch, MultiGraph, "vertex_connectivity")
+
+    def claims(rigid, part):
+        return (packing.tree_rigid_claims(k9, 2, 1, 1, tree.trees, [rigid], None,
+                                          tree.union_edges, tree.degree_bounds),
+                packing.bipartite_claims(k66, 1, side, [part], part,
+                                         bip.degree_bounds))
+
+    (tfailed, tchecks), (bfailed, bchecks) = claims(tree.rigid_parts[0],
+                                                    bip.union_edges)
+    assert tfailed == bfailed == [] and (tchecks, bchecks) == (tree.checks, bip.checks)
+    assert cuts == kappa == []
+    rigid, part = sorted(tree.rigid_parts[0])[1:], sorted(bip.union_edges)[1:]
+    (tfailed, tchecks), (bfailed, bchecks) = claims(rigid, part)
+    assert len(cuts) == len(kappa) == 1
+    assert "rigid part 0 is not tight and (2, 3)-sparse" in tfailed
+    assert "rigid part is not tight and (2, 3)-sparse" in bfailed
+    assert tchecks["rigid_0_cuts"] == check_rigid_cut_consequences(k9.subgraph(rigid), 2).ok
+    assert bchecks["two_connected"] == (k66.subgraph(part).vertex_connectivity(2) >= 2)
 
 
 def test_pack_degree_check_fractions():
@@ -1114,6 +1163,13 @@ def test_pack_partition_rigid_forbidden_size_gate():
 def test_preset_tree_rigid_rejects_small_k():
     with pytest.raises(ValueError, match="k >= 2"):
         preset_tree_rigid(generators.complete(9), 1, 1, 1)
+
+
+def test_tree_rigid_claims_on_two_vertices_run_the_cut_check():
+    # the one edge is a tight (2, 3) part, but the proof needs three vertices
+    with pytest.raises(ValueError, match="order at least 3"):
+        packing.tree_rigid_claims(MultiGraph(2, [(0, 1)]), 2, 1, 0, [], [[0]],
+                                  None, [0], [3, 3])
 
 
 def test_preset_tree_rigid_hypothesis_failure():
