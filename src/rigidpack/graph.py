@@ -199,13 +199,6 @@ class MultiGraph:
         net = _flow_network(self.n, self._edge_arcs())
         return _least_cut(net, self.full_mask, False, limit)[0]
 
-    def local_edge_connectivity(self, s: int, t: int) -> int:
-        if not (0 <= s < self.n and 0 <= t < self.n):
-            raise ValueError(f"vertex out of range: ({s}, {t})")
-        if s == t:
-            raise ValueError("local edge connectivity needs distinct endpoints")
-        return _maxflow(_flow_network(self.n, self._edge_arcs()), s, t)[0]
-
     def _edge_arcs(self) -> list[tuple[int, int, int]]:
         # each vertex pair once per direction, with its multiplicity
         return [(u, v, c) for u, row in enumerate(self.mult)
@@ -216,43 +209,51 @@ class MultiGraph:
 
         Returns INFINITY when no such cut exists (stars, tiny graphs).
 
-        Fix an edge ab minimising deg(a) deg(b). Every cut taken below
-        separates two edges, so it is essential, and an optimal essential
-        cut (A, B) is one of them:
+        Fix an edge ab minimising deg(a) deg(b). Each push below runs from
+        a set that induces an edge into a vertex f with one arc y -> f
+        raised to m + 1. No cut below m crosses that tie, and the sink side
+        {f, y} costs at most m - 1, so a push's least cut keeps y with f and
+        is essential. An optimal essential cut (A, B) is one of them:
 
-        * if it keeps a and b on one side, the other side induces an edge cd
-          disjoint from ab, and the cut is a min cut from {a, b} to {c, d};
+        * if a and b lie in A, take B connected: a component of G[B] that
+          induces an edge cuts no more than B, and its complement still
+          holds ab. In the order a, b, then the other vertices, let f be
+          the first vertex of B and y a neighbour of f in B, which comes
+          after f. The cut separates the merged set S of the vertices
+          before f from f and y: it is at least the push from S into f
+          with y -> f raised. Any order that starts a, b works, so
+          disconnected graphs need no case of their own;
         * if a is in A and b in B, a has a neighbour x in A: otherwise moving
           a to B lowers the cut by deg(a) >= 1 and A - a keeps its edge.
-          Likewise b has a neighbour y in B, and the cut is a min cut from
-          {a, x} to {b, y}.
+          Likewise b has a neighbour y in B, and the cut is at least the
+          push from {a, x} into b with y -> b raised.
 
-        That is at most m + deg(a) deg(b) flows, with no subset table.
+        That is one push per later neighbour of each f, plus deg(a) deg(b),
+        each capped at the running minimum, on the n-vertex network.
         """
         edges = {(min(e), max(e)) for e in self.edges}
         if not edges:
             return INFINITY
-        deg = self.degrees
+        deg, adj = self.degrees, self.adjacency
         a, b = min(edges, key=lambda e: (deg[e[0]] * deg[e[1]], e))
-        terminals = [(a, b, c, d) for c, d in sorted(edges) if not {a, b} & {c, d}]
-        adj = self.adjacency
-        terminals += [(a, x, b, y) for x in sorted(set(adj[a]) - {b})
-                      for y in sorted(set(adj[b]) - {a}) if x != y]
-        # each flow ties its two sources to a super-source n and its two
-        # sinks to a super-sink n + 1 by arcs no cut of the graph's edges can
-        # undercut. The network holds the ties n -> x and x -> n + 1 of every
-        # vertex x at capacity 0, and each flow raises its own four.
-        n, m = self.n, self.m
         arcs = self._edge_arcs()
-        ties = [(n, x, 0) for x in range(n)] + [(x, n + 1, 0) for x in range(n)]
-        head, cap, out = _flow_network(n + 2, arcs + ties)
-        first_tie = 2 * len(arcs)
+        net = _flow_network(self.n, arcs)
+        arc_id = {(u, v): 2 * i for i, (u, v, _) in enumerate(arcs)}
         best = INFINITY
-        for s1, s2, t1, t2 in terminals:
-            tied = cap[:]
-            for x in (s1, s2, t1 + n, t2 + n):
-                tied[first_tie + 2 * x] = m + 1
-            best = min(best, _maxflow((head, tied, out), n, n + 1, best)[0])
+
+        def push(ends, f, y):
+            tied = net[1][:]
+            tied[arc_id[y, f]] = self.m + 1
+            return min(best, _push(net, tied, f, ends, best, 1))
+
+        merged = {a, b}
+        for f in [v for v in range(self.n) if v not in merged]:
+            for y in sorted(set(adj[f]) - merged):
+                best = push(merged, f, y)
+            merged.add(f)
+        for x in sorted(set(adj[a]) - {b}):
+            for y in sorted(set(adj[b]) - {a, x}):
+                best = push({a, x}, b, y)
         return best
 
     def vertex_connectivity(self, limit=INFINITY) -> int:
@@ -398,12 +399,15 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
     reaching it. So the first entry is the first v below `limit`, and the
     least entry is the least cut minus a vertex (INFINITY if none).
 
-    `whole` is `_least_cut` with root 0, except that its first flow runs
-    uncapped and each push runs on a fresh copy of the capacities. Each
-    pair t, d records the value P of that flow or push and thru(v), its
-    total on the arcs leaving v (entering v for t -> 0). A search stops at
-    the first vertex of the merged set S it meets, so each path of the flow
-    (Ford & Fulkerson 1956) meets S only at its start (end). Deleting v
+    `whole` is the least of `_least_cut`'s pushes with root 0, each on a
+    fresh copy of the capacities and capped at the running minimum. No flow
+    is needed (Hao & Orlin 1994): take a least cut and t the first vertex on
+    its side without 0. The merged set S of the vertices before t lies with
+    0, so the push between S and t in that direction is at most the cut,
+    and no push is below it. Each pair t, d records the value P of its push
+    and thru(v), its total on the arcs leaving v (entering v for t -> 0). A
+    search stops at the first vertex of S it meets, so each path of the
+    push (Ford & Fulkerson 1956) meets S only at its start (end). Deleting v
     removes only the paths that start (end) at v or pass through it, which
     carry at most thru(v), so the cut between S - v and t in the network
     minus v is at least P - thru(v). (A push on a residual shared between
@@ -419,15 +423,10 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
     tails, heads = head[1::2], head[::2]  # of the arcs 2i
     whole, merged, bound = INFINITY, {0}, {}
     for t in range(1, n):
-        for d, (s, u) in enumerate(((0, t), (t, 0))[:1 + both_ways]):
-            if whole == INFINITY:
-                flow, _, left = _augmenting_paths(net, s, u)
-                whole = flow
-            else:
-                left = []
-                flow = _push(net, left, t, merged, whole, 1 - d)
-                if flow < whole:
-                    whole = min(whole, _maxflow(net, s, u, whole)[0])
+        for d in range(1 + both_ways):
+            left = []
+            flow = _push(net, left, t, merged, whole, 1 - d)
+            whole = min(whole, flow)
             thru, flows = [0] * n, left[1::2]
             for x, f in zip(compress((tails, heads)[d], flows), filter(None, flows)):
                 thru[x] += f
@@ -459,11 +458,14 @@ def _push(net, residual, t: int, ends, limit, back: int) -> int:
     first arc out of t on its tree path; vertices of `ends` are hits, never
     searched from. A subtree stops at its first hit, and the pass once the
     hits reach `limit` less the flow so far; then each hit's tree path
-    carries its own bottleneck (distinct subtrees share no arc). A pass with
-    no hit pruned nothing, so no path is left. The gates read only whether
-    the value, min(lambda(ends, t), limit) whatever paths carry it, is below
-    `limit`; earlier pushes on `residual` had both ends in `ends`, so every
-    cut between `ends` and t keeps its capacity there.
+    carries its own bottleneck (distinct subtrees share no arc). Hits on
+    t's own arcs stop there too, so a unit push carries exactly the first
+    path its breadth-first search meets, the path `_maxflow` from t would
+    take: the robust repair's cycle. A pass with no hit pruned nothing, so
+    no path is left. The gates read only whether the value, min(lambda(ends,
+    t), limit) whatever paths carry it, is below `limit`; earlier pushes on
+    `residual` had both ends in `ends`, so every cut between `ends` and t
+    keeps its capacity there.
     """
     head, cap, out = net
     if not residual:
@@ -485,6 +487,8 @@ def _push(net, residual, t: int, ends, limit, back: int) -> int:
                         hits.append(a)
                         if u != t:
                             spent.add(sub)
+                            break
+                        if len(hits) >= need:
                             break
                     elif via[w] == -1:
                         via[w] = a
@@ -521,12 +525,6 @@ def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:
     the vertices it reached are the least source side of a minimum cut
     (Ford & Fulkerson 1956): the arcs leaving them carry the whole flow.
     """
-    return _augmenting_paths(net, s, t, limit)[:2]
-
-
-def _augmenting_paths(net, s: int, t: int, limit=INFINITY):
-    """`_maxflow`'s value and mask, and the residual capacities it left:
-    the odd arc 2i + 1 holds the flow on arc 2i."""
     head, cap, out = net
     cap = cap[:]
     size = len(out)
@@ -543,7 +541,7 @@ def _augmenting_paths(net, s: int, t: int, limit=INFINITY):
             if via[t] != -1:
                 break
         if via[t] == -1:
-            return flow, mask_of(queue), cap
+            return flow, mask_of(queue)
         bottleneck = INFINITY
         v = t
         while v != s:
@@ -557,4 +555,4 @@ def _augmenting_paths(net, s: int, t: int, limit=INFINITY):
             cap[a ^ 1] += bottleneck
             v = head[a ^ 1]
         flow += bottleneck
-    return flow, None, cap
+    return flow, None

@@ -8,10 +8,9 @@ one raises instead of truncating.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .graph import MultiGraph, vertices_of
+from .graph import MultiGraph
 from .setfuncs import SetFunc
 
 
@@ -46,47 +45,6 @@ def boundary_minus(graph: MultiGraph, mask_a: int, mask_b: int) -> int:
         if (bu & mask_a and bv & out) or (bv & mask_a and bu & out):
             c += 1
     return c
-
-
-def partition_cross(graph: MultiGraph, parts) -> int:
-    """Edges joining different parts of a partition of the vertex set."""
-    parts = tuple(parts)
-    _check_partition(graph, parts)
-    return collection_cross(graph, parts)
-
-
-def collection_cross(graph: MultiGraph, collection) -> int:
-    """Edges whose two ends lie together in no set of the collection."""
-    sets = tuple(collection)
-    c = 0
-    for u, v in graph.edges:
-        pair = (1 << u) | (1 << v)
-        if not any(pair & ~s == 0 for s in sets):
-            c += 1
-    return c
-
-
-def _check_partition(graph: MultiGraph, parts: tuple[int, ...]) -> None:
-    seen = 0
-    for p in parts:
-        if p == 0:
-            raise ValueError("partition contains an empty part")
-        if p & seen:
-            raise ValueError("partition parts overlap")
-        seen |= p
-    if seen != graph.full_mask:
-        raise ValueError("partition does not cover the vertex set")
-
-
-def induced_subgraph(graph: MultiGraph, mask: int) -> tuple[MultiGraph, list[int]]:
-    """Induced subgraph on a vertex set, relabelled; returns the vertex list."""
-    verts = vertices_of(mask)
-    if not verts:
-        raise ValueError("cannot induce on an empty vertex set")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for u, v in graph.edges
-             if (mask >> u) & 1 and (mask >> v) & 1]
-    return MultiGraph(len(verts), edges), verts
 
 
 # ----------------------------------------------------------------------
@@ -275,21 +233,6 @@ def bf_rigid(graph: MultiGraph, func: SetFunc,
     return rank == target, rank, target
 
 
-def union_rank_bound(graph: MultiGraph, funcs,
-                     budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Matroid-union rank: min over edge subsets H of sum of ranks + |E - H|."""
-    _check(graph.m <= 10, f"union bound sweep m={graph.m}")
-    m = graph.m
-    best = None
-    for h in range(1 << m):
-        ids = [i for i in range(m) if (h >> i) & 1]
-        sub = graph.subgraph(ids)
-        total = sum(bf_rank(sub, f, budget)[0] for f in funcs) + (m - len(ids))
-        if best is None or total < best:
-            best = total
-    return best
-
-
 # ----------------------------------------------------------------------
 # matroid axioms
 
@@ -358,15 +301,3 @@ def census(n: int, *, connected: bool = False, tight: SetFunc | None = None):
             if not ok:
                 continue
         yield g
-
-
-def random_multigraph(n: int, m: int, rng: random.Random) -> MultiGraph:
-    """Seeded loopless multigraph with m edges drawn with repetition."""
-    edges = []
-    for _ in range(m):
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
-        if v >= u:
-            v += 1
-        edges.append((min(u, v), max(u, v)))
-    return MultiGraph(n, edges)

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .graph import (MultiGraph, INFINITY, vertices_of, _flow_network, _least_cut,
-                    _vertex_deleted_cuts, _augmenting_paths)
+                    _vertex_deleted_cuts, _push)
 from .setfuncs import SetFunc, lmn, halved_slack
 from .sparsity import is_sparse, rank_and_rigid
 from . import packing as packmod
@@ -729,19 +729,18 @@ def _reverse_cycle_through(orient: Orientation, v: int,
                            mask: int) -> Orientation | None:
     """Reverse one directed cycle through the lowest arc e0 from v into the
     deficient set that lies on one: e0 and a shortest path from its head
-    back to v, one unit `_augmenting_paths` flow with e0 at capacity 0.
+    back to v, one unit `_push` from its head into {v} with e0 at capacity 0.
     Eulerian balance is preserved and the arc count from v into the set
     drops when the return arc comes from outside it."""
     host, heads = orient.host, orient.heads
-    head, cap, out = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs])
+    net = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs])
     for e0 in range(host.m):
         w = heads[e0]
         if orient.tail(e0) != v or not (mask >> w) & 1:
             continue
-        cap0 = cap[:]
-        cap0[2 * e0] = 0
-        flow, _, left = _augmenting_paths((head, cap0, out), w, v, 1)
-        if flow:
+        left = net[1][:]
+        left[2 * e0] = 0
+        if _push(net, left, w, {v}, 1, 0):
             return Orientation(host, tuple(orient.tail(e) if e == e0 or left[2 * e + 1]
                                            else heads[e] for e in range(host.m)))
     return None

@@ -74,28 +74,6 @@ class PebbleState:
         """The accepted edge ids, in the order they were accepted."""
         return list(self.ends)
 
-    def check_invariant(self) -> None:
-        """Raise unless the pebbles and arcs account for the capacities, no
-        vertex holds a negative count, and the arcs are the accepted edges,
-        each joining its edge's ends."""
-        total = sum(self.pebbles) + len(self.ends)
-        if total != sum(self.caps):
-            raise RuntimeError("pebble accounting broken: "
-                               f"{total} != {sum(self.caps)}")
-        for v, p in enumerate(self.pebbles):
-            if p < 0:
-                raise RuntimeError(f"negative pebble count at vertex {v}")
-            if p + len(self.out[v]) != self.caps[v]:
-                raise RuntimeError(f"pebble/out mismatch at vertex {v}")
-        if sorted(e for arcs in self.out for e in arcs) != sorted(self.ends) or \
-                self.ends_xor.keys() != self.ends.keys():
-            raise RuntimeError("arc ids are not the accepted edges")
-        for v, arcs in enumerate(self.out):
-            for e in arcs:
-                if sorted((v, self.ends_xor[e] ^ v)) != sorted(self.ends[e]):
-                    raise RuntimeError(f"the arc of edge {e} from {v} does not "
-                                       "join the edge's ends")
-
     # ------------------------------------------------------------------
 
     def gather(self, x: int, y: int):

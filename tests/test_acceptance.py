@@ -11,7 +11,6 @@ import time
 import pytest
 
 from rigidpack import generators, oracle
-from rigidpack.oracle import partition_cross
 from rigidpack.graph import MultiGraph, mask_of, vertices_of, _vertex_deleted_cuts
 from rigidpack.setfuncs import lmn, const, zero, force_zero_on_ground
 from rigidpack.sparsity import (
@@ -26,7 +25,7 @@ from rigidpack.orientation import (
     robust_arc_strong, arc_strong_value,
 )
 
-from helpers import delete_vertex
+from helpers import delete_vertex, partition_cross, random_multigraph, union_rank_bound
 
 PAIRS = [(1, 1), (2, 2), (2, 3), (3, 5)]
 
@@ -77,7 +76,7 @@ def test_criterion_01_sparsity_oracle_equivalence():
     rng = random.Random(1)
     for _ in range(500):
         n = rng.randrange(2, 7)
-        g = oracle.random_multigraph(n, rng.randrange(0, 13), rng)
+        g = random_multigraph(n, rng.randrange(0, 13), rng)
         etab = g.induced_table
         pops = pops_by_n[n]
         for (k, l) in PAIRS:
@@ -100,11 +99,11 @@ def test_criterion_02_matroid_union_optimality():
     disagreements = 0
     for _ in range(100):
         n = rng.randrange(2, 6)
-        g = oracle.random_multigraph(n, rng.randrange(0, 9), rng)
+        g = random_multigraph(n, rng.randrange(0, 9), rng)
         parts = rng.randrange(1, 4)
         funcs = [lmn(n, *pool[rng.randrange(len(pool))]) for _ in range(parts)]
         covered = matroid_union_pack(g, funcs).covered()
-        if covered != oracle.union_rank_bound(g, funcs):
+        if covered != union_rank_bound(g, funcs):
             disagreements += 1
     elapsed = time.time() - started
     assert disagreements == 0
@@ -130,7 +129,7 @@ def test_criterion_03_tree_packing_threshold():
     rng = random.Random(3)
     found = 0
     while found < 30:
-        g = oracle.random_multigraph(7, rng.randrange(14, 20), rng)
+        g = random_multigraph(7, rng.randrange(14, 20), rng)
         if min(g.degrees) < 4 or g.edge_connectivity() < 4:
             continue
         pk = matroid_union_pack(g, [lmn(7, 1, 1)] * 2)
@@ -321,7 +320,7 @@ def test_criterion_10_exchange_property():
     done = 0
     while done < 1000:
         n = rng.randrange(3, 7)
-        g = oracle.random_multigraph(n, rng.randrange(2, 13), rng)
+        g = random_multigraph(n, rng.randrange(2, 13), rng)
         k, l = PAIRS[rng.randrange(4)]
         f = lmn(n, k, l)
         rr = rank_and_rigid(g, f)

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from rigidpack.graph import MultiGraph, mask_of, INFINITY
 from rigidpack import generators, graph, oracle, orientation, packing
-from rigidpack.oracle import (
-    boundary_minus, collection_cross, induced_subgraph, partition_cross,
-)
+from rigidpack.oracle import boundary_minus
 
-from helpers import counting, delete_vertex
+from helpers import (
+    augmenting_paths, collection_cross, counting, delete_vertex, induced_subgraph,
+    local_edge_connectivity, partition_cross, random_multigraph,
+)
 
 
 def c4():
@@ -82,13 +83,13 @@ def test_essential_edge_connectivity():
 
 def test_local_edge_connectivity():
     g = c4()
-    assert g.local_edge_connectivity(0, 2) == 2
+    assert local_edge_connectivity(g, 0, 2) == 2
     with pytest.raises(ValueError):
-        g.local_edge_connectivity(1, 1)
+        local_edge_connectivity(g, 1, 1)
     path = MultiGraph(3, [(0, 1), (1, 2)])
     for s, t in [(-1, 0), (0, 3)]:
         with pytest.raises(ValueError):
-            path.local_edge_connectivity(s, t)
+            local_edge_connectivity(path, s, t)
 
 
 def test_vertex_connectivity():
@@ -114,7 +115,7 @@ def _flow_test_graphs():
     graphs += [generators.complete_bipartite(a, b) for a in (1, 2, 3) for b in (3, 4)]
     while len(graphs) < 320:
         n = rng.randrange(2, 9)
-        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
         graphs.append(g)
         if rng.random() < 0.2:  # doubled edges stress multiplicities
             graphs.append(MultiGraph(n, g.edges + g.edges))
@@ -148,7 +149,7 @@ def test_maxflow_returns_a_min_cut_side():
     rng = random.Random(505)
     for _ in range(60):
         n = rng.randrange(2, 8)
-        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
         net = graph._flow_network(n, g._edge_arcs())
         for s in range(n):
             for t in range(n):
@@ -208,7 +209,7 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
     for case in range(10000):
         n = rng.randrange(2, 12)
         limit = rng.choice([1, 2, 3, 4, INFINITY])
-        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
         if case % 2:
             vcap, ecap = rng.randrange(0, 5), rng.randrange(1, 4)
             calls.clear()
@@ -286,7 +287,7 @@ def _push_network(rng):
     """A symmetric network, a digraph or a split network on a random
     multigraph with 2-11 vertices."""
     n = rng.randrange(2, 12)
-    g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+    g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
     kind = rng.randrange(3)
     if kind == 0:
         arcs = [(x, y, c) for u, v in g.edges
@@ -419,7 +420,7 @@ def _structured_host(rng):
     elif kind == 2:
         g = generators.complete_bipartite(rng.randrange(1, 13), rng.randrange(1, 13))
     else:
-        g = oracle.random_multigraph(rng.randrange(2, 31), rng.randrange(0, 90), rng)
+        g = random_multigraph(rng.randrange(2, 31), rng.randrange(0, 90), rng)
     n = g.n
     relabel = rng.sample(range(n), n)
     return MultiGraph(n, [(relabel[u], relabel[v]) for u, v in g.edges
@@ -455,13 +456,15 @@ def test_mixed_cut_matches_the_reference_on_structured_hosts():
 
 
 def test_essential_edge_connectivity_flow_count(monkeypatch):
-    # at most m flows for the edges disjoint from ab and deg(a) deg(b) for
-    # the pairs of neighbours; the 20-vertex rigid part of forced tree-rigid
-    # on K20, whose claims take its cut consequences from its tightness,
-    # goes through the essential cut directly
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # one push per later neighbour y of each vertex f after a, b (210 on
+    # K23, at most m) and one per pair of neighbours x of a and y of b (at
+    # most deg(a) deg(b)); the 20-vertex rigid part of forced tree-rigid on
+    # K20, whose claims take its cut consequences from its tightness, goes
+    # through the essential cut directly
+    pushes = counting(monkeypatch, graph, "_push")
     assert generators.complete(23).essential_edge_connectivity() == 42
-    assert len(calls) <= 253 + 22 * 22
+    assert len(pushes) <= 253 + 22 * 22
+    assert len(pushes) == 210 + 21 * 20
     k20 = generators.complete(20)
     res = packing.preset_tree_rigid(k20, 2, 1, 1, force=True)
     assert res.ok and res.checks["rigid_0_cuts"] is True
@@ -469,15 +472,55 @@ def test_essential_edge_connectivity_flow_count(monkeypatch):
     assert rep.ok and rep.aux["essential"] >= 3
 
 
+def test_essential_edge_connectivity_matches_the_boundary_sweep():
+    # 3,000 seeded multigraphs on 2-10 vertices, connected or not, against
+    # the sweep of every vertex set whose both sides induce an edge; and
+    # 6-regular circulants, where two adjacent vertices cut 6 + 6 - 2 = 10
+    # edges and a longer arc of the cycle at least 12 (K23 is in the flow
+    # count test)
+    rng = random.Random(3232)
+    disconnected = parallel = finite = 0
+    for _ in range(3000):
+        n = rng.randrange(2, 11)
+        g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        full, etab, dtab = g.full_mask, g.induced_table, g.weight_table(g.degrees)
+        want = min((dtab[a] - 2 * etab[a] for a in range(1, full)
+                    if etab[a] and etab[full ^ a]), default=INFINITY)
+        assert g.essential_edge_connectivity() == want
+        disconnected += not g.is_connected()
+        parallel += len(set(g.edges)) < g.m
+        finite += want != INFINITY
+    assert disconnected >= 500 and parallel >= 1000 and finite >= 1500
+    for n in (20, 30, 41):
+        assert generators.circulant(n, [1, 2, 3]).essential_edge_connectivity() == 10
+
+
+def test_value_only_cuts_run_no_flow(monkeypatch):
+    # essential edge connectivity, a whole pass of the vertex-deleted cuts
+    # and the repair's cycle reversal read only pushes: Edmonds-Karp runs
+    # only in `_least_cut`, for the least side its callers read
+    calls = counting(monkeypatch, graph, "_maxflow")
+    host = generators.circulant(30, [1, 2, 3])
+    assert host.essential_edge_connectivity() == 10
+    assert graph._vertex_deleted_cuts(host.n, host._edge_arcs(), False)[0] == 6
+    orient = orientation.euler_orient(host)
+    arcs = [(t, h, 1) for t, h in orient.arcs]
+    assert graph._vertex_deleted_cuts(host.n, arcs, True)[0] == 3
+    assert orientation._reverse_cycle_through(orient, 0, host.full_mask ^ 1) is not None
+    assert not calls
+
+
 def _reference_vertex_deleted_cuts(n, arcs, both_ways, limit=INFINITY):
     """`graph._vertex_deleted_cuts` before sink merging: one uncapped root
-    flow per vertex and direction, and the G - v flows its bound leaves."""
+    flow per vertex and direction, and the G - v flows its bound leaves,
+    all by the Edmonds-Karp of `helpers`, which shares no code with the
+    engine's flows."""
     net = graph._flow_network(n, arcs)
     head, cap, out = net
     roots = []
     for t in range(1, n):
         for s, u in ((0, t), (t, 0))[:1 + both_ways]:
-            flow, _, left = graph._augmenting_paths(net, s, u)
+            flow, _, left = augmenting_paths(net, s, u)
             into = [0] * n
             for h, f in zip(head[::2], left[1::2]):
                 into[h] += f
@@ -490,15 +533,18 @@ def _reference_vertex_deleted_cuts(n, arcs, both_ways, limit=INFINITY):
             for a in out[v]:
                 deleted[a] = deleted[a ^ 1] = 0
             minus = (head, deleted, out)
-            if v == 0:
-                best, side = graph._least_cut(minus, (1 << n) - 2, both_ways, worst)
+            if v == 0:  # every root flow from vertex 1 runs
+                pairs = [(s, u, 0) for t in range(2, n)
+                         for s, u in ((1, t), (t, 1))[:1 + both_ways]]
             else:
-                best, side = worst, None
-                for s, t, flow, into in roots:
-                    if v not in (s, t) and flow - into[v] < best:
-                        value, reached = graph._maxflow(minus, s, t, best)
-                        if reached is not None:
-                            best, side = value, reached
+                pairs = [(s, t, flow - into[v]) for s, t, flow, into in roots
+                         if v not in (s, t)]
+            best, side = worst, None
+            for s, t, floor in pairs:
+                if floor < best:
+                    value, reached, _ = augmenting_paths(minus, s, t, best)
+                    if reached is not None:
+                        best, side = value, reached
             if side is not None:
                 worst = best
                 yield v, best, side
@@ -514,7 +560,7 @@ def test_vertex_deleted_cuts_match_uncapped_root_flows():
     lowering = parallel = 0
     for _ in range(6000):
         n = rng.randrange(1, 11)
-        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n) if n > 1 else 0, rng)
+        g = random_multigraph(n, rng.randrange(0, 3 * n) if n > 1 else 0, rng)
         both_ways = rng.random() < 0.5
         if both_ways:
             arcs = [(u, v, rng.randrange(1, 4)) if rng.random() < 0.5
@@ -586,47 +632,48 @@ def _deleted_arc_strong(orient, v):
 
 
 def test_robust_claims_flow_count(monkeypatch):
-    # the whole network's first flow and one G - v flow run; every other
-    # pair is settled by its bound or its push. A fresh min cut of every
-    # G - v ran 418 flows here
+    # one G - v flow runs; every other pair, the whole network's included,
+    # is settled by its bound or its push. A fresh min cut of every G - v
+    # ran 418 flows here
     orient = orientation.robust_arc_strong(generators.complete(15), 1,
                                            force=True).orientation
-    calls = counting(monkeypatch, graph, "_augmenting_paths")
+    calls = counting(monkeypatch, graph, "_maxflow")
     failed, checks = orientation.robust_claims(orient, 1)
     assert not failed
     assert checks == {"arc_strong": 7, "vertex_deleted_arc_strong": 6}
-    assert len(calls) <= 2
+    assert len(calls) <= 1
 
 
 def test_robust_claims_flow_count_on_circulant(monkeypatch):
-    # 2 of the 79,598 sink pairs of the whole network and the G - v run a
+    # 1 of the 79,598 sink pairs of the whole network and the G - v runs a
     # flow; a bound or a push settles the rest
     res = orientation.robust_arc_strong(generators.circulant(200, range(1, 9)), 1)
     assert res.ok
-    calls = counting(monkeypatch, graph, "_augmenting_paths")
+    calls = counting(monkeypatch, graph, "_maxflow")
     pushes = counting(monkeypatch, graph, "_push")
     failed, checks = orientation.robust_claims(res.orientation, 1)
     assert not failed
     assert checks == {"arc_strong": 8, "vertex_deleted_arc_strong": 7}
-    assert len(calls) <= 4
+    assert len(calls) <= 1
     assert len(pushes) == 1102
 
 
 def test_robust_construction_flow_count(monkeypatch):
     # each repair pass finds the first deficient vertex from one whole
-    # pass; a fresh min cut per vertex and pass ran 518 flows here
-    calls = counting(monkeypatch, graph, "_augmenting_paths")
+    # pass of pushes and reverses its cycle by a unit push; a fresh min cut
+    # per vertex and pass ran 518 flows here
+    calls = counting(monkeypatch, graph, "_maxflow")
     assert orientation.robust_arc_strong(generators.complete(15), 1,
                                          force=True).ok
-    assert len(calls) <= 9
+    assert len(calls) <= 1
 
 
 def test_tree_rigid_flow_count(monkeypatch):
-    # the self-check's edge connectivity and vertex-deleted cuts share one
-    # whole pass; a fresh min cut per G - v ran 84 flows here
-    calls = counting(monkeypatch, graph, "_augmenting_paths")
+    # the self-check takes its rigid parts' cut consequences from their
+    # tightness, so no flow runs; a fresh min cut per G - v ran 84 here
+    calls = counting(monkeypatch, graph, "_maxflow")
     assert packing.preset_tree_rigid(generators.complete(9), 2, 1, 1).ok
-    assert len(calls) <= 14
+    assert not calls
 
 
 def test_bipartition():
@@ -643,7 +690,7 @@ def test_cut_identity_exhaustive():
     # e(A) + e(V \ A) + d(A) = m for every subset, small random graphs
     rng = random.Random(3)
     for _ in range(25):
-        g = oracle.random_multigraph(5, rng.randrange(0, 9), rng)
+        g = random_multigraph(5, rng.randrange(0, 9), rng)
         etab = g.induced_table
         for a in range(1 << 5):
             comp = g.full_mask ^ a
@@ -653,7 +700,7 @@ def test_cut_identity_exhaustive():
 def test_boundary_minus_against_enumeration():
     rng = random.Random(4)
     for _ in range(20):
-        g = oracle.random_multigraph(5, 7, rng)
+        g = random_multigraph(5, 7, rng)
         for a in range(1 << 5):
             for b in range(1 << 5):
                 if a & b:
@@ -671,7 +718,7 @@ def test_edge_connectivity_equals_min_cut_oracle():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randrange(2, 8)
-        g = oracle.random_multigraph(n, rng.randrange(n - 1, 2 * n + 3), rng)
+        g = random_multigraph(n, rng.randrange(n - 1, 2 * n + 3), rng)
         best = min(boundary_minus(g, a, 0) for a in range(1, g.full_mask))
         assert g.edge_connectivity() == best
         assert (best == 0) == (not g.is_connected())

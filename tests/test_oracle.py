@@ -9,9 +9,10 @@ from rigidpack import oracle
 from rigidpack.oracle import (
     OracleBudget, bf_sparse, bf_rank, bf_rigid, bf_partition_connected,
     bf_edge_connected, bf_arc_connected, bf_matroid_axioms, bf_weakly_connected,
-    census, set_partitions, union_rank_bound, random_multigraph, boundary_minus,
-    partition_cross,
+    census, set_partitions, boundary_minus,
 )
+
+from helpers import partition_cross, random_multigraph, union_rank_bound
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 

@@ -21,6 +21,8 @@ from rigidpack.orientation import (
     _reverse_cycle_through,
 )
 
+from helpers import random_multigraph
+
 
 def triangle():
     return MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -67,7 +69,7 @@ def test_hakimi_feasibility_matches_subset_condition():
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randrange(2, 6)
-        g = oracle.random_multigraph(n, rng.randrange(0, 10), rng)
+        g = random_multigraph(n, rng.randrange(0, 10), rng)
         if g.m == 0:
             continue
         cuts = sorted(rng.sample(range(g.m + n - 1), n - 1))
@@ -99,7 +101,7 @@ def test_eulerian_cuts_are_balanced():
     graphs = [c4(), generators.circulant(8, [1, 2]),
               generators.circulant(10, [1, 5]), generators.complete(5)]
     for _ in range(10):
-        g = oracle.random_multigraph(6, 2 * rng.randrange(2, 7), rng)
+        g = random_multigraph(6, 2 * rng.randrange(2, 7), rng)
         if all(d % 2 == 0 for d in g.degrees):
             graphs.append(g)
     for g in graphs:
@@ -114,7 +116,7 @@ def test_arc_strong_flows_match_indegree_table():
     rng = random.Random(808)
     for _ in range(320):
         n = rng.randrange(2, 9)
-        g = oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng)
+        g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
         orient = Orientation(g, tuple(rng.choice(e) for e in g.edges))
         value = min(_entering(orient.arcs, mask) for mask in range(1, g.full_mask))
         assert arc_strong_value(orient) == value
@@ -169,7 +171,7 @@ def test_verify_arc_matches_oracle():
     seen = {True: 0, False: 0}
     for _ in range(200):
         f = force_zero_on_ground(lmn(4, rng.randrange(0, 2), rng.randrange(0, 2)))
-        g = oracle.random_multigraph(4, rng.choice([rng.randrange(1, 8), 4]), rng)
+        g = random_multigraph(4, rng.choice([rng.randrange(1, 8), 4]), rng)
         heads = tuple(g.edges[e][rng.randrange(2)] for e in range(g.m))
         if sum(f.singletons) == g.m and rng.random() < 0.8:
             hk = hakimi_orient(g, f.singletons)
@@ -219,7 +221,7 @@ def test_sparsity_decides_rooted_arc_connectivity():
             continue
         roots = [rng.randrange(0, x + 1) for x in f.singletons]
         targets = [x - r for x, r in zip(f.singletons, roots)]
-        g = oracle.random_multigraph(n, sum(targets), rng)
+        g = random_multigraph(n, sum(targets), rng)
         hk = hakimi_orient(g, targets)
         if not hk.ok:
             continue
@@ -324,7 +326,7 @@ def _lowered_hosts():
                                  if e not in drop])
     for _ in range(4):
         n = rng.randrange(6, 9)
-        extra = oracle.random_multigraph(n, rng.randrange(n, 2 * n), rng).edges
+        extra = random_multigraph(n, rng.randrange(n, 2 * n), rng).edges
         yield MultiGraph(n, [*generators.complete(n).edges, *extra])
 
 
@@ -391,7 +393,7 @@ def test_odd_forest_degrees_always_odd():
     done = 0
     while done < 20:
         n = 2 * rng.randrange(2, 5)
-        g = oracle.random_multigraph(n, rng.randrange(n, 3 * n), rng)
+        g = random_multigraph(n, rng.randrange(n, 3 * n), rng)
         if not g.is_connected():
             continue
         res = odd_spanning_forest(g, 2)
@@ -522,7 +524,7 @@ def test_deleted_arc_strong_matches_definition():
 
 def _random_orientation(rng, n):
     g = (MultiGraph(1, []) if n == 1 else
-         oracle.random_multigraph(n, rng.randrange(0, 3 * n), rng))
+         random_multigraph(n, rng.randrange(0, 3 * n), rng))
     return Orientation(g, tuple(rng.choice(e) for e in g.edges))
 
 
@@ -562,7 +564,7 @@ def test_repair_matches_table_search():
     tried = 0
     while tried < 160:
         n = rng.randrange(4, 10)
-        g = oracle.random_multigraph(n, rng.randrange(2 * n, 4 * n), rng)
+        g = random_multigraph(n, rng.randrange(2 * n, 4 * n), rng)
         odd = [v for v in range(n) if g.degree(v) % 2]
         g = MultiGraph(n, g.edges + tuple(zip(odd[::2], odd[1::2])))
         if g.vertex_connectivity() < 2 or g.edge_connectivity() < 4:
@@ -585,7 +587,7 @@ def test_repair_matches_table_search():
 
 def _bfs_reverse_cycle_through(hsub, heads, v, mask):
     """Cycle reversal by a breadth-first search that rescans every edge
-    for each vertex it dequeues: the reference for the unit flow of
+    for each vertex it dequeues: the reference for the unit push of
     `_reverse_cycle_through`. Reverses the cycle in `heads`."""
     arcs_from_v = [e for e in range(hsub.m)
                    if heads[e] != v and v in hsub.edges[e]
@@ -645,7 +647,7 @@ def test_cycle_reversal_and_repair_match_the_breadth_first_reference():
     reversed_ = found = repaired = 0
     for case in range(2000):
         n = rng.randrange(3, 12)
-        g = oracle.random_multigraph(n, rng.randrange(2 * n, 5 * n), rng)
+        g = random_multigraph(n, rng.randrange(2 * n, 5 * n), rng)
         odd = [v for v in range(n) if g.degree(v) % 2]
         g = MultiGraph(n, g.edges + tuple(zip(odd[::2], odd[1::2])))
         orient = euler_orient(g, random.Random(case))

@@ -19,9 +19,12 @@ from rigidpack.packing import (
     partition_rigid_funcs, _apply_chain, _augment,
 )
 from rigidpack.sparsity import PebbleState, _pebble_run
-from rigidpack.oracle import boundary_minus, partition_cross
+from rigidpack.oracle import boundary_minus
 
-from helpers import counting, delete_vertex
+from helpers import (
+    check_invariant, counting, delete_vertex, partition_cross, random_multigraph,
+    union_rank_bound,
+)
 
 
 def c4():
@@ -40,7 +43,7 @@ def test_two_tree_packing_of_k4():
 def test_deficient_tree_packing_of_c4():
     pk = matroid_union_pack(c4(), [lmn(4, 1, 1)] * 2)
     assert pk.covered() == 4
-    assert pk.covered() == oracle.union_rank_bound(c4(), [lmn(4, 1, 1)] * 2)
+    assert pk.covered() == union_rank_bound(c4(), [lmn(4, 1, 1)] * 2)
 
 
 def test_single_rigid_part_on_k5():
@@ -61,11 +64,11 @@ def test_union_matches_edmonds_bound_seeded():
     pool = [(1, 1), (2, 2), (2, 3), (1, 0), (2, 1)]
     for _ in range(25):
         n = rng.randrange(2, 6)
-        g = oracle.random_multigraph(n, rng.randrange(0, 9), rng)
+        g = random_multigraph(n, rng.randrange(0, 9), rng)
         t = rng.randrange(1, 4)
         funcs = [lmn(n, *pool[rng.randrange(len(pool))]) for _ in range(t)]
         pk = matroid_union_pack(g, funcs)
-        assert pk.covered() == oracle.union_rank_bound(g, funcs)
+        assert pk.covered() == union_rank_bound(g, funcs)
 
 
 def test_tree_packing_matches_partition_condition():
@@ -74,7 +77,7 @@ def test_tree_packing_matches_partition_condition():
     rng = random.Random(22)
     for _ in range(30):
         n = rng.randrange(2, 7)
-        g = oracle.random_multigraph(n, rng.randrange(1, 2 * n + 2), rng)
+        g = random_multigraph(n, rng.randrange(1, 2 * n + 2), rng)
         m = rng.randrange(1, 3)
         pk = matroid_union_pack(g, [lmn(n, 1, 1)] * m)
         full = all(p.full for p in pk.parts)
@@ -145,7 +148,7 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
         else:
             n = rng.randrange(7, 9)
             m = rng.randrange(4 * n, 9 * n)
-        g = oracle.random_multigraph(n, m, rng)
+        g = random_multigraph(n, m, rng)
         funcs = [lmn(n, *rng.choice(pool)) for _ in range(rng.randrange(1, 4))]
         forbidden = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
         if rng.random() >= 0.5:
@@ -161,7 +164,7 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
         assert pk.uncovered == uncovered
         if n <= 6:
             usable = [e for e in range(m) if e not in forbidden]
-            assert pk.covered() == oracle.union_rank_bound(g.subgraph(usable),
+            assert pk.covered() == union_rank_bound(g.subgraph(usable),
                                                           funcs)
             bounded += 1
     assert bounded >= 120 and pruned >= 60
@@ -207,7 +210,7 @@ def test_tight_set_skip_matches_the_unskipped_search(monkeypatch):
         else:
             n = rng.randrange(7, 10)
             m = rng.randrange(3 * n, 9 * n + 1)
-        g = oracle.random_multigraph(n, m, rng)
+        g = random_multigraph(n, m, rng)
         funcs = [_random_pebble_func(n, rng) for _ in range(rng.randrange(1, 4))]
         forbidden = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
         start = len(calls)
@@ -299,7 +302,7 @@ def test_halved_parts_match_the_reference_search(monkeypatch):
                            rng.choice([[1, 2], [1, 3], [1, 2, 3]]), rng)
         else:
             n = rng.randrange(4, 9)
-            g = oracle.random_multigraph(n, rng.randrange(3 * n, 7 * n), rng)
+            g = random_multigraph(n, rng.randrange(3 * n, 7 * n), rng)
         try:
             funcs = partition_rigid_funcs(g, lmn(g.n, *rng.choice(pool)),
                                           lmn(g.n, *rng.choice(pool)), "halved")
@@ -391,7 +394,7 @@ def test_tight_edges_match_a_scan_of_the_accepted_edges():
     while probes < 5000:
         n, k = rng.randrange(2, 10), rng.randrange(1, 3)
         ell = rng.randrange(0, 2 * k)
-        host = oracle.random_multigraph(n, rng.randrange(1, 4 * n), rng)
+        host = random_multigraph(n, rng.randrange(1, 4 * n), rng)
         state = PebbleState([k] * n, ell)
         for _ in range(rng.randrange(10, 40)):
             step = rng.random()
@@ -410,7 +413,7 @@ def test_tight_edges_match_a_scan_of_the_accepted_edges():
             if mask is not None:
                 assert state.tight_edges() == _scan_circuit_edges(host, state, mask)
                 assert sorted(state.reached) == vertices_of(mask)
-        state.check_invariant()
+        check_invariant(state)
 
 
 def _structure_claims(pk, cert):
@@ -489,7 +492,7 @@ def test_rank_certificate_on_every_deficient_packing():
     deficient = bounded = 0
     for _ in range(1000):
         n, m = rng.randrange(2, 7), rng.randrange(1, 11)
-        g = oracle.random_multigraph(n, m, rng)
+        g = random_multigraph(n, m, rng)
         funcs = [_random_pebble_func(n, rng) for _ in range(rng.randrange(1, 4))]
         forbidden = set(rng.sample(range(m), rng.randrange(1, m + 1))) \
             if rng.random() < 0.3 else set()
@@ -502,7 +505,7 @@ def test_rank_certificate_on_every_deficient_packing():
         assert cert.closure == _reference_closure(pk)
         usable = [e for e in range(m) if e not in forbidden]
         if len(usable) <= 7:
-            assert pk.covered() == oracle.union_rank_bound(g.subgraph(usable), funcs)
+            assert pk.covered() == union_rank_bound(g.subgraph(usable), funcs)
             bounded += 1
     assert deficient >= 750 and bounded >= 600
 
@@ -659,7 +662,7 @@ def test_weakly_connected_check():
 def test_weakly_connected_matches_oracle():
     rng = random.Random(23)
     for _ in range(20):
-        g = oracle.random_multigraph(5, rng.randrange(2, 11), rng)
+        g = random_multigraph(5, rng.randrange(2, 11), rng)
         c = rng.randrange(1, 5)
         ell = rng.randrange(0, 3)
         fast = check_weakly_connected(g, [ell] * 5, const(5, c)).ok
@@ -949,7 +952,7 @@ def test_rigid_cut_consequences_match_per_vertex_min_cuts():
     outcomes = Counter()
     for _ in range(420):
         n = rng.randrange(3, 10)
-        g = oracle.random_multigraph(n, rng.randrange(n, 5 * n), rng)
+        g = random_multigraph(n, rng.randrange(n, 5 * n), rng)
         for k in (1, 2, 3):
             ell = lmn(n, k, 2 * k - 1)
             rr = sparsity.rank_and_rigid(g, ell)
@@ -1106,7 +1109,7 @@ def test_full_sparse_parts_are_partition_connected():
     checked = 0
     for _ in range(24):
         n = rng.randrange(4, 10)
-        g = oracle.random_multigraph(n, rng.randrange(3 * n, 5 * n + 1), rng)
+        g = random_multigraph(n, rng.randrange(3 * n, 5 * n + 1), rng)
         ell = lmn(n, 2, 3)
         weights = vertex_weights([rng.randrange(3) for _ in range(n)])
         for l in (lmn(n, 1, 1), lmn(n, 2, 1), const(n, 1), weights):

@@ -13,6 +13,8 @@ from rigidpack.sparsity import (
     minimal_rigid_vertices, exchange, _check_internal_connectivity, _pebble_run,
 )
 
+from helpers import check_invariant, random_multigraph
+
 PARAMS = [(1, 1), (2, 2), (2, 3), (3, 5)]
 
 
@@ -23,7 +25,7 @@ def triangle():
 def test_pebble_basis_examples():
     state, _ = _pebble_run((2,) * 3, 3, triangle().edges)
     assert state.accepted == [0, 1, 2]
-    state.check_invariant()
+    check_invariant(state)
     assert rank_and_rigid(triangle(), lmn(3, 2, 3)).basis == (0, 1, 2)
 
     assert len(rank_and_rigid(generators.complete(4), lmn(4, 2, 3)).basis) == 5
@@ -46,7 +48,7 @@ def test_basis_size_is_order_independent():
     rng = random.Random(41)
     for _ in range(40):
         n = rng.randrange(3, 8)
-        g = oracle.random_multigraph(n, rng.randrange(2, 13), rng)
+        g = random_multigraph(n, rng.randrange(2, 13), rng)
         k, l = PARAMS[rng.randrange(4)]
         reference = rank_and_rigid(g, lmn(n, k, l)).rank
         perm = list(range(g.m))
@@ -97,7 +99,7 @@ def test_rank_matches_bruteforce():
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randrange(2, 6)
-        g = oracle.random_multigraph(n, rng.randrange(0, 9), rng)
+        g = random_multigraph(n, rng.randrange(0, 9), rng)
         k, l = PARAMS[rng.randrange(4)]
         f = lmn(n, k, l)
         assert rank_and_rigid(g, f).rank == oracle.bf_rank(g, f)[0]
@@ -131,7 +133,7 @@ def test_rank_and_rigid_answers_as_the_removed_rank_calls():
             "refused": 0}
     for _ in range(2400):
         n = rng.randrange(2, 10)
-        g = oracle.random_multigraph(n, rng.randrange(1, 4 * n), rng)
+        g = random_multigraph(n, rng.randrange(1, 4 * n), rng)
         forbidden = set(rng.sample(range(g.m), rng.randrange(g.m + 1))) \
             if rng.random() < 0.6 else set()
         kind = rng.choice(["lmn", "const", "weights", "outside"])
@@ -196,7 +198,7 @@ def test_rigid_components_against_oracle():
     checked = 0
     while checked < 25:
         n = rng.randrange(3, 7)
-        g = oracle.random_multigraph(n, rng.randrange(1, 2 * n), rng)
+        g = random_multigraph(n, rng.randrange(1, 2 * n), rng)
         k, l = PARAMS[rng.randrange(4)]
         f = lmn(n, k, l)
         if not is_sparse(g, f).ok:
@@ -225,7 +227,7 @@ def test_table_copies_take_the_exhaustive_path_to_the_pebble_answers():
         f = lmn(n, k, l)
         tab = table_func(n, {m: f.value(m) for m in range(1, 1 << n)})
         assert pebble_params(tab) is None
-        host = oracle.random_multigraph(n, rng.randrange(1, 3 * n), rng)
+        host = random_multigraph(n, rng.randrange(1, 3 * n), rng)
         g = host.subgraph(rank_and_rigid(host, f).basis)
         assert rigid_components(g, tab) == rigid_components(g, f)
         for x in range(n):
@@ -322,10 +324,10 @@ def test_table_function_sparsity_past_the_default_oracle_budget():
 def test_pebble_accounting_invariant():
     rng = random.Random(13)
     for _ in range(20):
-        g = oracle.random_multigraph(6, rng.randrange(0, 14), rng)
+        g = random_multigraph(6, rng.randrange(0, 14), rng)
         k, l = PARAMS[rng.randrange(4)]
         state, _ = _pebble_run((k,) * 6, l, g.edges)
-        state.check_invariant()
+        check_invariant(state)
 
 
 def _random_pebble_params(n, rng):
@@ -348,7 +350,7 @@ def test_live_state_answers_as_a_fresh_run():
     for _ in range(80):
         n = rng.randrange(2, 9)
         caps, ell = _random_pebble_params(n, rng)
-        g = oracle.random_multigraph(n, rng.randrange(1, 3 * n), rng)
+        g = random_multigraph(n, rng.randrange(1, 3 * n), rng)
         state = PebbleState(caps, ell)
         for _ in range(rng.randrange(5, 30)):
             step = rng.random()
@@ -365,7 +367,7 @@ def test_live_state_answers_as_a_fresh_run():
                 assert accepted == (rejected is None)
             else:
                 state.probe_pair(*rng.sample(range(n), 2))
-            state.check_invariant()
+            check_invariant(state)
             fresh, rejected = _pebble_run(caps, ell, g.edges, sorted(state.accepted),
                                           strict=True)
             assert rejected is None
@@ -373,7 +375,7 @@ def test_live_state_answers_as_a_fresh_run():
                 for y in range(x + 1, n):
                     assert state.probe_pair(x, y) == fresh.probe_pair(x, y)
                     assert state.max_tight_pair(x, y) == fresh.max_tight_pair(x, y)
-            state.check_invariant()
+            check_invariant(state)
             steps += 1
     assert steps > 1000
 
@@ -385,8 +387,8 @@ def test_invariant_check_rejects_a_negative_pebble_count():
     # capacity and the total is right
     state, _ = _pebble_run((1, 1), 0, [(0, 1), (0, 1)])
     assert state.accepted == [0, 1] and state.out == [[0], [1]]
-    state.check_invariant()
+    check_invariant(state)
     state.out = [[0, 1], []]
     state.pebbles = [-1, 1]
     with pytest.raises(RuntimeError, match="negative pebble count at vertex 0"):
-        state.check_invariant()
+        check_invariant(state)
