@@ -103,14 +103,19 @@ def parse_setfunc(token: str, ground: int) -> SetFunc:
     if kind == "table":
         if not arg.startswith("@"):
             raise ValueError("table token must reference a file: table:@path")
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if int(data["n"]) != ground:
+        path = arg[1:]
+        data = _load_json(path, "table")
+        if not isinstance(data, dict) or "n" not in data or \
+                not isinstance(data.get("values"), dict):
+            raise ValueError(f"{path}: table file needs 'n' and a 'values' object")
+        try:
+            n = int(data["n"])
+            values = {mask_of(int(x) for x in key.split(",") if x != ""): int(val)
+                      for key, val in data["values"].items()}
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed table: {exc}") from None
+        if n != ground:
             raise ValueError(f"table ground {data['n']} does not match graph n={ground}")
-        values = {}
-        for key, val in data["values"].items():
-            verts = [int(x) for x in key.split(",") if x != ""]
-            values[mask_of(verts)] = int(val)
         return table_func(ground, values)
     raise ValueError(f"unknown set function token {token!r}")
 

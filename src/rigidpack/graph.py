@@ -269,8 +269,9 @@ class MultiGraph:
 def _flow_network(size: int, arcs):
     """Residual network of (tail, head, capacity) triples on vertices
     0..size-1, as (head, capacity, out-arc lists). Arc 2i runs along triple
-    i and arc 2i ^ 1 is its reverse. Build it once per arc list: `_maxflow`
-    works on a copy of the capacities, so every s-t pair can share it."""
+    i and arc 2i ^ 1 is its reverse. Build it once per arc list: `_push`
+    works on a residual copy of the capacities, so every s-t pair can share
+    it."""
     head = []
     cap = []
     out = [[] for _ in range(size)]
@@ -287,11 +288,10 @@ def _flow_network(size: int, arcs):
 def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
                floor=lambda t, d: 0):
     """The least cut of a `_flow_network` between the vertices of `rest`,
-    or `limit` if that is lower, with the source side of a flow reaching it
-    as a mask (None if no cut is below `limit`). A cut is the capacity of
-    the arcs entering a vertex set A that holds some but not all of `rest`;
-    other vertices may lie on either side (with their arcs at capacity 0,
-    they never matter).
+    or `limit` if that is lower, with its least side as a mask (None if no
+    cut is below `limit`). A cut is the capacity of the arcs entering a
+    vertex set A that holds some but not all of `rest`; other vertices may
+    lie on either side (with their arcs at capacity 0, they never matter).
 
     Let r be the lowest vertex of `rest`. A either holds some t but not r,
     and takes at least the r -> t flow, or holds r and misses some t, and
@@ -299,41 +299,56 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
     either flow is such an A at the flow's value. So the least cut is the
     least of the flows r -> t, and t -> r when `both_ways` (Even & Tarjan
     1975); a symmetric network, such as `_edge_arcs`, needs only r -> t,
-    as its flows are the same both ways. Each flow stops at the running
-    minimum, so the last flow that lowers it has a minimum cut (`_maxflow`),
-    and its side is returned.
+    as its flows are the same both ways.
 
-    Sink merging gates the flows (Hao & Orlin 1994): `_push` sends flow into
-    t from S, the root and earlier sinks (out of t for t -> r), on a residual
-    per direction; the flow runs only if the push, min(lambda(S, t), best),
-    is below best. Before it, a pair is skipped if `floor(t, d)`, a lower
-    bound on lambda(S, t) (lambda(t, S) for d = 1) that the caller knows,
-    reaches best. This is exact: if a flow would lower best, let f be the
-    first sink on the sink side X of its minimum cut. S misses X at f, so
-    the floor and the push at f are at most cut(X) < best, and unless f = t
-    the flow at f lowers best to cut(X). So every flow that lowers best
-    still runs, in the same order, with the same value and side.
+    No flow runs (Hao & Orlin 1994): `_push` sends flow into t from S, the
+    root and earlier sinks (out of t for t -> r), on a residual per
+    direction, capped at the running minimum best; a push below best is the
+    new best. Before it, a pair is skipped if `floor(t, d)`, a lower bound
+    on lambda(S, t) (lambda(t, S) for d = 1) that the caller knows, reaches
+    best. This is exact. At every pair the flow between r and t is at most
+    the push, as S holds r. If the flow is below best, let X be t's side of
+    a minimum cut of it. The first sink in X is t: at an earlier one the
+    flow would already have lowered best to cut(X) or less. So X misses S,
+    and the floor and the push are at most cut(X), the flow. So a push is
+    below best exactly when the flow is, and then equals it, and best takes
+    the values the flows would give it at the same pairs. The side is the
+    least source side of the last pair that lowers best, which is unique:
+    the vertices its source reaches in the residual of any maximum flow
+    (Ford & Fulkerson 1956), here one push from the source into the sink up
+    to best.
     """
     low = rest & -rest
     root = low.bit_length() - 1
-    best, side = limit, None
+    best, pair = limit, None
     ends, residual, directions = {root}, ([], []), range(1 + both_ways)
     for t in vertices_of(rest ^ low):
         for d in directions:
-            if floor(t, d) < best and (
-                    best == INFINITY or _push(net, residual[d], t, ends, best, 1 - d) < best):
-                flow, reached = _maxflow(net, (root, t)[d], (t, root)[d], best)
-                if reached is not None:
-                    best, side = flow, reached
+            if floor(t, d) < best:
+                flow = _push(net, residual[d], t, ends, best, 1 - d)
+                if flow < best:
+                    best, pair = flow, ((root, t)[d], (t, root)[d])
         ends.add(t)
+    if pair is None:
+        return best, None
+    head, _, out = net
+    source, sink = pair
+    left = []
+    _push(net, left, source, {sink}, best, 0)
+    reached, side = [source], 1 << source
+    for u in reached:
+        for a in out[u]:
+            if left[a] and not side >> head[a] & 1:
+                side |= 1 << head[a]
+                reached.append(head[a])
     return best, side
 
 
 def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     """The least vcap |B| + ecap d_{G-B}(A) over disjoint vertex sets A, B
     with A nonempty and A | B proper, a mixed vertex/edge cut (Beineke &
-    Harary 1967), or `limit` if lower, with the source side of a flow
-    reaching it as a split-network mask (None if no cut is below `limit`).
+    Harary 1967), or `limit` if lower, with `_least_cut`'s side as a
+    split-network mask (None if no cut is below `limit`).
 
     The split network has x_out = x, x_in = x + n, an arc x_in -> x_out of
     capacity vcap (arc 2x) and an arc u_out -> v_in of capacity
@@ -395,9 +410,9 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
     head, capacity) `arcs`. `whole` is its least cut (`_least_cut`;
     INFINITY if n = 1). `lowered` lazily yields `(v, value, side)`, in
     vertex order, for each v whose least cut minus v lowers a running
-    minimum that starts at `limit`, with the source side of a flow
-    reaching it. So the first entry is the first v below `limit`, and the
-    least entry is the least cut minus a vertex (INFINITY if none).
+    minimum that starts at `limit`, with `_least_cut`'s side. So the first
+    entry is the first v below `limit`, and the least entry is the least
+    cut minus a vertex (INFINITY if none).
 
     `whole` is the least of `_least_cut`'s pushes with root 0, each on a
     fresh copy of the capacities and capped at the running minimum. No flow
@@ -460,12 +475,12 @@ def _push(net, residual, t: int, ends, limit, back: int) -> int:
     hits reach `limit` less the flow so far; then each hit's tree path
     carries its own bottleneck (distinct subtrees share no arc). Hits on
     t's own arcs stop there too, so a unit push carries exactly the first
-    path its breadth-first search meets, the path `_maxflow` from t would
-    take: the robust repair's cycle. A pass with no hit pruned nothing, so
-    no path is left. The gates read only whether the value, min(lambda(ends,
-    t), limit) whatever paths carry it, is below `limit`; earlier pushes on
-    `residual` had both ends in `ends`, so every cut between `ends` and t
-    keeps its capacity there.
+    path its breadth-first search meets, a shortest augmenting path: the
+    robust repair's cycle. A pass with no hit pruned nothing, so no path is
+    left. A value below `limit` is lambda(ends, t), whatever paths carry
+    it, and one at or above it says only that lambda is not below `limit`:
+    earlier pushes on `residual` had both ends in `ends`, so every cut
+    between `ends` and t keeps its capacity there.
     """
     head, cap, out = net
     if not residual:
@@ -512,47 +527,3 @@ def _push(net, residual, t: int, ends, limit, back: int) -> int:
                 residual[b ^ 1] += bottleneck
             flow += bottleneck
     return flow
-
-
-def _maxflow(net, s: int, t: int, limit=INFINITY) -> tuple[int, int | None]:
-    """Max s-t flow value by shortest augmenting paths on a `_flow_network`,
-    with the mask of the vertices its last search reached.
-
-    The search stops once the flow reaches `limit`: a value of at least
-    `limit` says only that the maximum is not below it, which is all a
-    caller taking a minimum with running best `limit` needs, and the mask
-    is None. Below `limit` the last search found no augmenting path, so
-    the vertices it reached are the least source side of a minimum cut
-    (Ford & Fulkerson 1956): the arcs leaving them carry the whole flow.
-    """
-    head, cap, out = net
-    cap = cap[:]
-    size = len(out)
-    flow = 0
-    while flow < limit:
-        via = [-1] * size  # arc id that first reached each vertex
-        via[s] = -2
-        queue = [s]
-        for u in queue:
-            for a in out[u]:
-                if cap[a] and via[head[a]] == -1:
-                    via[head[a]] = a
-                    queue.append(head[a])
-            if via[t] != -1:
-                break
-        if via[t] == -1:
-            return flow, mask_of(queue)
-        bottleneck = INFINITY
-        v = t
-        while v != s:
-            a = via[v]
-            bottleneck = min(bottleneck, cap[a])
-            v = head[a ^ 1]
-        v = t
-        while v != s:
-            a = via[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = head[a ^ 1]
-        flow += bottleneck
-    return flow, None

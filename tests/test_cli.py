@@ -8,7 +8,8 @@ import pytest
 
 from rigidpack import packing
 from rigidpack.cli import (
-    RUNNERS, main, canonical_dumps, graph_from_record, load_graph, parse_setfunc,
+    RUNNERS, main, canonical_dumps, graph_from_record, graph_record, load_graph,
+    parse_setfunc,
 )
 from rigidpack.generators import (
     circulant, complete, complete_bipartite, doubled, random_simple,
@@ -1219,6 +1220,24 @@ def test_malformed_graph_files_are_usage_errors(tmp_path, capsys, record, messag
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))
     code = main(["sparse", "--graph", str(path), "--func", "lmn:1,1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {path}: ") and message in err, err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"values": {"0": 1}}', "table file needs 'n' and a 'values' object"),
+    ('[4, {"0": 1}]', "table file needs 'n' and a 'values' object"),
+    ('{"n": 4, "values": {', "invalid table file at line 1, column 21"),
+    ('{"n": 4, "values": [1, 2]}', "table file needs 'n' and a 'values' object"),
+    ('{"n": 4, "values": {"0,x": 1}}', "malformed table"),
+    ('{"n": [4], "values": {"0": 1}}', "malformed table"),
+])
+def test_malformed_table_files_are_usage_errors(tmp_path, capsys, text, message):
+    graph = tmp_path / "K4.json"
+    graph.write_text(json.dumps(graph_record(complete(4))))
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    code = main(["sparse", "--graph", str(graph), "--func", f"table:@{path}"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {path}: ") and message in err, err
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -145,31 +146,42 @@ def test_flow_paths_match_sweeps():
         assert g.essential_edge_connectivity() == essential
 
 
-def test_maxflow_returns_a_min_cut_side():
+def test_augmenting_paths_returns_the_least_min_cut_side():
+    # the reference of every side comparison: below its limit the side is
+    # the source side of a minimum s-t cut, contained in the source side of
+    # every other minimum s-t cut (the brute force over all vertex sets)
     rng = random.Random(505)
+    larger = 0
     for _ in range(60):
         n = rng.randrange(2, 8)
         g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
         net = graph._flow_network(n, g._edge_arcs())
+        cut = [boundary_minus(g, a, 0) for a in range(1 << n)]
         for s in range(n):
             for t in range(n):
                 if s == t:
                     continue
-                flow, side = graph._maxflow(net, s, t)
+                flow, side, _ = augmenting_paths(net, s, t)
                 assert (side >> s) & 1 and not (side >> t) & 1
-                assert boundary_minus(g, side, 0) == flow
-                assert graph._maxflow(net, s, t, flow + 1) == (flow, side)
-                assert graph._maxflow(net, s, t, flow) == (flow, None)
+                assert cut[side] == flow
+                assert augmenting_paths(net, s, t, flow + 1)[:2] == (flow, side)
+                assert augmenting_paths(net, s, t, flow)[:2] == (flow, None)
+                for a in range(1 << n):
+                    if (a >> s) & 1 and not (a >> t) & 1 and cut[a] == flow:
+                        assert side & a == side
+                        larger += a != side
+    assert larger >= 2000, larger
 
 
 def _reference_least_cut(net, rest, both_ways, limit=INFINITY):
-    """`graph._least_cut` before sink merging: every root flow runs."""
+    """`graph._least_cut` before sink merging: every root flow runs, by
+    the Edmonds-Karp of `helpers`."""
     low = rest & -rest
     root = low.bit_length() - 1
     best, side = limit, None
     for t in graph.vertices_of(rest ^ low):
         for s, u in ((root, t), (t, root))[:1 + both_ways]:
-            flow, reached = graph._maxflow(net, s, u, best)
+            flow, reached, _ = augmenting_paths(net, s, u, best)
             if reached is not None:
                 best, side = flow, reached
     return best, side
@@ -177,7 +189,7 @@ def _reference_least_cut(net, rest, both_ways, limit=INFINITY):
 
 def _reference_mixed_cut(g, vcap, ecap, limit):
     """`graph._mixed_cut` before sink merging: every pair the two-path
-    bound leaves open runs a flow."""
+    bound leaves open runs a flow, by the Edmonds-Karp of `helpers`."""
     n, mult = g.n, g.mult
     net, best, side = None, limit, None
     for i in range(n):
@@ -191,7 +203,7 @@ def _reference_mixed_cut(g, vcap, ecap, limit):
                 if net is None:
                     net = graph._flow_network(2 * n, [(x + n, x, vcap) for x in range(n)] + [
                         (u, v + n, c * ecap) for u, v, c in g._edge_arcs()])
-                flow, reached = graph._maxflow(net, i, j + n, best)
+                flow, reached, _ = augmenting_paths(net, i, j + n, best)
                 if reached is not None:
                     best, side = flow, reached
     return best, side
@@ -202,8 +214,10 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
     # ones on symmetric networks and digraphs, multigraphs, networks with a
     # vertex outside `rest`, and every limit, 5,000 networks each; they run
     # fewer flows. At least 50 mixed-cut minima come from a root i > 0 with
-    # vcap > 0, which runs on the network minus 0..i-1 and adds vcap i
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # vcap > 0, which runs on the network minus 0..i-1 and adds vcap i.
+    # The engine's pushes are counted against the reference's flows
+    pushes = counting(monkeypatch, graph, "_push")
+    flows = counting(monkeypatch, sys.modules[__name__], "augmenting_paths")
     rng = random.Random(2323)
     gated = ungated = offset = 0
     for case in range(10000):
@@ -212,12 +226,12 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
         g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
         if case % 2:
             vcap, ecap = rng.randrange(0, 5), rng.randrange(1, 4)
-            calls.clear()
+            pushes.clear()
             got = graph._mixed_cut(g, vcap, ecap, limit)
-            gated += len(calls)
-            calls.clear()
+            gated += len(pushes)
+            flows.clear()
             assert got == _reference_mixed_cut(g, vcap, ecap, limit)
-            ungated += len(calls)
+            ungated += len(flows)
             if got[1] is not None and vcap:
                 a = got[1] & g.full_mask
                 offset += a & -a > 1
@@ -237,12 +251,12 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
             for a in out[v]:
                 cap[a] = cap[a ^ 1] = 0
         net = (head, cap, out)
-        calls.clear()
+        pushes.clear()
         got = graph._least_cut(net, rest, both_ways, limit)
-        gated += len(calls)
-        calls.clear()
+        gated += len(pushes)
+        flows.clear()
         assert got == _reference_least_cut(net, rest, both_ways, limit)
-        ungated += len(calls)
+        ungated += len(flows)
     assert gated < ungated
     assert offset >= 50, offset
 
@@ -351,55 +365,53 @@ def test_push_matches_single_path_push():
 
 
 def test_vertex_connectivity_flow_count(monkeypatch):
-    # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n flows.
+    # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n pairs.
     # Root i gates on the network minus 0..i-1 against best - i (vcap = 1),
     # and its pair bound counts the merged sinks next to j as paths: half
-    # the pushes of the gate on the whole network (171 and 435), no flow
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # the pushes of the gate on the whole network (171 and 435). No push
+    # lowers the degree limit, so no side is read
     pushes = counting(monkeypatch, graph, "_push")
     for n, bound, pinned in ((36, 7 * 36, 81), (80, 560, 213)):
-        calls.clear()
         pushes.clear()
         assert generators.circulant(n, [1, 2, 3]).vertex_connectivity() == 6
-        assert len(calls) <= bound
-        assert (len(pushes), len(calls)) == (pinned, 0)
+        assert len(pushes) <= bound
+        assert len(pushes) == pinned
 
 
 def test_mixed_cut_flow_count(monkeypatch):
     # the pair bound skips every pair of K9 and K13 at their demands and
-    # of K12,12 under its degree limit, so neither a flow nor a sink-merging
-    # push runs; on two K40 sharing four vertices the root bound leaves at
-    # most ceil(conn / k) (n - 1) flows, and the restricted gate pushes at
-    # 15 and 6 pairs (144 each on the whole network)
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # of K12,12 under its degree limit, so no push runs; on two K40 sharing
+    # four vertices the root bound leaves at most ceil(conn / k) (n - 1)
+    # pairs, and the restricted gate pushes at 15 and 6 of them (144 each
+    # on the whole network)
     pushes = counting(monkeypatch, graph, "_push")
     assert packing.check_uniform_weakly_connected(generators.complete(9), 2, 8).ok
     assert packing.check_uniform_weakly_connected(generators.complete(13), 3, 12).ok
     assert generators.complete_bipartite(12, 12).vertex_connectivity() == 12
-    assert not calls and not pushes
+    assert not pushes
     glued = MultiGraph(76, sorted({(a, b) for group in (range(40), range(36, 76))
                                    for a in group for b in group if a < b}))
     for (k, conn), pinned in ((orientation.robust_demand(1), 15),
                               (packing.tree_rigid_demand(2, 1, 1), 6)):
-        calls.clear()
         pushes.clear()
         assert packing.check_uniform_weakly_connected(glued, k, conn).ok
-        assert len(calls) <= -(-conn // k) * (glued.n - 1)
+        assert len(pushes) <= -(-conn // k) * (glued.n - 1)
         assert len(pushes) == pinned
 
 
 def test_sink_merging_flow_count(monkeypatch):
     # on circulant(400, [1..4]) the pushes from the merged sinks reach the
-    # running minimum at every pair: no flow of the (2, 8) check runs (1,590
-    # without the gate) after 785 pushes (1,590 on the whole network), and
-    # edge connectivity runs only its first flow (399)
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # running minimum at every pair: the (2, 8) check pushes 785 times
+    # (1,590 flows without the gate, 1,590 pushes on the whole network).
+    # Edge connectivity pushes once per sink, the first uncapped, and once
+    # more for the side of the first, the only pair that lowers the minimum
     pushes = counting(monkeypatch, graph, "_push")
     host = generators.circulant(400, [1, 2, 3, 4])
     assert graph._mixed_cut(host, 2, 1, 8) == (8, None)
-    assert not calls and len(pushes) == 785
+    assert len(pushes) == 785
+    pushes.clear()
     assert host.edge_connectivity() == 8
-    assert len(calls) <= 1
+    assert len(pushes) == 399 + 1
 
 
 def _structured_host(rng):
@@ -495,11 +507,9 @@ def test_essential_edge_connectivity_matches_the_boundary_sweep():
         assert generators.circulant(n, [1, 2, 3]).essential_edge_connectivity() == 10
 
 
-def test_value_only_cuts_run_no_flow(monkeypatch):
+def test_value_only_cuts_run_no_flow():
     # essential edge connectivity, a whole pass of the vertex-deleted cuts
-    # and the repair's cycle reversal read only pushes: Edmonds-Karp runs
-    # only in `_least_cut`, for the least side its callers read
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # and the repair's cycle reversal read their values from pushes
     host = generators.circulant(30, [1, 2, 3])
     assert host.essential_edge_connectivity() == 10
     assert graph._vertex_deleted_cuts(host.n, host._edge_arcs(), False)[0] == 6
@@ -507,7 +517,6 @@ def test_value_only_cuts_run_no_flow(monkeypatch):
     arcs = [(t, h, 1) for t, h in orient.arcs]
     assert graph._vertex_deleted_cuts(host.n, arcs, True)[0] == 3
     assert orientation._reverse_cycle_through(orient, 0, host.full_mask ^ 1) is not None
-    assert not calls
 
 
 def _reference_vertex_deleted_cuts(n, arcs, both_ways, limit=INFINITY):
@@ -632,48 +641,49 @@ def _deleted_arc_strong(orient, v):
 
 
 def test_robust_claims_flow_count(monkeypatch):
-    # one G - v flow runs; every other pair, the whole network's included,
-    # is settled by its bound or its push. A fresh min cut of every G - v
-    # ran 418 flows here
+    # one G - v least cut reads a side: its first pair's push is uncapped
+    # and its side takes one more; every other pair, the whole network's
+    # included, is settled by its bound or a push capped at the running
+    # minimum. A fresh min cut of every G - v ran 418 flows here
     orient = orientation.robust_arc_strong(generators.complete(15), 1,
                                            force=True).orientation
-    calls = counting(monkeypatch, graph, "_maxflow")
+    pushes = counting(monkeypatch, graph, "_push")
     failed, checks = orientation.robust_claims(orient, 1)
     assert not failed
     assert checks == {"arc_strong": 7, "vertex_deleted_arc_strong": 6}
-    assert len(calls) <= 1
+    assert len(pushes) == 62
 
 
 def test_robust_claims_flow_count_on_circulant(monkeypatch):
-    # 1 of the 79,598 sink pairs of the whole network and the G - v runs a
-    # flow; a bound or a push settles the rest
+    # of the 79,598 sink pairs of the whole network and the G - v, a bound
+    # or a push settles all but 1,102, and one G - v least cut reads a side
+    # (an uncapped first push and a side push)
     res = orientation.robust_arc_strong(generators.circulant(200, range(1, 9)), 1)
     assert res.ok
-    calls = counting(monkeypatch, graph, "_maxflow")
     pushes = counting(monkeypatch, graph, "_push")
     failed, checks = orientation.robust_claims(res.orientation, 1)
     assert not failed
     assert checks == {"arc_strong": 8, "vertex_deleted_arc_strong": 7}
-    assert len(calls) <= 1
-    assert len(pushes) == 1102
+    assert len(pushes) == 1102 + 2
 
 
 def test_robust_construction_flow_count(monkeypatch):
     # each repair pass finds the first deficient vertex from one whole
-    # pass of pushes and reverses its cycle by a unit push; a fresh min cut
-    # per vertex and pass ran 518 flows here
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # pass of pushes and reverses its cycle by a unit push, and one G - v
+    # least cut reads a side; a fresh min cut per vertex and pass ran 518
+    # flows here
+    pushes = counting(monkeypatch, graph, "_push")
     assert orientation.robust_arc_strong(generators.complete(15), 1,
                                          force=True).ok
-    assert len(calls) <= 1
+    assert len(pushes) == 90
 
 
 def test_tree_rigid_flow_count(monkeypatch):
     # the self-check takes its rigid parts' cut consequences from their
-    # tightness, so no flow runs; a fresh min cut per G - v ran 84 here
-    calls = counting(monkeypatch, graph, "_maxflow")
+    # tightness, so no push runs; a fresh min cut per G - v ran 84 here
+    pushes = counting(monkeypatch, graph, "_push")
     assert packing.preset_tree_rigid(generators.complete(9), 2, 1, 1).ok
-    assert not calls
+    assert not pushes
 
 
 def test_bipartition():
