@@ -862,12 +862,11 @@ def structure_claims(host: MultiGraph, parts, uncovered, forbidden, closure,
     """Claims of a structure certificate for a packing with (func, edge ids,
     target, full) parts that meets `packing_claims`: the closure F holds
     every usable uncovered edge and no forbidden edge; each part's edges in
-    F span F in its count matroid, which one pebble run offering I_i & F
-    first and F - I_i after shows by accepting exactly I_i & F; and the
-    blocks are the components of (V, F), or V itself when nothing usable
-    is uncovered and every part is full. Every edge outside F is then
-    covered, so covered = |E' - F| + sum_i r_i(F), the matroid-union bound
-    at F: no packing covers more.
+    F span F in its count matroid (`_spans_closure`); and the blocks are
+    the components of (V, F), or V itself when nothing usable is uncovered
+    and every part is full. Every edge outside F is then covered, so
+    covered = |E' - F| + sum_i r_i(F), the matroid-union bound at F: no
+    packing covers more.
     """
     failed = []
     closure, forbidden = set(closure), set(forbidden)
@@ -880,11 +879,7 @@ def structure_claims(host: MultiGraph, parts, uncovered, forbidden, closure,
         params = pebble_params(func)
         if params is None:
             failed.append(f"part {i} is outside the pebble range")
-            continue
-        inside = sorted(closure.intersection(edges))
-        state, _ = _pebble_run(*params, host.edges,
-                               inside + sorted(closure.difference(edges)))
-        if state.accepted != inside:
+        elif not _spans_closure(params, host.edges, edges, closure):
             failed.append(f"part {i} does not span the closure")
     whole = not set(uncovered) - forbidden and all(full for *_, full in parts)
     blocks = sorted(partition)
@@ -892,6 +887,38 @@ def structure_claims(host: MultiGraph, parts, uncovered, forbidden, closure,
             not (whole and blocks == [host.full_mask]):
         failed.append("structure blocks are not the components of the closure")
     return failed
+
+
+def _spans_closure(params, edges, own, closure) -> bool:
+    """Do a part's edges `own` in the closure F span F in the count matroid
+    with pebble parameters `params`? One pebble state is offered I_i & F,
+    which must all be accepted, then F - I_i in ascending order, and the
+    first edge of F - I_i accepted answers no: the verdict of one run
+    offering both that accepts exactly I_i & F.
+
+    An edge of F - I_i whose ends lie together in a tight set T recorded
+    at an earlier rejection is skipped, as it is dependent: a tight set
+    stays tight as edges are added, since e(T) = cap(T) can neither fall
+    nor pass cap(T). Each rejection records the maximal tight set holding
+    the edge's ends (`PebbleState.max_tight_pair`), on each of its
+    vertices; it is unique (see `PebbleState`), so it holds every tight
+    set through those ends.
+    """
+    inside = sorted(closure.intersection(own))
+    state, _ = _pebble_run(*params, edges, inside)
+    if state.accepted != inside:
+        return False
+    tight = [0] * len(state.caps)
+    for eid in sorted(closure.difference(own)):
+        u, v = edges[eid]
+        if (tight[u] >> v) & 1:
+            continue
+        if state.insert(eid, u, v) is None:
+            return False
+        res = state.max_tight_pair(u, v)
+        for w in vertices_of(res):
+            tight[w] |= res
+    return True
 
 
 def _degree_claims(graph, edges, quoted, bounds, rule, side=None) -> list[str]:

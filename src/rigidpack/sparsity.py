@@ -197,13 +197,24 @@ def _pebble_run(caps, ell: int, edges, ids=None, strict: bool = False):
     Returns (state, rejected). With strict=True the run stops at the first
     rejected edge and rejected is (edge id, blocking mask); otherwise it
     is None.
+
+    A run that is not strict stops at a rejection once the state holds
+    sum(caps) - ell edges: it then has at most ell free pebbles, which
+    blocks every later gather, so every edge left would be rejected. The
+    returned state's `accepted` list is the one the full run makes; its
+    pebble arrangement may differ, and no caller reads it. The test runs
+    only after a rejection, so accepted offers pay nothing for it.
     """
     state = PebbleState(caps, ell)
+    filled = sum(state.caps) - ell
     for eid in range(len(edges)) if ids is None else ids:
         u, v = edges[eid]
         blocked = state.insert(eid, u, v)
-        if blocked is not None and strict:
-            return state, (eid, blocked)
+        if blocked is not None:
+            if strict:
+                return state, (eid, blocked)
+            if len(state.ends) >= filled:
+                break
     return state, None
 
 
@@ -324,29 +335,33 @@ def rigid_components(graph: MultiGraph, func: SetFunc) -> list[int]:
     Vertices covered by no rigid set of size >= 2 appear as singleton
     components, so the result always covers the vertex set. Components of
     size >= 2 pairwise share at most one vertex and are edge-disjoint.
+
+    Each component is the maximal tight set of the first pair that finds
+    it, and the maximal tight set of a pair is unique (see `PebbleState`).
+    So no component holds another: a tight set holding the maximal tight
+    set of a pair holds the pair, so it is that set. And a pair whose ends
+    lie together in a component T already found is skipped: its maximal
+    tight set holds the tight T, so it is T.
     """
     state = _sparse_state(graph, func, "rigid_components requires a sparse input graph")
     if state is None:
         _require_rigid_set_structure(func)
         return _rigid_components_oracle(graph, func)
-    masks = set()
+    comps = []
+    found = [0] * graph.n  # found[v]: the union of the components holding v
     for x in range(graph.n):
         for y in range(x + 1, graph.n):
+            if (found[x] >> y) & 1:
+                continue
             res = state.max_tight_pair(x, y)
-            if res is not None:
-                masks.add(res)
-    maximal = [s for s in sorted(masks)
-               if not any(s != t and s & ~t == 0 for t in masks)]
-    for mask in maximal:
-        if graph.induced(mask) != func.cap(mask):
-            raise RuntimeError("maximal rigid component is not tight")
-    covered = 0
-    for mask in maximal:
-        covered |= mask
-    comps = list(maximal)
-    for v in range(graph.n):
-        if not (covered >> v) & 1:
-            comps.append(1 << v)
+            if res is None:
+                continue
+            if graph.induced(res) != func.cap(res):
+                raise RuntimeError("maximal rigid component is not tight")
+            comps.append(res)
+            for w in vertices_of(res):
+                found[w] |= res
+    comps += [1 << v for v in range(graph.n) if not found[v]]
     return sorted(comps)
 
 

@@ -4,6 +4,8 @@ import random
 
 from rigidpack.graph import INFINITY, MultiGraph, _flow_network, mask_of, vertices_of
 from rigidpack.oracle import DEFAULT_BUDGET, OracleBudget, bf_rank
+from rigidpack.setfuncs import pebble_params
+from rigidpack.sparsity import PebbleState
 
 
 def delete_vertex(g: MultiGraph, v: int) -> MultiGraph:
@@ -162,3 +164,35 @@ def local_edge_connectivity(g: MultiGraph, s: int, t: int) -> int:
     if s == t:
         raise ValueError("local edge connectivity needs distinct endpoints")
     return augmenting_paths(_flow_network(g.n, g._edge_arcs()), s, t)[0]
+
+
+def full_pebble_run(caps, ell: int, edges, ids=None) -> PebbleState:
+    """`sparsity._pebble_run` without its stop: every edge of `ids`
+    (default: all, ascending) is offered to a fresh state."""
+    state = PebbleState(caps, ell)
+    for eid in range(len(edges)) if ids is None else ids:
+        state.insert(eid, *edges[eid])
+    return state
+
+
+def one_run_spans_closure(params, edges, own, closure) -> bool:
+    """The span check of `packing._spans_closure` as one full pebble run:
+    offer I_i & F, then F - I_i, and ask that exactly I_i & F is accepted."""
+    inside = sorted(set(closure).intersection(own))
+    state = full_pebble_run(*params, edges, inside + sorted(set(closure).difference(own)))
+    return state.accepted == inside
+
+
+def all_pairs_rigid_components(graph: MultiGraph, func) -> list[int]:
+    """`sparsity.rigid_components` of a sparse graph and a pebble-playable
+    function, asking `max_tight_pair` of every pair of vertices."""
+    state = full_pebble_run(*pebble_params(func), graph.edges)
+    if len(state.ends) != graph.m:
+        raise ValueError("the graph is not sparse")
+    masks = {mask for x in range(graph.n) for y in range(x + 1, graph.n)
+             if (mask := state.max_tight_pair(x, y)) is not None}
+    comps = [s for s in masks if not any(s != t and s & ~t == 0 for t in masks)]
+    covered = 0
+    for mask in comps:
+        covered |= mask
+    return sorted(comps + [1 << v for v in range(graph.n) if not (covered >> v) & 1])

@@ -596,6 +596,14 @@ def _forbidden_edge_into_closure(r):
     r["certificates"]["structure"]["closure"].append(0)
 
 
+def _uncover_a_spanned_closure_edge(r):
+    # part 0 holds edges 1 and 2 and spans the closure {2, 3}; with edge 2
+    # moved to the uncovered edges it spans neither closure edge
+    pack = r["certificates"]["packing"]
+    pack["parts"][0]["edges"].remove(2)
+    pack["uncovered"] = sorted(pack["uncovered"] + [2])
+
+
 def _part_outside_the_pebble_range(r):
     r["certificates"]["packing"]["parts"][0]["func"] = "lmn:1,5"
 
@@ -836,6 +844,7 @@ def _drop_last_arc(r):
      "part 0 is outside the pebble range"),
     ("pack-closure", _drop_uncovered_from_closure, "misses a usable uncovered edge"),
     ("pack-closure", _forbidden_edge_into_closure, "forbidden or unknown edge"),
+    ("pack-closure", _uncover_a_spanned_closure_edge, "part 0 does not span the closure"),
     ("pack-halved", _add_edge_to_union, "union is not the l-part"),
     ("pack-halved", _loosened_bounds, "degree bounds"),
     ("pack-rho", _move_a_root, "degree bounds"),

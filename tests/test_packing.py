@@ -22,8 +22,8 @@ from rigidpack.sparsity import PebbleState, _pebble_run
 from rigidpack.oracle import boundary_minus
 
 from helpers import (
-    check_invariant, counting, delete_vertex, partition_cross, random_multigraph,
-    union_rank_bound,
+    check_invariant, counting, delete_vertex, one_run_spans_closure, partition_cross,
+    random_multigraph, union_rank_bound,
 )
 
 
@@ -619,6 +619,63 @@ def test_structure_claims_name_a_broken_certificate():
         "structure blocks are not the components of the closure"]
     # the part holds edges 0 and 2, so it spans nothing of the closure {1, 3}
     assert claims({1, 3}) == ["part 0 does not span the closure"]
+
+
+def test_closure_skips_answer_as_the_one_run_span_check(monkeypatch):
+    # the span check that skips closure edges inside recorded maximal
+    # tight sets names the same claims as one full run per part, on
+    # deficient packings and on single-edge tampers of a part and of F
+    rng = random.Random(3402)
+    pairs = counting(monkeypatch, PebbleState, "max_tight_pair")
+    seen = {"deficient": 0, "skipped": 0, "tampered": 0, "unspanned": 0}
+
+    def claims(host, parts, pk, closure, partition):
+        new = structure_claims(host, parts, pk.uncovered, pk.forbidden, closure,
+                               partition)
+        with monkeypatch.context() as patch:
+            patch.setattr(packing, "_spans_closure", one_run_spans_closure)
+            assert structure_claims(host, parts, pk.uncovered, pk.forbidden,
+                                    closure, partition) == new
+        return new
+
+    for _ in range(3000):
+        n = rng.randrange(2, 11)
+        g = random_multigraph(n, rng.randrange(1, 3 * n), rng)
+        funcs = [_random_pebble_func(n, rng) for _ in range(rng.randrange(1, 4))]
+        forbidden = set(rng.sample(range(g.m), rng.randrange(1, g.m + 1))) \
+            if rng.random() < 0.3 else set()
+        pk = matroid_union_pack(g, funcs, forbidden)
+        if all(p.full for p in pk.parts):
+            continue
+        seen["deficient"] += 1
+        cert = structure_partition(pk)
+        parts = [(p.func, p.edges, p.target, p.full) for p in pk.parts]
+        pairs.clear()
+        assert claims(g, parts, pk, cert.closure, cert.partition) == []
+        # a spanning part asks max_tight_pair once per closure edge offered
+        seen["skipped"] += len(pairs) < sum(len(cert.closure - p.edges)
+                                            for p in pk.parts)
+        i, e = rng.randrange(len(parts)), rng.randrange(g.m)
+        func, edges, target, full = parts[i]
+        tampered = parts[:i] + [(func, edges ^ {e}, target, full)] + parts[i + 1:]
+        for case in (claims(g, tampered, pk, cert.closure, cert.partition),
+                     claims(g, parts, pk, cert.closure ^ {e}, cert.partition)):
+            seen["tampered"] += 1
+            seen["unspanned"] += any("does not span" in c for c in case)
+    assert seen["deficient"] >= 2000 and seen["skipped"] >= 100, seen
+    assert seen["unspanned"] >= 500, seen
+
+
+def test_closure_check_gather_count(monkeypatch):
+    # the (1,1) + (2,3) packing of K20 joined by two edges to the ring C32:
+    # each rejected closure edge records its maximal tight set, and the
+    # closure edges inside it are not offered (380 gathers without that)
+    host = _core_ring(20, 32, [1])
+    pk = matroid_union_pack(host, [lmn(host.n, 1, 1), lmn(host.n, 2, 3)])
+    cert = structure_partition(pk)
+    gathers = counting(monkeypatch, PebbleState, "gather")
+    assert _structure_claims(pk, cert) == []
+    assert len(gathers) == 60
 
 
 def test_decompose_examples():

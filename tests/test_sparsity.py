@@ -13,7 +13,10 @@ from rigidpack.sparsity import (
     minimal_rigid_vertices, exchange, _check_internal_connectivity, _pebble_run,
 )
 
-from helpers import check_invariant, random_multigraph
+from helpers import (
+    all_pairs_rigid_components, check_invariant, counting, full_pebble_run,
+    random_multigraph,
+)
 
 PARAMS = [(1, 1), (2, 2), (2, 3), (3, 5)]
 
@@ -330,15 +333,17 @@ def test_pebble_accounting_invariant():
         check_invariant(state)
 
 
-def _random_pebble_params(n, rng):
+def _random_pebble_func(n, rng):
     kind = rng.randrange(3)
     if kind == 0:
-        f = lmn(n, *rng.choice([(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 5)]))
-    elif kind == 1:
-        f = const(n, rng.randrange(1, 4))
-    else:
-        f = vertex_weights([rng.randrange(3) for _ in range(n)])
-    return pebble_params(f)
+        return lmn(n, *rng.choice([(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 5)]))
+    if kind == 1:
+        return const(n, rng.randrange(1, 4))
+    return vertex_weights([rng.randrange(3) for _ in range(n)])
+
+
+def _random_pebble_params(n, rng):
+    return pebble_params(_random_pebble_func(n, rng))
 
 
 def test_live_state_answers_as_a_fresh_run():
@@ -378,6 +383,45 @@ def test_live_state_answers_as_a_fresh_run():
             check_invariant(state)
             steps += 1
     assert steps > 1000
+
+
+def test_stopped_runs_and_skipped_pairs_answer_as_the_full_runs(monkeypatch):
+    # a rank run that stops at the first rejection once filled accepts the
+    # full run's basis, in the same order; rigid_components that skips the
+    # pairs inside a component already found returns what asking every
+    # pair returns
+    rng = random.Random(3401)
+    inserts = counting(monkeypatch, PebbleState, "insert")
+    pairs = counting(monkeypatch, PebbleState, "max_tight_pair")
+    seen = {"stopped": 0, "skipped": 0, "forbidden": 0}
+    for _ in range(3000):
+        n = rng.randrange(2, 11)
+        g = random_multigraph(n, rng.randrange(1, 4 * n), rng)
+        forbidden = set(rng.sample(range(g.m), rng.randrange(g.m + 1))) \
+            if rng.random() < 0.4 else set()
+        f = _random_pebble_func(n, rng)
+        offered = [e for e in range(g.m) if e not in forbidden]
+        inserts.clear()
+        basis = rank_and_rigid(g, f, forbidden).basis
+        seen["stopped"] += len(inserts) < len(offered)
+        seen["forbidden"] += bool(forbidden)
+        assert basis == tuple(full_pebble_run(*pebble_params(f), g.edges,
+                                              offered).accepted)
+        sparse = g.subgraph(basis)
+        pairs.clear()
+        comps = rigid_components(sparse, f)
+        seen["skipped"] += len(pairs) < n * (n - 1) // 2
+        assert comps == all_pairs_rigid_components(sparse, f)
+    assert min(seen.values()) >= 500, seen
+
+
+def test_filled_rank_run_gather_count(monkeypatch):
+    # the (2,3) rank of K12,12 fills at its 45th accepted edge; the run
+    # stops at the next rejection (144 gathers without the stop)
+    gathers = counting(monkeypatch, PebbleState, "gather")
+    rr = rank_and_rigid(generators.complete_bipartite(12, 12), lmn(24, 2, 3))
+    assert (rr.rank, rr.rigid) == (45, True)
+    assert len(gathers) == 135
 
 
 def test_invariant_check_rejects_a_negative_pebble_count():
