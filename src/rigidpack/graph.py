@@ -8,9 +8,10 @@ at the scales it targets.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 
 INFINITY = float("inf")
@@ -288,10 +289,11 @@ def _flow_network(size: int, arcs):
 def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
                floor=lambda t, d: 0):
     """The least cut of a `_flow_network` between the vertices of `rest`,
-    or `limit` if that is lower, with its least side as a mask (None if no
-    cut is below `limit`). A cut is the capacity of the arcs entering a
-    vertex set A that holds some but not all of `rest`; other vertices may
-    lie on either side (with their arcs at capacity 0, they never matter).
+    or `limit` if that is lower, with the (source, sink) pair that lowered
+    it last (None if no cut is below `limit`), for `_least_side`. A cut is
+    the capacity of the arcs entering a vertex set A that holds some but
+    not all of `rest`; other vertices may lie on either side (with their
+    arcs at capacity 0, they never matter).
 
     Let r be the lowest vertex of `rest`. A either holds some t but not r,
     and takes at least the r -> t flow, or holds r and misses some t, and
@@ -312,11 +314,8 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
     flow would already have lowered best to cut(X) or less. So X misses S,
     and the floor and the push are at most cut(X), the flow. So a push is
     below best exactly when the flow is, and then equals it, and best takes
-    the values the flows would give it at the same pairs. The side is the
-    least source side of the last pair that lowers best, which is unique:
-    the vertices its source reaches in the residual of any maximum flow
-    (Ford & Fulkerson 1956), here one push from the source into the sink up
-    to best.
+    the values the flows would give it at the same pairs: the pair returned
+    is the first whose flow is the least cut.
     """
     low = rest & -rest
     root = low.bit_length() - 1
@@ -329,80 +328,125 @@ def _least_cut(net, rest: int, both_ways: bool, limit=INFINITY,
                 if flow < best:
                     best, pair = flow, ((root, t)[d], (t, root)[d])
         ends.add(t)
-    if pair is None:
-        return best, None
+    return best, pair
+
+
+def _least_side(net, pair, value: int) -> int:
+    """The least source side, as a mask, of a minimum cut of `value` from
+    `pair`'s source to its sink in a `_flow_network`. It is unique: the
+    vertices the source reaches in the residual of any maximum flow (Ford &
+    Fulkerson 1956), here one push from the source into the sink up to
+    `value`. Callers of `_least_cut` that read only the value skip it."""
     head, _, out = net
     source, sink = pair
     left = []
-    _push(net, left, source, {sink}, best, 0)
+    _push(net, left, source, {sink}, value, 0)
     reached, side = [source], 1 << source
     for u in reached:
         for a in out[u]:
             if left[a] and not side >> head[a] & 1:
                 side |= 1 << head[a]
                 reached.append(head[a])
-    return best, side
+    return side
 
 
 def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     """The least vcap |B| + ecap d_{G-B}(A) over disjoint vertex sets A, B
     with A nonempty and A | B proper, a mixed vertex/edge cut (Beineke &
-    Harary 1967), or `limit` if lower, with `_least_cut`'s side as a
-    split-network mask (None if no cut is below `limit`).
+    Harary 1967), or `limit` if lower, with the least side of the first of
+    Even's pairs (below) whose flow is the minimum, as a split-network mask
+    (None if no cut is below `limit`).
 
     The split network has x_out = x, x_in = x + n, an arc x_in -> x_out of
     capacity vcap (arc 2x) and an arc u_out -> v_in of capacity
     mult(u, v) ecap. On the least source side of a minimum s_out -> t_in
     cut, A is the vertices whose out-copy is on it and B those whose in-copy
     alone is, s is in A, t outside A | B, and the cut costs exactly
-    vcap |B| + ecap d_{G-B}(A).
+    vcap |B| + ecap d_{G-B}(A). The cost is symmetric in A and the third
+    side C = V - A - B.
 
     Even's bound (1975): with i the lowest vertex outside B of an optimal
     A, B, which costs at least vcap i, the flow from i to a vertex outside
-    A | B (if i is in A) or of A (if not; the network is symmetric) reaches
-    it, and that vertex is higher than i. So roots stop once vcap i reaches
-    the running minimum best, and root i is `_least_cut` of
-    rest = {i_out} | {j_in : j > i} on the network minus 0..i-1 (their
+    A | B (if i is in A) or of A (if not; swap A and C) reaches it, and that
+    vertex is higher than i. So roots stop once vcap i reaches the running
+    minimum best, and Even's root i is `_least_cut` of {i_out} and the
+    in-copies of all higher vertices on the network minus 0..i-1 (their
     vertex arcs at capacity 0), below best - vcap i, plus vcap i. Deleting
     i vertex arcs lowers a cut by at most vcap i, so no root reports less
-    than the minimum k. If (i, j) is the first pair whose flow is k < limit,
-    every minimum cut (A, B) of it has each u < i in B, as pair (u, j)
-    would reach k earlier if u were in A, and pair (u, i) if u were outside
-    A | B (swap A and the third side). So in the network minus 0..i-1 the
-    pair reaches k - vcap i with the same minimum cuts, and the same least
-    side, and no earlier pair reaches k.
+    than the minimum k. If (i, j) is the first of Even's pairs whose flow is
+    k < limit, every minimum cut (A, B) of it has each u < i in B, as pair
+    (u, j) would reach k earlier if u were in A, and pair (u, i) if u were
+    in C. So in the network minus 0..i-1 the pair reaches k - vcap i with
+    the same minimum cuts, and the same least side, and no earlier pair
+    reaches k.
+
+    Neighbours of 0 (Esfahanian & Hakimi 1984): root 0 takes every sink,
+    and a root i >= 1 only the in-copies of 0's neighbours above i. The
+    minimum stays k. Take a minimum cut (A, B, C) with 0 in B. If 0 has no
+    neighbour in C, moving it from B to A adds no crossing edge and changes
+    the cost by -vcap <= 0: a minimum cut that root 0 finds. Likewise with
+    A. Otherwise swap A and C so that the lowest vertex i outside B is in A;
+    a neighbour y of 0 in C lies above i, and the cut separates i_out from
+    y_in at k - vcap i in the network minus 0..i-1.
+
+    The side stays too. Let (i, j) be the first of Even's pairs whose flow
+    is k. If i >= 1, its minimum cuts all have 0 in B, and 0 has a
+    neighbour in C: else moving 0 out of B would leave one without. So root
+    i reaches k, at (i, y_in), and no earlier root does, as its sinks are
+    among Even's. Root i is thus the last root that lowers best. If i >= 1,
+    it runs once more with every sink above it, below k + 1 - vcap i, and
+    ends on (i, j). The pair's `_least_side` is read once, at the end. Both
+    arguments need only vcap >= 0 at vertex 0.
 
     Root i's floor for sink j_in counts arc-disjoint paths into it from
-    i_out and the merged sinks: its arc from i_out, a path t_in -> t_out ->
-    j_in per merged sink t next to j, and i_out -> x_in -> x_out -> j_in
-    per other common neighbour x > i. Each carries at least min(vcap, ecap),
-    as multiplicities are at least 1, so the floor is a popcount on
-    neighbour masks, and the network is built at the first root with a
-    floor below best - vcap i.
+    i_out and the root's merged sinks: its arc from i_out, a path t_in ->
+    t_out -> j_in per merged sink t next to j, and i_out -> x_in -> x_out ->
+    j_in per other common neighbour x > i. Each carries at least
+    min(vcap, ecap), as multiplicities are at least 1, so the floor is a
+    popcount on neighbour masks, and the network is built at the first root
+    with a floor below best - vcap i.
     """
     n, mult = graph.n, graph.mult
     near = [mask_of(row) for row in graph.adjacency]
+    nbrs = sorted(set(graph.adjacency[0]))
     per_path = min(vcap, ecap)
-    net, best, side = None, limit, None
+    net = None
+
+    def root(i, room, every):
+        # root i's (value, pair) below room, with sinks the in-copies of
+        # every vertex above i or of 0's neighbours above i
+        nonlocal net
+        if every:
+            sinks, s = range(i + 1, n), (1 << n - i) - 2
+        else:
+            sinks, s = nbrs[bisect_right(nbrs, i):], near[0] >> i + 1 << 1
+        row, left = mult[i], near[i] >> i
+        low = [row[j] * ecap + per_path * (
+            (left | s & (1 << j - i) - 2) & (near[j] >> i)).bit_count() for j in sinks]
+        if min(low, default=room) >= room:
+            return room, None
+        if net is None:
+            net = _flow_network(2 * n, [(x + n, x, vcap) for x in range(n)] + [
+                (u, v + n, c * ecap) for u, v, c in graph._edge_arcs()])
+        net[1][:2 * i:2] = [0] * i
+        return _least_cut(net, 1 << i | s << n + i, False, room,
+                          lambda t, d: low[(s & (1 << t - n - i) - 1).bit_count()])
+
+    best, last = limit, None
     for i in range(n):
         room = best - vcap * i
         if room <= 0:
             break
-        row, left = mult[i], near[i] >> i
-        floors = [row[j] * ecap + per_path * (
-            (left | (1 << j - i) - 2) & (near[j] >> i)).bit_count() for j in range(i + 1, n)]
-        if net is None:
-            if min(floors, default=INFINITY) >= room:
-                continue
-            net = _flow_network(2 * n, [(x + n, x, vcap) for x in range(n)] + [
-                (u, v + n, c * ecap) for u, v, c in graph._edge_arcs()])
-        net[1][:2 * i:2] = [0] * i
-        first = n + i + 1
-        value, reached = _least_cut(net, (1 << i) | (1 << 2 * n) - (1 << first), False,
-                                    room, lambda t, d: floors[t - first])
-        if reached is not None:
-            best, side = value + vcap * i, reached
-    return best, side
+        value, pair = root(i, room, i == 0)
+        if pair is not None:
+            best, last = value + vcap * i, (i, pair)
+    if last is None:
+        return best, None
+    i, pair = last
+    net[1][2 * i:2 * n:2] = [vcap] * (n - i)
+    if i:
+        pair = root(i, best + 1 - vcap * i, True)[1]
+    return best, _least_side(net, pair, best - vcap * i)
 
 
 def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
@@ -410,9 +454,10 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
     head, capacity) `arcs`. `whole` is its least cut (`_least_cut`;
     INFINITY if n = 1). `lowered` lazily yields `(v, value, side)`, in
     vertex order, for each v whose least cut minus v lowers a running
-    minimum that starts at `limit`, with `_least_cut`'s side. So the first
-    entry is the first v below `limit`, and the least entry is the least
-    cut minus a vertex (INFINITY if none).
+    minimum that starts at `limit`; `side()` reads its `_least_side`, a
+    push that callers of the value alone skip. So the first entry is the
+    first v below `limit`, and the least entry is the least cut minus a
+    vertex (INFINITY if none).
 
     `whole` is the least of `_least_cut`'s pushes with root 0, each on a
     fresh copy of the capacities and capped at the running minimum. No flow
@@ -454,12 +499,13 @@ def _vertex_deleted_cuts(n: int, arcs, both_ways: bool, limit=INFINITY):
             deleted = cap[:]
             for a in out[v]:
                 deleted[a] = deleted[a ^ 1] = 0
-            best, side = _least_cut(
-                (head, deleted, out), ((1 << n) - 1) ^ (1 << v), both_ways, worst,
+            minus = (head, deleted, out)
+            best, pair = _least_cut(
+                minus, ((1 << n) - 1) ^ (1 << v), both_ways, worst,
                 lambda t, d: bound[t, d][0] - bound[t, d][1][v])
-            if side is not None:
+            if pair is not None:
                 worst = best
-                yield v, best, side
+                yield v, best, partial(_least_side, minus, pair, best)
 
     return whole, lowered()
 

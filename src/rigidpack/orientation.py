@@ -706,7 +706,7 @@ def _find_robust_violation(orient: Orientation, k: int):
     _, lowered = _vertex_deleted_cuts(
         host.n, [(t, h, 1) for t, h in orient.arcs], True, k)
     for v, _, side in lowered:
-        return v, host.full_mask & ~side & ~(1 << v)
+        return v, host.full_mask & ~side() & ~(1 << v)
     return None
 
 

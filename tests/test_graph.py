@@ -252,8 +252,9 @@ def test_sink_merging_keeps_values_and_sides(monkeypatch):
                 cap[a] = cap[a ^ 1] = 0
         net = (head, cap, out)
         pushes.clear()
-        got = graph._least_cut(net, rest, both_ways, limit)
+        value, pair = graph._least_cut(net, rest, both_ways, limit)
         gated += len(pushes)
+        got = value, pair and graph._least_side(net, pair, value)
         flows.clear()
         assert got == _reference_least_cut(net, rest, both_ways, limit)
         ungated += len(flows)
@@ -366,24 +367,35 @@ def test_push_matches_single_path_push():
 
 def test_vertex_connectivity_flow_count(monkeypatch):
     # Even's bound: sources 0..kappa only, so at most (kappa + 1) * n pairs.
-    # Root i gates on the network minus 0..i-1 against best - i (vcap = 1),
-    # and its pair bound counts the merged sinks next to j as paths: half
-    # the pushes of the gate on the whole network (171 and 435). No push
-    # lowers the degree limit, so no side is read
+    # Root 0 takes every sink, roots i >= 1 only vertex 0's six neighbours
+    # above i, on the network minus 0..i-1 against best - i (vcap = 1), and
+    # each pair bound counts the root's merged sinks next to j as paths: 37
+    # and 81 pushes, 81 and 213 with every sink at every root. No push
+    # lowers the degree limit, so no side is read. On a relabelled
+    # circulant(200, [1, 2, 3]) the roots i >= 1 push into at most six
+    # sinks each: 187 pushes, 576 with every sink
     pushes = counting(monkeypatch, graph, "_push")
-    for n, bound, pinned in ((36, 7 * 36, 81), (80, 560, 213)):
+    for n, bound, pinned in ((36, 7 * 36, 37), (80, 560, 81)):
         pushes.clear()
         assert generators.circulant(n, [1, 2, 3]).vertex_connectivity() == 6
         assert len(pushes) <= bound
         assert len(pushes) == pinned
+    host = generators.circulant(200, [1, 2, 3])
+    relabel = random.Random(7).sample(range(200), 200)
+    host = MultiGraph(200, [(relabel[u], relabel[v]) for u, v in host.edges])
+    pushes.clear()
+    assert host.vertex_connectivity() == 6
+    assert len(pushes) <= 199 + 6 * 6
+    assert len(pushes) == 187
 
 
 def test_mixed_cut_flow_count(monkeypatch):
     # the pair bound skips every pair of K9 and K13 at their demands and
     # of K12,12 under its degree limit, so no push runs; on two K40 sharing
     # four vertices the root bound leaves at most ceil(conn / k) (n - 1)
-    # pairs, and the restricted gate pushes at 15 and 6 of them (144 each
-    # on the whole network)
+    # pairs, the roots i >= 1 keep the sinks next to vertex 0, and the
+    # restricted gate pushes at 8 and 4 of them (15 and 6 with every sink,
+    # 144 each on the whole network)
     pushes = counting(monkeypatch, graph, "_push")
     assert packing.check_uniform_weakly_connected(generators.complete(9), 2, 8).ok
     assert packing.check_uniform_weakly_connected(generators.complete(13), 3, 12).ok
@@ -391,8 +403,8 @@ def test_mixed_cut_flow_count(monkeypatch):
     assert not pushes
     glued = MultiGraph(76, sorted({(a, b) for group in (range(40), range(36, 76))
                                    for a in group for b in group if a < b}))
-    for (k, conn), pinned in ((orientation.robust_demand(1), 15),
-                              (packing.tree_rigid_demand(2, 1, 1), 6)):
+    for (k, conn), pinned in ((orientation.robust_demand(1), 8),
+                              (packing.tree_rigid_demand(2, 1, 1), 4)):
         pushes.clear()
         assert packing.check_uniform_weakly_connected(glued, k, conn).ok
         assert len(pushes) <= -(-conn // k) * (glued.n - 1)
@@ -401,17 +413,18 @@ def test_mixed_cut_flow_count(monkeypatch):
 
 def test_sink_merging_flow_count(monkeypatch):
     # on circulant(400, [1..4]) the pushes from the merged sinks reach the
-    # running minimum at every pair: the (2, 8) check pushes 785 times
-    # (1,590 flows without the gate, 1,590 pushes on the whole network).
-    # Edge connectivity pushes once per sink, the first uncapped, and once
-    # more for the side of the first, the only pair that lowers the minimum
+    # running minimum at every pair: the (2, 8) check pushes 402 times,
+    # 394 at root 0 and 8 at roots 1-3 into vertex 0's neighbours above
+    # them (785 with every sink at every root, 1,590 flows without the
+    # gate). Edge connectivity pushes once per sink, the first uncapped,
+    # and reads no side
     pushes = counting(monkeypatch, graph, "_push")
     host = generators.circulant(400, [1, 2, 3, 4])
     assert graph._mixed_cut(host, 2, 1, 8) == (8, None)
-    assert len(pushes) == 785
+    assert len(pushes) == 402
     pushes.clear()
     assert host.edge_connectivity() == 8
-    assert len(pushes) == 399 + 1
+    assert len(pushes) == 399
 
 
 def _structured_host(rng):
@@ -465,6 +478,57 @@ def test_mixed_cut_matches_the_reference_on_structured_hosts():
                     graph.vertices_of(a), graph.vertices_of(b), want[0] - vcap * b.bit_count())
                 failing += 1
     assert sides >= 400 and failing >= 20
+
+
+def _separating_zero(rng):
+    """A host whose vertex 0 may lie in every minimum separator: two
+    cliques glued on 1-3 vertices, relabelled so that 0 is one of them,
+    with about a sixth of their edges dropped; a random multigraph whose
+    vertex 0 keeps 0-2 of its edges; or a star centred at 0 with random
+    edges among its leaves."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        shared = rng.randrange(1, 4)
+        a, b = rng.randrange(shared + 1, 9), rng.randrange(shared + 1, 9)
+        n = a + b - shared
+        relabel = rng.sample(range(1, n), n - 1)
+        relabel.insert(rng.randrange(a - shared, a), 0)
+        return MultiGraph(n, [(relabel[u], relabel[v])
+                              for group in (range(a), range(a - shared, n))
+                              for u in group for v in group
+                              if u < v and rng.random() >= 1 / 6])
+    n = rng.randrange(3, 12)
+    g = random_multigraph(n, rng.randrange(0, 3 * n), rng)
+    if kind == 2:
+        at_zero = [e for e in g.edges if 0 in e]
+        return MultiGraph(n, [e for e in g.edges if 0 not in e]
+                          + at_zero[:rng.randrange(3)])
+    return MultiGraph(n, [(0, v) for v in range(1, n)]
+                      + [e for e in g.edges if 0 not in e and rng.random() < 0.3])
+
+
+def test_neighbours_of_zero_keep_values_and_sides(monkeypatch):
+    # roots i >= 1 push only into vertex 0's neighbours above i; where a
+    # root i >= 1 lowers the minimum, root i runs once more with every sink
+    # for the side. On hosts whose minimum separators hold vertex 0, the
+    # values and sides are the reference's
+    calls = counting(monkeypatch, graph, "_least_cut")
+    rng = random.Random(3535)
+    reruns = restricted = 0
+    for _ in range(3000):
+        g = _separating_zero(rng)
+        n = g.n
+        vcap, ecap = rng.choice([(1, n), (1, 1), (2, 1), (3, 1),
+                                 (rng.randrange(0, 5), rng.randrange(1, 4))])
+        limit = rng.choice([INFINITY, INFINITY, rng.randrange(1, 3 * n)])
+        calls.clear()
+        got = graph._mixed_cut(g, vcap, ecap, limit)
+        assert got == _reference_mixed_cut(g, vcap, ecap, limit)
+        roots = [(rest & -rest).bit_length() - 1 for _, rest, *_ in calls]
+        reruns += len(set(roots)) < len(roots)
+        restricted += any(i and rest >> n + i + 1 != (1 << n - i - 1) - 1
+                          for i, (_, rest, *_) in zip(roots, calls))
+    assert reruns >= 300 and restricted >= 300, (reruns, restricted)
 
 
 def test_essential_edge_connectivity_flow_count(monkeypatch):
@@ -580,7 +644,7 @@ def test_vertex_deleted_cuts_match_uncapped_root_flows():
         limit = rng.choice([1, 2, 3, 4, INFINITY])
         whole, lowered = graph._vertex_deleted_cuts(n, arcs, both_ways, limit)
         want, ref = _reference_vertex_deleted_cuts(n, arcs, both_ways, limit)
-        got = list(lowered)
+        got = [(v, value, side()) for v, value, side in lowered]
         assert (whole, got) == (want, list(ref))
         lowering += len(got) > 1
         parallel += not both_ways and len(set(g.edges)) < g.m
@@ -641,41 +705,43 @@ def _deleted_arc_strong(orient, v):
 
 
 def test_robust_claims_flow_count(monkeypatch):
-    # one G - v least cut reads a side: its first pair's push is uncapped
-    # and its side takes one more; every other pair, the whole network's
-    # included, is settled by its bound or a push capped at the running
-    # minimum. A fresh min cut of every G - v ran 418 flows here
+    # one G - v least cut lowers the running minimum from INFINITY: its
+    # first pair's push is uncapped, and no side is read; every other pair,
+    # the whole network's included, is settled by its bound or a push
+    # capped at the running minimum. A fresh min cut of every G - v ran 418
+    # flows here, and reading the side took one more push
     orient = orientation.robust_arc_strong(generators.complete(15), 1,
                                            force=True).orientation
     pushes = counting(monkeypatch, graph, "_push")
     failed, checks = orientation.robust_claims(orient, 1)
     assert not failed
     assert checks == {"arc_strong": 7, "vertex_deleted_arc_strong": 6}
-    assert len(pushes) == 62
+    assert len(pushes) == 61
 
 
 def test_robust_claims_flow_count_on_circulant(monkeypatch):
     # of the 79,598 sink pairs of the whole network and the G - v, a bound
-    # or a push settles all but 1,102, and one G - v least cut reads a side
-    # (an uncapped first push and a side push)
+    # or a push settles all but 1,102, and one G - v least cut pushes
+    # uncapped at its first pair; no side is read (it took one more push)
     res = orientation.robust_arc_strong(generators.circulant(200, range(1, 9)), 1)
     assert res.ok
     pushes = counting(monkeypatch, graph, "_push")
     failed, checks = orientation.robust_claims(res.orientation, 1)
     assert not failed
     assert checks == {"arc_strong": 8, "vertex_deleted_arc_strong": 7}
-    assert len(pushes) == 1102 + 2
+    assert len(pushes) == 1102 + 1
 
 
 def test_robust_construction_flow_count(monkeypatch):
-    # each repair pass finds the first deficient vertex from one whole
-    # pass of pushes and reverses its cycle by a unit push, and one G - v
-    # least cut reads a side; a fresh min cut per vertex and pass ran 518
+    # a repair pass finds the first deficient vertex, if any, from one
+    # whole pass of pushes, reads its side and reverses its cycle by a unit
+    # push; here the tour has none, and the final claims read no side (90
+    # pushes when they did). A fresh min cut per vertex and pass ran 518
     # flows here
     pushes = counting(monkeypatch, graph, "_push")
     assert orientation.robust_arc_strong(generators.complete(15), 1,
                                          force=True).ok
-    assert len(pushes) == 90
+    assert len(pushes) == 89
 
 
 def test_tree_rigid_flow_count(monkeypatch):

@@ -492,7 +492,7 @@ def _check_lowered(orient, values):
         v, value, side = entry
         assert (v, value) == (first, values[v])
         rest = orient.host.full_mask ^ (1 << v)
-        witness = rest & ~side
+        witness = rest & ~side()
         # a minimum cut side: nonempty, proper, without v
         assert witness and witness != rest
         assert _entering([(t, h) for t, h, _ in arcs if v not in (t, h)],
