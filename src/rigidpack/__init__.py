@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .graph import MultiGraph, mask_of, vertices_of, INFINITY
 from .setfuncs import (
     SetFunc, lmn, const, zero, vertex_weights, table_func, with_overrides,
-    force_zero_on_ground, scaled, halved_slack, rho_slack, property_report,
+    scaled, halved_slack, rho_slack, property_report,
     PropertyReport,
 )
 from .sparsity import (
@@ -30,7 +30,7 @@ from .packing import (
     check_pack_refined, check_pack_degree, violation_threshold,
 )
 from .orientation import (
-    Orientation, HakimiResult, hakimi_orient, arc_strong_value, euler_orient,
+    Orientation, HakimiResult, hakimi_orient, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, odd_spanning_forest, rigid_factor, robust_arc_strong,
 )
@@ -38,7 +38,7 @@ from .orientation import (
 __all__ = [
     "MultiGraph", "mask_of", "vertices_of", "INFINITY",
     "SetFunc", "lmn", "const", "zero", "vertex_weights", "table_func",
-    "with_overrides", "force_zero_on_ground", "scaled", "halved_slack",
+    "with_overrides", "scaled", "halved_slack",
     "rho_slack", "property_report", "PropertyReport",
     "PebbleState", "is_sparse", "rank_and_rigid", "rigid_components",
     "minimal_rigid_vertices", "exchange", "SparseResult", "RigidResult",
@@ -50,9 +50,9 @@ __all__ = [
     "check_rigid_necessary", "check_rigid_sufficient",
     "check_rigid_cut_consequences", "check_pack_basic", "check_pack_refined",
     "check_pack_degree", "violation_threshold",
-    "Orientation", "HakimiResult", "hakimi_orient", "arc_strong_value",
-    "euler_orient", "smooth_orient", "rigid_to_orientation",
-    "orientation_to_rigid", "packed_orientation", "odd_spanning_forest",
-    "rigid_factor", "robust_arc_strong",
+    "Orientation", "HakimiResult", "hakimi_orient", "euler_orient",
+    "smooth_orient", "rigid_to_orientation", "orientation_to_rigid",
+    "packed_orientation", "odd_spanning_forest", "rigid_factor",
+    "robust_arc_strong",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .graph import (MultiGraph, INFINITY, vertices_of, _flow_network, _least_cut,
+from .graph import (MultiGraph, INFINITY, vertices_of, _flow_network,
                     _vertex_deleted_cuts, _push)
 from .setfuncs import SetFunc, lmn, halved_slack
 from .sparsity import is_sparse, rank_and_rigid
@@ -75,14 +75,6 @@ class Orientation:
         ids = sorted(set(edge_ids))
         sub = self.host.subgraph(ids)
         return Orientation(sub, tuple(self.heads[e] for e in ids))
-
-
-def arc_strong_value(orient: Orientation, limit=INFINITY) -> int | float:
-    """min d^-(A) over proper nonempty A (INFINITY on a single vertex), or
-    `limit` if that is lower: `_least_cut` of the digraph's arcs."""
-    host = orient.host
-    net = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs])
-    return _least_cut(net, host.full_mask, True, limit)[0]
 
 
 # ----------------------------------------------------------------------

@@ -144,14 +144,6 @@ def with_overrides(base: SetFunc, overrides: dict[int, int]) -> SetFunc:
     return SetFunc(ground=base.ground, kind="mod", base=base, overrides=ov)
 
 
-def force_zero_on_ground(f: SetFunc) -> SetFunc:
-    """Override the value on the full vertex set to zero."""
-    full = (1 << f.ground) - 1
-    if f.value(full) == 0:
-        return f
-    return with_overrides(f, {full: 0})
-
-
 def scaled(f: SetFunc, p: int) -> SetFunc:
     """Pointwise p * f, kept in closed form where possible."""
     if p < 0:

@@ -2,10 +2,28 @@
 
 import random
 
-from rigidpack.graph import INFINITY, MultiGraph, _flow_network, mask_of, vertices_of
+from rigidpack.graph import (
+    INFINITY, MultiGraph, _flow_network, _least_cut, mask_of, vertices_of,
+)
 from rigidpack.oracle import DEFAULT_BUDGET, OracleBudget, bf_rank
-from rigidpack.setfuncs import pebble_params
+from rigidpack.setfuncs import SetFunc, pebble_params, with_overrides
 from rigidpack.sparsity import PebbleState
+
+
+def force_zero_on_ground(f: SetFunc) -> SetFunc:
+    """Override the value on the full vertex set to zero."""
+    full = (1 << f.ground) - 1
+    if f.value(full) == 0:
+        return f
+    return with_overrides(f, {full: 0})
+
+
+def arc_strong_value(orient, limit=INFINITY) -> int | float:
+    """min d^-(A) over proper nonempty A (INFINITY on a single vertex), or
+    `limit` if that is lower: `_least_cut` of the digraph's arcs."""
+    host = orient.host
+    net = _flow_network(host.n, [(t, h, 1) for t, h in orient.arcs])
+    return _least_cut(net, host.full_mask, True, limit)[0]
 
 
 def delete_vertex(g: MultiGraph, v: int) -> MultiGraph:

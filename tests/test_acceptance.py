@@ -12,7 +12,7 @@ import pytest
 
 from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, mask_of, vertices_of, _vertex_deleted_cuts
-from rigidpack.setfuncs import lmn, const, zero, force_zero_on_ground
+from rigidpack.setfuncs import lmn, const, zero
 from rigidpack.sparsity import (
     is_sparse, rank_and_rigid, minimal_rigid_vertices, exchange,
 )
@@ -22,10 +22,13 @@ from rigidpack.packing import (
 )
 from rigidpack.orientation import (
     hakimi_orient, rigid_to_orientation, orientation_to_rigid,
-    robust_arc_strong, arc_strong_value,
+    robust_arc_strong,
 )
 
-from helpers import delete_vertex, partition_cross, random_multigraph, union_rank_bound
+from helpers import (
+    arc_strong_value, delete_vertex, force_zero_on_ground, partition_cross,
+    random_multigraph, union_rank_bound,
+)
 
 PAIRS = [(1, 1), (2, 2), (2, 3), (3, 5)]
 

@@ -8,7 +8,7 @@ import pytest
 
 from rigidpack import packing
 from rigidpack.cli import (
-    RUNNERS, main, canonical_dumps, graph_from_record, graph_record, load_graph,
+    KINDS, _kind, main, canonical_dumps, graph_from_record, graph_record, load_graph,
     parse_setfunc,
 )
 from rigidpack.generators import (
@@ -446,6 +446,7 @@ REPORTS = {
     "hakimi-infeasible": ("k4", ["orient", "--mode", "hakimi",
                                  "--targets", "0,0,0,6"], 1),
     "smooth": ("k9", ["orient", "--mode", "smooth"], 0),
+    "eulerian": ("c4", ["orient", "--mode", "eulerian"], 0),
     # f(V) = 0 sets the target at 4 edges: K4 has 2 more, and no arcs are made
     "orient-rigid-failed": ("k4", ["orient", "--mode", "rigid",
                                    "--func", "mod:lmn:1,1:V=0"], 1),
@@ -830,6 +831,30 @@ def _drop_last_arc(r):
     del r["certificates"]["arcs"][-1]
 
 
+def _edge_from_the_end(r):
+    # the same edge, named by a negative id
+    r["certificates"]["edges"][-1] -= len(r["graph"]["edges"])
+
+
+def _forbidden_edge_from_the_end(r):
+    # forbidden edge 0, named by a negative id, replaces a basis edge
+    r["certificates"]["edges"][0] = -len(r["graph"]["edges"])
+
+
+def _part_edge_id_m(r):
+    r["certificates"]["packing"]["parts"][0]["edges"][-1] = len(r["graph"]["edges"])
+
+
+def _block_vertex_n(r):
+    r["certificates"]["structure"]["partition"][0].append(r["graph"]["n"])
+
+
+def _shorten_param(key):
+    def tamper(r):
+        r["params"][key].pop()
+    return tamper
+
+
 @pytest.mark.parametrize("name, tamper, claim", [
     ("sparse", _empty_violation, "violation"),
     ("rigid", _drop_basis_edge_deny_rigidity, "maximum sparse set"),
@@ -941,6 +966,35 @@ def _drop_last_arc(r):
     # a malformed certificate value is a MISMATCH, not an error exit
     ("smooth", _drop_last_arc, "certificates.arcs"),
     ("hakimi", _drop_last_arc, "certificates.arcs"),
+    # ids name edges 0..m-1 and vertices 0..n-1, at any depth
+    ("rigid", _edge_from_the_end, "certificates.edges holds an id outside 0..5"),
+    ("rigid-forbid", _forbidden_edge_from_the_end,
+     "certificates.edges holds an id outside 0..14"),
+    ("rigid-forbid-deficient", _inject("edges", [1, 2, 4]),
+     "certificates.edges holds an id outside 0..3"),
+    ("pack-forbid", _part_edge_id_m,
+     "certificates.packing.parts.edges holds an id outside 0..35"),
+    ("pack-closure", _block_vertex_n,
+     "certificates.structure.partition holds an id outside 0..2"),
+    ("sparse", _inject("violation", [0, 1, 2, -1]),
+     "certificates.violation holds an id outside 0..3"),
+    ("components", _inject("components", [[0, 1, 2], [2, 3, 4], [4, 5, -1]]),
+     "certificates.components holds an id outside 0..5"),
+    ("oracle-edge-connected", _inject("witness", [0, -1]),
+     "certificates.witness holds an id outside 0..3"),
+    # a repeated vertex or component
+    ("components", _inject("components", [[0, 1, 2, 2], [2, 3, 4], [4, 5]]),
+     "certificates.components repeats a vertex"),
+    ("components", _inject("components", [[0, 1, 2], [2, 3, 4], [4, 5], [4, 5]]),
+     "not the recomputed rigid components"),
+    ("hakimi-infeasible", _inject("violation", [0, 1, 2, 2]),
+     "certificates.violation repeats a vertex"),
+    # a per-vertex param holds one value per vertex
+    ("packed", _shorten_param("r1"), "params.r1 does not hold 9 values"),
+    ("packed", _shorten_param("r2"), "params.r2 does not hold 9 values"),
+    ("hakimi", _shorten_param("targets"), "params.targets does not hold 4 values"),
+    ("hakimi-infeasible", _shorten_param("targets"),
+     "params.targets does not hold 4 values"),
 ])
 def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
                                        tamper, claim):
@@ -966,13 +1020,19 @@ def test_verify_decides_every_verdict_again(tmp_path, capsys, reports, name):
         _flip_verdict(report)
 
 
+def test_every_report_kind_has_a_report(reports):
+    # so that each kind's reports go through verify and its mutations
+    made = {_kind(r["subcommand"], r["params"]) for r in map(reports, REPORTS)}
+    assert sorted(set(KINDS) - made) == []
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_runner_reproduces_every_report(reports, name):
-    # params, seed and force hold every input the subcommand's runner reads
+    # params, seed and force hold every input the kind's runner reads
     report = reports(name)
     graph, _ = graph_from_record(report["graph"])
-    ok, certs = RUNNERS[report["subcommand"]](graph, report["params"],
-                                              report["seed"], report["force"])
+    run = KINDS[_kind(report["subcommand"], report["params"])].run
+    ok, certs = run(graph, report["params"], report["seed"], report["force"])
     assert ok is report["verdict"]
     assert json.loads(canonical_dumps(certs)) == report["certificates"]
 
@@ -1043,11 +1103,9 @@ def test_mismatch_line_format(tmp_path, capsys, reports):
                     "parts and uncovered do not partition the edges)\n")
 
 
-# the report kinds whose every params and certificates field the mutation
-# test deletes in turn, and the certificate fields it injects
-MUTATED = ["orient-rigid-failed", "hakimi", "hakimi-infeasible", "smooth", "sparse",
-           "rigid", "rigid-forbid", "weakly-connected", "pack-basic", "pack-forbid",
-           "pack-deficient", "components", "rigid-cuts"]
+# the reports whose every params and certificates field the mutation test
+# deletes in turn, and the certificate fields it injects
+MUTATED = sorted(REPORTS)
 INJECTED = ("violation", "arcs", "edges", "packing", "witness")
 
 

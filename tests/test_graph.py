@@ -10,8 +10,8 @@ from rigidpack import generators, graph, oracle, orientation, packing
 from rigidpack.oracle import boundary_minus
 
 from helpers import (
-    augmenting_paths, collection_cross, counting, delete_vertex, induced_subgraph,
-    local_edge_connectivity, partition_cross, random_multigraph,
+    arc_strong_value, augmenting_paths, collection_cross, counting, delete_vertex,
+    induced_subgraph, local_edge_connectivity, partition_cross, random_multigraph,
 )
 
 
@@ -691,7 +691,7 @@ def test_vertex_deleted_cuts_match_per_vertex_flows():
         orient = orientation.smooth_orient(g, rng)
         checks = orientation.robust_claims(orient, 1)[1]
         assert checks == {
-            "arc_strong": orientation.arc_strong_value(orient),
+            "arc_strong": arc_strong_value(orient),
             "vertex_deleted_arc_strong": min(
                 _deleted_arc_strong(orient, v) for v in range(g.n))}
     assert deleted_zero >= 100

@@ -12,7 +12,9 @@ from rigidpack.oracle import (
     census, set_partitions, boundary_minus,
 )
 
-from helpers import partition_cross, random_multigraph, union_rank_bound
+from helpers import (
+    force_zero_on_ground, partition_cross, random_multigraph, union_rank_bound,
+)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 
@@ -77,7 +79,6 @@ def test_bf_arc_connected():
     heads = (1, 2, 0)  # directed cycle
     ok, _ = bf_arc_connected(tri, heads, const(3, 1), budget=OracleBudget())
     assert not ok  # constant 1 demands an arc into the full set too
-    from rigidpack.setfuncs import force_zero_on_ground
     f = force_zero_on_ground(const(3, 1))
     assert bf_arc_connected(tri, heads, f)[0]
 

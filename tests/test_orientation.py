@@ -9,19 +9,18 @@ from rigidpack import generators, oracle, packing
 from rigidpack.graph import (MultiGraph, INFINITY, mask_of, _flow_network,
                             _least_cut, _vertex_deleted_cuts)
 from rigidpack.setfuncs import (
-    lmn, const, zero, force_zero_on_ground, table_func, vertex_weights,
-    with_overrides,
+    lmn, const, zero, table_func, vertex_weights, with_overrides,
 )
 from rigidpack.sparsity import is_sparse
 from rigidpack.orientation import (
-    Orientation, hakimi_orient, arc_strong_value, euler_orient,
+    Orientation, hakimi_orient, euler_orient,
     smooth_orient, rigid_to_orientation, orientation_to_rigid,
     packed_orientation, packed_claims, odd_spanning_forest, rigid_factor,
     robust_arc_strong, _find_robust_violation, _repair_orientation,
     _reverse_cycle_through,
 )
 
-from helpers import random_multigraph
+from helpers import arc_strong_value, force_zero_on_ground, random_multigraph
 
 
 def triangle():

@@ -4,9 +4,11 @@ from rigidpack import generators
 from rigidpack.graph import MultiGraph, mask_of
 from rigidpack.setfuncs import (
     lmn, const, vertex_weights, table_func, with_overrides, scaled,
-    force_zero_on_ground, halved_slack, rho_slack,
+    halved_slack, rho_slack,
     property_report, pebble_params, proper_pebble_params,
 )
+
+from helpers import force_zero_on_ground
 
 
 def test_two_level_eval():

@@ -5,8 +5,7 @@ import pytest
 from rigidpack import generators, oracle
 from rigidpack.graph import MultiGraph, mask_of, vertices_of
 from rigidpack.setfuncs import (
-    lmn, const, vertex_weights, force_zero_on_ground, table_func, pebble_params,
-    with_overrides,
+    lmn, const, vertex_weights, table_func, pebble_params, with_overrides,
 )
 from rigidpack.sparsity import (
     PebbleState, is_sparse, rank_and_rigid, rigid_components,
@@ -14,8 +13,8 @@ from rigidpack.sparsity import (
 )
 
 from helpers import (
-    all_pairs_rigid_components, check_invariant, counting, full_pebble_run,
-    random_multigraph,
+    all_pairs_rigid_components, check_invariant, counting, force_zero_on_ground,
+    full_pebble_run, random_multigraph,
 )
 
 PARAMS = [(1, 1), (2, 2), (2, 3), (3, 5)]
