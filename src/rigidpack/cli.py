@@ -134,6 +134,14 @@ def _need(values: dict, flag: str):
     return value
 
 
+def _entry(table: dict, name, what: str):
+    """The entry of a name table; a usage error naming `what` if it lacks
+    the name."""
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    return table[name]
+
+
 def parse_int_list(text: str, count: int, what: str) -> list[int]:
     vals = [int(x) for x in text.split(",")]
     if len(vals) != count:
@@ -214,9 +222,6 @@ class Kind(NamedTuple):
     hypothesis: Callable | None = None
     stops: bool = True
     loads_graph: bool = True
-
-
-VERTEX_VALUES = ("targets", "r1", "r2")  # params recorded as one int per vertex
 
 
 def _given(*keys):
@@ -439,36 +444,38 @@ def _robust(graph, params, seed, force) -> tuple[bool, dict]:
 
 
 def _hypothesis(graph, params, seed, force) -> tuple[bool, dict]:
-    check = params["check"]
-    forbid = set(params["forbid"] or [])
-
-    def func(flag):
-        return parse_setfunc(_need(params, flag), graph.n)
-
-    if check == "rigid-necessary":
-        rep = packing.check_rigid_necessary(graph, func("--ell"))
-    elif check == "rigid-sufficient":
-        rep = packing.check_rigid_sufficient(graph, func("--ell"), forbid)
-    elif check == "rigid-cuts":
-        rep = packing.check_rigid_cut_consequences(graph, _need(params, "--k-int"))
-    elif check == "pack-basic":
-        rep = packing.check_pack_basic(graph, func("--l"), func("--ell"))
-    elif check == "pack-refined":
-        rep = packing.check_pack_refined(graph, func("--l"), func("--ell"),
-                                         Fraction(params["phi"]), len(forbid))
-    elif check == "pack-degree":
-        rep = packing.check_pack_degree(
-            graph, func("--l"), func("--ell"), Fraction(_need(params, "--k")),
-            parse_int_list(_need(params, "--rho"), graph.n, "--rho"))
-    elif check == "weakly-connected":
-        k_int = params["k_int"]
-        ell_vec = parse_int_list(params["ell_vec"], graph.n, "--ell-vec") \
-            if params["ell_vec"] else [1 if k_int is None else k_int] * graph.n
-        rep = packing.check_weakly_connected(graph, ell_vec, func("--l"))
-    else:
-        raise ValueError(f"unknown hypothesis check {check!r}")
+    check, forbid = params["check"], set(params["forbid"] or [])
+    rep = _entry(HYPOTHESES, check, "hypothesis check")(
+        graph, params, lambda flag: parse_setfunc(_need(params, flag), graph.n), forbid)
     return rep.ok, {"witness": rep.witness, "aux": {
         k: (v if v is not None else "none") for k, v in rep.aux.items()}}
+
+
+def _weakly_connected(graph, params, func, forbid) -> packing.HypothesisReport:
+    k_int = params["k_int"]
+    ell_vec = parse_int_list(params["ell_vec"], graph.n, "--ell-vec") \
+        if params["ell_vec"] else [1 if k_int is None else k_int] * graph.n
+    return packing.check_weakly_connected(graph, ell_vec, func("--l"))
+
+
+# `hypothesis --check` by name: (graph, params, func, forbid) -> its report,
+# where func(flag) is the set function that the flag's param names
+HYPOTHESES = {
+    "rigid-necessary": lambda graph, params, func, forbid:
+        packing.check_rigid_necessary(graph, func("--ell")),
+    "rigid-sufficient": lambda graph, params, func, forbid:
+        packing.check_rigid_sufficient(graph, func("--ell"), forbid),
+    "rigid-cuts": lambda graph, params, func, forbid:
+        packing.check_rigid_cut_consequences(graph, _need(params, "--k-int")),
+    "pack-basic": lambda graph, params, func, forbid:
+        packing.check_pack_basic(graph, func("--l"), func("--ell")),
+    "pack-refined": lambda graph, params, func, forbid: packing.check_pack_refined(
+        graph, func("--l"), func("--ell"), Fraction(params["phi"]), len(forbid)),
+    "pack-degree": lambda graph, params, func, forbid: packing.check_pack_degree(
+        graph, func("--l"), func("--ell"), Fraction(_need(params, "--k")),
+        parse_int_list(_need(params, "--rho"), graph.n, "--rho")),
+    "weakly-connected": _weakly_connected,
+}
 
 
 def _oracle(graph, params, seed, force) -> tuple[bool, dict]:
@@ -479,38 +486,58 @@ def _oracle(graph, params, seed, force) -> tuple[bool, dict]:
     budget = oracle.OracleBudget(subset_n=size, partition_n=size, pair_n=size,
                                  rank_m=2 * size)
     func = parse_setfunc(_need(params, "--func"), graph.n)
-    if what == "sparse":
-        ok, wit = oracle.bf_sparse(graph, func, budget)
-        cert = {"witness": vertices_of(wit) if wit is not None else None}
-    elif what == "rank":
-        rank, basis = oracle.bf_rank(graph, func, budget)
-        ok, cert = True, {"rank": rank, "basis": sorted(basis)}
-    elif what == "rigid":
-        ok, rank, target = oracle.bf_rigid(graph, func, budget)
-        cert = {"rank": rank, "target": target}
-    elif what == "partition-connected":
-        ok, wit = oracle.bf_partition_connected(graph, func, budget)
-        cert = {"witness": [vertices_of(p) for p in wit] if wit else None}
-    elif what == "edge-connected":
-        ok, wit = oracle.bf_edge_connected(graph, func, budget)
-        cert = {"witness": vertices_of(wit) if wit is not None else None}
-    elif what == "matroid-axioms":
-        ok, detail = oracle.bf_matroid_axioms(graph, func, budget)
-        cert = {"detail": list(detail) if detail else None}
-    elif what == "arc-connected":
-        heads = parse_int_list(_need(params, "--heads"), graph.m, "--heads")
-        roots = parse_int_list(params["roots"], graph.n, "--roots") \
-            if params["roots"] else None
-        ok, wit = oracle.bf_arc_connected(graph, heads, func, roots, budget)
-        cert = {"witness": vertices_of(wit) if wit is not None else None}
-    elif what == "weakly-connected":
-        ell_vec = parse_int_list(_need(params, "--ell-vec"), graph.n, "--ell-vec")
-        ok, wit = oracle.bf_weakly_connected(graph, ell_vec, func, budget)
-        cert = {"witness": [vertices_of(m) for m in wit] if wit else None}
-    else:
-        raise ValueError(f"unknown oracle check {what!r}")
-    return ok, cert
+    return _entry(ORACLES, what, "oracle check")(graph, params, func, budget)
 
+
+def _witness(ok, wit) -> tuple[bool, dict]:
+    """An oracle's verdict and witness, a vertex mask or a list of them."""
+    if isinstance(wit, int):
+        return ok, {"witness": vertices_of(wit)}
+    return ok, {"witness": [vertices_of(mask) for mask in wit] if wit else None}
+
+
+def _bf_rank(graph, params, func, budget) -> tuple[bool, dict]:
+    rank, basis = oracle.bf_rank(graph, func, budget)
+    return True, {"rank": rank, "basis": sorted(basis)}
+
+
+def _bf_rigid(graph, params, func, budget) -> tuple[bool, dict]:
+    ok, rank, target = oracle.bf_rigid(graph, func, budget)
+    return ok, {"rank": rank, "target": target}
+
+
+def _bf_arc_connected(graph, params, func, budget) -> tuple[bool, dict]:
+    heads = parse_int_list(_need(params, "--heads"), graph.m, "--heads")
+    roots = parse_int_list(params["roots"], graph.n, "--roots") \
+        if params["roots"] else None
+    return _witness(*oracle.bf_arc_connected(graph, heads, func, roots, budget))
+
+
+def _bf_weakly_connected(graph, params, func, budget) -> tuple[bool, dict]:
+    ell_vec = parse_int_list(_need(params, "--ell-vec"), graph.n, "--ell-vec")
+    return _witness(*oracle.bf_weakly_connected(graph, ell_vec, func, budget))
+
+
+def _bf_matroid_axioms(graph, params, func, budget) -> tuple[bool, dict]:
+    ok, detail = oracle.bf_matroid_axioms(graph, func, budget)
+    return ok, {"detail": list(detail) if detail else None}
+
+
+# `oracle --what` by name, the census aside: (graph, params, func, budget)
+# -> (verdict, certificates)
+ORACLES = {
+    "sparse": lambda graph, params, func, budget:
+        _witness(*oracle.bf_sparse(graph, func, budget)),
+    "rank": _bf_rank,
+    "rigid": _bf_rigid,
+    "partition-connected": lambda graph, params, func, budget:
+        _witness(*oracle.bf_partition_connected(graph, func, budget)),
+    "edge-connected": lambda graph, params, func, budget:
+        _witness(*oracle.bf_edge_connected(graph, func, budget)),
+    "arc-connected": _bf_arc_connected,
+    "weakly-connected": _bf_weakly_connected,
+    "matroid-axioms": _bf_matroid_axioms,
+}
 
 
 def _run_report(args) -> int:
@@ -522,6 +549,9 @@ def _run_report(args) -> int:
     graph, meta = load_graph(_need(opts, "--graph")) if kind.loads_graph else \
         (MultiGraph(1, []), {"name": "census"})
     params = kind.inputs(opts, graph)
+    bad = next(_id_claims(graph, params, "params"), None)
+    if bad:
+        raise ValueError(bad)
     ok, certs = kind.run(graph, params, args.seed, args.force)
     emit(make_report(args, sub, graph, meta, params, ok, certs, started), args.format)
     stopped = "error" in certs or \
@@ -529,29 +559,29 @@ def _run_report(args) -> int:
     return 0 if ok else 2 if stopped else 1
 
 
+# `gen --family` by name, `doubled` aside: opts -> (graph, name)
+FAMILIES = {
+    "complete": lambda opts: (generators.complete(_need(opts, "--n")), f"K{opts['n']}"),
+    "complete-bipartite": lambda opts: (generators.complete_bipartite(
+        _need(opts, "--a"), _need(opts, "--b")), f"K{opts['a']}_{opts['b']}"),
+    "circulant": lambda opts: (
+        generators.circulant(_need(opts, "--n"), _need(opts, "--offsets")),
+        f"C{opts['n']}({','.join(map(str, opts['offsets']))})"),
+    "random-simple": lambda opts: (generators.random_simple(
+        _need(opts, "--n"), _need(opts, "--m"), opts["seed"]),
+        f"G{opts['n']}_{opts['m']}_s{opts['seed']}"),
+    "random-regular": lambda opts: (generators.random_regular(
+        _need(opts, "--n"), _need(opts, "--r"), opts["seed"]),
+        f"R{opts['n']}_{opts['r']}_s{opts['seed']}"),
+}
+
+
 def cmd_gen(args) -> int:
-    fam, opts = args.family, vars(args)
-    if fam == "complete":
-        graph = generators.complete(_need(opts, "--n"))
-        name = f"K{args.n}"
-    elif fam == "complete-bipartite":
-        graph = generators.complete_bipartite(_need(opts, "--a"), _need(opts, "--b"))
-        name = f"K{args.a}_{args.b}"
-    elif fam == "circulant":
-        graph = generators.circulant(_need(opts, "--n"), _need(opts, "--offsets"))
-        name = f"C{args.n}({','.join(map(str, args.offsets))})"
-    elif fam == "random-simple":
-        graph = generators.random_simple(_need(opts, "--n"), _need(opts, "--m"), args.seed)
-        name = f"G{args.n}_{args.m}_s{args.seed}"
-    elif fam == "random-regular":
-        graph = generators.random_regular(_need(opts, "--n"), _need(opts, "--r"), args.seed)
-        name = f"R{args.n}_{args.r}_s{args.seed}"
-    elif fam == "doubled":
-        base, meta = load_graph(_need(opts, "--base"))
-        graph = generators.doubled(base, args.mult)
-        name = f"{meta['name']}x{args.mult}"
+    if args.family == "doubled":
+        base, meta = load_graph(_need(vars(args), "--base"))
+        graph, name = generators.doubled(base, args.mult), f"{meta['name']}x{args.mult}"
     else:
-        raise ValueError(f"unknown family {fam!r}")
+        graph, name = _entry(FAMILIES, args.family, "family")(vars(args))
     text = canonical_dumps(graph_record(graph, name))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -623,19 +653,25 @@ def _differ(recorded: dict, rerun: dict, prefix: str = "") -> list[str]:
 
 
 
-# the certificate fields whose lists hold edge ids, and vertex ids, at any
-# depth below them
+# the fields of a report's params and certificates whose lists hold edge
+# ids, vertex ids, or one int per vertex, at any depth below them
 EDGE_IDS = {"edges", "uncovered", "closure", "union", "parts", "leftover", "trees",
-            "rigid_parts", "reinforced", "h1", "h2"}
-VERTEX_IDS = {"violation", "components", "partition", "witness"}
+            "rigid_parts", "reinforced", "h1", "h2", "forbid", "forbidden"}
+VERTEX_IDS = {"violation", "components", "partition", "witness", "side"}
+VERTEX_VALUES = ("targets", "r1", "r2", "rho")
 
 
-def _id_claims(graph, value, name="certificates", key=None):
+def _id_claims(graph, value, name, key=None):
     """The fields whose lists hold an edge id outside 0..m-1, a vertex id
-    outside 0..n-1, or a vertex twice."""
+    outside 0..n-1, or a vertex twice, and the per-vertex fields that do
+    not hold n values (`rho` only as a list: a `hypothesis` report records
+    the text of its flag)."""
     if isinstance(value, dict):
         for inner, item in value.items():
             yield from _id_claims(graph, item, f"{name}.{inner}", inner)
+    elif key in VERTEX_VALUES and (key != "rho" or isinstance(value, list)):
+        if not (isinstance(value, list) and len(value) == graph.n):
+            yield f"{name} does not hold {graph.n} values"
     elif isinstance(value, list) and (key in EDGE_IDS or key in VERTEX_IDS):
         ids = [x for x in value if isinstance(x, int)]
         size = graph.m if key in EDGE_IDS else graph.n
@@ -650,8 +686,7 @@ def _id_claims(graph, value, name="certificates", key=None):
 
 def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
     """Names of the report's claims that fail when re-checked. Its ids must
-    name edges and vertices of the graph, and each per-vertex param must
-    hold one value per vertex. A result that carries a
+    pass `_id_claims`, as the command's params did. A result that carries a
     certificate checkable on its own must record exactly the fields of its
     kind; it goes through the library's claim checkers, the ones the engine
     runs on its own results, and the hypothesis it records is re-run by the
@@ -662,10 +697,8 @@ def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
     kind = KINDS.get(_kind(sub, params))
     if kind is None:
         raise ValueError(f"cannot verify {_kind(sub, params)!r} reports")
-    failed = list(dict.fromkeys(_id_claims(graph, certs))) + [
-        f"params.{key} does not hold {graph.n} values" for key in VERTEX_VALUES
-        if key in params and not (isinstance(params[key], list)
-                                  and len(params[key]) == graph.n)]
+    failed = list(dict.fromkeys([*_id_claims(graph, certs, "certificates"),
+                                 *_id_claims(graph, params, "params")]))
     if failed:
         return failed
     fields = kind.fields(certs, verdict)
@@ -942,6 +975,14 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("human", "structured"),
                         default=argparse.SUPPRESS)
+    # flags that several subcommands share, each declared once
+    graph, func, l_ell, forbid = (argparse.ArgumentParser(add_help=False)
+                                  for _ in range(4))
+    graph.add_argument("--graph", required=True)
+    func.add_argument("--func", required=True)
+    l_ell.add_argument("--l")
+    l_ell.add_argument("--ell")
+    forbid.add_argument("--forbid", type=int, nargs="*")
     parser = argparse.ArgumentParser(
         prog="rigidpack",
         description="certified sparsity / rigidity / packing / orientation toolkit")
@@ -953,24 +994,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default="human")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("sparse", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--func", required=True)
+    sub.add_parser("sparse", parents=[common, graph, func])
+    sub.add_parser("rigid", parents=[common, graph, func, forbid])
+    sub.add_parser("components", parents=[common, graph, func])
 
-    p = sub.add_parser("rigid", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--func", required=True)
-    p.add_argument("--forbid", type=int, nargs="*")
-
-    p = sub.add_parser("components", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--func", required=True)
-
-    p = sub.add_parser("pack", parents=[common])
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("pack", parents=[common, graph, l_ell, forbid])
     p.add_argument("--funcs", nargs="*")
-    p.add_argument("--l")
-    p.add_argument("--ell")
     p.add_argument("--mode", choices=("none", "halved", "rho"), default="none")
     p.add_argument("--k")
     p.add_argument("--k-int", type=int)
@@ -978,43 +1007,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--rho")
     p.add_argument("--side", type=int, nargs="*")
-    p.add_argument("--forbid", type=int, nargs="*")
     p.add_argument("--preset",
                    choices=("tree-rigid", "tree-rigid-ec", "bipartite-degree"))
 
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--func", required=True)
+    p = sub.add_parser("decompose", parents=[common, graph, func])
     p.add_argument("--parts", type=int, required=True)
 
-    p = sub.add_parser("orient", parents=[common])
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("orient", parents=[common, graph, l_ell])
     p.add_argument("--mode", required=True,
                    choices=("hakimi", "eulerian", "smooth", "rigid",
                             "packed", "robust"))
     p.add_argument("--targets")
     p.add_argument("--func")
-    p.add_argument("--l")
-    p.add_argument("--ell")
     p.add_argument("--r1")
     p.add_argument("--r2")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--retries", type=int, default=64)
 
-    p = sub.add_parser("hypothesis", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--check", required=True,
-                   choices=("rigid-necessary", "rigid-sufficient", "rigid-cuts",
-                            "pack-basic", "pack-refined", "pack-degree",
-                            "weakly-connected"))
-    p.add_argument("--l")
-    p.add_argument("--ell")
+    p = sub.add_parser("hypothesis", parents=[common, graph, l_ell, forbid])
+    p.add_argument("--check", required=True, choices=HYPOTHESES)
     p.add_argument("--ell-vec")
     p.add_argument("--k")
     p.add_argument("--k-int", type=int)
     p.add_argument("--phi", default="1")
     p.add_argument("--rho")
-    p.add_argument("--forbid", type=int, nargs="*")
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--report", required=True)
@@ -1022,10 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common])
     p.add_argument("--graph")
     p.add_argument("--func")
-    p.add_argument("--what", required=True,
-                   choices=("sparse", "rank", "rigid", "partition-connected",
-                            "edge-connected", "arc-connected",
-                            "weakly-connected", "matroid-axioms", "census"))
+    p.add_argument("--what", required=True, choices=(*ORACLES, "census"))
     p.add_argument("--heads")
     p.add_argument("--roots")
     p.add_argument("--ell-vec")
@@ -1034,9 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
 
     p = sub.add_parser("gen", parents=[common])
-    p.add_argument("--family", required=True,
-                   choices=("complete", "complete-bipartite", "circulant",
-                            "random-simple", "random-regular", "doubled"))
+    p.add_argument("--family", required=True, choices=(*FAMILIES, "doubled"))
     p.add_argument("--n", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)

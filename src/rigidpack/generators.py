@@ -38,13 +38,13 @@ def random_simple(n: int, m: int, seed: int) -> MultiGraph:
     return MultiGraph(n, sorted(rng.sample(pairs, m)))
 
 
-def random_regular(n: int, r: int, seed: int, *, simple: bool = True) -> MultiGraph:
-    """r-regular graph by the pairing model, retried until loopless (and
-    simple); when every retry fails, the last pairing is repaired by
+def random_regular(n: int, r: int, seed: int) -> MultiGraph:
+    """Simple r-regular graph by the pairing model, retried until simple;
+    when every retry fails, the last pairing is repaired by
     `_switch_out_bad_pairs`."""
     if (n * r) % 2 != 0:
         raise ValueError(f"no {r}-regular graph exists on {n} vertices (odd total degree)")
-    if simple and r >= n:
+    if r >= n:
         raise ValueError(f"a simple {r}-regular graph needs more than {n} vertices")
     rng = random.Random(seed)
     ordered = [v for v in range(n) for _ in range(r)]
@@ -60,7 +60,7 @@ def random_regular(n: int, r: int, seed: int, *, simple: bool = True) -> MultiGr
                 ok = False
                 break
             key = _pair(u, v)
-            if simple and key in seen:
+            if key in seen:
                 ok = False
                 break
             seen.add(key)
@@ -68,16 +68,16 @@ def random_regular(n: int, r: int, seed: int, *, simple: bool = True) -> MultiGr
         if ok:
             return MultiGraph(n, sorted(edges))
     pairs = [_pair(u, v) for u, v in zip(stubs[::2], stubs[1::2])]
-    return MultiGraph(n, sorted(_switch_out_bad_pairs(pairs, simple, rng)))
+    return MultiGraph(n, sorted(_switch_out_bad_pairs(pairs, rng)))
 
 
-def _switch_out_bad_pairs(edges, simple: bool, rng: random.Random):
-    """The pairs with every loop (and, if simple, every repeat) switched out.
+def _switch_out_bad_pairs(edges, rng: random.Random):
+    """The pairs with every loop and every repeat switched out.
 
     A bad pair {u, v} and another pair {x, y} become {u, x} and {v, y}, or
-    {u, y} and {v, x}, when neither new pair is a loop or, if simple, a pair
-    left in the pairing. Degrees stay, the bad pair's loop or repeat goes,
-    and no pair gains a copy, so a pair once good stays good and one pass
+    {u, y} and {v, x}, when neither new pair is a loop or a pair left in
+    the pairing. Degrees stay, the bad pair's loop or repeat goes, and no
+    pair gains a copy, so a pair once good stays good and one pass
     in index order repairs them all (McKay & Wormald 1990). Partners are
     tried in a seeded random order; a bad pair with no partner raises. The
     repaired graph is r-regular but not uniformly distributed.
@@ -87,13 +87,11 @@ def _switch_out_bad_pairs(edges, simple: bool, rng: random.Random):
 
     def usable(new, old):
         # `old` leaves the pairing as `new` enters it
-        if any(a == b for a, b in new):
-            return False
-        return not simple or (
-            new[0] != new[1] and all(count[p] == old.count(p) for p in new))
+        return all(a != b for a, b in new) and new[0] != new[1] and all(
+            count[p] == old.count(p) for p in new)
 
     for i, (u, v) in enumerate(edges):
-        if u != v and not (simple and count[u, v] > 1):
+        if u != v and count[u, v] < 2:
             continue
         order = list(range(len(edges)))
         rng.shuffle(order)

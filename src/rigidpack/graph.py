@@ -395,8 +395,10 @@ def _mixed_cut(graph: MultiGraph, vcap: int, ecap: int, limit):
     i reaches k, at (i, y_in), and no earlier root does, as its sinks are
     among Even's. Root i is thus the last root that lowers best. If i >= 1,
     it runs once more with every sink above it, below k + 1 - vcap i, and
-    ends on (i, j). The pair's `_least_side` is read once, at the end. Both
-    arguments need only vcap >= 0 at vertex 0.
+    ends on (i, j). The re-run is needed: the first restricted pair of root
+    i that reaches k can have another least side than (i, j) (an 11-vertex
+    host with vcap 1 and ecap 11 in the tests). The pair's `_least_side` is
+    read once, at the end. Both arguments need only vcap >= 0 at vertex 0.
 
     Root i's floor for sink j_in counts arc-disjoint paths into it from
     i_out and the root's merged sinks: its arc from i_out, a path t_in ->

@@ -531,8 +531,7 @@ class FactorResult:
     detail: dict = field(compare=False, default_factory=dict)
 
 
-def rigid_factor(graph: MultiGraph, k: int, r: int,
-                 force: bool = False) -> FactorResult:
+def rigid_factor(graph: MultiGraph, k: int, r: int) -> FactorResult:
     """Spanning k-fold rigid subgraph with every degree in {r-3, r-1}.
 
     Requires an r-regular host of even order (r >= 4) meeting the
@@ -548,12 +547,10 @@ def rigid_factor(graph: MultiGraph, k: int, r: int,
         raise ValueError("host graph must have even order")
     m_param = -(-r // 6)
     need = 2 * m_param + 4 * k - 2
-    detail = {"m": m_param, "connectivity_needed": need}
-    if not force:
-        kappa = graph.vertex_connectivity()
-        detail["vertex_connectivity"] = kappa
-        if kappa < need:
-            return FactorResult(False, frozenset(), frozenset(), detail)
+    kappa = graph.vertex_connectivity()
+    detail = {"m": m_param, "connectivity_needed": need, "vertex_connectivity": kappa}
+    if kappa < need:
+        return FactorResult(False, frozenset(), frozenset(), detail)
     l = lmn(graph.n, m_param, m_param)
     ell = lmn(graph.n, k, 2 * k - 1)
     outcome = packmod.pack_partition_rigid(graph, l, ell,

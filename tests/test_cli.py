@@ -8,8 +8,8 @@ import pytest
 
 from rigidpack import packing
 from rigidpack.cli import (
-    KINDS, _kind, main, canonical_dumps, graph_from_record, graph_record, load_graph,
-    parse_setfunc,
+    FAMILIES, HYPOTHESES, KINDS, ORACLES, _kind, build_parser, main, canonical_dumps,
+    graph_from_record, graph_record, load_graph, parse_setfunc,
 )
 from rigidpack.generators import (
     circulant, complete, complete_bipartite, doubled, random_simple,
@@ -304,6 +304,33 @@ def test_missing_mode_flag_is_a_usage_error(capsys, k4, argv, flag):
     assert code == 2
     assert err.startswith("error: ") and err.rstrip().endswith(f"needs {flag}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("graph, argv, message", [
+    ("c4", ["rigid", "--func", "lmn:1,1", "--forbid", "-1"],
+     "params.forbid holds an id outside 0..3"),
+    ("c4", ["pack", "--funcs", "lmn:1,1", "--forbid", "99"],
+     "params.forbid holds an id outside 0..3"),
+    ("k33", ["pack", "--preset", "bipartite-degree", "--k", "1", "--side", "0", "1", "9"],
+     "params.side holds an id outside 0..5"),
+    ("k33", ["pack", "--preset", "bipartite-degree", "--k", "1", "--side", "0", "0"],
+     "params.side repeats a vertex"),
+])
+def test_ids_the_graph_lacks_are_usage_errors(tmp_path, capsys, graph, argv, message):
+    # a command checks the params it records by the rule verify applies
+    g = GRAPHS[graph]
+    path = write_graph(tmp_path, graph, g.n, g.edges)
+    assert main([argv[0], "--graph", path, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_choices_are_the_keys_of_the_tables_that_run_them():
+    actions = {(name, action.dest): action.choices
+               for name, sub in build_parser()._subparsers._group_actions[0].choices.items()
+               for action in sub._actions if action.choices}
+    assert list(actions["hypothesis", "check"]) == list(HYPOTHESES)
+    assert list(actions["oracle", "what"]) == [*ORACLES, "census"]
+    assert list(actions["gen", "family"]) == [*FAMILIES, "doubled"]
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])
@@ -845,6 +872,10 @@ def _part_edge_id_m(r):
     r["certificates"]["packing"]["parts"][0]["edges"][-1] = len(r["graph"]["edges"])
 
 
+def _forbidden_edge_id_m(r):
+    r["certificates"]["packing"]["forbidden"] = [len(r["graph"]["edges"])]
+
+
 def _block_vertex_n(r):
     r["certificates"]["structure"]["partition"][0].append(r["graph"]["n"])
 
@@ -853,6 +884,38 @@ def _shorten_param(key):
     def tamper(r):
         r["params"][key].pop()
     return tamper
+
+
+def _set_param(key, value):
+    def tamper(r):
+        r["params"][key] = value
+    return tamper
+
+
+def _drop_the_tree(r):
+    r["certificates"]["trees"].pop()
+
+
+def _drop_rigid_edge_from_reinforced(r):
+    certs = r["certificates"]
+    certs["reinforced"][0].remove(certs["rigid_parts"][0][0])
+
+
+def _rigid_part_as_reinforced(r):
+    # the (2, 3)-tight part of K9 alone is 2-edge-connected, not 3
+    certs = r["certificates"]
+    certs["reinforced"][0] = list(certs["rigid_parts"][0])
+
+
+def _three_edges_as_rigid_part(r):
+    parts = r["certificates"]["rigid_parts"]
+    parts[0] = parts[0][:3]
+
+
+def _fail_the_eater(r):
+    # rho(0) = 99 sends vertex 0's rho-slack weight below zero, so the
+    # parts' functions cannot be derived again
+    r["params"]["rho"][0] = 99
 
 
 @pytest.mark.parametrize("name, tamper, claim", [
@@ -995,6 +1058,25 @@ def _shorten_param(key):
     ("hakimi", _shorten_param("targets"), "params.targets does not hold 4 values"),
     ("hakimi-infeasible", _shorten_param("targets"),
      "params.targets does not hold 4 values"),
+    ("pack-rho", _set_param("rho", [9, 9, 9]), "params.rho does not hold 10 values"),
+    # ids in params, and the forbidden edges a packing records
+    ("pack-forbid", _set_param("forbid", [99]), "params.forbid holds an id outside 0..35"),
+    ("rigid-forbid", _set_param("forbid", [0, -1]),
+     "params.forbid holds an id outside 0..14"),
+    ("pack-forbid", _forbidden_edge_id_m,
+     "certificates.packing.forbidden holds an id outside 0..35"),
+    ("bipartite-hypothesis", _set_param("side", [0, 1, 9]),
+     "params.side holds an id outside 0..5"),
+    ("bipartite-hypothesis", _set_param("side", [0, 1, -1]),
+     "params.side holds an id outside 0..5"),
+    ("bipartite-hypothesis", _set_param("side", [0, 1, 1]), "params.side repeats a vertex"),
+    # preset and degree-mode claims
+    ("tree-rigid", _drop_the_tree, "not 1 trees and 1 rigid"),
+    ("tree-rigid-ec", _drop_rigid_edge_from_reinforced,
+     "rigid part 0 lies outside its reinforced part"),
+    ("tree-rigid-ec", _rigid_part_as_reinforced, "reinforced part 0 is 2-edge-connected"),
+    ("bipartite-degree", _three_edges_as_rigid_part, "rigid part is not 2-connected"),
+    ("pack-rho", _fail_the_eater, "part functions are not the requested ones"),
 ])
 def test_verify_names_the_failed_claim(tmp_path, capsys, reports, name,
                                        tamper, claim):

@@ -80,13 +80,12 @@ def test_switchings_keep_degrees_and_remove_bad_pairs():
         stubs = [v for v in range(n) for _ in range(r)]
         rng.shuffle(stubs)
         pairs = [(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])]
-        simple = rng.random() < 0.7
         try:
-            out = _switch_out_bad_pairs(pairs, simple, random.Random(1))
+            out = _switch_out_bad_pairs(pairs, random.Random(1))
         except RuntimeError:
             continue
         assert Counter(v for p in out for v in p) == Counter(stubs)
         assert all(u != v for u, v in out)
-        assert not simple or len(set(out)) == len(out)
+        assert len(set(out)) == len(out)
         repaired += out != pairs
     assert repaired >= 150

@@ -511,7 +511,16 @@ def test_neighbours_of_zero_keep_values_and_sides(monkeypatch):
     # roots i >= 1 push only into vertex 0's neighbours above i; where a
     # root i >= 1 lowers the minimum, root i runs once more with every sink
     # for the side. On hosts whose minimum separators hold vertex 0, the
-    # values and sides are the reference's
+    # values and sides are the reference's. On the explicit host the side
+    # of root 1's first restricted minimum pair is another least side
+    # (4176374), so the re-run is what keeps the reference's
+    host = MultiGraph(11, [
+        (5, 2), (5, 6), (5, 0), (5, 10), (2, 6), (2, 4), (2, 7), (2, 10), (6, 4),
+        (6, 0), (6, 7), (6, 10), (4, 0), (4, 7), (4, 10), (0, 10), (0, 10), (0, 1),
+        (0, 8), (0, 3), (0, 9), (7, 10), (7, 1), (7, 8), (7, 9), (10, 8), (10, 3),
+        (10, 9), (1, 8), (1, 9), (3, 9)])
+    assert graph._mixed_cut(host, 1, 11, 8) == _reference_mixed_cut(host, 1, 11, 8) \
+        == (3, 3955466)
     calls = counting(monkeypatch, graph, "_least_cut")
     rng = random.Random(3535)
     reruns = restricted = 0
