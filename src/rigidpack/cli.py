@@ -684,21 +684,42 @@ def _id_claims(graph, value, name, key=None):
                 yield from _id_claims(graph, item, name, key)
 
 
+def _text_claims(graph, params):
+    """The params recorded as the text of their flags that do not hold the
+    comma-separated values the flag needs (`rho` only as text: a `pack`
+    report records a list). A command reads its own flags as usage errors,
+    so only `verify` asks this."""
+    for key, count in (("rho", graph.n), ("ell_vec", graph.n), ("roots", graph.n),
+                       ("heads", graph.m)):
+        value = params.get(key)
+        if value is None or key == "rho" and isinstance(value, list):
+            continue
+        if isinstance(value, str):
+            try:
+                parse_int_list(value, count, key)
+                continue
+            except ValueError:
+                pass
+        yield f"params.{key} does not hold {count} comma-separated values"
+
+
 def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
     """Names of the report's claims that fail when re-checked. Its ids must
-    pass `_id_claims`, as the command's params did. A result that carries a
-    certificate checkable on its own must record exactly the fields of its
-    kind; it goes through the library's claim checkers, the ones the engine
-    runs on its own results, and the hypothesis it records is re-run by the
-    check that made it. Every other verdict (a `hypothesis` or `oracle`
-    report, an error, a construction that built nothing) is decided again
-    by the kind's runner, from the report's params, seed and force, and
-    must be recorded exactly."""
+    pass `_id_claims`, as the command's params did, and its flag texts
+    `_text_claims`. A result that carries a certificate checkable on its
+    own must record exactly the fields of its kind; it goes through the
+    library's claim checkers, the ones the engine runs on its own results,
+    and the hypothesis it records is re-run by the check that made it.
+    Every other verdict (a `hypothesis` or `oracle` report, an error, a
+    construction that built nothing) is decided again by the kind's
+    runner, from the report's params, seed and force, and must be recorded
+    exactly."""
     kind = KINDS.get(_kind(sub, params))
     if kind is None:
         raise ValueError(f"cannot verify {_kind(sub, params)!r} reports")
     failed = list(dict.fromkeys([*_id_claims(graph, certs, "certificates"),
-                                 *_id_claims(graph, params, "params")]))
+                                 *_id_claims(graph, params, "params"),
+                                 *_text_claims(graph, params)]))
     if failed:
         return failed
     fields = kind.fields(certs, verdict)

@@ -88,6 +88,10 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     Once every part i holds `filled[i]` edges, filled parts block every
     gather and no search can augment, so the pass stops; reading the closure
     runs the searches left: the same `_augment` calls on the same states.
+    No part ever holds more than max(filled[i], 0) edges (an accepted edge
+    needs ell + 1 of the sum(caps) - len(ends) free pebbles), and each
+    successful search adds one edge, so `room`, the sum of those bounds
+    less the edges added, reaches 0 exactly when every part is filled.
     """
     funcs = list(funcs)
     states = [PebbleState(*_require_pebble_params(f)) for f in funcs]
@@ -95,13 +99,11 @@ def matroid_union_pack(host: MultiGraph, funcs, forbidden=()) -> Packing:
     blocked = set(forbidden)
     dead: set[int] = set()
     inside = [[0] * host.n for _ in funcs]
-    kept = [row[:] for row in inside]
     rest = deque(eid for eid in range(host.m) if eid not in blocked)
-    while rest and any(len(s.ends) < f for s, f in zip(states, filled)):
+    room = sum(max(f, 0) for f in filled)
+    while rest and room > 0:
         if _augment(host, states, filled, rest.popleft(), dead, inside):
-            inside = [row[:] for row in kept]
-        else:
-            kept = [row[:] for row in inside]
+            room -= 1
     parts = tuple(PackPart(func=f, edges=frozenset(state.accepted),
                            target=max(f.rigid_target, 0))
                   for f, state in zip(funcs, states))
@@ -123,12 +125,19 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
              dead: set[int], inside: list[list[int]]) -> bool:
     """Breadth-first replacement search; applies the chain on success.
 
+    `eid` is first offered to the parts, in order, with `insert`: the
+    first part that accepts it ends the search. A probe of `eid` followed
+    by the one-edge chain that inserts it is a gather and an insert, and
+    the insert gathers the same way, so this is the search's own first
+    step without the probe and the chain. The parts that block `eid` seed
+    the search, whose later edges are probed and moved by `_apply_chain`.
+
     `parent[y] = (x, i)` says that y sits in part i, so it is the record
     of which part owns each edge reached: the queue carries every edge with
-    its part (None for `eid`), and the chain walks `parent` back. A
-    blocked probe of x's ends in part i returns R, the minimal tight set
-    of part i holding them; x's circuit in part i is that part's edges
-    inside R, which `PebbleState.tight_edges` reads off R's arcs.
+    its part, and the chain walks `parent` back. A blocked probe of x's
+    ends in part i returns R, the minimal tight set of part i holding
+    them; x's circuit in part i is that part's edges inside R, which
+    `PebbleState.tight_edges` reads off R's arcs.
 
     Edges in `dead` are never enqueued, and a failed search adds its
     visited set to `dead`. This prunes nothing a search could use. After
@@ -148,11 +157,13 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
     `matroid_union_pack` returns as the packing's closure.
 
     `inside[i][w]` is the union of the tight sets of part i that blocked
-    probes returned while holding w. The caller resets it after every
-    applied chain to what it held after the last failed search. The probe
-    of an edge uv in part i is skipped when u and v lie together in one
-    such set M. This prunes nothing either, whether M was found in this
-    search or in an earlier failed one:
+    probes returned while holding w, in this search and in the failed
+    searches before it. Each write is logged with the value it replaced;
+    an applied chain replays the log backwards, so `inside` again holds
+    what the last failed search left, and a failed search keeps its
+    writes. The probe of an edge uv in part i is skipped when u and v lie
+    together in one such set M. This prunes nothing either, whether M was
+    found in this search or in an earlier failed one:
     - Found in this search: no chain has changed part i since, so M is
       still tight and holds the same part-i edges, each visited or dead
       once M was found.
@@ -165,7 +176,7 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
     acceptance and minimal tight sets depend only on the accepted edges,
     so no later answer changes and the packing is the same.
 
-    Each dequeued edge first asks the parts, in order, for a direct
+    Each edge, `eid` included, asks the parts, in order, for a direct
     insert only. A part with at most ell free pebbles blocks every gather,
     so it is not probed in that pass: part i is such a part once it has
     accepted `filled[i]` = sum(caps) - ell edges. Once every part is, no
@@ -177,10 +188,38 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
     find, and each part's R, hence its circuit and the queue order,
     depends only on its accepted edges, which no probe changes.
     """
+    u, v = host.edges[eid]
+    blocked = []
+    for i, state in enumerate(states):
+        if (inside[i][u] >> v) & 1:
+            continue
+        if len(state.ends) >= filled[i]:
+            blocked.append((i, None))
+        elif (res := state.insert(eid, u, v)) is None:
+            return True
+        else:
+            blocked.append((i, res))
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}
-    queue = deque([(eid, None)])
-    while queue:
+    queue: deque[tuple[int, int]] = deque()
+    log = []
+    x = eid
+    while True:
+        for i, res in blocked:
+            state = states[i]
+            if res is None:
+                res = state.probe_pair(u, v)
+            row = inside[i]
+            for w in state.reached:
+                log.append((row, w, row[w]))
+                row[w] |= res
+            for y in state.tight_edges():
+                if y not in visited and y not in dead:
+                    visited.add(y)
+                    parent[y] = (x, i)
+                    queue.append((y, i))
+        if not queue:
+            break
         x, own = queue.popleft()
         u, v = host.edges[x]
         blocked = []
@@ -191,20 +230,11 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
                 blocked.append((i, None))
             elif (res := state.probe_pair(u, v)) is None:
                 _apply_chain(host, states, parent, x, i)
+                for row, w, old in reversed(log):
+                    row[w] = old
                 return True
             else:
                 blocked.append((i, res))
-        for i, res in blocked:
-            state = states[i]
-            if res is None:
-                res = state.probe_pair(u, v)
-            for w in state.reached:
-                inside[i][w] |= res
-            for y in state.tight_edges():
-                if y not in visited and y not in dead:
-                    visited.add(y)
-                    parent[y] = (x, i)
-                    queue.append((y, i))
     dead |= visited
     return False
 

@@ -324,6 +324,25 @@ def test_ids_the_graph_lacks_are_usage_errors(tmp_path, capsys, graph, argv, mes
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hypothesis", "--check", "pack-degree", "--l", "lmn:1,1", "--ell", "lmn:1,1",
+      "--k", "3", "--rho", "9,9"], "--rho needs 4 comma-separated values"),
+    (["hypothesis", "--check", "weakly-connected", "--l", "lmn:1,1",
+      "--ell-vec", "1,1"], "--ell-vec needs 4 comma-separated values"),
+    (["oracle", "--what", "arc-connected", "--func", "lmn:1,1", "--heads", "1,2"],
+     "--heads needs 4 comma-separated values"),
+    (["oracle", "--what", "arc-connected", "--func", "lmn:1,1", "--heads", "1,2,3,0",
+      "--roots", "1"], "--roots needs 4 comma-separated values"),
+])
+def test_flag_texts_of_the_wrong_length_are_usage_errors(tmp_path, capsys, argv,
+                                                          message):
+    # the command names its flag; only verify names the param it records
+    g = GRAPHS["c4"]
+    path = write_graph(tmp_path, "c4", g.n, g.edges)
+    assert main([argv[0], "--graph", path, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_choices_are_the_keys_of_the_tables_that_run_them():
     actions = {(name, action.dest): action.choices
                for name, sub in build_parser()._subparsers._group_actions[0].choices.items()
@@ -514,6 +533,9 @@ REPORTS = {
                                      "--func", "lmn:2,3"], 0),
     "oracle-weakly-connected": ("c4", ["oracle", "--what", "weakly-connected",
                                        "--func", "lmn:2,3", "--ell-vec", "1,1,1,1"], 1),
+    "oracle-arc-connected": ("c4", ["oracle", "--what", "arc-connected", "--func",
+                                    "lmn:1,1", "--heads", "1,2,3,0", "--roots",
+                                    "1,0,0,0"], 0),
     "oracle-census": ("k4", ["oracle", "--what", "census", "--census-n", "4"], 0),
     # degree 5 is below 2 ell(v) + 2 l(v) = 8: exit 2, nothing is built
     "pack-hypothesis": ("k6", ["pack", "--l", "lmn:1,1", "--ell", "lmn:2,3",
@@ -1059,6 +1081,19 @@ def _fail_the_eater(r):
     ("hakimi-infeasible", _shorten_param("targets"),
      "params.targets does not hold 4 values"),
     ("pack-rho", _set_param("rho", [9, 9, 9]), "params.rho does not hold 10 values"),
+    # a param recorded as its flag's text holds the values the flag needs
+    ("pack-degree", _set_param("rho", "9,9"),
+     "params.rho does not hold 9 comma-separated values"),
+    ("weakly-connected", _set_param("ell_vec", "1,1"),
+     "params.ell_vec does not hold 6 comma-separated values"),
+    ("oracle-weakly-connected", _set_param("ell_vec", "1,x,1,1"),
+     "params.ell_vec does not hold 4 comma-separated values"),
+    ("oracle-arc-connected", _set_param("heads", "1,2"),
+     "params.heads does not hold 4 comma-separated values"),
+    ("oracle-arc-connected", _set_param("heads", [1, 2, 3, 0]),
+     "params.heads does not hold 4 comma-separated values"),
+    ("oracle-arc-connected", _set_param("roots", "1,0,0,0,0"),
+     "params.roots does not hold 4 comma-separated values"),
     # ids in params, and the forbidden edges a packing records
     ("pack-forbid", _set_param("forbid", [99]), "params.forbid holds an id outside 0..35"),
     ("rigid-forbid", _set_param("forbid", [0, -1]),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter, deque
 from fractions import Fraction
@@ -18,6 +19,7 @@ from rigidpack.packing import (
     preset_tree_rigid, preset_tree_rigid_ec, preset_bipartite_degree,
     partition_rigid_funcs, _apply_chain, _augment,
 )
+from rigidpack.orientation import rigid_factor
 from rigidpack.sparsity import PebbleState, _pebble_run
 from rigidpack.oracle import boundary_minus
 
@@ -183,15 +185,17 @@ def test_union_probe_count_stays_linear(monkeypatch, n, funcs):
     # insert and forgetting every tight set after each applied chain,
     # 388 / 875 / 788. The pass stops once every part is filled, and the
     # searches it leaves run when the closure is first read: 320 / 702 /
-    # 720 probes, then 371 / 825 / 771 in all, as when the pass ran them
+    # 720 probes, then 371 / 825 / 771 in all, as when the pass ran them.
+    # Offering each search's first edge with `insert` leaves no probe for
+    # an edge a part takes directly: 65 / 293 / 145, then 116 / 416 / 196
     calls = counting(monkeypatch, PebbleState, "probe_pair")
     host = generators.circulant(n, [1, 2, 3, 5, 8])
     pk = matroid_union_pack(host, [lmn(n, k, l) for k, l in funcs])
     assert pk.uncovered
-    assert len(calls) == {(40, 2): 320, (40, 4): 702, (80, 2): 720}[n, len(funcs)]
+    assert len(calls) == {(40, 2): 65, (40, 4): 293, (80, 2): 145}[n, len(funcs)]
     pk.closure
     assert len(calls) <= 2 * host.m * len(funcs)
-    assert len(calls) == {(40, 2): 371, (40, 4): 825, (80, 2): 771}[n, len(funcs)]
+    assert len(calls) == {(40, 2): 116, (40, 4): 416, (80, 2): 196}[n, len(funcs)]
     total = len(calls)
     pk.closure
     assert len(calls) == total
@@ -249,7 +253,9 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
     # the same host. Asking every part for a direct insert before probing
     # a full one, and keeping the tight sets of failed searches across
     # applied chains, bring that to 371; stopping the pass once every part
-    # is filled leaves 320, and reading the closure runs the other 51
+    # is filled leaves 320, and reading the closure runs the other 51.
+    # Offering each search's first edge with `insert` leaves 65 probes in
+    # the pass; the closure's searches still probe 51 times
     probes = counting(monkeypatch, PebbleState, "probe_pair")
     runs = _counting_pebble_runs(monkeypatch)
     perm = list(range(40))
@@ -258,9 +264,27 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
                            generators.circulant(40, [1, 2, 3, 5, 8]).edges])
     pk = matroid_union_pack(host, [lmn(40, 2, 3)] * 2)
     assert (pk.covered(), len(pk.uncovered)) == (154, 46)
-    assert (len(probes), len(runs)) == (320, 2)
+    assert (len(probes), len(runs)) == (65, 2)
     pk.closure
-    assert (len(probes), len(runs)) == (371, 2)
+    assert (len(probes), len(runs)) == (116, 2)
+
+
+def test_direct_inserts_probe_and_move_nothing(monkeypatch):
+    # two spanning trees on 8 vertices: a doubled path, whose second copy
+    # of each edge part 0 blocks and part 1 takes; then a path and a star,
+    # where the star's edges skip the filled part 0. Every edge enters a
+    # part at its own offer, so no search probes, applies a chain or deletes
+    calls = {name: counting(monkeypatch, PebbleState, name)
+             for name in ("probe_pair", "delete")}
+    calls["_apply_chain"] = counting(monkeypatch, packing, "_apply_chain")
+    path = [(v, v + 1) for v in range(7)]
+    for edges in ([e for e in path for _ in range(2)],
+                  path + [(0, v) for v in range(1, 8)]):
+        pk = matroid_union_pack(MultiGraph(8, edges), [lmn(8, 1, 1)] * 2)
+        assert all(p.full for p in pk.parts) and not pk.uncovered
+        assert pk.closure == frozenset()
+    assert {name: len(c) for name, c in calls.items()} == {
+        "probe_pair": 0, "delete": 0, "_apply_chain": 0}
 
 
 def _core_ring(core, ring, offsets, rng=None):
@@ -271,11 +295,18 @@ def _core_ring(core, ring, offsets, rng=None):
     edges += [(core + i, core + (i + off) % ring) for off in offsets for i in range(ring)]
     edges += [(0, core), (1, core + ring // 2)]
     if rng is not None:
-        perm = list(range(core + ring))
-        rng.shuffle(perm)
-        edges = [(perm[u], perm[v]) for u, v in edges]
-        rng.shuffle(edges)
+        return _relabelled(core + ring, edges, rng)
     return MultiGraph(core + ring, edges)
+
+
+def _relabelled(n, edges, rng):
+    """The graph on n vertices with its vertices relabelled and its edges
+    reordered at random."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(edges)
+    return MultiGraph(n, edges)
 
 
 def test_halved_parts_match_the_reference_search(monkeypatch):
@@ -283,15 +314,28 @@ def test_halved_parts_match_the_reference_search(monkeypatch):
     # a later part takes an edge directly. Asking every part for a direct
     # insert before probing a full one, and keeping the tight sets of
     # failed searches across applied chains, changes no part, uncovered
-    # edge or closure, and never adds a probe
+    # edge or closure, and never adds a probe. `waited` counts the edges a
+    # part takes while an earlier part is full: a search's first edge
+    # taken by `insert`, or the last edge of an applied chain
     calls = counting(monkeypatch, PebbleState, "probe_pair")
-    waited = [0]
+    waited, chains = [0], [0]
 
-    def counted(host, states, parent, last, free_part):
+    def chained(host, states, parent, last, free_part):
+        chains[0] += 1
         waited[0] += any(sum(s.pebbles) <= s.ell for s in states[:free_part])
         _apply_chain(host, states, parent, last, free_part)
 
-    monkeypatch.setattr(packing, "_apply_chain", counted)
+    def offered(host, states, filled, eid, dead, inside):
+        full = [sum(s.pebbles) <= s.ell for s in states]
+        before = chains[0]
+        took = _augment(host, states, filled, eid, dead, inside)
+        if took and chains[0] == before:
+            taker = next(i for i, s in enumerate(states) if eid in s.ends)
+            waited[0] += any(full[:taker])
+        return took
+
+    monkeypatch.setattr(packing, "_apply_chain", chained)
+    monkeypatch.setattr(packing, "_augment", offered)
     rng = random.Random(61)
     pool = [(1, 1), (1, 0), (2, 3), (2, 2)]
     hosts = rings = fewer = 0
@@ -370,11 +414,44 @@ def _probes_forgetting_tight_sets(host, funcs, calls):
     return len(calls) - start, [frozenset(s.accepted) for s in states]
 
 
+def _pin(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_union_outputs_are_pinned():
+    # the six hosts of the union benchmark, relabelled and reordered with a
+    # fixed seed: parts, uncovered edges, closure and certificate partition
+    rng = random.Random(5)
+    hosts = [(_core_ring(core, ring, offsets, rng), [(1, 1), (2, 3)])
+             for core, ring, offsets in ((12, 16, [1, 3]), (16, 24, [1, 2]),
+                                         (20, 32, [1]))]
+    for n, parts in ((40, [(2, 3)] * 2), (40, [(1, 1)] * 4), (48, [(2, 3)] * 2)):
+        circulant = generators.circulant(n, [1, 2, 3, 5, 8])
+        hosts.append((_relabelled(n, circulant.edges, rng), parts))
+    pins = []
+    for host, parts in hosts:
+        pk = matroid_union_pack(host, [lmn(host.n, a, b) for a, b in parts])
+        pins.append(_pin([[sorted(p.edges) for p in pk.parts], sorted(pk.uncovered),
+                          sorted(pk.closure), structure_partition(pk).partition]))
+    assert pins == ["6eda9ad6e712567b", "2c4d3151d2870b1e", "46b94abf4b9a8ae2",
+                    "2b7b7d1229ece3dc", "ba7f2207762a47e9", "d4895095130b7937"]
+
+
+def test_rigid_factor_outputs_are_pinned():
+    pins = []
+    for n in (24, 28, 32, 36):
+        res = rigid_factor(generators.circulant(n, [1, 2, 3]), 1, 6)
+        pins.append(_pin([res.ok, sorted(res.edges), sorted(res.removed_forest)]))
+    assert pins == ["a7c0989df65c3826", "ea432a89cd7ad6c3", "3da61de69a964aff",
+                    "4df0764fb7b404fd"]
+
+
 def test_kept_tight_sets_save_probes_on_a_deficient_host(monkeypatch):
     # K16 joined by two edges to the ring C24(1, 2), relabelled and
     # reordered so that failed searches in the core and chains in the ring
     # alternate: the tight sets failed searches found stay skipped after
-    # later chains
+    # later chains (200 and 284 probes while each search's first edge was
+    # probed before a part took it)
     calls = counting(monkeypatch, PebbleState, "probe_pair")
     host = _core_ring(16, 24, [1, 2], random.Random(0))
     funcs = [lmn(host.n, 1, 1), lmn(host.n, 2, 3)]
@@ -382,7 +459,7 @@ def test_kept_tight_sets_save_probes_on_a_deficient_host(monkeypatch):
     kept = len(calls)
     forgetting, parts = _probes_forgetting_tight_sets(host, funcs, calls)
     assert [p.edges for p in pk.parts] == parts and pk.uncovered
-    assert (kept, forgetting) == (200, 284)
+    assert (kept, forgetting) == (32, 49)
 
 
 def test_tight_edges_match_a_scan_of_the_accepted_edges():
