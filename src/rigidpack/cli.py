@@ -506,8 +506,17 @@ def _bf_rigid(graph, params, func, budget) -> tuple[bool, dict]:
     return ok, {"rank": rank, "target": target}
 
 
+def _stray_head(graph, heads):
+    """The first edge id whose entry in `heads` is not an end of the edge,
+    or None."""
+    return next((eid for eid, (h, (u, v)) in enumerate(zip(heads, graph.edges))
+                 if h != u and h != v), None)
+
+
 def _bf_arc_connected(graph, params, func, budget) -> tuple[bool, dict]:
     heads = parse_int_list(_need(params, "--heads"), graph.m, "--heads")
+    if (eid := _stray_head(graph, heads)) is not None:
+        raise ValueError(f"--heads entry {eid} is not an end of edge {eid}")
     roots = parse_int_list(params["roots"], graph.n, "--roots") \
         if params["roots"] else None
     return _witness(*oracle.bf_arc_connected(graph, heads, func, roots, budget))
@@ -684,23 +693,29 @@ def _id_claims(graph, value, name, key=None):
                 yield from _id_claims(graph, item, name, key)
 
 
-def _text_claims(graph, params):
+def _text_claims(graph, sub, params):
     """The params recorded as the text of their flags that do not hold the
-    comma-separated values the flag needs (`rho` only as text: a `pack`
-    report records a list). A command reads its own flags as usage errors,
-    so only `verify` asks this."""
+    comma-separated values the flag needs, and `heads` entries that are
+    not an end of their edge. A `pack` report records `rho` as a list,
+    which `_id_claims` checks, and every other report as text. A command
+    reads its own flags as usage errors, so only `verify` asks this."""
     for key, count in (("rho", graph.n), ("ell_vec", graph.n), ("roots", graph.n),
                        ("heads", graph.m)):
         value = params.get(key)
-        if value is None or key == "rho" and isinstance(value, list):
+        if value is None:
             continue
-        if isinstance(value, str):
-            try:
-                parse_int_list(value, count, key)
-                continue
-            except ValueError:
-                pass
-        yield f"params.{key} does not hold {count} comma-separated values"
+        if key == "rho" and sub == "pack":
+            if not isinstance(value, list):
+                yield f"params.rho does not hold {count} values"
+            continue
+        try:
+            values = parse_int_list(value, count, key) if isinstance(value, str) else None
+        except ValueError:
+            values = None
+        if values is None:
+            yield f"params.{key} does not hold {count} comma-separated values"
+        elif key == "heads" and (eid := _stray_head(graph, values)) is not None:
+            yield f"params.heads entry {eid} is not an end of edge {eid}"
 
 
 def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
@@ -719,7 +734,7 @@ def _reverify(sub, graph, params, certs, verdict, seed, force) -> list[str]:
         raise ValueError(f"cannot verify {_kind(sub, params)!r} reports")
     failed = list(dict.fromkeys([*_id_claims(graph, certs, "certificates"),
                                  *_id_claims(graph, params, "params"),
-                                 *_text_claims(graph, params)]))
+                                 *_text_claims(graph, sub, params)]))
     if failed:
         return failed
     fields = kind.fields(certs, verdict)

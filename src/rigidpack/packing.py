@@ -5,15 +5,17 @@ pipelines built on them, with the claim checkers `rigidpack verify` shares.
 The packing search augments one uncovered edge at a time by breadth-first
 exploration over single-edge replacements: an edge either enters a part
 directly or displaces an edge of the minimal tight set spanning its ends,
-and the displaced edge continues the search. Shortest replacement chains
-are applied simultaneously: each part's pebble state drops its displaced
-edges and then takes its new ones, and a rejected insert raises. A failed
-search certifies the edge lies in the span of the union, so one ascending
-pass over the edges reaches a maximum packing. It certifies more: every
-edge it visited is spanned, in every part, by that part's edges among the
-visited ones, so no later augmenting path passes through them. Those
-edges are dead for the rest of the pass and no later search explores them
-again (Cunningham 1986).
+and the displaced edge continues the search. Each edge is tested for
+entry when the search discovers it, not when it dequeues it: this finds
+the same shortest chain without expanding the layer around it. Shortest
+replacement chains are applied simultaneously: each part's pebble state
+drops its displaced edges and then takes its new ones, and a rejected
+insert raises. A failed search certifies the edge lies in the span of the
+union, so one ascending pass over the edges reaches a maximum packing. It
+certifies more: every edge it visited is spanned, in every part, by that
+part's edges among the visited ones, so no later augmenting path passes
+through them. Those edges are dead for the rest of the pass and no later
+search explores them again (Cunningham 1986).
 """
 
 from __future__ import annotations
@@ -133,11 +135,32 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
     the search, whose later edges are probed and moved by `_apply_chain`.
 
     `parent[y] = (x, i)` says that y sits in part i, so it is the record
-    of which part owns each edge reached: the queue carries every edge with
-    its part, and the chain walks `parent` back. A blocked probe of x's
-    ends in part i returns R, the minimal tight set of part i holding
-    them; x's circuit in part i is that part's edges inside R, which
-    `PebbleState.tight_edges` reads off R's arcs.
+    of which part owns each edge reached: the chain walks `parent` back.
+    A blocked probe of x's ends in part i returns R, the minimal tight set
+    of part i holding them; x's circuit in part i is that part's edges
+    inside R, which `PebbleState.tight_edges` reads off R's arcs.
+
+    Each edge is tested for entry when a circuit first adds it to the
+    queue, not when the search dequeues it: it asks the parts other than
+    its owner, in order, and the first part that accepts it ends the
+    search with its chain. This finds the edge, part and chain that a test
+    at dequeue would: the queue is first in, first out, so dequeue order is
+    discovery order, and whether a part accepts an edge, and the R it
+    returns if not, depend only on the part's accepted edges, which no
+    probe changes and no chain changes before the search ends. A blocked
+    test keeps each part's R with its vertex list in the queue entry, and
+    the edge's circuits are read from them at dequeue instead of probing
+    again; gathers since may have turned arcs out of R, so `tight_edges`
+    then reads the part's edges with both ends in R. A filled part is not
+    probed at discovery (it accepts nothing) but at dequeue, to read its
+    circuit. All circuits of the dequeued edge are read before any edge
+    they add is tested: a test gathers, and a set read after a gather in
+    its part must be read through that slower head test, as the arcs off
+    its vertices may no longer be its edges. The circuits are then
+    scanned in order and each new edge is tested as the scan meets it, so
+    a successful search marks nothing past the winning edge. A failed
+    search reaches the same edges with the same probes as a test at
+    dequeue, so `dead` and the closure are the same too.
 
     Edges in `dead` are never enqueued, and a failed search adds its
     visited set to `dead`. This prunes nothing a search could use. After
@@ -161,32 +184,33 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
     searches before it. Each write is logged with the value it replaced;
     an applied chain replays the log backwards, so `inside` again holds
     what the last failed search left, and a failed search keeps its
-    writes. The probe of an edge uv in part i is skipped when u and v lie
-    together in one such set M. This prunes nothing either, whether M was
-    found in this search or in an earlier failed one:
+    writes. The test of an edge uv in part i is skipped when u and v lie
+    together in one such set M, and then so is its circuit in part i.
+    This prunes nothing either, whether M was found in this search or in
+    an earlier failed one:
     - Found in this search: no chain has changed part i since, so M is
-      still tight and holds the same part-i edges, each visited or dead
-      once M was found.
+      still tight and holds the same part-i edges. The edge whose test or
+      dequeue found M came before uv in the queue, so its circuit M is
+      read before uv is dequeued: each edge of M is visited or dead then.
     - Found in a failed search: every part-i edge inside M was visited
       in it, or dead before, so it is dead now. Chains never touch dead
       edges, and an insert into part i inside M would make the tight M
       overfull. So M stays tight with the same part-i edges inside it.
     Either way the probe would be blocked, its minimal tight set would lie
-    in M, and it would enqueue nothing. Probes only move pebbles, and
-    acceptance and minimal tight sets depend only on the accepted edges,
-    so no later answer changes and the packing is the same.
+    in M, and it would enqueue nothing. A filled part is probed only at
+    dequeue, so its sets are all read when found, and it checks `inside`
+    again there. Probes only move pebbles, and acceptance and minimal
+    tight sets depend only on the accepted edges, so no later answer
+    changes and the packing is the same.
 
     Each edge, `eid` included, asks the parts, in order, for a direct
     insert only. A part with at most ell free pebbles blocks every gather,
     so it is not probed in that pass: part i is such a part once it has
     accepted `filled[i]` = sum(caps) - ell edges. Once every part is, no
     search can augment, so `matroid_union_pack` stops and runs the searches
-    left, these same calls on the same states, only when F is read. Only
-    when no part takes the edge are the filled parts probed, and every
-    blocked part's circuit read and enqueued in part order. The first part
-    that takes the edge is the one the probes in plain part order would
-    find, and each part's R, hence its circuit and the queue order,
-    depends only on its accepted edges, which no probe changes.
+    left, these same calls on the same states, only when F is read. The
+    first part that takes the edge is the one the probes in plain part
+    order would find.
     """
     u, v = host.edges[eid]
     blocked = []
@@ -194,49 +218,66 @@ def _augment(host: MultiGraph, states, filled: list[int], eid: int,
         if (inside[i][u] >> v) & 1:
             continue
         if len(state.ends) >= filled[i]:
-            blocked.append((i, None))
+            blocked.append((i, 0, None))
         elif (res := state.insert(eid, u, v)) is None:
             return True
         else:
-            blocked.append((i, res))
+            blocked.append((i, res, state.reached))
+    if not blocked:  # every part skipped: the search reaches eid alone
+        dead.add(eid)
+        return False
+    log = []  # written once no part took eid, so a direct insert has no undo
+    for i, res, reached in blocked:
+        if reached is not None:
+            _hint(inside[i], reached, res, log)
     parent: dict[int, tuple[int, int]] = {}
     visited = {eid}
-    queue: deque[tuple[int, int]] = deque()
-    log = []
-    x = eid
-    while True:
-        for i, res in blocked:
-            state = states[i]
-            if res is None:
-                res = state.probe_pair(u, v)
-            row = inside[i]
-            for w in state.reached:
-                log.append((row, w, row[w]))
-                row[w] |= res
-            for y in state.tight_edges():
-                if y not in visited and y not in dead:
-                    visited.add(y)
-                    parent[y] = (x, i)
-                    queue.append((y, i))
-        if not queue:
-            break
-        x, own = queue.popleft()
+    queue = deque([(eid, blocked)])
+    while queue:
+        x, blocked = queue.popleft()
         u, v = host.edges[x]
-        blocked = []
-        for i, state in enumerate(states):
-            if i == own or (inside[i][u] >> v) & 1:
-                continue
-            if len(state.ends) >= filled[i]:
-                blocked.append((i, None))
-            elif (res := state.probe_pair(u, v)) is None:
-                _apply_chain(host, states, parent, x, i)
-                for row, w, old in reversed(log):
-                    row[w] = old
-                return True
-            else:
-                blocked.append((i, res))
+        circuits = []
+        for i, res, reached in blocked:
+            state = states[i]
+            if reached is None:
+                if (inside[i][u] >> v) & 1:
+                    continue
+                res = state.probe_pair(u, v)
+                reached = state.reached
+                _hint(inside[i], reached, res, log)
+            circuits.append((i, state.tight_edges(res, reached)))
+        for own, circuit in circuits:
+            for y in circuit:
+                if y in visited or y in dead:
+                    continue
+                visited.add(y)
+                parent[y] = (x, own)
+                a, b = host.edges[y]
+                blocked = []
+                for i, state in enumerate(states):
+                    if i == own or (inside[i][a] >> b) & 1:
+                        continue
+                    if len(state.ends) >= filled[i]:
+                        blocked.append((i, 0, None))
+                    elif (res := state.probe_pair(a, b)) is None:
+                        _apply_chain(host, states, parent, y, i)
+                        for row, w, old in reversed(log):
+                            row[w] = old
+                        return True
+                    else:
+                        _hint(inside[i], state.reached, res, log)
+                        blocked.append((i, res, state.reached))
+                queue.append((y, blocked))
     dead |= visited
     return False
+
+
+def _hint(row: list[int], reached: list[int], res: int, log: list) -> None:
+    """Add the tight set `res`, whose vertices are `reached`, to each of
+    their entries in `row`, logging the values it replaces."""
+    for w in reached:
+        log.append((row, w, row[w]))
+        row[w] |= res
 
 
 def _apply_chain(host: MultiGraph, states, parent, last: int,

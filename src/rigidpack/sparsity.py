@@ -61,7 +61,8 @@ class PebbleState:
         self.out: list[list[int]] = [[] for _ in caps]
         self.ends_xor: dict[int, int] = {}
         self.ends: dict[int, tuple[int, int]] = {}
-        # the vertices of R after a failed gather
+        # the vertices of R after a failed gather, emptied by a gather
+        # that moves arcs and succeeds
         self.reached: list[int] = []
         # gather's search: v is reached when _mark[v] is the current
         # stamp, along the arc (edge id) _parent[v]; -1 at x and y
@@ -130,6 +131,8 @@ class PebbleState:
                 e = parent[w]
             peb[w] += 1
         self._stamp = stamp
+        # arcs moved, so no earlier R is read off its tails alone
+        self.reached = []
         return None
 
     def insert(self, eid: int, x: int, y: int):
@@ -159,12 +162,19 @@ class PebbleState:
         stay as they are; only pebbles move."""
         return self.gather(x, y)
 
-    def tight_edges(self) -> list[int]:
-        """Accepted edges inside the tight set R the last failed gather
-        returned, ascending: the ids of the arcs whose tail is in R. Valid
-        until the next gather, insert or delete moves an arc."""
+    def tight_edges(self, mask: int, reached: list[int]) -> list[int]:
+        """Accepted edges inside a tight set R that a failed gather
+        returned as `mask` with `reached`, ascending; R holds the same
+        edges until an insert or delete. While `reached` is still this
+        state's, no gather has moved an arc since, and they are the arcs
+        whose tail is in R. A later gather may turn arcs out of R, so for
+        an earlier R only the arcs whose head is in R too are read."""
         out = self.out
-        return sorted([e for v in self.reached for e in out[v]])
+        if reached is self.reached:
+            return sorted([e for v in reached for e in out[v]])
+        ends_xor = self.ends_xor
+        return sorted([e for v in reached for e in out[v]
+                       if (mask >> (ends_xor[e] ^ v)) & 1])
 
     def max_tight_pair(self, x: int, y: int):
         """Maximal tight set containing x and y, or None if no tight set does.

@@ -343,6 +343,18 @@ def test_flag_texts_of_the_wrong_length_are_usage_errors(tmp_path, capsys, argv,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("heads", ["1,2,3,7", "1,2,3,-1"])
+def test_heads_off_their_edges_are_usage_errors(tmp_path, capsys, heads):
+    # C4's edge 3 joins 3 and 0: a head elsewhere, absent vertex 7 or -1,
+    # names the flag and gives no verdict
+    g = GRAPHS["c4"]
+    path = write_graph(tmp_path, "c4", g.n, g.edges)
+    assert main(["oracle", "--graph", path, "--what", "arc-connected",
+                 "--func", "lmn:1,1", "--heads", heads]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --heads entry 3 is not an end of edge 3\n")
+
+
 def test_choices_are_the_keys_of_the_tables_that_run_them():
     actions = {(name, action.dest): action.choices
                for name, sub in build_parser()._subparsers._group_actions[0].choices.items()
@@ -1081,8 +1093,13 @@ def _fail_the_eater(r):
     ("hakimi-infeasible", _shorten_param("targets"),
      "params.targets does not hold 4 values"),
     ("pack-rho", _set_param("rho", [9, 9, 9]), "params.rho does not hold 10 values"),
+    # a `pack` report records `rho` as a list, never as its flag's text
+    ("pack-rho", _set_param("rho", ",".join(["9"] * 10)),
+     "params.rho does not hold 10 values"),
     # a param recorded as its flag's text holds the values the flag needs
     ("pack-degree", _set_param("rho", "9,9"),
+     "params.rho does not hold 9 comma-separated values"),
+    ("pack-degree", _set_param("rho", [9] * 9),
      "params.rho does not hold 9 comma-separated values"),
     ("weakly-connected", _set_param("ell_vec", "1,1"),
      "params.ell_vec does not hold 6 comma-separated values"),
@@ -1094,6 +1111,11 @@ def _fail_the_eater(r):
      "params.heads does not hold 4 comma-separated values"),
     ("oracle-arc-connected", _set_param("roots", "1,0,0,0,0"),
      "params.roots does not hold 4 comma-separated values"),
+    # each head is an end of its edge: C4's edge 3 joins 3 and 0
+    ("oracle-arc-connected", _set_param("heads", "1,2,3,7"),
+     "params.heads entry 3 is not an end of edge 3"),
+    ("oracle-arc-connected", _set_param("heads", "1,2,3,-1"),
+     "params.heads entry 3 is not an end of edge 3"),
     # ids in params, and the forbidden edges a packing records
     ("pack-forbid", _set_param("forbid", [99]), "params.forbid holds an id outside 0..35"),
     ("rigid-forbid", _set_param("forbid", [0, -1]),

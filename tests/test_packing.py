@@ -97,11 +97,46 @@ def _scan_circuit_edges(host, state, tight_mask):
                   and (tight_mask >> host.edges[eid][1]) & 1)
 
 
-def _reference_union_pack(host, funcs, forbidden=(), prune=True):
-    """Reference matroid union that probes every pair it reaches. Without
-    `prune` every search explores everything it reaches; with it the edges
-    of failed searches are dead, as in the engine, but no probe is skipped
-    for lying inside a tight set found earlier.
+def _moves(parent, last, free_part):
+    """The (edge, part) moves of the chain ending with `last` entering
+    `free_part`, in `_apply_chain`'s order: from `last` back to the
+    uncovered edge that started it."""
+    moves = [(last, free_part)]
+    while moves[-1][0] in parent:
+        moves.append(parent[moves[-1][0]])
+    return moves
+
+
+def _recording_chains(monkeypatch):
+    """The moves of every edge the engine's union passes add, in order:
+    each applied chain, and a direct insert as a one-move chain."""
+    chains = []
+    augment, apply_chain = packing._augment, packing._apply_chain
+
+    def chained(host, states, parent, last, free_part):
+        chains.append(_moves(parent, last, free_part))
+        apply_chain(host, states, parent, last, free_part)
+
+    def offered(host, states, filled, eid, dead, inside):
+        before = len(chains)
+        took = augment(host, states, filled, eid, dead, inside)
+        if took and len(chains) == before:
+            taker = next(i for i, s in enumerate(states) if eid in s.ends)
+            chains.append([(eid, taker)])
+        return took
+
+    monkeypatch.setattr(packing, "_apply_chain", chained)
+    monkeypatch.setattr(packing, "_augment", offered)
+    return chains
+
+
+def _reference_union_pack(host, funcs, forbidden=(), prune=True, chains=None):
+    """Reference matroid union that probes every pair it reaches and tests
+    each edge for entry when it dequeues it. Without `prune` every search
+    explores everything it reaches; with it the edges of failed searches
+    are dead, as in the engine, but no probe is skipped for lying inside a
+    tight set found earlier. With `chains`, the moves of each applied
+    chain are appended to it.
 
     Returns (part edge sets, uncovered, closure)."""
     states = [PebbleState(*pebble_params(f)) for f in funcs]
@@ -119,6 +154,8 @@ def _reference_union_pack(host, funcs, forbidden=(), prune=True):
                     continue
                 res = state.probe_pair(u, v)
                 if res is None:
+                    if chains is not None:
+                        chains.append(_moves(parent, x, i))
                     _apply_chain(host, states, parent, x, i)
                     return
                 for y in _scan_circuit_edges(host, state, res):
@@ -137,13 +174,14 @@ def _reference_union_pack(host, funcs, forbidden=(), prune=True):
 
 
 def test_union_pruning_matches_unpruned_search(monkeypatch):
-    # dropping the edges of failed searches changes no part and no
-    # uncovered edge; on small hosts the packing also meets Edmonds' bound.
-    # Pruning needs dense hosts: two failed searches must share edges.
+    # dropping the edges of failed searches changes no applied chain, part
+    # or uncovered edge; on small hosts the packing also meets Edmonds'
+    # bound. Pruning needs dense hosts: two failed searches must share edges.
     calls = counting(monkeypatch, PebbleState, "probe_pair")
+    engine = _recording_chains(monkeypatch)
     rng = random.Random(31)
     pool = [(1, 1), (2, 3), (2, 2), (1, 0), (3, 5)]
-    bounded = pruned = 0
+    bounded = pruned = moved = 0
     for _ in range(300):
         if rng.random() < 0.5:
             n, m = rng.randrange(2, 7), rng.randrange(0, 11)
@@ -156,12 +194,14 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
         if rng.random() >= 0.5:
             # a drawn set of allowed edges forbids every other edge
             forbidden |= set(range(m)) - set(rng.sample(range(m), rng.randrange(0, m + 1)))
-        start = len(calls)
+        start, engine[:] = len(calls), []
         pk = matroid_union_pack(g, funcs, forbidden)
-        middle = len(calls)
+        middle, reference = len(calls), []
         parts, uncovered, _ = _reference_union_pack(g, funcs, forbidden,
-                                                    prune=False)
+                                                    prune=False, chains=reference)
         pruned += middle - start < len(calls) - middle
+        assert engine == reference
+        moved += sum(len(chain) > 1 for chain in engine)
         assert [p.edges for p in pk.parts] == parts
         assert pk.uncovered == uncovered
         if n <= 6:
@@ -169,7 +209,7 @@ def test_union_pruning_matches_unpruned_search(monkeypatch):
             assert pk.covered() == union_rank_bound(g.subgraph(usable),
                                                           funcs)
             bounded += 1
-    assert bounded >= 120 and pruned >= 60
+    assert bounded >= 120 and pruned >= 60 and moved >= 100, (bounded, pruned, moved)
 
 
 @pytest.mark.parametrize("n, funcs", [
@@ -255,8 +295,14 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
     # applied chains, bring that to 371; stopping the pass once every part
     # is filled leaves 320, and reading the closure runs the other 51.
     # Offering each search's first edge with `insert` leaves 65 probes in
-    # the pass; the closure's searches still probe 51 times
+    # the pass; the closure's searches still probe 51 times. The pass reads
+    # 109 circuits and the closure 51 more. Testing each edge for entry
+    # when it is discovered changes none of these counts here: each of the
+    # pass's four chains moves the first edge its search enqueues, which
+    # is tested before any other edge either way, and failed searches
+    # probe and read the same pairs whenever their edges are tested
     probes = counting(monkeypatch, PebbleState, "probe_pair")
+    circuits = counting(monkeypatch, PebbleState, "tight_edges")
     runs = _counting_pebble_runs(monkeypatch)
     perm = list(range(40))
     random.Random(24).shuffle(perm)
@@ -264,9 +310,24 @@ def test_union_search_counts_on_a_relabelled_circulant(monkeypatch):
                            generators.circulant(40, [1, 2, 3, 5, 8]).edges])
     pk = matroid_union_pack(host, [lmn(40, 2, 3)] * 2)
     assert (pk.covered(), len(pk.uncovered)) == (154, 46)
-    assert (len(probes), len(runs)) == (65, 2)
+    assert (len(probes), len(circuits), len(runs)) == (65, 109, 2)
     pk.closure
-    assert (len(probes), len(runs)) == (116, 2)
+    assert (len(probes), len(circuits), len(runs)) == (116, 160, 2)
+
+
+def test_union_search_counts_on_the_halved_bipartite_host(monkeypatch):
+    # the bipartite-degree preset on K12,12 with k = 2 packs halved parts:
+    # 20 applied chains, whose searches enqueue many edges but need few of
+    # them. Testing each edge for entry when it is discovered finds each
+    # chain before most of its search's queue is dequeued: 259 probes and
+    # 60 circuits read, where the test at dequeue made 487 and 504
+    probes = counting(monkeypatch, PebbleState, "probe_pair")
+    circuits = counting(monkeypatch, PebbleState, "tight_edges")
+    chains = counting(monkeypatch, packing, "_apply_chain")
+    res = preset_bipartite_degree(generators.complete_bipartite(12, 12), 2,
+                                  (1 << 12) - 1)
+    assert res.ok
+    assert (len(probes), len(circuits), len(chains)) == (259, 60, 20)
 
 
 def test_direct_inserts_probe_and_move_nothing(monkeypatch):
@@ -312,23 +373,26 @@ def _relabelled(n, edges, rng):
 def test_halved_parts_match_the_reference_search(monkeypatch):
     # with the halved mode's degree eater first, a part is often full when
     # a later part takes an edge directly. Asking every part for a direct
-    # insert before probing a full one, and keeping the tight sets of
-    # failed searches across applied chains, changes no part, uncovered
-    # edge or closure, and never adds a probe. `waited` counts the edges a
-    # part takes while an earlier part is full: a search's first edge
-    # taken by `insert`, or the last edge of an applied chain
+    # insert before probing a full one, keeping the tight sets of failed
+    # searches across applied chains, and testing each edge for entry when
+    # it is discovered change no applied chain, part, uncovered edge or
+    # closure, and never add a probe. `waited` counts the edges a part
+    # takes while an earlier part is full: a search's first edge taken by
+    # `insert`, or the last edge of an applied chain
     calls = counting(monkeypatch, PebbleState, "probe_pair")
+    engine = _recording_chains(monkeypatch)
+    apply_chain, augment = packing._apply_chain, packing._augment
     waited, chains = [0], [0]
 
     def chained(host, states, parent, last, free_part):
         chains[0] += 1
         waited[0] += any(sum(s.pebbles) <= s.ell for s in states[:free_part])
-        _apply_chain(host, states, parent, last, free_part)
+        apply_chain(host, states, parent, last, free_part)
 
     def offered(host, states, filled, eid, dead, inside):
         full = [sum(s.pebbles) <= s.ell for s in states]
         before = chains[0]
-        took = _augment(host, states, filled, eid, dead, inside)
+        took = augment(host, states, filled, eid, dead, inside)
         if took and chains[0] == before:
             taker = next(i for i, s in enumerate(states) if eid in s.ends)
             waited[0] += any(full[:taker])
@@ -338,7 +402,7 @@ def test_halved_parts_match_the_reference_search(monkeypatch):
     monkeypatch.setattr(packing, "_augment", offered)
     rng = random.Random(61)
     pool = [(1, 1), (1, 0), (2, 3), (2, 2)]
-    hosts = rings = fewer = 0
+    hosts = rings = fewer = moved = 0
     while hosts < 1000:
         ring = rng.random() < 0.4
         if ring:
@@ -353,19 +417,22 @@ def test_halved_parts_match_the_reference_search(monkeypatch):
         except ValueError:
             continue
         forbidden = set(rng.sample(range(g.m), rng.randrange(0, g.m // 4 + 1)))
-        start = len(calls)
+        start, engine[:] = len(calls), []
         pk = matroid_union_pack(g, funcs, forbidden)
         pk.closure  # runs the searches a filled pass left, on the engine's side
-        middle = len(calls)
-        parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden)
+        middle, reference = len(calls), []
+        parts, uncovered, closure = _reference_union_pack(g, funcs, forbidden,
+                                                          chains=reference)
+        assert engine == reference
+        moved += sum(len(chain) > 1 for chain in engine)
         assert [p.edges for p in pk.parts] == parts
         assert (pk.uncovered, pk.closure) == (uncovered, closure)
         assert middle - start <= len(calls) - middle
         fewer += middle - start < len(calls) - middle
         rings += ring and not all(p.full for p in pk.parts)
         hosts += 1
-    assert rings >= 150 and fewer >= 900 and waited[0] >= 10000, \
-        (rings, fewer, waited[0])
+    assert rings >= 150 and fewer >= 900 and waited[0] >= 10000 and moved >= 1000, \
+        (rings, fewer, waited[0], moved)
 
 
 def test_full_parts_wait_for_the_direct_inserts(monkeypatch):
@@ -465,32 +532,43 @@ def test_kept_tight_sets_save_probes_on_a_deficient_host(monkeypatch):
 def test_tight_edges_match_a_scan_of_the_accepted_edges():
     # after every blocked insert or probe, the circuit read off the tight
     # set's arcs is the scan of every accepted edge, and `reached` is the
-    # tight set's vertex list
+    # tight set's vertex list. Every tight set kept since the last insert
+    # or delete still reads its circuit after later probes moved pebbles,
+    # and some of those probes turned an arc out of a kept set
     rng = random.Random(53)
-    probes = 0
+    probes = stale = 0
     while probes < 5000:
         n, k = rng.randrange(2, 10), rng.randrange(1, 3)
         ell = rng.randrange(0, 2 * k)
         host = random_multigraph(n, rng.randrange(1, 4 * n), rng)
         state = PebbleState([k] * n, ell)
+        kept = []
         for _ in range(rng.randrange(10, 40)):
             step = rng.random()
             if step < 0.2 and state.accepted:
                 eid = rng.choice(state.accepted)
                 state.delete(eid)
+                kept = []
                 continue
             if step < 0.6:
                 eid = rng.randrange(host.m)
                 if eid in state.accepted:
                     continue
                 mask = state.insert(eid, *host.edges[eid])
+                if mask is None:
+                    kept = []
             else:
                 mask = state.probe_pair(*rng.sample(range(n), 2))
                 probes += mask is not None
             if mask is not None:
-                assert state.tight_edges() == _scan_circuit_edges(host, state, mask)
                 assert sorted(state.reached) == vertices_of(mask)
+                kept.append((mask, state.reached))
+            for mask, reached in kept:
+                circuit = _scan_circuit_edges(host, state, mask)
+                assert state.tight_edges(mask, reached) == circuit
+                stale += len(circuit) < sum(len(state.out[v]) for v in reached)
         check_invariant(state)
+    assert stale >= 1000, stale
 
 
 def _structure_claims(pk, cert):
